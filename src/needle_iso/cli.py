@@ -20,7 +20,7 @@ import numpy as np
 from .cross_spaces import space_by_name
 from .densities import Interval, SinAffineDensity, TabulatedDensity, TrigDensity, normalize
 from .errors import NeedleIsoError
-from .needle_bound import cross_needle_bound, sphere_needle_bound
+from .needle_bound import bound_profile_csv, cross_needle_bound, sphere_needle_bound
 from .oracles import SUITE_NAMES, report_to_json, run_property_suite
 from .separation import MassPair, sep_1d
 from .solver import isoperimetric_profile_curve, profile_curve_csv, solve_with_complement_reduction
@@ -96,12 +96,7 @@ def _cmd_bound(args):
     if args.format == "json":
         _dump_json(rec)
     elif args.format == "csv":
-        sys.stdout.write("k1,k2,bound,family,m,k\n")
-        m = "" if rec["m"] is None else rec["m"]
-        k = "" if rec["k"] is None else rec["k"]
-        sys.stdout.write(
-            f"{masses.k1!r},{masses.k2!r},{res.bound!r},{res.family},{m},{k}\n"
-        )
+        sys.stdout.write(bound_profile_csv([rec]))
     else:
         print(f"needle bound: {res.bound:.12g}")
         print(f"family: {res.family}; maximizers: {list(res.ties)}")

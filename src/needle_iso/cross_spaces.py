@@ -177,8 +177,8 @@ def enlarged_volume(candidate, space, v, epsilon):
     The epsilon-neighborhood of the radius-r tube is the radius-(r+epsilon)
     tube, so the enlargement saturates at the diameter.
     """
-    if epsilon <= 0:
-        raise OutOfDomain("epsilon must be positive")
+    if not (0.0 < epsilon < math.inf):
+        raise OutOfDomain(f"epsilon must be positive and finite, got {epsilon}")
     r = profile_quantile(candidate, space, v)
     r_eps = min(float(r) + float(epsilon), space.diameter)
     return float(profile_cdf(candidate, space, r_eps))

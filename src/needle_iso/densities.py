@@ -12,15 +12,18 @@ Three families:
 * :class:`TabulatedDensity` -- piecewise-linear samples; the oracle
   representation used by brute-force checks.
 
-Quantiles invert the CDF by bisection (64 fixed iterations, so results are
-deterministic and independent of any parallel schedule).
+Quantiles are closed forms too: :func:`trig_quantile` inverts the trig and
+affine CDFs through ``betaincinv``, and the piecewise-quadratic tabulated
+CDF is inverted exactly on the segment holding the target mass.  Both are
+elementwise, so results are deterministic and independent of any parallel
+schedule.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betainc, betaln
+from scipy.special import betainc, betaincinv, betaln
 
 from . import quadrature
 from .errors import OutOfDomain, ZeroMass
@@ -29,7 +32,6 @@ HALF_PI = math.pi / 2.0
 
 _DOMAIN_TOL = 1e-9
 _MASS_FLOOR = 1e-14
-_BISECT_ITERS = 64
 
 
 @dataclass(frozen=True)
@@ -63,24 +65,20 @@ class Interval:
         return np.linspace(self.lo, self.hi, n)
 
 
-def _beta_complete(a, b):
-    return np.exp(betaln(a, b))
+def _tails(a, b, t):
+    """Regularized masses of ``[0, t]`` and ``[t, pi/2]`` under ``cos^m sin^k``,
+    ``(a, b) = ((k+1)/2, (m+1)/2)``, each from its own ``betainc`` call so
+    both keep their digits when small."""
+    return betainc(a, b, np.sin(t) ** 2), betainc(b, a, np.cos(t) ** 2)
 
 
 def _quarter_integral(m, k, t):
     """``int_0^t cos^m sin^k`` for ``t`` in ``[0, pi/2]`` (vectorized)."""
+    a, b = 0.5 * (k + 1.0), 0.5 * (m + 1.0)
     t = np.clip(np.asarray(t, dtype=float), 0.0, HALF_PI)
-    a = 0.5 * (k + 1.0)
-    b = 0.5 * (m + 1.0)
-    s2 = np.sin(t) ** 2
-    c2 = np.cos(t) ** 2
+    low, up = _tails(a, b, t)
     # complement form in the upper half for conditioning near t = pi/2
-    val = np.where(
-        s2 <= 0.5,
-        betainc(a, b, np.minimum(s2, 1.0)),
-        1.0 - betainc(b, a, np.minimum(c2, 1.0)),
-    )
-    return 0.5 * _beta_complete(a, b) * val
+    return 0.5 * np.exp(betaln(a, b)) * np.where(t <= math.pi / 4.0, low, 1.0 - up)
 
 
 def trig_antiderivative(m, k, t):
@@ -107,6 +105,45 @@ def trig_mass(m, k, lo, hi):
     return float(trig_antiderivative(m, k, hi) - trig_antiderivative(m, k, lo))
 
 
+def trig_quantile(m, k, lo, hi, q):
+    """Inverse of the normalized CDF of ``cos^m sin^k`` on ``[lo, hi]``.
+
+    The closed-form inverse of :func:`trig_antiderivative` on the same
+    domains, vectorized over every argument.  Pure cosine is pure sine
+    shifted by pi/2, and pure sine spans two quarters mirrored about pi/2,
+    so every case reduces to ``betaincinv`` on one quarter.  The mass left
+    of the answer is formed from ``q`` and the mass right of it from
+    ``1 - q``, so neither loses digits to cancellation in its own tail.
+    """
+    m, k, lo, hi, q = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (m, k, lo, hi, q))
+    )
+    # pure cosine is pure sine shifted by pi/2
+    swap = k == 0.0
+    shift = np.where(swap, HALF_PI, 0.0)
+    a, b = 0.5 * (np.where(swap, m, k) + 1.0), 0.5 * (np.where(swap, 0.0, m) + 1.0)
+    mirrored = swap | (m == 0.0)
+    # masses left and right of each end, in units of one quarter's mass
+    ends = np.clip(np.stack([lo, hi]) + shift, 0.0, np.where(mirrored, math.pi, HALF_PI))
+    far = mirrored & (ends > HALF_PI)
+    low, up = _tails(a, b, np.where(far, math.pi - ends, ends))
+    left = np.where(far, 1.0 + up, low)
+    right = np.where(far, low, np.where(mirrored, 1.0 + up, up))
+    # the interval's mass as a difference of the smaller tails
+    total = np.where(left[1] <= right[0], left[1] - left[0], right[0] - right[1])
+    below = left[0] + q * total
+    above = right[1] + (1.0 - q) * total
+    # past the mirror the roles of the two tails swap; the arcsin form holds
+    # below pi/4, the complement arccos form above it
+    past = mirrored & (below > 1.0)
+    x = betaincinv(a, b, np.clip(np.where(past, above, below), 0.0, 1.0))
+    y = betaincinv(b, a, np.clip(np.where(past, below, above) - mirrored, 0.0, 1.0))
+    u = np.where(x <= 0.5, np.arcsin(np.sqrt(x)), np.arccos(np.sqrt(y)))
+    t = np.where(past, math.pi - u, u) - shift
+    t = np.where((m == 0.0) & (k == 0.0), lo + q * (hi - lo), t)
+    return np.clip(t, lo, hi)
+
+
 def _validate_trig_domain(m, k, interval):
     tol = 1e-9
     if m < 0 or k < 0:
@@ -123,26 +160,9 @@ def _validate_trig_domain(m, k, interval):
         )
 
 
-def _bisect_quantile(cdf, lo, hi, q):
-    """Vectorized bisection of a monotone CDF; endpoints for q in {0, 1}."""
-    q = np.asarray(q, dtype=float)
-    if np.any(q < -1e-12) or np.any(q > 1.0 + 1e-12):
-        raise OutOfDomain("mass fractions must lie in [0, 1]")
-    a = np.full(q.shape, float(lo))
-    b = np.full(q.shape, float(hi))
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (a + b)
-        below = cdf(mid) < q
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    t = 0.5 * (a + b)
-    t = np.where(q <= 0.0, float(lo), t)
-    t = np.where(q >= 1.0, float(hi), t)
-    return t if t.shape else float(t)
-
-
 class _DensityBase:
-    """Shared CDF/quantile plumbing; subclasses provide raw antiderivatives."""
+    """Shared CDF/quantile plumbing; subclasses provide raw antiderivatives
+    and closed-form quantiles."""
 
     def _raw_cdf(self, t):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -167,8 +187,14 @@ class _DensityBase:
         return out if out.shape else float(out)
 
     def quantile(self, q):
-        """Inverse CDF by bisection; returns endpoints for q in {0, 1}."""
-        return _bisect_quantile(self.cdf, self.interval.lo, self.interval.hi, q)
+        """Inverse CDF: the least ``t`` with ``cdf(t) >= q``; endpoints for q in {0, 1}."""
+        q = np.asarray(q, dtype=float)
+        if not np.all((q >= -1e-12) & (q <= 1.0 + 1e-12)):
+            raise OutOfDomain("mass fractions must lie in [0, 1]")
+        lo, hi = self.interval.lo, self.interval.hi
+        t = np.clip(self._quantile(np.clip(q, 0.0, 1.0)), lo, hi)
+        t = np.where(q <= 0.0, lo, np.where(q >= 1.0, hi, t))
+        return t if t.shape else float(t)
 
     def mass(self, a, b):
         return float(self.cdf(b) - self.cdf(a))
@@ -205,6 +231,9 @@ class TrigDensity(_DensityBase):
 
     def _raw_cdf(self, t):
         return trig_antiderivative(self.m, self.k, t)
+
+    def _quantile(self, q):
+        return trig_quantile(self.m, self.k, self.interval.lo, self.interval.hi, q)
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -256,6 +285,10 @@ class SinAffineDensity(_DensityBase):
         u = np.asarray(t, dtype=float) - self.phase
         u = np.clip(u, -HALF_PI, HALF_PI)
         return trig_antiderivative(self.power, 0.0, u)
+
+    def _quantile(self, q):
+        lo, hi = self.interval.lo - self.phase, self.interval.hi - self.phase
+        return self.phase + trig_quantile(self.power, 0.0, lo, hi, q)
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -329,6 +362,19 @@ class TabulatedDensity(_DensityBase):
         f1 = self._v[idx + 1]
         s = np.clip(t - t0, 0.0, h)
         return self._cum[idx] + f0 * s + 0.5 * (f1 - f0) * s * s / h
+
+    def _quantile(self, q):
+        # the first segment whose right end reaches the target mass (so a zero
+        # plateau starting there is never entered), then the stable root of
+        # f0 s + (f1 - f0) s^2 / (2 h) = r on it
+        y = q * self._raw_total
+        idx = np.clip(np.searchsorted(self._cum, y, side="left") - 1, 0, self._g.size - 2)
+        h = self._g[idx + 1] - self._g[idx]
+        f0 = self._v[idx]
+        r = np.maximum(y - self._cum[idx], 0.0)
+        denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * (self._v[idx + 1] - f0) * r / h, 0.0))
+        s = np.divide(2.0 * r, denom, out=np.zeros_like(r), where=denom > 0.0)
+        return self._g[idx] + np.minimum(s, h)
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)

@@ -11,11 +11,11 @@ other at least 1/2); callers may force the computation anyway, in which
 case the result is flagged as heuristic.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln
 
 from .cross_spaces import SPHERE
 from .densities import (
@@ -23,8 +23,8 @@ from .densities import (
     Interval,
     SinAffineDensity,
     TrigDensity,
-    _quarter_integral,
     normalize,
+    trig_quantile,
 )
 from .errors import HypothesisViolated, NotApplicable, OutOfDomain
 from .separation import as_mass_pair, sep_1d
@@ -96,6 +96,16 @@ def sphere_needle_bound(n, masses, force=False):
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _exponent_grid(low, top):
+    """The pairs ``(m, k)`` with ``low <= m + k <= top``, and their (read-only)
+    float columns; built once per grid and shared by every call and its ties."""
+    pairs = tuple((total - k, k) for total in range(low, top + 1) for k in range(total + 1))
+    columns = np.array(pairs, dtype=float).T
+    columns.flags.writeable = False
+    return pairs, columns
+
+
 def cross_needle_bound(space, masses, max_total_power=None, force=False):
     """Max separation over ``C cos^m sin^k`` needles on ``[0, diameter]``.
 
@@ -115,11 +125,7 @@ def cross_needle_bound(space, masses, max_total_power=None, force=False):
         raise OutOfDomain(
             f"max_total_power={mtp} is below the admissibility floor {low}"
         )
-    pairs = [
-        (total - k, k) for total in range(low, mtp + 1) for k in range(0, total + 1)
-    ]
-    m_arr = np.array([p[0] for p in pairs], dtype=float)
-    k_arr = np.array([p[1] for p in pairs], dtype=float)
+    pairs, (m_arr, k_arr) = _exponent_grid(low, mtp)
     seps = batch_trig_sep(m_arr, k_arr, 0.0, space.diameter, mp.k1, mp.k2)
     best = float(np.max(seps))
     ties = tuple(sorted(p for p, s in zip(pairs, seps) if s >= best - _TIE_TOL))
@@ -132,81 +138,37 @@ def cross_needle_bound(space, masses, max_total_power=None, force=False):
     )
 
 
-def batch_trig_sep(m, k, lo, hi, k1, k2, iters=64):
-    """Separations for a batch of trig-monomial needles inside [0, pi/2].
-
-    Same 64-step CDF bisection as ``sep_1d`` on the equivalent
-    :class:`TrigDensity`, vectorized over needles; all arguments broadcast.
-    Intervals must lie inside [0, pi/2], where the quarter-period
-    antiderivative covers every exponent combination.
-    """
+def _trig_sep(m, k, lo, hi, k1, k2):
+    """``sep_1d``'s gap rule on closed-form quantiles at masses
+    ``(k1, 1-k2, k2, 1-k1)``, one :func:`trig_quantile` call per batch."""
     m, k, lo, hi, k1, k2 = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (m, k, lo, hi, k1, k2))
     )
-    if np.any(lo < -1e-12) or np.any(hi > HALF_PI + 1e-12):
-        raise OutOfDomain("batch_trig_sep expects intervals inside [0, pi/2]")
-    g0 = _quarter_integral(m, k, lo)
-    total = _quarter_integral(m, k, hi) - g0
-    targets = np.stack([k1, 1.0 - k2, k2, 1.0 - k1])
-    a = np.broadcast_to(lo, targets.shape).copy()
-    b = np.broadcast_to(hi, targets.shape).copy()
-    mm = np.broadcast_to(m, targets.shape)
-    kk = np.broadcast_to(k, targets.shape)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        cdf = (_quarter_integral(mm, kk, mid) - g0) / total
-        below = cdf < targets
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    t = 0.5 * (a + b)
+    t = trig_quantile(m, k, lo, hi, np.stack([k1, 1.0 - k2, k2, 1.0 - k1]))
     return np.maximum(np.maximum(t[1] - t[0], t[3] - t[2]), 0.0)
 
 
-def _affine_antiderivative(power, u):
-    """Vectorized antiderivative of ``cos^power`` at ``u`` in [-pi/2, pi/2]."""
-    a = 0.5
-    b = 0.5 * (power + 1.0)
-    au = np.abs(u)
-    s2 = np.sin(au) ** 2
-    c2 = np.cos(au) ** 2
-    val = np.where(
-        s2 <= 0.5,
-        betainc(a, b, np.minimum(s2, 1.0)),
-        1.0 - betainc(b, a, np.minimum(c2, 1.0)),
-    )
-    return np.sign(u) * 0.5 * np.exp(betaln(a, b)) * val
+def batch_trig_sep(m, k, lo, hi, k1, k2):
+    """Separations for a batch of trig-monomial needles inside [0, pi/2].
+
+    ``sep_1d`` on the equivalent :class:`TrigDensity`, vectorized over
+    needles; all arguments broadcast.  Intervals must lie inside [0, pi/2],
+    the domain on which every exponent combination is a density.
+    """
+    if np.any(np.asarray(lo) < -1e-12) or np.any(np.asarray(hi) > HALF_PI + 1e-12):
+        raise OutOfDomain("batch_trig_sep expects intervals inside [0, pi/2]")
+    return _trig_sep(m, k, lo, hi, k1, k2)
 
 
-def batch_affine_sep(phase, power, lo, hi, k1, k2, iters=64):
+def batch_affine_sep(phase, power, lo, hi, k1, k2):
     """Separation distances for a batch of sin^p-affine needles.
 
-    All arguments broadcast elementwise.  Identical algorithm to
-    ``sep_1d(SinAffineDensity(...), (k1, k2))`` -- a 64-step bisection of the
-    exact CDF -- just vectorized over the batch.
+    All arguments broadcast elementwise.  ``sep_1d(SinAffineDensity(...),
+    (k1, k2))`` vectorized over the batch: the needle is ``cos^power`` on
+    the interval shifted by ``-phase``.
     """
-    phase, power, lo, hi, k1, k2 = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (phase, power, lo, hi, k1, k2))
-    )
-    u0 = np.clip(lo - phase, -HALF_PI, HALF_PI)
-    u1 = np.clip(hi - phase, -HALF_PI, HALF_PI)
-    g0 = _affine_antiderivative(power, u0)
-    total = _affine_antiderivative(power, u1) - g0
-    targets = np.stack([k1, 1.0 - k2, k2, 1.0 - k1])
-    a = np.broadcast_to(lo, targets.shape).copy()
-    b = np.broadcast_to(hi, targets.shape).copy()
-    pw = np.broadcast_to(power, targets.shape)
-    ph = np.broadcast_to(phase, targets.shape)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        u = np.clip(mid - ph, -HALF_PI, HALF_PI)
-        cdf = (_affine_antiderivative(pw, u) - g0) / total
-        below = cdf < targets
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    t = 0.5 * (a + b)
-    gap_12 = t[1] - t[0]
-    gap_21 = t[3] - t[2]
-    return np.maximum(np.maximum(gap_12, gap_21), 0.0)
+    phase = np.asarray(phase, dtype=float)
+    return _trig_sep(power, 0.0, lo - phase, hi - phase, k1, k2)
 
 
 def optimize_affine_family(
@@ -262,23 +224,9 @@ def bound_profile(bound_fn, mass_pairs):
     rows = []
     for pair in mass_pairs:
         mp = as_mass_pair(pair)
-        res = bound_fn(mp)
-        if res.family == "sphere-cos":
-            m, k = res.params["m"], 0
-        elif res.family == "trig":
-            m, k = res.ties[0]
-        else:
-            m, k = None, None
-        rows.append(
-            {
-                "k1": mp.k1,
-                "k2": mp.k2,
-                "bound": res.bound,
-                "family": res.family,
-                "m": m,
-                "k": k,
-            }
-        )
+        rec = bound_fn(mp).to_dict()
+        fields = {f: rec[f] for f in ("bound", "family", "m", "k")}
+        rows.append({"k1": mp.k1, "k2": mp.k2} | fields)
     rows.sort(key=lambda r: (r["k1"], r["k2"]))
     return rows
 

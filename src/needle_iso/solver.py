@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import quadrature
 from .cross_spaces import (
@@ -41,8 +40,8 @@ class SolveRequest:
     def __post_init__(self):
         if not (0.0 < self.v < 1.0):
             raise OutOfDomain(f"volume fraction must be in (0,1), got {self.v}")
-        if self.epsilon <= 0.0:
-            raise OutOfDomain(f"epsilon must be positive, got {self.epsilon}")
+        if not (0.0 < self.epsilon < math.inf):
+            raise OutOfDomain(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -124,11 +123,6 @@ def solve_isoperimetric(req):
     )
 
 
-def _reversed_profile_quantile(cand, space, q):
-    """Quantile of the reversed radial profile (mass counted from the far end)."""
-    return space.diameter - profile_quantile(cand, space, 1.0 - q)
-
-
 def solve_with_complement_reduction(space, v, epsilon):
     """Solve at any volume fraction, reducing v > 1/2 to the complement.
 
@@ -184,6 +178,9 @@ def solve_with_complement_reduction(space, v, epsilon):
 
 def _quadrature_enlarged(cand, space, v, epsilon, atol):
     """Enlarged volume via adaptive quadrature only (no closed forms)."""
+    # scipy.optimize is a heavy import and only this cross-check route uses it
+    from scipy.optimize import brentq
+
     a, b = cand.a, cand.b
 
     def raw(t):

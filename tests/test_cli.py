@@ -173,6 +173,15 @@ class TestSolve:
         assert code == 1
         assert "unknown space" in err
 
+    @pytest.mark.parametrize("eps", ["inf", "nan", "0"])
+    def test_non_finite_or_nonpositive_eps_is_rejected(self, capsys, eps):
+        code, out, err = run_cli(
+            capsys, "solve", "--space", "rp3", "--v", "0.3", "--eps", eps
+        )
+        assert code == 1
+        assert out == ""
+        assert "epsilon" in err
+
     def test_json_round_trip(self, capsys):
         from needle_iso import SolveRequest, solve_isoperimetric, space_by_name
 
@@ -197,6 +206,15 @@ class TestProfile:
         rec = json.loads(out)
         assert len(rec["crossovers"]) == 1
         assert rec["crossovers"][0]["from"] == "ball"
+
+    @pytest.mark.parametrize("eps", ["inf", "nan", "0"])
+    def test_non_finite_or_nonpositive_eps_is_rejected(self, capsys, eps):
+        code, out, err = run_cli(
+            capsys, "profile", "--space", "rp3", "--eps", eps, "--v-grid", "4"
+        )
+        assert code == 1
+        assert out == ""
+        assert "epsilon" in err
 
     def test_csv_contract(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,12 @@ class TestQuantile:
         assert d.quantile(0.0) == -1.0
         assert d.quantile(1.0) == 1.0
 
+    @pytest.mark.parametrize("q", [-0.1, 1.1, math.nan])
+    def test_mass_outside_unit_interval_is_rejected(self, q):
+        d = normalize(TrigDensity(m=3, k=0, interval=Interval(-1.0, 1.0)))
+        with pytest.raises(OutOfDomain):
+            d.quantile(q)
+
     def test_quartic_sine_profile_quantile(self):
         # oracle: invert sin^4 at 1/4: r = asin((1/4)^(1/4)) = pi/4
         d = normalize(TrigDensity(m=1, k=3, interval=Interval(0.0, HALF_PI)))
@@ -142,6 +149,89 @@ class TestQuantile:
     def test_round_trip_property(self, m, k, q):
         d = normalize(TrigDensity(m=m, k=k, interval=Interval(0.1, 1.4)))
         assert d.cdf(d.quantile(q)) == pytest.approx(q, abs=1e-9)
+
+
+def _mp_quantile(pdf, lo, hi, q):
+    """40-digit inverse of the CDF of ``pdf`` on ``[lo, hi]``: mpmath
+    quadrature of the density, bisection to 1e-6 at 20 digits, then Newton
+    steps at 40."""
+
+    def excess(t, total):
+        return mpmath.quad(pdf, [lo, t]) / total - q
+
+    with mpmath.workdps(20):
+        a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+        total = mpmath.quad(pdf, [a, b])
+        while b - a > 1e-6:
+            mid = (a + b) / 2
+            a, b = (mid, b) if excess(mid, total) < 0 else (a, mid)
+    with mpmath.workdps(40):
+        t = (a + b) / 2
+        total = mpmath.quad(pdf, [lo, hi])
+        for _ in range(4):
+            t -= excess(t, total) * total / pdf(t)
+        return t
+
+
+def _mp_tabulated_quantile(grid, values, q):
+    """40-digit root of the exact piecewise-quadratic CDF of linear samples."""
+    with mpmath.workdps(40):
+        g = [mpmath.mpf(x) for x in grid]
+        v = [mpmath.mpf(x) for x in values]
+        seg = [(v[i] + v[i + 1]) * (g[i + 1] - g[i]) / 2 for i in range(len(g) - 1)]
+        r = mpmath.mpf(q) * mpmath.fsum(seg)
+        i = 0
+        while r > seg[i]:
+            r -= seg[i]
+            i += 1
+        h = g[i + 1] - g[i]
+        c = (v[i + 1] - v[i]) / h  # f0 s + c s^2 / 2 = r on this segment
+        s = r / v[i] if c == 0 else (mpmath.sqrt(v[i] ** 2 + 2 * c * r) - v[i]) / c
+        return g[i] + s
+
+
+_TAB_GRID = (0.0, 0.3, 0.7, 1.2, 1.5)
+_TAB_VALUES = (0.0, 2.0, 0.5, 1.5, 0.25)
+
+
+class TestQuantileAgainstMpmath:
+    """The closed-form quantiles agree with a 40-digit reference to 1e-14,
+    from deep in one tail to deep in the other, in every domain case."""
+
+    QS = (1e-8, 1e-4, 0.25, 0.5, 0.75, 1 - 1e-6)
+
+    @pytest.mark.parametrize(
+        "density, pdf",
+        [
+            (TrigDensity(m=15, k=7, interval=Interval(0.0, HALF_PI)),
+             lambda t: mpmath.cos(t) ** 15 * mpmath.sin(t) ** 7),
+            (TrigDensity(m=2.5, k=1.5, interval=Interval(0.2, 1.3)),
+             lambda t: mpmath.cos(t) ** 2.5 * mpmath.sin(t) ** 1.5),
+            (TrigDensity(m=3, k=0, interval=Interval(-HALF_PI, HALF_PI)),
+             lambda t: mpmath.cos(t) ** 3),
+            (TrigDensity(m=0, k=3, interval=Interval(0.3, 2.9)),
+             lambda t: mpmath.sin(t) ** 3),
+            (TrigDensity(m=0, k=0, interval=Interval(-3.0, -1.0)),
+             lambda t: mpmath.mpf(1)),
+            (SinAffineDensity(phase=0.9, power=2.5, interval=Interval(0.0, 1.3)),
+             lambda t: mpmath.cos(t - mpmath.mpf(0.9)) ** 2.5),
+        ],
+        ids=["cos15-sin7", "real-exponents", "pure-cosine", "pure-sine-past-half-pi",
+             "constant", "sin-affine"],
+    )
+    def test_closed_families(self, density, pdf):
+        got = normalize(density).quantile(np.array(self.QS))
+        lo, hi = density.interval.lo, density.interval.hi
+        for t, q in zip(got, self.QS):
+            assert abs(t - float(_mp_quantile(pdf, lo, hi, q))) <= 1e-14, q
+
+    def test_tabulated_exact_quadratic_root(self):
+        got = normalize(TabulatedDensity(grid=_TAB_GRID, values=_TAB_VALUES)).quantile(
+            np.array(self.QS)
+        )
+        for t, q in zip(got, self.QS):
+            ref = float(_mp_tabulated_quantile(_TAB_GRID, _TAB_VALUES, q))
+            assert abs(t - ref) <= 1e-14, q
 
 
 class TestSinAffine:
@@ -191,6 +281,15 @@ class TestTabulated:
         tab = normalize(TabulatedDensity.from_density(base, n=4097))
         t = np.linspace(0.0, HALF_PI, 50)
         assert np.max(np.abs(tab.cdf(t) - base.cdf(t))) < 1e-6
+
+    def test_zero_plateau_quantile_is_its_left_end(self):
+        # half the mass lies on [0, 1], none on the plateau [1, 2]: the least t
+        # with F(t) >= 1/2 is the plateau's left end; either side of it the
+        # CDF is t - t^2/2 and its mirror image
+        d = normalize(TabulatedDensity(grid=(0.0, 1.0, 2.0, 3.0), values=(1.0, 0.0, 0.0, 1.0)))
+        assert d.quantile(0.5) == 1.0
+        assert d.quantile(0.32) == pytest.approx(1.0 - math.sqrt(0.36), abs=1e-15)
+        assert d.quantile(0.68) == pytest.approx(2.0 + math.sqrt(0.36), abs=1e-15)
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(OutOfDomain):
