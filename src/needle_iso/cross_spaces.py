@@ -175,13 +175,13 @@ def enlarged_volume(candidate, space, v, epsilon):
     """Volume fraction of the epsilon-enlargement of the volume-v candidate.
 
     The epsilon-neighborhood of the radius-r tube is the radius-(r+epsilon)
-    tube, so the enlargement saturates at the diameter.
+    tube, so the enlargement saturates at the diameter.  An array ``v`` takes
+    one quantile and one CDF call; a scalar ``v`` gives a float.
     """
     if not (0.0 < epsilon < math.inf):
         raise OutOfDomain(f"epsilon must be positive and finite, got {epsilon}")
-    r = profile_quantile(candidate, space, v)
-    r_eps = min(float(r) + float(epsilon), space.diameter)
-    return float(profile_cdf(candidate, space, r_eps))
+    density = radial_density(candidate, space)
+    return density.cdf(np.minimum(density.quantile(v) + epsilon, space.diameter))
 
 
 def polar_of(candidate, space):

@@ -363,12 +363,14 @@ class TabulatedDensity(_DensityBase):
         s = np.clip(t - t0, 0.0, h)
         return self._cum[idx] + f0 * s + 0.5 * (f1 - f0) * s * s / h
 
-    def _quantile(self, q):
+    def _quantile(self, q, right=False):
         # the first segment whose right end reaches the target mass (so a zero
-        # plateau starting there is never entered), then the stable root of
-        # f0 s + (f1 - f0) s^2 / (2 h) = r on it
+        # plateau starting there is never entered; where ``right`` holds, the
+        # last one starting at or below it, so F(t) <= q and t ends the
+        # plateau), then the stable root of f0 s + (f1 - f0) s^2 / (2 h) = r
         y = q * self._raw_total
-        idx = np.clip(np.searchsorted(self._cum, y, side="left") - 1, 0, self._g.size - 2)
+        idx = np.where(right, np.searchsorted(self._cum, y, side="right"), np.searchsorted(self._cum, y))
+        idx = np.clip(idx - 1, 0, self._g.size - 2)
         h = self._g[idx + 1] - self._g[idx]
         f0 = self._v[idx]
         r = np.maximum(y - self._cum[idx], 0.0)

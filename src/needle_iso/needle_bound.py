@@ -27,7 +27,7 @@ from .densities import (
     trig_quantile,
 )
 from .errors import HypothesisViolated, NotApplicable, OutOfDomain
-from .separation import as_mass_pair, sep_1d
+from .separation import _gap_rule, as_mass_pair, sep_1d
 
 _TIE_TOL = 1e-12
 
@@ -139,13 +139,13 @@ def cross_needle_bound(space, masses, max_total_power=None, force=False):
 
 
 def _trig_sep(m, k, lo, hi, k1, k2):
-    """``sep_1d``'s gap rule on closed-form quantiles at masses
-    ``(k1, 1-k2, k2, 1-k1)``, one :func:`trig_quantile` call per batch."""
+    """``sep_1d``'s gap rule on closed-form quantiles, one
+    :func:`trig_quantile` call per batch (these CDFs strictly increase, so
+    no right interval needs the plateau correction)."""
     m, k, lo, hi, k1, k2 = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (m, k, lo, hi, k1, k2))
     )
-    t = trig_quantile(m, k, lo, hi, np.stack([k1, 1.0 - k2, k2, 1.0 - k1]))
-    return np.maximum(np.maximum(t[1] - t[0], t[3] - t[2]), 0.0)
+    return _gap_rule(lambda q: trig_quantile(m, k, lo, hi, q), k1, k2)[2]
 
 
 def batch_trig_sep(m, k, lo, hi, k1, k2):

@@ -365,7 +365,7 @@ def _check_sphere_dominance(ctx):
     for n in (2, 3):
         phases, powers, lengths = _sample_affine_batch(gen, count, math.pi, n - 1, n - 1)
         k1 = gen.uniform(0.02, 0.5, count)
-        k2 = gen.uniform(0.5, 0.98, count)
+        k2 = gen.uniform(0.5, 1.0 - k1)  # k1 + k2 < 1: both sides separate
         needle_seps = batch_affine_sep(phases, powers, 0.0, lengths, k1, k2)
         bound_seps = batch_affine_sep(0.0, float(n - 1), -HALF_PI, HALF_PI, k1, k2)
         margin = needle_seps - bound_seps
@@ -385,7 +385,7 @@ def _check_cross_dominance(ctx):
     gen = ctx.spec.generator(31)
     space = CrossSpace.complex_projective(1)
     pool_k1 = gen.uniform(0.05, 0.5, 20)
-    pool_k2 = gen.uniform(0.5, 0.95, 20)
+    pool_k2 = gen.uniform(0.5, 1.0 - pool_k1)  # below 0.95, and k1 + k2 < 1
     bounds = np.array(
         [
             cross_needle_bound(space, MassPair(float(a), float(b)), max_total_power=8).bound

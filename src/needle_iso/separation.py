@@ -68,47 +68,58 @@ class SeparationResult:
         }
 
 
+def _gap_rule(ends, k1, k2):
+    """The gap rule of every separation: ``ends`` maps the masses
+    ``(k1, 1-k2, k2, 1-k1)``, stacked on a leading axis of length 4 (any
+    trailing shape), to where the left intervals end (entries 0, 2) and the
+    right ones start (1, 3).  Returns those points, whether ``k1`` sits on
+    the left of the wider arrangement, and its gap clamped at zero."""
+    t = ends(np.array([k1, 1.0 - k2, k2, 1.0 - k1]))
+    gap_12, gap_21 = t[1] - t[0], t[3] - t[2]
+    return t, gap_12 >= gap_21, np.maximum(np.maximum(gap_12, gap_21), 0.0)
+
+
 def sep_1d(density, masses):
     """Separation distance of a needle, with the realizing intervals.
 
     The gap of the arrangement placing mass ``a`` on the left and ``b`` on
-    the right is ``quantile(a) .. quantile(1-b)``; the result is the larger
-    of the two arrangements, clamped at zero (the intervals are still
-    reported at exact masses when they overlap).
+    the right runs from the least ``t`` with ``F(t) >= a`` to the largest
+    ``t`` with ``F(t) <= 1 - b``; the result is the larger of the two
+    arrangements, clamped at zero (the intervals are still reported at
+    exact masses when they overlap).
     """
     mp = as_mass_pair(masses)
-    # quantile-based extremality assumes full support (positive density on
-    # the interior), which all library families satisfy; zero plateaus would
-    # need the brute-force route
+    # quantile-based extremality assumes the supremum is reached by extreme
+    # intervals, which holds for the library's unimodal families; other
+    # tabulated shapes need the brute-force route
     lo, hi = density.interval.lo, density.interval.hi
-    q = density.quantile(np.array([mp.k1, 1.0 - mp.k2, mp.k2, 1.0 - mp.k1]))
-    gap_12 = q[1] - q[0]  # k1 left, k2 right
-    gap_21 = q[3] - q[2]  # k2 left, k1 right
-    if gap_12 >= gap_21:
-        left, right = q[0], q[1]
-        lmass, rmass = mp.k1, mp.k2
-        gap = gap_12
-    else:
-        left, right = q[2], q[3]
-        lmass, rmass = mp.k2, mp.k1
-        gap = gap_21
+    ends = density.quantile
+    if isinstance(density, TabulatedDensity):
+        # only a tabulated CDF can be flat inside its interval: across a zero
+        # plateau a right interval (entries 1, 3) starts at the plateau's end
+        def ends(q):
+            return density._quantile(q, right=np.array([False, True, False, True]))
+
+    t, k1_left, sep = _gap_rule(ends, mp.k1, mp.k2)
+    i = 0 if k1_left else 2  # the winning arrangement's two end points
     return SeparationResult(
-        sep=max(0.0, float(gap)),
-        left_interval=Interval(lo, max(float(left), np.nextafter(lo, hi))),
-        right_interval=Interval(min(float(right), np.nextafter(hi, lo)), hi),
-        left_mass=lmass,
-        right_mass=rmass,
+        sep=float(sep),
+        left_interval=Interval(lo, max(float(t[i]), np.nextafter(lo, hi))),
+        right_interval=Interval(min(float(t[i + 1]), np.nextafter(hi, lo)), hi),
+        left_mass=mp.k1 if k1_left else mp.k2,
+        right_mass=mp.k2 if k1_left else mp.k1,
     )
 
 
 def sep_1d_bruteforce(density, masses, grid_size=4096):
     """Grid-exhaustive oracle for :func:`sep_1d`.
 
-    Searches all pairs of disjoint grid-aligned interval unions; the optimum
-    always reduces to a pair of extreme intervals, so the scan keeps, for
-    each arrangement, the leftmost prefix reaching one mass and the
-    rightmost suffix reaching the other.  Agrees with the quantile route to
-    within ``2 * length / grid_size``.
+    Scans grid prefixes and suffixes only: for each arrangement it keeps
+    the shortest prefix reaching one mass and the shortest suffix reaching
+    the other, and reports the larger gap.  It therefore assumes, like
+    :func:`sep_1d`, that extreme intervals attain the supremum, and checks
+    the quantile arithmetic rather than that reduction.  Agrees with the
+    quantile route to within ``2 * length / grid_size``.
     """
     if grid_size < 64:
         raise OutOfDomain(f"grid_size must be at least 64, got {grid_size}")

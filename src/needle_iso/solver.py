@@ -9,7 +9,7 @@ separation distance.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .cross_spaces import (
     enlarged_volume,
     polar_of,
     profile_quantile,
-    radial_density,
 )
 from .errors import NotApplicable, OutOfDomain
 from .needle_bound import cross_needle_bound, sphere_needle_bound
@@ -92,6 +91,25 @@ def _needle_check(space, v, w, epsilon):
     }
 
 
+def _solve(req):
+    """The candidate table at ``req.v``: one :func:`enlarged_volume` call per
+    candidate, the least value, its co-winners within 1e-10, and the needle
+    check at the complement mass of the winner's enlargement."""
+    rows = tuple((c, enlarged_volume(c, req.space, req.v, req.epsilon)) for c in catalog(req.space))
+    best = min(e for _, e in rows)
+    co = tuple(c for c, e in rows if e <= best + _TIE_TOL)
+    return SolveResult(
+        space=req.space,
+        v=req.v,
+        epsilon=req.epsilon,
+        winner=co[0],
+        co_winners=co,
+        enlarged=float(best),
+        per_candidate=rows,
+        needle_bound_check=_needle_check(req.space, req.v, 1.0 - best, req.epsilon),
+    )
+
+
 def solve_isoperimetric(req):
     """Pick the candidate whose epsilon-enlargement has least volume.
 
@@ -104,76 +122,35 @@ def solve_isoperimetric(req):
             "solve_isoperimetric handles v <= 1/2; use "
             "solve_with_complement_reduction for larger volumes"
         )
-    rows = []
-    for cand in catalog(req.space):
-        rows.append((cand, enlarged_volume(cand, req.space, req.v, req.epsilon)))
-    best = min(e for _, e in rows)
-    co = tuple(c for c, e in rows if e <= best + _TIE_TOL)
-    winner = co[0]
-    check = _needle_check(req.space, req.v, 1.0 - best, req.epsilon)
-    return SolveResult(
-        space=req.space,
-        v=req.v,
-        epsilon=req.epsilon,
-        winner=winner,
-        co_winners=co,
-        enlarged=float(best),
-        per_candidate=tuple(rows),
-        needle_bound_check=check,
-    )
+    return _solve(req)
 
 
 def solve_with_complement_reduction(space, v, epsilon):
     """Solve at any volume fraction, reducing v > 1/2 to the complement.
 
-    For ``v > 1/2`` the enlarged volume of the volume-v candidate equals
-    ``1 - F_rev(Q_rev(1 - v) - epsilon)`` where the reversed profile counts
-    mass from the far end of the radial coordinate; the optimal set is the
-    complement of the epsilon-enlargement of the polar candidate at volume
-    ``w = 1 - mu(A + epsilon)``.
+    Every volume takes the same candidate table as
+    :func:`solve_isoperimetric`.  For ``v > 1/2`` the result also records
+    the complementary construction: the enlargement leaves volume
+    ``w = 1 - mu(A + epsilon)`` outside, and the optimal set is the
+    complement of the epsilon-enlargement of the winner's polar candidate
+    at volume ``w`` (the (k1, k2) symmetry of the separation distance).
     """
-    req = SolveRequest(space=space, v=v, epsilon=epsilon)
+    res = _solve(SolveRequest(space=space, v=v, epsilon=epsilon))
     if v <= 0.5:
-        return solve_isoperimetric(req)
-    rows = []
-    for cand in catalog(space):
-        density = radial_density(cand, space)
-        # radius of the volume-v tube, measured from the far end
-        r_rev = space.diameter - float(density.quantile(v))
-        shrunk = r_rev - epsilon
-        if shrunk <= 0.0:
-            w = 0.0
-        else:
-            w = 1.0 - float(density.cdf(space.diameter - shrunk))
-        rows.append((cand, 1.0 - w))
-    best = min(e for _, e in rows)
-    co = tuple(c for c, e in rows if e <= best + _TIE_TOL)
-    winner = co[0]
-    w_best = 1.0 - best
-    check = _needle_check(space, v, w_best, epsilon)
+        return res
     try:
-        polar_label = polar_of(winner, space).label
+        polar_label = polar_of(res.winner, space).label
     except NotApplicable:
-        polar_label = winner.label
-    reduction = {
+        polar_label = res.winner.label
+    w = 1.0 - res.enlarged
+    return replace(res, complement_reduction={
         "applied": True,
-        "w": float(w_best),
+        "w": float(w),
         "construction": (
             f"complement of the {epsilon}-enlargement of '{polar_label}' "
-            f"at volume {w_best:.12g}"
+            f"at volume {w:.12g}"
         ),
-    }
-    return SolveResult(
-        space=space,
-        v=v,
-        epsilon=epsilon,
-        winner=winner,
-        co_winners=co,
-        enlarged=float(best),
-        per_candidate=tuple(rows),
-        needle_bound_check=check,
-        complement_reduction=reduction,
-    )
+    })
 
 
 def _quadrature_enlarged(cand, space, v, epsilon, atol):
@@ -215,18 +192,20 @@ def isoperimetric_profile_curve(
         def enlarged(cand, v):
             return enlarged_volume(cand, space, v, epsilon)
     else:
+        # the reference route finds one root per volume
         def enlarged(cand, v):
-            return _quadrature_enlarged(cand, space, v, epsilon, quadrature_atol)
+            return np.vectorize(
+                lambda x: _quadrature_enlarged(cand, space, x, epsilon, quadrature_atol),
+                otypes=[float],
+            )(v)
 
-    def winner_at(v):
-        vals = [(enlarged(c, v), i) for i, c in enumerate(cands)]
-        e, i = min(vals)
-        return cands[i], e
-
-    rows = []
-    for v in v_grid:
-        cand, e = winner_at(v)
-        rows.append({"v": v, "winner": cand.label, "enlarged": float(e)})
+    # (candidate x v) table; argmin keeps the first candidate on exact ties
+    table = np.array([enlarged(c, np.array(v_grid)) for c in cands])
+    best = np.argmin(table, axis=0)
+    rows = [
+        {"v": v, "winner": cands[i].label, "enlarged": float(table[i, j])}
+        for j, (v, i) in enumerate(zip(v_grid, best))
+    ]
 
     crossovers = []
     for r0, r1 in zip(rows, rows[1:]):
@@ -279,8 +258,7 @@ def check_main_inequality(space, masses, mc_samples=100000, seed=0, tol=1e-9, th
     mp = as_mass_pair(masses)
     n = space.dim
     ball = catalog(space)[0]
-    r1 = float(profile_quantile(ball, space, mp.k1))
-    r2 = float(profile_quantile(ball, space, mp.k2))
+    r1, r2 = (float(r) for r in profile_quantile(ball, space, [mp.k1, mp.k2]))
     gap = max(0.0, math.pi - r1 - r2)
     bound = sphere_needle_bound(n, mp, force=True).bound
     ok = gap <= bound + tol

@@ -125,7 +125,8 @@ def _sample_needle_batch(seed, count, length_cap, p_lo, p_hi):
     powers = gen.integers(p_lo, p_hi + 1, count).astype(float)
     phases = gen.uniform(lengths - HALF_PI, HALF_PI)
     k1 = gen.uniform(0.02, 0.5, count)
-    k2 = gen.uniform(0.5, 0.98, count)
+    # k2 < 1 - k1, so every pair has a positive separation to compare
+    k2 = gen.uniform(0.5, 1.0 - k1)
     return phases, powers, lengths, k1, k2
 
 

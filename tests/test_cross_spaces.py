@@ -132,6 +132,18 @@ class TestEnlargedVolume:
         with pytest.raises(OutOfDomain):
             enlarged_volume(catalog(s2)[0], s2, 0.3, 0.0)
 
+    @pytest.mark.parametrize("name", ["s2", "rp3"])
+    @pytest.mark.parametrize("eps", [0.05, 3.5])
+    def test_array_of_volumes_matches_scalar_calls(self, name, eps):
+        # eps = 3.5 exceeds both diameters, so every enlargement saturates
+        space = space_by_name(name)
+        v = np.array([1e-12, 1e-6, 0.1, 0.5, 0.9, 1 - 1e-9, 1.0])
+        for cand in catalog(space):
+            got = enlarged_volume(cand, space, v, eps)
+            assert got.shape == v.shape
+            assert got.tolist() == [enlarged_volume(cand, space, float(x), eps) for x in v]
+            assert isinstance(enlarged_volume(cand, space, 0.1, eps), float)
+
 
 class TestPolar:
     def test_cayley_ball_and_tube_swap(self):

@@ -141,11 +141,15 @@ class TestBruteForce:
             brute = sep_1d_bruteforce(d, mp, grid_size=grid_size)
             assert abs(exact - brute) <= 2.0 * d.interval.length / grid_size
 
-    @pytest.mark.parametrize("masses", [(0.3, 0.6), (0.2, 0.25), (0.45, 0.1), (0.5, 0.3)])
+    @pytest.mark.parametrize(
+        "masses", [(0.3, 0.6), (0.2, 0.25), (0.45, 0.1), (0.5, 0.3), (0.5, 0.5)]
+    )
     def test_agrees_across_an_interior_zero_plateau(self, masses):
         # the plateau [1, 2] carries no mass; at (0.5, 0.3) the winning
         # arrangement starts its right interval at the quantile of 0.7, off
-        # the plateau, and puts the plateau's left end at the 0.5 quantile
+        # the plateau, and puts the plateau's left end at the 0.5 quantile;
+        # at (0.5, 0.5) the right interval must start at the plateau's right
+        # end, so [0, 1] and [2, 3] lie 1 apart
         d = normalize(TabulatedDensity(grid=(0.0, 1.0, 2.0, 3.0), values=(1.0, 0.0, 0.0, 1.0)))
         grid_size = 4096
         brute = sep_1d_bruteforce(d, masses, grid_size=grid_size)

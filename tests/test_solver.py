@@ -100,7 +100,7 @@ class TestComplementReduction:
         for v in (0.55, 0.7, 0.9):
             res = solve_with_complement_reduction(RP3, v, 0.05)
             direct = min(enlarged_volume(c, RP3, v, 0.05) for c in catalog(RP3))
-            assert res.enlarged == pytest.approx(direct, abs=1e-10)
+            assert res.enlarged == direct
             assert res.complement_reduction["applied"]
             assert res.complement_reduction["w"] == pytest.approx(
                 1 - res.enlarged, abs=1e-12
