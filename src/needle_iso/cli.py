@@ -11,6 +11,7 @@ worker threads.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -254,9 +255,15 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser():
+    """The one parser :func:`main` reuses within a process; ``parse_args``
+    keeps no state between calls (each gets a fresh namespace)."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except NeedleIsoError as exc:

@@ -34,7 +34,7 @@ _DOMAIN_TOL = 1e-9
 _MASS_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A closed interval of angles, at most pi long."""
 
@@ -65,18 +65,18 @@ class Interval:
         return np.linspace(self.lo, self.hi, n)
 
 
-def _tails(a, b, t):
+def _tails(a, b, sin2, cos2):
     """Regularized masses of ``[0, t]`` and ``[t, pi/2]`` under ``cos^m sin^k``,
-    ``(a, b) = ((k+1)/2, (m+1)/2)``, each from its own ``betainc`` call so
-    both keep their digits when small."""
-    return betainc(a, b, np.sin(t) ** 2), betainc(b, a, np.cos(t) ** 2)
+    ``(a, b) = ((k+1)/2, (m+1)/2)``, from ``sin^2 t`` and ``cos^2 t``, each
+    from its own ``betainc`` call so both keep their digits when small."""
+    return betainc(a, b, sin2), betainc(b, a, cos2)
 
 
 def _quarter_integral(m, k, t):
     """``int_0^t cos^m sin^k`` for ``t`` in ``[0, pi/2]`` (vectorized)."""
     a, b = 0.5 * (k + 1.0), 0.5 * (m + 1.0)
     t = np.clip(np.asarray(t, dtype=float), 0.0, HALF_PI)
-    low, up = _tails(a, b, t)
+    low, up = _tails(a, b, np.sin(t) ** 2, np.cos(t) ** 2)
     # complement form in the upper half for conditioning near t = pi/2
     return 0.5 * np.exp(betaln(a, b)) * np.where(t <= math.pi / 4.0, low, 1.0 - up)
 
@@ -114,34 +114,54 @@ def trig_quantile(m, k, lo, hi, q):
     so every case reduces to ``betaincinv`` on one quarter.  The mass left
     of the answer is formed from ``q`` and the mass right of it from
     ``1 - q``, so neither loses digits to cancellation in its own tail.
+
+    One tail pair per needle, one inversion per target: what depends only
+    on the needle ``(m, k, lo, hi)`` -- the shift, the mirror, the tails at
+    both ends and the mass of ``[0, pi/4]`` -- is computed once at the
+    needles' broadcast shape, without ``q``, in one ``_tails`` call.  Each
+    target then takes exactly one ``betaincinv`` point: the arcsin form
+    when its mass is at most that of ``[0, pi/4]``, the arccos form of the
+    complement mass otherwise.
     """
-    m, k, lo, hi, q = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (m, k, lo, hi, q))
-    )
+    m, k, lo, hi = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (m, k, lo, hi)))
     # pure cosine is pure sine shifted by pi/2
-    swap = k == 0.0
-    shift = np.where(swap, HALF_PI, 0.0)
+    swap, sine = k == 0.0, m == 0.0
+    shift = HALF_PI * swap
     a, b = 0.5 * (np.where(swap, m, k) + 1.0), 0.5 * (np.where(swap, 0.0, m) + 1.0)
-    mirrored = swap | (m == 0.0)
-    # masses left and right of each end, in units of one quarter's mass
-    ends = np.clip(np.stack([lo, hi]) + shift, 0.0, np.where(mirrored, math.pi, HALF_PI))
+    mirrored = swap | sine
+    # masses left and right of each end, in units of one quarter's mass; a
+    # third point, pi/4 (sin^2 = cos^2 = 1/2 exactly), gives the mass at which
+    # the two inverse forms meet.  Clamps here are np.maximum/np.minimum: the
+    # bits of np.clip without its call overhead, which dominates single targets.
+    ends = np.minimum(np.maximum(np.stack([lo, hi]) + shift, 0.0), HALF_PI + HALF_PI * mirrored)
     far = mirrored & (ends > HALF_PI)
-    low, up = _tails(a, b, np.where(far, math.pi - ends, ends))
+    folded = np.where(far, math.pi - ends, ends)
+    half = np.full((1,) + lo.shape, 0.5)
+    low, up = _tails(
+        a, b, np.concatenate([np.sin(folded) ** 2, half]), np.concatenate([np.cos(folded) ** 2, half])
+    )
+    low, up, quarter = low[:2], up[:2], low[2]
     left = np.where(far, 1.0 + up, low)
-    right = np.where(far, low, np.where(mirrored, 1.0 + up, up))
+    right = np.where(far, low, up + mirrored)
     # the interval's mass as a difference of the smaller tails
     total = np.where(left[1] <= right[0], left[1] - left[0], right[0] - right[1])
+    q = np.asarray(q, dtype=float)
     below = left[0] + q * total
     above = right[1] + (1.0 - q) * total
-    # past the mirror the roles of the two tails swap; the arcsin form holds
-    # below pi/4, the complement arccos form above it
+    # past the mirror the roles of the two tails swap; ``lower`` and ``upper``
+    # are the masses left and right of the answer within its own quarter
     past = mirrored & (below > 1.0)
-    x = betaincinv(a, b, np.clip(np.where(past, above, below), 0.0, 1.0))
-    y = betaincinv(b, a, np.clip(np.where(past, below, above) - mirrored, 0.0, 1.0))
-    u = np.where(x <= 0.5, np.arcsin(np.sqrt(x)), np.arccos(np.sqrt(y)))
-    t = np.where(past, math.pi - u, u) - shift
-    t = np.where((m == 0.0) & (k == 0.0), lo + q * (hi - lo), t)
-    return np.clip(t, lo, hi)
+    lower = np.minimum(np.maximum(np.where(past, above, below), 0.0), 1.0)
+    upper = np.minimum(np.maximum(np.where(past, below, above) - mirrored, 0.0), 1.0)
+    arcsin = lower <= quarter
+    x = np.empty(np.shape(arcsin))
+    betaincinv(a, b, lower, out=x, where=arcsin)  # sin^2 of the answer
+    betaincinv(b, a, upper, out=x, where=~arcsin)  # cos^2 of the answer
+    root = np.sqrt(x)
+    t = np.where(arcsin, np.arcsin(root), np.arccos(root))
+    t = np.where(past, math.pi - t, t) - shift
+    t = np.where(swap & sine, lo + q * (hi - lo), t)
+    return np.minimum(np.maximum(t, lo), hi)
 
 
 def _validate_trig_domain(m, k, interval):
@@ -192,7 +212,7 @@ class _DensityBase:
         if not np.all((q >= -1e-12) & (q <= 1.0 + 1e-12)):
             raise OutOfDomain("mass fractions must lie in [0, 1]")
         lo, hi = self.interval.lo, self.interval.hi
-        t = np.clip(self._quantile(np.clip(q, 0.0, 1.0)), lo, hi)
+        t = np.minimum(np.maximum(self._quantile(np.minimum(np.maximum(q, 0.0), 1.0)), lo), hi)
         t = np.where(q <= 0.0, lo, np.where(q >= 1.0, hi, t))
         return t if t.shape else float(t)
 

@@ -32,7 +32,7 @@ from .separation import _gap_rule, as_mass_pair, sep_1d
 _TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeedleBoundResult:
     """A needle separation bound together with the maximizing needle."""
 

@@ -43,7 +43,7 @@ def as_mass_pair(masses):
     return MassPair(float(k1), float(k2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeparationResult:
     """Separation value plus the realizing extreme intervals.
 

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from needle_iso import density_from_dict, sep_1d
-from needle_iso.cli import main
+from needle_iso.cli import build_parser, main
 
 HALF_PI = math.pi / 2
 
@@ -294,3 +294,48 @@ class TestVerify:
         ]
         assert len(rec["checks"]) == 27
         assert (rec["pass_count"], rec["fail_count"]) == (24, 3)
+
+
+class TestInProcessReuse:
+    """``main`` parses every call with one parser per process: flags given
+    to one call must not reach the next, and a flag error must leave no
+    trace."""
+
+    PROFILE = ("profile", "--space", "rp3", "--eps", "0.05", "--v-grid", "4")
+    BOUND = ("bound", "--space", "cp1", "--k1", "0.25", "--k2", "0.25")
+    SEP = ("sep", "--family", "trig", "--m", "2", "--k", "1", "--lo", "0.1", "--hi", "1.4",
+           "--k1", "0.3", "--k2", "0.4")
+    SEQUENCE = (
+        PROFILE + ("--v-min", "0.2"),
+        PROFILE,
+        BOUND + ("--force",),
+        BOUND,
+        SEP + ("--format", "csv"),
+        SEP,
+        ("sep", "--family", "polynomial", "--lo", "0", "--hi", "1", "--k1", "0.2", "--k2", "0.2"),
+        ("solve", "--space", "s2", "--v", "0.3", "--eps", "0.1"),
+    )
+
+    @staticmethod
+    def _call(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        first = {argv: self._call(capsys, argv) for argv in self.SEQUENCE}
+        # each flag changes its call's outcome, so a leaked flag would show
+        assert first[self.SEQUENCE[0]][1] != first[self.SEQUENCE[1]][1]
+        assert (first[self.SEQUENCE[2]][0], first[self.SEQUENCE[3]][0]) == (0, 1)
+        assert first[self.SEQUENCE[4]][1].startswith("sep,")
+        assert json.loads(first[self.SEQUENCE[5]][1])["sep"] > 0.0
+        assert first[self.SEQUENCE[6]][0] == 2
+        assert first[self.SEQUENCE[7]][0] == 0
+        for argv in self.SEQUENCE[::-1] + self.SEQUENCE:
+            assert self._call(capsys, argv) == first[argv], argv
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()

@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from needle_iso import (
+    CrossSpace,
     Interval,
     OutOfDomain,
     SinAffineDensity,
     TabulatedDensity,
     TrigDensity,
     ZeroMass,
+    cross_needle_bound,
     density_from_dict,
+    densities,
     integrate,
     normalize,
     reflect,
@@ -194,36 +197,81 @@ _TAB_GRID = (0.0, 0.3, 0.7, 1.2, 1.5)
 _TAB_VALUES = (0.0, 2.0, 0.5, 1.5, 0.25)
 
 
+_CLOSED_FAMILIES = {
+    "cos15-sin7": (TrigDensity(m=15, k=7, interval=Interval(0.0, HALF_PI)),
+                   lambda t: mpmath.cos(t) ** 15 * mpmath.sin(t) ** 7),
+    "real-exponents": (TrigDensity(m=2.5, k=1.5, interval=Interval(0.2, 1.3)),
+                       lambda t: mpmath.cos(t) ** 2.5 * mpmath.sin(t) ** 1.5),
+    "pure-cosine": (TrigDensity(m=3, k=0, interval=Interval(-HALF_PI, HALF_PI)),
+                    lambda t: mpmath.cos(t) ** 3),
+    "pure-sine-past-half-pi": (TrigDensity(m=0, k=3, interval=Interval(0.3, 2.9)),
+                               lambda t: mpmath.sin(t) ** 3),
+    "constant": (TrigDensity(m=0, k=0, interval=Interval(-3.0, -1.0)),
+                 lambda t: mpmath.mpf(1)),
+    "sin-affine": (SinAffineDensity(phase=0.9, power=2.5, interval=Interval(0.0, 1.3)),
+                   lambda t: mpmath.cos(t - mpmath.mpf(0.9)) ** 2.5),
+}
+
+# where the arcsin and arccos forms meet: pi/4 within the needle's own
+# quarter, so -pi/4 and pi/4 for pure cosine, pi/4 and 3 pi/4 for pure sine
+_BRANCH_SWITCHES = [
+    ("cos15-sin7", math.pi / 4),
+    ("real-exponents", math.pi / 4),
+    ("pure-cosine", -math.pi / 4),
+    ("pure-cosine", math.pi / 4),
+    ("pure-sine-past-half-pi", math.pi / 4),
+    ("pure-sine-past-half-pi", 3 * math.pi / 4),
+    ("sin-affine", 0.9 - math.pi / 4),
+]
+
+
+def _record_where(monkeypatch, name):
+    """Wrap the scipy ufunc ``densities.<name>`` to record, per call, its
+    ``where=`` mask broadcast to the call's points (all True without one)."""
+    masks = []
+    real = getattr(densities, name)
+
+    def recording(*args, where=True, **kw):
+        masks.append(np.broadcast_to(where, np.broadcast_shapes(*map(np.shape, args))))
+        return real(*args, where=where, **kw)
+
+    monkeypatch.setattr(densities, name, recording)
+    return masks
+
+
 class TestQuantileAgainstMpmath:
     """The closed-form quantiles agree with a 40-digit reference to 1e-14,
     from deep in one tail to deep in the other, in every domain case."""
 
     QS = (1e-8, 1e-4, 0.25, 0.5, 0.75, 1 - 1e-6)
 
-    @pytest.mark.parametrize(
-        "density, pdf",
-        [
-            (TrigDensity(m=15, k=7, interval=Interval(0.0, HALF_PI)),
-             lambda t: mpmath.cos(t) ** 15 * mpmath.sin(t) ** 7),
-            (TrigDensity(m=2.5, k=1.5, interval=Interval(0.2, 1.3)),
-             lambda t: mpmath.cos(t) ** 2.5 * mpmath.sin(t) ** 1.5),
-            (TrigDensity(m=3, k=0, interval=Interval(-HALF_PI, HALF_PI)),
-             lambda t: mpmath.cos(t) ** 3),
-            (TrigDensity(m=0, k=3, interval=Interval(0.3, 2.9)),
-             lambda t: mpmath.sin(t) ** 3),
-            (TrigDensity(m=0, k=0, interval=Interval(-3.0, -1.0)),
-             lambda t: mpmath.mpf(1)),
-            (SinAffineDensity(phase=0.9, power=2.5, interval=Interval(0.0, 1.3)),
-             lambda t: mpmath.cos(t - mpmath.mpf(0.9)) ** 2.5),
-        ],
-        ids=["cos15-sin7", "real-exponents", "pure-cosine", "pure-sine-past-half-pi",
-             "constant", "sin-affine"],
-    )
-    def test_closed_families(self, density, pdf):
+    @pytest.mark.parametrize("family", list(_CLOSED_FAMILIES))
+    def test_closed_families(self, family):
+        density, pdf = _CLOSED_FAMILIES[family]
         got = normalize(density).quantile(np.array(self.QS))
         lo, hi = density.interval.lo, density.interval.hi
         for t, q in zip(got, self.QS):
             assert abs(t - float(_mp_quantile(pdf, lo, hi, q))) <= 1e-14, q
+
+    @pytest.mark.parametrize("family, switch", _BRANCH_SWITCHES)
+    def test_at_the_branch_switch(self, family, switch, monkeypatch):
+        # targets from 8 ulps below the mass left of the switch to 8 above:
+        # wide enough that the float comparison picks each form for some
+        density, pdf = _CLOSED_FAMILIES[family]
+        lo, hi = density.interval.lo, density.interval.hi
+        with mpmath.workdps(40):
+            total = mpmath.quad(pdf, [lo, hi])
+            q0 = float(mpmath.quad(pdf, [lo, switch]) / total)
+            t0 = _mp_quantile(pdf, lo, hi, q0)
+            qs = q0 + np.arange(-8, 9) * np.spacing(q0)
+            # first order about t0; the dropped term is O(1e-30)
+            refs = [float(t0 + (mpmath.mpf(q) - q0) * total / pdf(t0)) for q in qs]
+        masks = _record_where(monkeypatch, "betaincinv")
+        got = normalize(density).quantile(qs)
+        # both forms ran: each inversion call covers some targets, not all
+        assert masks and all(m.any() and not m.all() for m in masks)
+        for t, ref, q in zip(got, refs, qs):
+            assert abs(t - ref) <= 1e-14, q
 
     def test_tabulated_exact_quadratic_root(self):
         got = normalize(TabulatedDensity(grid=_TAB_GRID, values=_TAB_VALUES)).quantile(
@@ -232,6 +280,33 @@ class TestQuantileAgainstMpmath:
         for t, q in zip(got, self.QS):
             ref = float(_mp_tabulated_quantile(_TAB_GRID, _TAB_VALUES, q))
             assert abs(t - ref) <= 1e-14, q
+
+
+class TestQuantileBatch:
+    """A block of needles in one :func:`trig_quantile` call matches each
+    needle's own quantile bit for bit, and costs one tail pair per needle
+    and one inversion per target."""
+
+    # the cap2 exponent grid of cross_needle_bound: 15 <= m + k <= 23
+    PAIRS = [(total - k, k) for total in range(15, 24) for k in range(total + 1)]
+
+    def test_block_equals_per_needle_calls(self):
+        m, k = np.array(self.PAIRS, dtype=float).T
+        k1, k2 = np.linspace(0.05, 0.45, m.size), np.linspace(0.95, 0.55, m.size)
+        targets = np.array([k1, 1.0 - k2, k2, 1.0 - k1])
+        block = densities.trig_quantile(m, k, 0.0, HALF_PI, targets)
+        for j, (mj, kj) in enumerate(self.PAIRS):
+            own = TrigDensity(m=mj, k=kj, interval=Interval(0.0, HALF_PI)).quantile(targets[:, j])
+            assert np.array_equal(block[:, j], own), (mj, kj)
+
+    def test_cross_bound_work_count(self, monkeypatch):
+        inversions = _record_where(monkeypatch, "betaincinv")
+        tails = _record_where(monkeypatch, "betainc")
+        cross_needle_bound(CrossSpace.cayley_plane(), (0.3, 0.6))
+        n = len(self.PAIRS)
+        assert sum(int(w.sum()) for w in inversions) == 4 * n  # one per target
+        # two betainc calls over (lo, hi, pi/4) per needle
+        assert sum(int(w.sum()) for w in tails) <= 2 * 3 * n
 
 
 class TestSinAffine:

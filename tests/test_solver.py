@@ -16,7 +16,9 @@ from needle_iso import (
     enlarged_volume,
     isoperimetric_profile_curve,
     polar_of,
+    profile_cdf,
     profile_curve_csv,
+    profile_quantile,
     solve_isoperimetric,
     solve_with_complement_reduction,
 )
@@ -97,10 +99,16 @@ class TestComplementReduction:
         assert solve_with_complement_reduction(RP3, 0.3, 0.1).complement_reduction is None
 
     def test_matches_direct_formula_above_half(self):
+        # "direct" goes through each polar candidate's own profile:
+        # mu(A_eps) = 1 - F_polar(Q_polar(1 - v) - eps)
+        def polar_enlarged(c, v, eps):
+            p = polar_of(c, RP3)
+            return 1.0 - profile_cdf(p, RP3, max(profile_quantile(p, RP3, 1.0 - v) - eps, 0.0))
+
         for v in (0.55, 0.7, 0.9):
             res = solve_with_complement_reduction(RP3, v, 0.05)
-            direct = min(enlarged_volume(c, RP3, v, 0.05) for c in catalog(RP3))
-            assert res.enlarged == direct
+            direct = min(polar_enlarged(c, v, 0.05) for c in catalog(RP3))
+            assert res.enlarged == pytest.approx(direct, abs=1e-12)
             assert res.complement_reduction["applied"]
             assert res.complement_reduction["w"] == pytest.approx(
                 1 - res.enlarged, abs=1e-12
