@@ -20,7 +20,7 @@ import numpy as np
 
 from .cross_spaces import space_by_name
 from .densities import Interval, SinAffineDensity, TabulatedDensity, TrigDensity, normalize
-from .errors import NeedleIsoError
+from .errors import NeedleIsoError, OutOfDomain
 from .needle_bound import bound_profile_csv, cross_needle_bound, sphere_needle_bound
 from .oracles import SUITE_NAMES, report_to_json, run_property_suite
 from .separation import MassPair, sep_1d
@@ -38,6 +38,13 @@ def _parse_floats(text):
     return tuple(float(x) for x in text.split(","))
 
 
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return n
+
+
 def _build_density(args):
     interval = Interval(args.lo, args.hi)
     if args.family == "trig":
@@ -48,9 +55,7 @@ def _build_density(args):
         )
     if args.grid is None or args.values is None:
         raise NeedleIsoError("tabulated densities need --grid and --values")
-    return normalize(
-        TabulatedDensity(grid=_parse_floats(args.grid), values=_parse_floats(args.values))
-    )
+    return normalize(TabulatedDensity(grid=args.grid, values=args.values))
 
 
 def _cmd_sep(args):
@@ -176,7 +181,10 @@ def _cmd_verify(args):
     threads = args.threads
     cap = os.environ.get("NEEDLE_ISO_THREADS")
     if cap is not None:
-        threads = min(threads, max(1, int(cap)))
+        try:
+            threads = min(threads, max(1, int(cap)))
+        except ValueError:
+            raise OutOfDomain(f"NEEDLE_ISO_THREADS must be an integer, got {cap!r}") from None
     report = run_property_suite(
         args.suite, args.seed, threads=threads, mc_samples=args.samples
     )
@@ -208,8 +216,8 @@ def build_parser():
     p_sep.add_argument("--power", type=float, default=1.0, help="affine power")
     p_sep.add_argument("--lo", type=float, required=True)
     p_sep.add_argument("--hi", type=float, required=True)
-    p_sep.add_argument("--grid", help="comma-separated abscissae (tabulated)")
-    p_sep.add_argument("--values", help="comma-separated density samples (tabulated)")
+    p_sep.add_argument("--grid", type=_parse_floats, help="comma-separated abscissae (tabulated)")
+    p_sep.add_argument("--values", type=_parse_floats, help="comma-separated density samples (tabulated)")
     p_sep.add_argument("--k1", type=float, required=True)
     p_sep.add_argument("--k2", type=float, required=True)
     p_sep.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
@@ -237,7 +245,7 @@ def build_parser():
     p_profile = sub.add_parser("profile", help="winner curve over volume fractions")
     p_profile.add_argument("--space", required=True)
     p_profile.add_argument("--eps", type=float, required=True)
-    p_profile.add_argument("--v-grid", type=int, default=100)
+    p_profile.add_argument("--v-grid", type=_positive_int, default=100)
     p_profile.add_argument("--v-min", type=float, default=None)
     p_profile.add_argument("--v-max", type=float, default=None)
     p_profile.add_argument("--format", choices=OUTPUT_FORMATS, default="json")

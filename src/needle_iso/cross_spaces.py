@@ -27,6 +27,16 @@ COMPLEX_PROJECTIVE = "complex-projective"
 QUATERNIONIC_PROJECTIVE = "quaternionic-projective"
 CAYLEY_PLANE = "cayley-plane"
 
+# family -> (name prefix, symbol, s, least index, plural): s = 1, 2, 4, 8 is
+# the real dimension of the field K, so KP^n has real dimension s n
+_FAMILIES = {
+    SPHERE: ("s", "S", 1, 2, "spheres"),
+    REAL_PROJECTIVE: ("rp", "RP", 1, 2, "real projective spaces"),
+    COMPLEX_PROJECTIVE: ("cp", "CP", 2, 1, "complex projective spaces"),
+    QUATERNIONIC_PROJECTIVE: ("hp", "HP", 4, 1, "quaternionic projective spaces"),
+    CAYLEY_PLANE: ("cap", "CaP", 8, 2, "Cayley planes"),  # CaP^2 only
+}
+
 
 @dataclass(frozen=True)
 class Candidate:
@@ -56,97 +66,70 @@ class CrossSpace:
     ball_exponents: tuple
 
     @classmethod
+    def _of(cls, family, n):
+        _, _, s, least, plural = _FAMILIES[family]
+        if n < least:
+            raise OutOfDomain(f"{plural} require n >= {least}")
+        return cls(family, n, s * n, math.pi if family == SPHERE else HALF_PI, (s * n - 1, s - 1))
+
+    @classmethod
     def sphere(cls, n):
-        if n < 2:
-            raise OutOfDomain("spheres require n >= 2")
-        return cls(SPHERE, n, n, math.pi, (n - 1, 0))
+        return cls._of(SPHERE, n)
 
     @classmethod
     def real_projective(cls, n):
-        if n < 2:
-            raise OutOfDomain("real projective spaces require n >= 2")
-        return cls(REAL_PROJECTIVE, n, n, HALF_PI, (n - 1, 0))
+        return cls._of(REAL_PROJECTIVE, n)
 
     @classmethod
     def complex_projective(cls, n):
-        if n < 1:
-            raise OutOfDomain("complex projective spaces require n >= 1")
-        return cls(COMPLEX_PROJECTIVE, n, 2 * n, HALF_PI, (2 * n - 1, 1))
+        return cls._of(COMPLEX_PROJECTIVE, n)
 
     @classmethod
     def quaternionic_projective(cls, n):
-        if n < 1:
-            raise OutOfDomain("quaternionic projective spaces require n >= 1")
-        return cls(QUATERNIONIC_PROJECTIVE, n, 4 * n, HALF_PI, (4 * n - 1, 3))
+        return cls._of(QUATERNIONIC_PROJECTIVE, n)
 
     @classmethod
     def cayley_plane(cls):
-        return cls(CAYLEY_PLANE, 2, 16, HALF_PI, (15, 7))
+        return cls._of(CAYLEY_PLANE, 2)
 
     @property
     def name(self):
-        short = {
-            SPHERE: "s",
-            REAL_PROJECTIVE: "rp",
-            COMPLEX_PROJECTIVE: "cp",
-            QUATERNIONIC_PROJECTIVE: "hp",
-            CAYLEY_PLANE: "cap",
-        }[self.family]
-        return f"{short}{self.index}"
-
-
-_SPACE_PATTERNS = {
-    "s": CrossSpace.sphere,
-    "rp": CrossSpace.real_projective,
-    "cp": CrossSpace.complex_projective,
-    "hp": CrossSpace.quaternionic_projective,
-}
+        return f"{_FAMILIES[self.family][0]}{self.index}"
 
 
 def space_by_name(name):
     """Parse names like ``s2``, ``rp3``, ``cp2``, ``hp1``, ``cap2``."""
     name = name.strip().lower()
-    if name == "cap2":
-        return CrossSpace.cayley_plane()
-    for prefix, ctor in sorted(_SPACE_PATTERNS.items(), key=lambda kv: -len(kv[0])):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return ctor(int(name[len(prefix):]))
+    prefix = name.rstrip("0123456789")
+    digits = name[len(prefix):]
+    for family, row in _FAMILIES.items():
+        if row[0] == prefix and digits and (family != CAYLEY_PLANE or digits == "2"):
+            return CrossSpace._of(family, int(digits))
     raise OutOfDomain(f"unknown space name: {name!r}")
 
 
 def catalog(space):
     """Ball plus tubes around the standard totally geodesic chain.
 
-    Exponent rules for tubes around the codimension chain (1 <= j <= n-1):
-    RP^n > RP^j -> (n-j-1, j); CP^n > CP^j -> (2(n-j)-1, 2j+1);
-    HP^n > HP^j -> (4(n-j)-1, 4j+3); CaP^2 > CaP^1 -> (7, 15).  Spheres have
-    only the ball.  Labels of polar duals follow the (a, b) -> (b, a) swap.
+    Candidate ``j = 0..n-1`` of KP^n is the ball (j = 0) or the tube around
+    KP^j, with exponents ``(s(n-j)-1, s(j+1)-1)``; its polar dual is
+    candidate ``n-1-j``, with the exponents swapped.  The rule covers RP^n,
+    CP^n, HP^n and CaP^2 (ball (15, 7), tube around CaP^1 (7, 15)).  Spheres
+    have only the ball.
     """
-    fam, n = space.family, space.index
-    entries = []
-    if fam == SPHERE:
-        entries.append(("ball", space.ball_exponents, "ball"))
-    elif fam == REAL_PROJECTIVE:
-        entries.append(("ball", (n - 1, 0), f"tube around RP^{n-1}"))
-        for j in range(1, n):
-            polar = "ball" if n - j - 1 == 0 else f"tube around RP^{n-j-1}"
-            entries.append((f"tube around RP^{j}", (n - j - 1, j), polar))
-    elif fam == COMPLEX_PROJECTIVE:
-        entries.append(("ball", (2 * n - 1, 1), "ball" if n == 1 else f"tube around CP^{n-1}"))
-        for j in range(1, n):
-            polar = "ball" if n - j - 1 == 0 else f"tube around CP^{n-j-1}"
-            entries.append((f"tube around CP^{j}", (2 * (n - j) - 1, 2 * j + 1), polar))
-    elif fam == QUATERNIONIC_PROJECTIVE:
-        entries.append(("ball", (4 * n - 1, 3), "ball" if n == 1 else f"tube around HP^{n-1}"))
-        for j in range(1, n):
-            polar = "ball" if n - j - 1 == 0 else f"tube around HP^{n-j-1}"
-            entries.append((f"tube around HP^{j}", (4 * (n - j) - 1, 4 * j + 3), polar))
-    elif fam == CAYLEY_PLANE:
-        entries.append(("ball", (15, 7), "tube around CaP^1"))
-        entries.append(("tube around CaP^1", (7, 15), "ball"))
-    else:  # pragma: no cover
-        raise NotApplicable(f"unknown family {fam!r}")
-    return [Candidate(label, float(a), float(b), polar) for label, (a, b), polar in entries]
+    _, symbol, s, _, _ = _FAMILIES[space.family]
+    n = space.index
+    if space.family == SPHERE:
+        a, b = space.ball_exponents
+        return [Candidate("ball", float(a), float(b), "ball")]
+
+    def label(j):
+        return "ball" if j == 0 else f"tube around {symbol}^{j}"
+
+    return [
+        Candidate(label(j), float(s * (n - j) - 1), float(s * (j + 1) - 1), label(n - 1 - j))
+        for j in range(n)
+    ]
 
 
 def radial_density(candidate, space):

@@ -3,24 +3,27 @@
 Three families:
 
 * :class:`TrigDensity` -- ``C cos^m(t) sin^k(t)`` with real exponents
-  ``m, k >= 0``.  Masses reduce to the regularized incomplete beta function
-  through the substitution ``u = sin^2 t``, so CDFs are exact and fast.
+  ``m, k >= 0``.
 * :class:`SinAffineDensity` -- ``C (C1 sin t + C2 cos t)^p`` with
   ``C1 = sin(phase)``, ``C2 = cos(phase)``.  Since
-  ``C1 sin t + C2 cos t = cos(t - phase)``, everything delegates to the
-  pure-cosine antiderivative on a shifted interval.
+  ``C1 sin t + C2 cos t = cos(t - phase)``, it is the pure-cosine needle
+  offset by its phase.
 * :class:`TabulatedDensity` -- piecewise-linear samples; the oracle
   representation used by brute-force checks.
 
-Quantiles are closed forms too: :func:`trig_quantile` inverts the trig and
-affine CDFs through ``betaincinv``, and the piecewise-quadratic tabulated
-CDF is inverted exactly on the segment holding the target mass.  Both are
-elementwise, so results are deterministic and independent of any parallel
-schedule.
+The closed families share one fold: pure cosine is pure sine shifted by
+pi/2, and pure sine spans two quarters mirrored about pi/2, so every mass is
+a regularized incomplete beta tail on one quarter.  The CDF, the quantile
+(through ``betaincinv``) and the raw mass all read one record per needle, in
+one unit system: the mass of one quarter.  The piecewise-quadratic tabulated
+CDF is inverted exactly on the segment holding the target mass.  Everything
+is elementwise, so results are deterministic under any parallel schedule.
 """
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln
@@ -72,96 +75,105 @@ def _tails(a, b, sin2, cos2):
     return betainc(a, b, sin2), betainc(b, a, cos2)
 
 
-def _quarter_integral(m, k, t):
-    """``int_0^t cos^m sin^k`` for ``t`` in ``[0, pi/2]`` (vectorized)."""
-    a, b = 0.5 * (k + 1.0), 0.5 * (m + 1.0)
-    t = np.clip(np.asarray(t, dtype=float), 0.0, HALF_PI)
-    low, up = _tails(a, b, np.sin(t) ** 2, np.cos(t) ** 2)
-    # complement form in the upper half for conditioning near t = pi/2
-    return 0.5 * np.exp(betaln(a, b)) * np.where(t <= math.pi / 4.0, low, 1.0 - up)
+def _fold_points(shift, mirrored, t):
+    """Shift angles into the fold's domain and fold them onto one quarter:
+    ``far`` marks those past the mirror at pi/2, ``folded`` is their image
+    in ``[0, pi/2]``."""
+    t = np.minimum(np.maximum(t + shift, 0.0), HALF_PI + HALF_PI * mirrored)
+    far = mirrored & (t > HALF_PI)
+    return far, np.where(far, math.pi - t, t)
 
 
-def trig_antiderivative(m, k, t):
-    """Antiderivative ``G`` of ``cos^m sin^k`` on the family's natural domain.
+def _position(far, folded, low, up):
+    """Mass of ``[0, t]`` in quarter masses, as ``whole + part``: ``part`` is
+    the one tail whose argument carries the digits (``sin^2`` below pi/4
+    within the quarter, ``cos^2`` above it), signed, and ``whole`` the
+    count of quarter masses it is measured from."""
+    upper = folded > math.pi / 4.0
+    flip = upper != far  # the tail is taken off the end of a quarter
+    tail = np.where(upper, up, low)
+    return np.add(far, flip, dtype=float), np.where(flip, -tail, tail)
 
-    Domains: both exponents positive -> [0, pi/2]; pure cosine -> [-pi/2,
-    pi/2] (odd extension); pure sine -> [0, pi] (reflection about pi/2);
-    constant -> all of R.
-    """
-    t = np.asarray(t, dtype=float)
-    if m == 0.0 and k == 0.0:
-        return t.copy()
-    if k == 0.0:
-        return np.sign(t) * _quarter_integral(m, 0.0, np.abs(t))
-    if m == 0.0:
-        half = _quarter_integral(0.0, k, HALF_PI)
-        upper = 2.0 * half - _quarter_integral(0.0, k, math.pi - t)
-        return np.where(t <= HALF_PI, _quarter_integral(0.0, k, t), upper)
-    return _quarter_integral(m, k, t)
+
+# What depends only on the needle cos^m sin^k on [lo, hi]: the beta parameters,
+# the fold (``shift`` pi/2 for pure cosine, ``mirrored`` for two quarters about
+# pi/2, ``flat`` for the constant), the masses ``left`` of lo and ``right`` of
+# hi, lo's ``_position`` ``whole + part``, the ``total`` mass of [lo, hi] and the
+# ``quarter`` mass of [0, pi/4] -- in quarter masses, radians for the constant
+# -- and ``mass``, the total in absolute units.
+_Needle = namedtuple("_Needle", "a b lo hi shift mirrored flat left right whole part total quarter mass")
+
+
+def _fold(m, k, lo, hi):
+    """The needle record of ``cos^m sin^k`` on ``[lo, hi]``, vectorized: the
+    tails at both ends from one ``_tails`` call at the needles' broadcast
+    shape, the interval's mass as a difference of the smaller tails."""
+    m, k, lo, hi = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (m, k, lo, hi)))
+    swap, sine = k == 0.0, m == 0.0
+    shift, mirrored, flat = HALF_PI * swap, swap | sine, swap & sine
+    a, b = 0.5 * (np.where(swap, m, k) + 1.0), 0.5 * (np.where(swap, 0.0, m) + 1.0)
+    far, folded = _fold_points(shift, mirrored, np.array([lo, hi]))
+    low, up = _tails(a, b, np.sin(folded) ** 2, np.cos(folded) ** 2)
+    left = np.where(far, 1.0 + up, low)
+    right = np.where(far, low, up + mirrored)
+    total = np.where(left[1] <= right[0], left[1] - left[0], right[0] - right[1])
+    # the constant needle folds to nothing: it is measured in radians instead
+    start = np.where(flat, lo, left[0])
+    total = np.where(flat, hi - lo, total)
+    whole, part = _position(far[0], folded[0], low[0], up[0])
+    mass = np.where(flat, 1.0, 0.5 * np.exp(betaln(a, b))) * total
+    # sin^2 = cos^2 = 1/2 exactly at pi/4, where the quantile's two forms meet
+    quarter = betainc(a, b, 0.5)
+    return _Needle(a, b, lo, hi, shift, mirrored, flat, start, right[1], whole, part, total, quarter, mass)
+
+
+def _needle_cdf(n, t):
+    """Normalized mass of ``[lo, t]`` under needle ``n``, for ``t`` in
+    ``[lo, hi]``.  Whole quarters and tails are differenced apart, so no
+    tail loses digits to a whole quarter."""
+    far, folded = _fold_points(n.shift, n.mirrored, t)
+    whole, part = _position(far, folded, *_tails(n.a, n.b, np.sin(folded) ** 2, np.cos(folded) ** 2))
+    mass = (whole - n.whole) + (part - n.part)
+    return np.where(n.flat, t - n.lo, mass) / n.total
+
+
+def _needle_quantile(n, q):
+    """Inverse of :func:`_needle_cdf`, one ``betaincinv`` point per target:
+    the arcsin form when the target's mass within its quarter is at most
+    that of ``[0, pi/4]``, the arccos form of the complement otherwise.  The
+    mass left of the answer comes from ``q`` and the mass right of it from
+    ``1 - q``, so neither loses digits to cancellation in its own tail."""
+    q = np.asarray(q, dtype=float)
+    below = n.left + q * n.total
+    above = n.right + (1.0 - q) * n.total
+    # past the mirror the roles of the two tails swap; ``lower`` and ``upper``
+    # are the masses left and right of the answer within its own quarter.
+    # Clamps are np.maximum/np.minimum: the bits of np.clip without its call
+    # overhead, which dominates single targets.
+    past = n.mirrored & (below > 1.0)
+    lower = np.minimum(np.maximum(np.where(past, above, below), 0.0), 1.0)
+    upper = np.minimum(np.maximum(np.where(past, below, above) - n.mirrored, 0.0), 1.0)
+    arcsin = lower <= n.quarter
+    x = np.empty(np.shape(arcsin))
+    betaincinv(n.a, n.b, lower, out=x, where=arcsin)  # sin^2 of the answer
+    betaincinv(n.b, n.a, upper, out=x, where=~arcsin)  # cos^2 of the answer
+    root = np.sqrt(x)
+    t = np.where(arcsin, np.arcsin(root), np.arccos(root))
+    t = np.where(past, math.pi - t, t) - n.shift
+    t = np.where(n.flat, below, t)
+    return np.minimum(np.maximum(t, n.lo), n.hi)
 
 
 def trig_mass(m, k, lo, hi):
-    """Exact ``int_lo^hi cos^m sin^k dt`` on the family's valid domain."""
-    return float(trig_antiderivative(m, k, hi) - trig_antiderivative(m, k, lo))
+    """Exact ``int_lo^hi cos^m sin^k dt``: ``[lo, hi]`` inside [0, pi/2], or
+    [-pi/2, pi/2] for pure cosine, [0, pi] for pure sine, R for the constant."""
+    return float(_fold(m, k, lo, hi).mass)
 
 
 def trig_quantile(m, k, lo, hi, q):
-    """Inverse of the normalized CDF of ``cos^m sin^k`` on ``[lo, hi]``.
-
-    The closed-form inverse of :func:`trig_antiderivative` on the same
-    domains, vectorized over every argument.  Pure cosine is pure sine
-    shifted by pi/2, and pure sine spans two quarters mirrored about pi/2,
-    so every case reduces to ``betaincinv`` on one quarter.  The mass left
-    of the answer is formed from ``q`` and the mass right of it from
-    ``1 - q``, so neither loses digits to cancellation in its own tail.
-
-    One tail pair per needle, one inversion per target: what depends only
-    on the needle ``(m, k, lo, hi)`` -- the shift, the mirror, the tails at
-    both ends and the mass of ``[0, pi/4]`` -- is computed once at the
-    needles' broadcast shape, without ``q``, in one ``_tails`` call.  Each
-    target then takes exactly one ``betaincinv`` point: the arcsin form
-    when its mass is at most that of ``[0, pi/4]``, the arccos form of the
-    complement mass otherwise.
-    """
-    m, k, lo, hi = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (m, k, lo, hi)))
-    # pure cosine is pure sine shifted by pi/2
-    swap, sine = k == 0.0, m == 0.0
-    shift = HALF_PI * swap
-    a, b = 0.5 * (np.where(swap, m, k) + 1.0), 0.5 * (np.where(swap, 0.0, m) + 1.0)
-    mirrored = swap | sine
-    # masses left and right of each end, in units of one quarter's mass; a
-    # third point, pi/4 (sin^2 = cos^2 = 1/2 exactly), gives the mass at which
-    # the two inverse forms meet.  Clamps here are np.maximum/np.minimum: the
-    # bits of np.clip without its call overhead, which dominates single targets.
-    ends = np.minimum(np.maximum(np.stack([lo, hi]) + shift, 0.0), HALF_PI + HALF_PI * mirrored)
-    far = mirrored & (ends > HALF_PI)
-    folded = np.where(far, math.pi - ends, ends)
-    half = np.full((1,) + lo.shape, 0.5)
-    low, up = _tails(
-        a, b, np.concatenate([np.sin(folded) ** 2, half]), np.concatenate([np.cos(folded) ** 2, half])
-    )
-    low, up, quarter = low[:2], up[:2], low[2]
-    left = np.where(far, 1.0 + up, low)
-    right = np.where(far, low, up + mirrored)
-    # the interval's mass as a difference of the smaller tails
-    total = np.where(left[1] <= right[0], left[1] - left[0], right[0] - right[1])
-    q = np.asarray(q, dtype=float)
-    below = left[0] + q * total
-    above = right[1] + (1.0 - q) * total
-    # past the mirror the roles of the two tails swap; ``lower`` and ``upper``
-    # are the masses left and right of the answer within its own quarter
-    past = mirrored & (below > 1.0)
-    lower = np.minimum(np.maximum(np.where(past, above, below), 0.0), 1.0)
-    upper = np.minimum(np.maximum(np.where(past, below, above) - mirrored, 0.0), 1.0)
-    arcsin = lower <= quarter
-    x = np.empty(np.shape(arcsin))
-    betaincinv(a, b, lower, out=x, where=arcsin)  # sin^2 of the answer
-    betaincinv(b, a, upper, out=x, where=~arcsin)  # cos^2 of the answer
-    root = np.sqrt(x)
-    t = np.where(arcsin, np.arcsin(root), np.arccos(root))
-    t = np.where(past, math.pi - t, t) - shift
-    t = np.where(swap & sine, lo + q * (hi - lo), t)
-    return np.minimum(np.maximum(t, lo), hi)
+    """Inverse of the normalized CDF of ``cos^m sin^k`` on ``[lo, hi]``,
+    vectorized over every argument; one needle record per call."""
+    return _needle_quantile(_fold(m, k, lo, hi), q)
 
 
 def _validate_trig_domain(m, k, interval):
@@ -181,11 +193,8 @@ def _validate_trig_domain(m, k, interval):
 
 
 class _DensityBase:
-    """Shared CDF/quantile plumbing; subclasses provide raw antiderivatives
-    and closed-form quantiles."""
-
-    def _raw_cdf(self, t):  # pragma: no cover - abstract
-        raise NotImplementedError
+    """Shared CDF/quantile plumbing; subclasses provide ``_cdf`` and
+    ``_quantile`` on their own interval."""
 
     @property
     def raw_mass(self):
@@ -201,9 +210,8 @@ class _DensityBase:
             raise OutOfDomain(
                 f"abscissa outside [{self.interval.lo:.6g}, {self.interval.hi:.6g}]"
             )
-        t = np.clip(t, self.interval.lo, self.interval.hi)
-        out = (self._raw_cdf(t) - self._raw_lo) / self._raw_total
-        out = np.clip(out, 0.0, 1.0)
+        t = np.minimum(np.maximum(t, self.interval.lo), self.interval.hi)
+        out = np.minimum(np.maximum(self._cdf(t), 0.0), 1.0)
         return out if out.shape else float(out)
 
     def quantile(self, q):
@@ -220,16 +228,32 @@ class _DensityBase:
         return float(self.cdf(b) - self.cdf(a))
 
 
-def _finalize(density, raw_lo, raw_hi):
-    total = float(raw_hi - raw_lo)
+def _finalize(density, total):
+    total = float(total)
     if not np.isfinite(total) or total <= _MASS_FLOOR:
         raise ZeroMass(f"density integrates to {total:.3e}")
-    object.__setattr__(density, "_raw_lo", float(raw_lo))
     object.__setattr__(density, "_raw_total", total)
 
 
+class _NeedleDensity(_DensityBase):
+    """The closed families: CDF and quantile read one needle record, built
+    once by ``__post_init__`` on the interval moved back by ``offset``."""
+
+    def _build(self, m, k, offset):
+        needle = _fold(m, k, self.interval.lo - offset, self.interval.hi - offset)
+        object.__setattr__(self, "_needle", needle)
+        object.__setattr__(self, "_offset", offset)
+        _finalize(self, needle.mass)
+
+    def _cdf(self, t):
+        return _needle_cdf(self._needle, t - self._offset)
+
+    def _quantile(self, q):
+        return self._offset + _needle_quantile(self._needle, q)
+
+
 @dataclass(frozen=True)
-class TrigDensity(_DensityBase):
+class TrigDensity(_NeedleDensity):
     """Density proportional to ``cos^m(t) sin^k(t)`` on an interval.
 
     ``norm`` is the normalization constant; ``norm=None`` marks an
@@ -246,14 +270,7 @@ class TrigDensity(_DensityBase):
 
     def __post_init__(self):
         _validate_trig_domain(self.m, self.k, self.interval)
-        raw = trig_antiderivative(self.m, self.k, np.array([self.interval.lo, self.interval.hi]))
-        _finalize(self, raw[0], raw[1])
-
-    def _raw_cdf(self, t):
-        return trig_antiderivative(self.m, self.k, t)
-
-    def _quantile(self, q):
-        return trig_quantile(self.m, self.k, self.interval.lo, self.interval.hi, q)
+        self._build(self.m, self.k, 0.0)
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -274,7 +291,7 @@ class TrigDensity(_DensityBase):
 
 
 @dataclass(frozen=True)
-class SinAffineDensity(_DensityBase):
+class SinAffineDensity(_NeedleDensity):
     """Density proportional to ``(sin(phase) sin t + cos(phase) cos t)^power``.
 
     The affine form equals ``cos(t - phase)``, so it must stay positive on
@@ -298,17 +315,7 @@ class SinAffineDensity(_DensityBase):
                 f"{self.phase:.6g} leaves cos(t - phase) nonpositive inside "
                 f"[{self.interval.lo:.6g}, {self.interval.hi:.6g}]"
             )
-        raw = self._raw_cdf(np.array([self.interval.lo, self.interval.hi]))
-        _finalize(self, raw[0], raw[1])
-
-    def _raw_cdf(self, t):
-        u = np.asarray(t, dtype=float) - self.phase
-        u = np.clip(u, -HALF_PI, HALF_PI)
-        return trig_antiderivative(self.power, 0.0, u)
-
-    def _quantile(self, q):
-        lo, hi = self.interval.lo - self.phase, self.interval.hi - self.phase
-        return self.phase + trig_quantile(self.power, 0.0, lo, hi, q)
+        self._build(self.power, 0.0, self.phase)
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -362,7 +369,7 @@ class TabulatedDensity(_DensityBase):
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         object.__setattr__(self, "_cum", cum)
         object.__setattr__(self, "interval", Interval(self.grid[0], self.grid[-1]))
-        _finalize(self, 0.0, cum[-1])
+        _finalize(self, cum[-1])
 
     @classmethod
     def from_callable(cls, f, interval, n=2049):
@@ -373,15 +380,14 @@ class TabulatedDensity(_DensityBase):
     def from_density(cls, density, n=2049):
         return cls.from_callable(density.pdf, density.interval, n=n)
 
-    def _raw_cdf(self, t):
-        t = np.asarray(t, dtype=float)
+    def _cdf(self, t):
         idx = np.clip(np.searchsorted(self._g, t, side="right") - 1, 0, self._g.size - 2)
         t0 = self._g[idx]
         h = self._g[idx + 1] - t0
         f0 = self._v[idx]
         f1 = self._v[idx + 1]
         s = np.clip(t - t0, 0.0, h)
-        return self._cum[idx] + f0 * s + 0.5 * (f1 - f0) * s * s / h
+        return (self._cum[idx] + f0 * s + 0.5 * (f1 - f0) * s * s / h) / self._raw_total
 
     def _quantile(self, q, right=False):
         # the first segment whose right end reaches the target mass (so a zero
@@ -417,17 +423,18 @@ class TabulatedDensity(_DensityBase):
 def normalize(density):
     """Return a copy whose ``pdf`` integrates to one.
 
-    Raises :class:`ZeroMass` when the raw integral is below the numeric
-    floor.  The integral check is exact for trig/affine families (incomplete
-    beta closed form); tabulated masses use the trapezoid rule.
+    The raw mass is exact for trig/affine families (incomplete beta closed
+    form); tabulated masses use the trapezoid rule.  A mass below the
+    numeric floor has already raised :class:`ZeroMass` at construction.  A
+    closed family's copy keeps the needle record it was built with.
     """
     total = density.raw_mass
-    if total <= _MASS_FLOOR:
-        raise ZeroMass(f"density integrates to {total:.3e}")
     if density.family == "tabulated":
         scaled = tuple(v / total for v in density.values)
         return TabulatedDensity(grid=density.grid, values=scaled, norm=1.0)
-    return replace(density, norm=1.0 / total)
+    out = copy.copy(density)
+    object.__setattr__(out, "norm", 1.0 / total)
+    return out
 
 
 def verify_unit_mass(density, atol=1e-10):
@@ -466,8 +473,8 @@ def density_to_dict(density):
     return density.to_dict()
 
 
-def density_from_dict(rec, normalized=True):
-    """Rebuild a density from its JSON record."""
+def density_from_dict(rec):
+    """Rebuild a normalized density from its JSON record."""
     fam = rec.get("family")
     interval = Interval(float(rec["lo"]), float(rec["hi"]))
     if fam == "trig":
@@ -483,4 +490,4 @@ def density_from_dict(rec, normalized=True):
         )
     else:
         raise OutOfDomain(f"unknown density family: {fam!r}")
-    return normalize(d) if normalized else d
+    return normalize(d)

@@ -51,6 +51,13 @@ class TestSep:
                   "--k1", "0.2", "--k2", "0.2"])
         assert exc.value.code == 2
 
+    def test_malformed_grid_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sep", "--family", "tabulated", "--lo", "0", "--hi", "1",
+                  "--grid", "0,x,1", "--values", "1,1,1", "--k1", "0.2", "--k2", "0.2"])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -216,6 +223,13 @@ class TestProfile:
         assert out == ""
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_v_grid_exits_two(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--space", "rp3", "--eps", "0.1", "--v-grid", n])
+        assert exc.value.code == 2
+        assert "--v-grid" in capsys.readouterr().err
+
     def test_csv_contract(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -277,6 +291,12 @@ class TestVerify:
             capsys, "verify", "--suite", "separation", "--seed", "3", "--threads", "2"
         )
         assert (code_a, out_a) == (code_b, out_b)
+
+    def test_malformed_thread_cap_is_a_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("NEEDLE_ISO_THREADS", "abc")
+        code, out, err = run_cli(capsys, "verify", "--suite", "density", "--seed", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: NEEDLE_ISO_THREADS")
 
     def test_full_suite_is_clean(self, capsys):
         # Finding (README "Findings"): the full suite exits 1, because the

@@ -232,3 +232,21 @@ class TestNamesAndSerialization:
             "tube around RP^2",
         ]
         assert all({"label", "a", "b", "polar"} <= set(c) for c in rec["candidates"])
+        # further chains, with their exponents and polar labels
+        chains = {
+            "rp4": [
+                ("ball", 3.0, 0.0, "tube around RP^3"),
+                ("tube around RP^1", 2.0, 1.0, "tube around RP^2"),
+                ("tube around RP^2", 1.0, 2.0, "tube around RP^1"),
+                ("tube around RP^3", 0.0, 3.0, "ball"),
+            ],
+            "hp3": [
+                ("ball", 11.0, 3.0, "tube around HP^2"),
+                ("tube around HP^1", 7.0, 7.0, "tube around HP^1"),
+                ("tube around HP^2", 3.0, 11.0, "ball"),
+            ],
+        }
+        for name, chain in chains.items():
+            rec = catalog_to_dict(space_by_name(name))
+            assert rec["space"] == name
+            assert [(c["label"], c["a"], c["b"], c["polar"]) for c in rec["candidates"]] == chain

@@ -63,6 +63,11 @@ class TestNormalize:
                 )
             )
 
+    def test_keeps_the_needle_record(self):
+        # a copy, not a rebuild: every radial profile is built and normalized
+        d = SinAffineDensity(phase=0.4, power=2.5, interval=Interval(0.0, 1.2))
+        assert normalize(d)._needle is d._needle
+
     def test_normalized_density_integrates_to_one(self):
         d = normalize(TrigDensity(m=2.5, k=0.5, interval=Interval(0.1, 1.2)))
         assert verify_unit_mass(d, atol=1e-10)
@@ -241,7 +246,8 @@ def _record_where(monkeypatch, name):
 
 class TestQuantileAgainstMpmath:
     """The closed-form quantiles agree with a 40-digit reference to 1e-14,
-    from deep in one tail to deep in the other, in every domain case."""
+    from deep in one tail to deep in the other, in every domain case; the
+    CDFs they invert agree with it to 1e-15."""
 
     QS = (1e-8, 1e-4, 0.25, 0.5, 0.75, 1 - 1e-6)
 
@@ -252,6 +258,19 @@ class TestQuantileAgainstMpmath:
         lo, hi = density.interval.lo, density.interval.hi
         for t, q in zip(got, self.QS):
             assert abs(t - float(_mp_quantile(pdf, lo, hi, q))) <= 1e-14, q
+
+    @pytest.mark.parametrize("family", list(_CLOSED_FAMILIES))
+    def test_cdf_closed_families(self, family):
+        # each mass must come from the tail whose argument carries the
+        # digits; taking the other one reads up to 1.1e-14 (sin-affine)
+        density, pdf = _CLOSED_FAMILIES[family]
+        lo, hi = density.interval.lo, density.interval.hi
+        ts = np.linspace(lo, hi, 65)
+        got = normalize(density).cdf(ts)
+        with mpmath.workdps(40):
+            total = mpmath.quad(pdf, [lo, hi])
+            for t, f in zip(ts, got):
+                assert abs(f - float(mpmath.quad(pdf, [lo, t]) / total)) <= 1e-15, t
 
     @pytest.mark.parametrize("family, switch", _BRANCH_SWITCHES)
     def test_at_the_branch_switch(self, family, switch, monkeypatch):
@@ -305,7 +324,7 @@ class TestQuantileBatch:
         cross_needle_bound(CrossSpace.cayley_plane(), (0.3, 0.6))
         n = len(self.PAIRS)
         assert sum(int(w.sum()) for w in inversions) == 4 * n  # one per target
-        # two betainc calls over (lo, hi, pi/4) per needle
+        # the two tails at lo and hi, and the mass of [0, pi/4], per needle
         assert sum(int(w.sum()) for w in tails) <= 2 * 3 * n
 
 
