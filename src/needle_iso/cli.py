@@ -55,6 +55,11 @@ def _build_density(args):
         )
     if args.grid is None or args.values is None:
         raise NeedleIsoError("tabulated densities need --grid and --values")
+    if (args.lo, args.hi) != (args.grid[0], args.grid[-1]):
+        raise OutOfDomain(
+            f"--lo/--hi [{args.lo:.6g}, {args.hi:.6g}] must be the --grid ends "
+            f"[{args.grid[0]:.6g}, {args.grid[-1]:.6g}]"
+        )
     return normalize(TabulatedDensity(grid=args.grid, values=args.values))
 
 

@@ -57,8 +57,6 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
         i2 = slice(2 * d, grid_size)
         imid = slice(d, grid_size - d)
         valid = (v[i1] > tol) & (v[i2] > tol)
-        if not np.any(valid):
-            continue
         rhs = (u[i1] + u[i2]) / (2.0 * math.cos(0.5 * gap))
         bad = valid & (u[imid] < rhs - tol)
         if np.any(bad):

@@ -342,50 +342,55 @@ class SinAffineDensity(_NeedleDensity):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedDensity(_DensityBase):
-    """Piecewise-linear density samples on a strictly increasing grid."""
+    """Piecewise-linear density samples on a strictly increasing grid.
 
-    grid: tuple
-    values: tuple
+    ``grid`` and ``values`` hold the samples once, as read-only float64
+    copies of whatever array-like the caller passes.  Equality and hashing
+    go by identity.
+    """
+
+    grid: np.ndarray
+    values: np.ndarray
     norm: float | None = None
 
     family = "tabulated"
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        g = np.array(self.grid, dtype=float)  # copies: no caller's array is aliased
+        v = np.array(self.values, dtype=float)
         if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
             raise OutOfDomain("grid and values must be 1-D arrays of equal length >= 2")
         if np.any(np.diff(g) <= 0):
             raise OutOfDomain("grid must be strictly increasing")
         if np.any(v < -1e-12):
             raise OutOfDomain("density samples must be nonnegative")
-        object.__setattr__(self, "grid", tuple(float(x) for x in g))
-        object.__setattr__(self, "values", tuple(max(float(x), 0.0) for x in v))
-        object.__setattr__(self, "_g", np.asarray(self.grid))
-        object.__setattr__(self, "_v", np.asarray(self.values))
-        seg = 0.5 * (self._v[1:] + self._v[:-1]) * np.diff(self._g)
+        v = np.where(v < 0.0, 0.0, v)  # not np.maximum, which turns -0.0 into 0.0
+        g.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "values", v)
+        seg = 0.5 * (v[1:] + v[:-1]) * np.diff(g)
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         object.__setattr__(self, "_cum", cum)
-        object.__setattr__(self, "interval", Interval(self.grid[0], self.grid[-1]))
+        object.__setattr__(self, "interval", Interval(float(g[0]), float(g[-1])))
         _finalize(self, cum[-1])
 
     @classmethod
     def from_callable(cls, f, interval, n=2049):
         g = interval.grid(n)
-        return cls(grid=tuple(g), values=tuple(np.asarray(f(g), dtype=float)))
+        return cls(grid=g, values=f(g))
 
     @classmethod
     def from_density(cls, density, n=2049):
         return cls.from_callable(density.pdf, density.interval, n=n)
 
     def _cdf(self, t):
-        idx = np.clip(np.searchsorted(self._g, t, side="right") - 1, 0, self._g.size - 2)
-        t0 = self._g[idx]
-        h = self._g[idx + 1] - t0
-        f0 = self._v[idx]
-        f1 = self._v[idx + 1]
+        idx = np.clip(np.searchsorted(self.grid, t, side="right") - 1, 0, self.grid.size - 2)
+        t0 = self.grid[idx]
+        h = self.grid[idx + 1] - t0
+        f0 = self.values[idx]
+        f1 = self.values[idx + 1]
         s = np.clip(t - t0, 0.0, h)
         return (self._cum[idx] + f0 * s + 0.5 * (f1 - f0) * s * s / h) / self._raw_total
 
@@ -396,18 +401,18 @@ class TabulatedDensity(_DensityBase):
         # plateau), then the stable root of f0 s + (f1 - f0) s^2 / (2 h) = r
         y = q * self._raw_total
         idx = np.where(right, np.searchsorted(self._cum, y, side="right"), np.searchsorted(self._cum, y))
-        idx = np.clip(idx - 1, 0, self._g.size - 2)
-        h = self._g[idx + 1] - self._g[idx]
-        f0 = self._v[idx]
+        idx = np.clip(idx - 1, 0, self.grid.size - 2)
+        h = self.grid[idx + 1] - self.grid[idx]
+        f0 = self.values[idx]
         r = np.maximum(y - self._cum[idx], 0.0)
-        denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * (self._v[idx + 1] - f0) * r / h, 0.0))
+        denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * (self.values[idx + 1] - f0) * r / h, 0.0))
         s = np.divide(2.0 * r, denom, out=np.zeros_like(r), where=denom > 0.0)
-        return self._g[idx] + np.minimum(s, h)
+        return self.grid[idx] + np.minimum(s, h)
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
         scale = 1.0 if self.norm is None else self.norm
-        out = scale * np.interp(t, self._g, self._v)
+        out = scale * np.interp(t, self.grid, self.values)
         return out if out.shape else float(out)
 
     def to_dict(self):
@@ -415,8 +420,8 @@ class TabulatedDensity(_DensityBase):
             "family": "tabulated",
             "lo": self.interval.lo,
             "hi": self.interval.hi,
-            "grid": list(self.grid),
-            "values": list(self.values),
+            "grid": self.grid.tolist(),
+            "values": self.values.tolist(),
         }
 
 
@@ -430,8 +435,7 @@ def normalize(density):
     """
     total = density.raw_mass
     if density.family == "tabulated":
-        scaled = tuple(v / total for v in density.values)
-        return TabulatedDensity(grid=density.grid, values=scaled, norm=1.0)
+        return TabulatedDensity(grid=density.grid, values=density.values / total, norm=1.0)
     out = copy.copy(density)
     object.__setattr__(out, "norm", 1.0 / total)
     return out
@@ -445,9 +449,8 @@ def verify_unit_mass(density, atol=1e-10):
     kinks would defeat the adaptive error estimate).
     """
     if density.family == "tabulated":
-        g = np.asarray(density.grid)
-        v = np.asarray(density.values) * (1.0 if density.norm is None else density.norm)
-        total = float(np.trapezoid(v, g))
+        v = density.values * (1.0 if density.norm is None else density.norm)
+        total = float(np.trapezoid(v, density.grid))
     else:
         total = quadrature.integrate(
             density.pdf, density.interval.lo, density.interval.hi, atol=min(atol, 1e-12)
@@ -459,13 +462,12 @@ def reflect(density):
     """Reflect a density about its interval midpoint (t -> lo + hi - t)."""
     lo, hi = density.interval.lo, density.interval.hi
     if density.family == "tabulated":
-        g = lo + hi - np.asarray(density.grid)[::-1]
-        v = np.asarray(density.values)[::-1]
-        return TabulatedDensity(grid=tuple(g), values=tuple(v), norm=density.norm)
+        g = lo + hi - density.grid[::-1]
+        return TabulatedDensity(grid=g, values=density.values[::-1], norm=density.norm)
     n = 4097
     g = np.linspace(lo, hi, n)
     vals = density.pdf(lo + hi - g)
-    d = TabulatedDensity(grid=tuple(g), values=tuple(np.asarray(vals)))
+    d = TabulatedDensity(grid=g, values=vals)
     return normalize(d)
 
 
@@ -484,10 +486,7 @@ def density_from_dict(rec):
             phase=float(rec["phase"]), power=float(rec["power"]), interval=interval
         )
     elif fam == "tabulated":
-        d = TabulatedDensity(
-            grid=tuple(float(x) for x in rec["grid"]),
-            values=tuple(float(x) for x in rec["values"]),
-        )
+        d = TabulatedDensity(grid=rec["grid"], values=rec["values"])
     else:
         raise OutOfDomain(f"unknown density family: {fam!r}")
     return normalize(d)

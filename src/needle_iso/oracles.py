@@ -739,55 +739,36 @@ class _Ctx:
         self.mc_samples = mc_samples
 
 
-_REGISTRY = [
-    ("density.normalization_cross_check", "density", _check_normalization_cross_check),
-    ("density.quantile_cdf_round_trip", "density", _check_quantile_cdf_round_trip),
-    ("density.cdf_monotone_lipschitz", "density", _check_cdf_monotone_lipschitz),
-    ("density.order_reduction", "density", _check_order_reduction),
-    (
-        "density.order_reduction_within_family_band",
-        "density",
-        _check_order_reduction_within_family_band,
-    ),
-    ("density.product_closure", "density", _check_product_closure),
-    ("density.binomial_reconstruction", "density", _check_binomial_reconstruction),
-    ("separation.mass_swap_symmetry", "separation", _check_mass_swap_symmetry),
-    ("separation.mass_monotonicity", "separation", _check_mass_monotonicity),
-    (
-        "separation.complementary_masses_zero",
-        "separation",
-        _check_complementary_masses_zero,
-    ),
-    ("separation.bruteforce_agreement", "separation", _check_bruteforce_agreement),
-    ("separation.reflection_invariance", "separation", _check_reflection_invariance),
-    ("needle.sphere_dominance", "needle", _check_sphere_dominance),
-    ("needle.cross_dominance", "needle", _check_cross_dominance),
-    ("needle.component_bound", "needle", _check_component_bound),
-    (
-        "needle.power_monotonicity_observation",
-        "needle",
-        _check_power_monotonicity_observation,
-    ),
-    (
-        "needle.sphere_bound_dimension_monotone",
-        "needle",
-        _check_sphere_bound_dimension_monotone,
-    ),
-    ("spaces.polar_duality_identity", "spaces", _check_polar_duality_identity),
-    ("spaces.low_dim_sphere_coincidence", "spaces", _check_low_dim_sphere_coincidence),
-    ("spaces.exponent_admissibility", "spaces", _check_exponent_admissibility),
-    ("spaces.profile_monotone_inverse", "spaces", _check_profile_monotone_inverse),
-    ("solver.winner_in_catalog", "solver", _check_winner_in_catalog),
-    (
-        "solver.complement_reduction_duality",
-        "solver",
-        _check_complement_reduction_duality,
-    ),
-    ("solver.enlargement_monotonicity", "solver", _check_enlargement_monotonicity),
-    ("solver.needle_bound_consistency", "solver", _check_needle_bound_consistency),
-    ("solver.request_determinism", "solver", _check_request_determinism),
-    ("solver.main_inequality_mc", "solver", _check_main_inequality_mc),
-]
+# check name -> check; a check's suite is the prefix of its name
+_CHECKS = {
+    "density.normalization_cross_check": _check_normalization_cross_check,
+    "density.quantile_cdf_round_trip": _check_quantile_cdf_round_trip,
+    "density.cdf_monotone_lipschitz": _check_cdf_monotone_lipschitz,
+    "density.order_reduction": _check_order_reduction,
+    "density.order_reduction_within_family_band": _check_order_reduction_within_family_band,
+    "density.product_closure": _check_product_closure,
+    "density.binomial_reconstruction": _check_binomial_reconstruction,
+    "separation.mass_swap_symmetry": _check_mass_swap_symmetry,
+    "separation.mass_monotonicity": _check_mass_monotonicity,
+    "separation.complementary_masses_zero": _check_complementary_masses_zero,
+    "separation.bruteforce_agreement": _check_bruteforce_agreement,
+    "separation.reflection_invariance": _check_reflection_invariance,
+    "needle.sphere_dominance": _check_sphere_dominance,
+    "needle.cross_dominance": _check_cross_dominance,
+    "needle.component_bound": _check_component_bound,
+    "needle.power_monotonicity_observation": _check_power_monotonicity_observation,
+    "needle.sphere_bound_dimension_monotone": _check_sphere_bound_dimension_monotone,
+    "spaces.polar_duality_identity": _check_polar_duality_identity,
+    "spaces.low_dim_sphere_coincidence": _check_low_dim_sphere_coincidence,
+    "spaces.exponent_admissibility": _check_exponent_admissibility,
+    "spaces.profile_monotone_inverse": _check_profile_monotone_inverse,
+    "solver.winner_in_catalog": _check_winner_in_catalog,
+    "solver.complement_reduction_duality": _check_complement_reduction_duality,
+    "solver.enlargement_monotonicity": _check_enlargement_monotonicity,
+    "solver.needle_bound_consistency": _check_needle_bound_consistency,
+    "solver.request_determinism": _check_request_determinism,
+    "solver.main_inequality_mc": _check_main_inequality_mc,
+}
 
 SUITE_NAMES = ("density", "separation", "needle", "spaces", "solver", "all")
 
@@ -823,11 +804,7 @@ INVARIANT_COVERAGE = {
 def suite_check_names(suite):
     if suite not in SUITE_NAMES:
         raise OutOfDomain(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    return [
-        name
-        for name, group, _ in _REGISTRY
-        if suite == "all" or group == suite
-    ]
+    return [name for name in _CHECKS if suite == "all" or name.split(".")[0] == suite]
 
 
 def run_property_suite(suite, rng, threads=1, mc_samples=100000):
@@ -838,16 +815,9 @@ def run_property_suite(suite, rng, threads=1, mc_samples=100000):
     """
     spec = as_rng_spec(rng)
     ctx = _Ctx(spec, threads, mc_samples)
-    selected = [
-        (name, fn)
-        for name, group, fn in _REGISTRY
-        if suite == "all" or group == suite
-    ]
-    if not selected:
-        raise OutOfDomain(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     checks = []
-    for name, fn in selected:
-        out = fn(ctx)
+    for name in suite_check_names(suite):
+        out = _CHECKS[name](ctx)
         checks.append(
             {
                 "name": name,

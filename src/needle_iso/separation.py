@@ -128,8 +128,8 @@ def sep_1d_bruteforce(density, masses, grid_size=4096):
         tab = density
     else:
         tab = TabulatedDensity.from_density(density, n=grid_size + 1)
-    t = np.asarray(tab.grid)
-    seg = 0.5 * (np.asarray(tab.values)[1:] + np.asarray(tab.values)[:-1]) * np.diff(t)
+    t, v = tab.grid, tab.values
+    seg = 0.5 * (v[1:] + v[:-1]) * np.diff(t)
     prefix = np.concatenate([[0.0], np.cumsum(seg)])
     total = prefix[-1]
 

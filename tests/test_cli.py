@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from needle_iso import density_from_dict, sep_1d
 from needle_iso.cli import build_parser, main
 
 HALF_PI = math.pi / 2
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +95,15 @@ class TestSep:
         )
         assert code == 0
         assert json.loads(out)["sep"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_tabulated_interval_must_match_grid(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sep", "--family", "tabulated", "--lo", "5", "--hi", "6",
+            "--grid", "0,0.5,1", "--values", "1,1,1", "--k1", "0.25", "--k2", "0.25",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestBound:
@@ -359,3 +373,14 @@ class TestInProcessReuse:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert build_parser() is not build_parser()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported lazily, where a root is solved; importing it
+    # eagerly would add its load time and memory to every CLI call
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    code = "import sys, needle_iso, needle_iso.cli; print('scipy.optimize' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

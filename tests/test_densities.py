@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -388,6 +389,33 @@ class TestTabulated:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(OutOfDomain):
             TabulatedDensity(grid=(0.0, 0.5, 0.4), values=(1.0, 1.0, 1.0))
+
+    def test_samples_are_read_only_float_arrays(self):
+        d = TabulatedDensity(grid=(0, 1, 2), values=(1, 2, 1))
+        for samples in (d.grid, d.values):
+            assert isinstance(samples, np.ndarray) and samples.dtype == np.float64
+            with pytest.raises(ValueError):
+                samples[0] = 5.0
+
+    def test_input_kind_does_not_change_the_record(self):
+        g, v = [0.0, 0.4, 1.1, 1.5], [0.3, 1.0, 0.7, 0.2]
+        dumps = {
+            json.dumps(normalize(TabulatedDensity(grid=make(g), values=make(v))).to_dict())
+            for make in (tuple, list, np.array)
+        }
+        assert len(dumps) == 1
+
+    def test_caller_array_is_copied(self):
+        g, v = np.linspace(0.0, 1.0, 5), np.array([1.0, 2.0, 3.0, 2.0, 1.0])
+        d = TabulatedDensity(grid=g, values=v)
+        before = d.to_dict()
+        g[:] = np.arange(5.0)
+        v[:] = 7.0
+        assert d.to_dict() == before and g.flags.writeable
+
+    def test_negative_zero_sample_survives(self):
+        rec = TabulatedDensity(grid=(0.0, 0.5, 1.0, 1.5), values=(1.0, -0.0, -1e-13, 1.0)).to_dict()
+        assert json.dumps(rec["values"]) == "[1.0, -0.0, 0.0, 1.0]"
 
 
 class TestSerialization:
