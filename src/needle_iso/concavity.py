@@ -7,13 +7,18 @@ A nonnegative function ``f`` on an interval of length at most pi is
 
 ``is_sin_concave`` is a sound-but-sampled verifier of that inequality: it
 checks all midpoint-aligned pairs of a uniform grid and can therefore reject
-with certainty but accepts only up to the grid resolution.
+with certainty but accepts only up to the grid resolution.  It evaluates the
+pairs in blocks of at most ``_GAP_BLOCK`` midpoint gaps, one 2-D array
+expression per block, so its working memory is bounded by
+``_GAP_BLOCK * grid_size`` float64 values (2 MB at ``grid_size=4096``)
+rather than by the whole triangle of pairs.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quadrature
 from .densities import HALF_PI, Interval, trig_mass
@@ -28,6 +33,12 @@ def _as_callable(f, interval):
     return f, interval
 
 
+# Midpoint gaps per array block of ``is_sin_concave``: large enough that the
+# per-block numpy overhead is amortized, small enough that a block of a
+# 4096-point grid stays near 2 MB.
+_GAP_BLOCK = 64
+
+
 def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     """Sampled check of the sin^N midpoint concavity inequality.
 
@@ -37,29 +48,69 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     side); any negative value rejects outright, since a density cannot be
     negative.  Pairs at distance >= pi are skipped (the cosine factor would
     vanish).
+
+    The pairs ``(x[j], x[j + 2d])`` with midpoint ``x[j + d]`` are evaluated
+    a block of at most ``_GAP_BLOCK`` gaps ``d`` at a time, as one 2-D array
+    over read-only strided views of the samples; the first block holding a
+    violated pair rejects.  Each comparison is made with the same operations
+    in the same order as a per-gap loop would, so the answer does not depend
+    on the blocking, and working memory stays below ``_GAP_BLOCK *
+    grid_size`` float64 values plus one boolean array of that shape.
+
+    Raises ``InvalidOrder`` for an order that is not finite and positive,
+    and ``OutOfDomain`` for a ``grid_size`` that is not an integer >= 3, a
+    ``tol`` that is not finite and nonnegative, or samples that are NaN or
+    not one per grid point.
     """
-    if order <= 0:
-        raise InvalidOrder(f"concavity order must be positive, got {order}")
+    if not (math.isfinite(order) and order > 0):
+        raise InvalidOrder(f"concavity order must be finite and positive, got {order}")
+    if isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer)) or grid_size < 3:
+        raise OutOfDomain(f"grid_size must be an integer >= 3, got {grid_size!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise OutOfDomain(f"tol must be finite and nonnegative, got {tol}")
     func, iv = _as_callable(f, interval)
     x = iv.grid(grid_size)
     v = np.asarray(func(x), dtype=float)
+    if v.shape != x.shape:
+        raise OutOfDomain(f"expected {x.shape[0]} samples, got shape {v.shape}")
+    if np.isnan(v).any():
+        raise OutOfDomain("density samples contain NaN")
     if np.any(v < -tol):
         return False
     v = np.maximum(v, 0.0)
     u = np.power(v, 1.0 / order)
     step = x[1] - x[0]
-    max_d = grid_size - 1
-    for d in range(1, (max_d // 2) + 1):
+    # denominators 2 cos(gap/2) of the gaps d = 1, 2, ... below pi
+    denom = []
+    for d in range(1, (grid_size - 1) // 2 + 1):
         gap = 2 * d * step
         if gap >= math.pi - 1e-9:
             break
-        i1 = slice(0, grid_size - 2 * d)
-        i2 = slice(2 * d, grid_size)
-        imid = slice(d, grid_size - d)
-        valid = (v[i1] > tol) & (v[i2] > tol)
-        rhs = (u[i1] + u[i2]) / (2.0 * math.cos(0.5 * gap))
-        bad = valid & (u[imid] < rhs - tol)
-        if np.any(bad):
+        denom.append(2.0 * math.cos(0.5 * gap))
+    denom = np.array(denom)
+    # padding past the last sample: NaN compares false and the mask is off,
+    # so the row of gap d holds no pair beyond column grid_size - 2d - 1
+    pad = 2 * _GAP_BLOCK
+    u_pad = np.concatenate((u, np.full(pad, np.nan)))
+    ok_pad = np.concatenate((v > tol, np.zeros(pad, dtype=bool)))
+    # one buffer pair for every block, so no two blocks are ever alive at once
+    rows = min(_GAP_BLOCK, denom.size)
+    rhs_buf = np.empty((rows, grid_size - 2))
+    bad_buf = np.empty((rows, grid_size - 2), dtype=bool)
+    for d0 in range(1, denom.size + 1, _GAP_BLOCK):
+        d1 = min(d0 + _GAP_BLOCK, denom.size + 1)
+        width = grid_size - 2 * d0
+        # row r of a window view starts at sample r: row 0 holds u[j], row d
+        # holds u[j + d] and row 2d holds u[j + 2d]
+        u_win = sliding_window_view(u_pad, width)
+        ok_win = sliding_window_view(ok_pad, width)
+        rhs = np.add(u_win[0], u_win[2 * d0 : 2 * d1 : 2], out=rhs_buf[: d1 - d0, :width])
+        rhs /= denom[d0 - 1 : d1 - 1, None]
+        rhs -= tol
+        bad = np.less(u_win[d0:d1], rhs, out=bad_buf[: d1 - d0, :width])
+        bad &= ok_win[0]
+        bad &= ok_win[2 * d0 : 2 * d1 : 2]
+        if bad.any():
             return False
     return True
 

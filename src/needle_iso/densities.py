@@ -487,6 +487,11 @@ def density_from_dict(rec):
         )
     elif fam == "tabulated":
         d = TabulatedDensity(grid=rec["grid"], values=rec["values"])
+        if interval != d.interval:
+            raise OutOfDomain(
+                f"lo/hi [{interval.lo:.6g}, {interval.hi:.6g}] must be the grid ends "
+                f"[{d.interval.lo:.6g}, {d.interval.hi:.6g}]"
+            )
     else:
         raise OutOfDomain(f"unknown density family: {fam!r}")
     return normalize(d)

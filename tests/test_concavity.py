@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from needle_iso import (
     Interval,
     InvalidOrder,
     NonIntegerPower,
+    OutOfDomain,
     PreconditionFailed,
     SinAffineDensity,
+    TabulatedDensity,
     TrigDensity,
     binomial_decompose,
     check_comparison_lemma,
@@ -19,6 +24,135 @@ from needle_iso import (
 
 HALF_PI = math.pi / 2
 FULL = Interval(-HALF_PI, HALF_PI)
+
+
+def _loop_reference(f, order, interval=None, grid_size=1024, tol=1e-9):
+    """The per-gap loop ``is_sin_concave`` was first written as: one pass
+    of array slices per midpoint gap.  Kept as the reference the blocked
+    kernel must agree with, boolean for boolean."""
+    if hasattr(f, "pdf") and hasattr(f, "interval"):
+        f, interval = f.pdf, f.interval
+    x = interval.grid(grid_size)
+    v = np.asarray(f(x), dtype=float)
+    if np.any(v < -tol):
+        return False
+    v = np.maximum(v, 0.0)
+    u = np.power(v, 1.0 / order)
+    step = x[1] - x[0]
+    max_d = grid_size - 1
+    for d in range(1, (max_d // 2) + 1):
+        gap = 2 * d * step
+        if gap >= math.pi - 1e-9:
+            break
+        i1 = slice(0, grid_size - 2 * d)
+        i2 = slice(2 * d, grid_size)
+        imid = slice(d, grid_size - d)
+        valid = (v[i1] > tol) & (v[i2] > tol)
+        rhs = (u[i1] + u[i2]) / (2.0 * math.cos(0.5 * gap))
+        bad = valid & (u[imid] < rhs - tol)
+        if np.any(bad):
+            return False
+    return True
+
+
+class _Span:
+    """A bare interval longer than pi, which ``Interval`` refuses; the
+    concavity check only needs its ``grid``."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def grid(self, n):
+        return np.linspace(self.lo, self.hi, n)
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_exponent = st.one_of(st.integers(0, 5), st.floats(min_value=0.0, max_value=5.0))
+
+
+@st.composite
+def _sub_interval(draw, lo, hi, min_length=0.05):
+    """The whole of ``[lo, hi]`` or a random piece of it."""
+    if draw(st.booleans()):
+        return Interval(lo, hi)
+    a = lo + draw(_unit) * (hi - lo - min_length)
+    return Interval(a, a + min_length + draw(_unit) * (hi - a - min_length))
+
+
+@st.composite
+def _trig(draw):
+    m, k = draw(_exponent), draw(_exponent)
+    if k == 0:  # pure cosine powers live on the whole half period about 0
+        domain = (-HALF_PI, HALF_PI)
+    elif m == 0:  # pure sine powers on [0, pi]
+        domain = (0.0, math.pi)
+    else:
+        domain = (0.0, HALF_PI)
+    iv = draw(_sub_interval(*domain))
+    return normalize(TrigDensity(m=m, k=k, interval=iv)), None
+
+
+@st.composite
+def _affine(draw):
+    phase = draw(st.floats(min_value=-1.0, max_value=1.0))
+    power = draw(_exponent)
+    iv = draw(_sub_interval(phase - HALF_PI, phase + HALF_PI))
+    return normalize(SinAffineDensity(phase=phase, power=power, interval=iv)), None
+
+
+@st.composite
+def _tabulated(draw):
+    knots = draw(st.integers(2, 12))
+    iv = draw(_sub_interval(0.0, math.pi))
+    values = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+            min_size=knots,
+            max_size=knots,
+        ).filter(lambda vals: sum(vals) > 0.1)
+    )
+    grid = np.linspace(iv.lo, iv.hi, knots)
+    return normalize(TabulatedDensity(grid=grid, values=values)), None
+
+
+@st.composite
+def _product(draw):
+    iv = draw(_sub_interval(0.0, HALF_PI))
+    f = SinAffineDensity(
+        phase=draw(st.floats(min_value=iv.hi - HALF_PI, max_value=iv.lo + HALF_PI)),
+        power=draw(_exponent),
+        interval=iv,
+    )
+    g = TrigDensity(m=draw(_exponent), k=draw(_exponent), interval=iv)
+    return (lambda t: np.asarray(f.pdf(t)) * np.asarray(g.pdf(t))), iv
+
+
+@st.composite
+def _edited(draw):
+    """A cosine power shifted down by up to a few ``tol``, so some samples
+    sit below ``tol`` or slightly below zero, and cut to a zero plateau;
+    on an interval of length pi, or longer than pi, the gap cut-off fires."""
+    m = draw(_exponent)
+    shift = draw(st.sampled_from([0.0, 5e-10, 1e-9, 1.5e-9, 3e-9]))
+    cut = draw(st.one_of(st.none(), st.tuples(_unit, _unit)))
+    iv = draw(
+        st.one_of(
+            _sub_interval(-HALF_PI, HALF_PI),
+            st.builds(_Span, st.just(-2.0), st.floats(min_value=1.15, max_value=2.5)),
+        )
+    )
+
+    def f(t):
+        v = np.abs(np.cos(t)) ** m - shift
+        if cut is not None:
+            a = iv.lo + cut[0] * (iv.hi - iv.lo)
+            v = np.where((t >= a) & (t <= a + 0.3 * cut[1]), 0.0, v)
+        return v
+
+    return f, iv
+
+
+_needles = st.one_of(_trig(), _affine(), _tabulated(), _product(), _edited())
 
 
 class TestIsSinConcave:
@@ -64,6 +198,84 @@ class TestIsSinConcave:
             2 * math.cos(math.pi / 8)
         )
         assert lhs < rhs - 1e-3
+
+
+class TestBlockedKernel:
+    @given(
+        needle=_needles,
+        order=st.one_of(st.integers(1, 9), st.floats(min_value=0.1, max_value=9.0)),
+        grid_size=st.one_of(st.just(1024), st.integers(3, 1100)),
+        tol=st.sampled_from([1e-9, 0.0, 1e-6]),
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_loop_reference(self, needle, order, grid_size, tol):
+        f, iv = needle
+        kw = {"interval": iv, "grid_size": grid_size, "tol": tol}
+        assert is_sin_concave(f, order, **kw) == _loop_reference(f, order, **kw)
+
+    @pytest.mark.parametrize("grid_size", [3, 4, 129, 130, 1023, 1024, 1025])
+    def test_half_period_cut_off(self, grid_size):
+        # on [0, pi] the widest pair of an odd grid spans pi and is skipped
+        d = normalize(TrigDensity(m=0, k=1, interval=Interval(0.0, math.pi)))
+        assert is_sin_concave(d, 1, grid_size=grid_size)
+        assert _loop_reference(d, 1, grid_size=grid_size)
+
+    def test_pairs_within_a_nanoradian_of_pi_are_skipped(self):
+        # every gap of this 5-point grid is pi - 5e-10 or wider, so no pair is
+        # checked and even a constant passes
+        span = _Span(0.0, 2.0 * (math.pi - 5e-10))
+        for check in (is_sin_concave, _loop_reference):
+            assert check(np.ones_like, 1, interval=span, grid_size=5)
+
+    def test_memory_stays_bounded_on_a_large_grid(self):
+        # the whole triangle of pairs of a 4096-point grid is about 67 MB of
+        # float64; a block of 64 gaps is about 2 MB
+        d = normalize(TrigDensity(m=3, k=0, interval=FULL))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            passed = is_sin_concave(d, 3, grid_size=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_rejected(self, order):
+        d = normalize(TrigDensity(m=1, k=0, interval=FULL))
+        with pytest.raises(InvalidOrder):
+            is_sin_concave(d, order)
+
+    @pytest.mark.parametrize("grid_size", [1, 2, 0, -5, 256.0, True, "256"])
+    def test_grid_size_must_be_an_integer_of_at_least_three(self, grid_size):
+        d = normalize(TrigDensity(m=1, k=0, interval=FULL))
+        with pytest.raises(OutOfDomain):
+            is_sin_concave(d, 1, grid_size=grid_size)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # a NaN or infinite tol once made every pair vacuous and passed sin^3
+        with pytest.raises(OutOfDomain):
+            is_sin_concave(lambda t: np.sin(t) ** 3, 3, interval=FULL, tol=tol)
+
+    def test_numpy_integer_grid_size_accepted(self):
+        d = normalize(TrigDensity(m=1, k=0, interval=FULL))
+        assert is_sin_concave(d, 1, grid_size=np.int64(256))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda t: np.full_like(t, np.nan),
+            lambda t: np.where(t > 0.5, np.nan, np.cos(t)),
+            lambda t: np.cos(t[:-1]),
+            lambda t: 1.0,
+        ],
+        ids=["all_nan", "one_nan_run", "short", "scalar"],
+    )
+    def test_nan_or_misshaped_samples_rejected(self, f):
+        with pytest.raises(OutOfDomain):
+            is_sin_concave(f, 1, interval=FULL)
 
 
 class TestComparisonLemma:

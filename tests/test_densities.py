@@ -436,6 +436,13 @@ class TestSerialization:
         t = np.linspace(density.interval.lo, density.interval.hi, 17)
         assert np.allclose(rebuilt.cdf(t), density.cdf(t), atol=1e-12)
 
+    def test_tabulated_interval_must_match_grid(self):
+        rec = {"family": "tabulated", "lo": 5.0, "hi": 6.0, "grid": [0, 0.5, 1], "values": [1, 1, 1]}
+        with pytest.raises(OutOfDomain):
+            density_from_dict(rec)
+        rec.update(lo=0.0, hi=1.0)
+        assert density_from_dict(rec).interval == Interval(0.0, 1.0)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(OutOfDomain):
             density_from_dict({"family": "exotic", "lo": 0.0, "hi": 1.0})
