@@ -35,7 +35,6 @@ from .densities import (
     TabulatedDensity,
     TrigDensity,
     density_from_dict,
-    density_to_dict,
     normalize,
     reflect,
     trig_mass,
@@ -121,7 +120,6 @@ __all__ = [
     "check_realization",
     "cross_needle_bound",
     "density_from_dict",
-    "density_to_dict",
     "deterministic_map",
     "enlarged_volume",
     "integrate",

@@ -33,6 +33,11 @@ def _as_callable(f, interval):
     return f, interval
 
 
+def _require_order(order):
+    if not (math.isfinite(order) and order > 0):
+        raise InvalidOrder(f"concavity order must be finite and positive, got {order}")
+
+
 # Midpoint gaps per array block of ``is_sin_concave``: large enough that the
 # per-block numpy overhead is amortized, small enough that a block of a
 # 4096-point grid stays near 2 MB.
@@ -62,8 +67,7 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     ``tol`` that is not finite and nonnegative, or samples that are NaN or
     not one per grid point.
     """
-    if not (math.isfinite(order) and order > 0):
-        raise InvalidOrder(f"concavity order must be finite and positive, got {order}")
+    _require_order(order)
     if isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer)) or grid_size < 3:
         raise OutOfDomain(f"grid_size must be an integer >= 3, got {grid_size!r}")
     if not (math.isfinite(tol) and tol >= 0):
@@ -127,17 +131,7 @@ class ComparisonReport:
     ratio_rhs: float
 
 
-def check_comparison_lemma(
-    f,
-    order,
-    epsilon,
-    k,
-    interval=None,
-    grid_size=512,
-    pointwise_tol=1e-8,
-    ratio_tol=1e-9,
-    verify_concavity=True,
-):
+def check_comparison_lemma(f, order, epsilon, k, interval=None, grid_size=512):
     """Compare a concave needle density against its matched cosine envelope.
 
     ``f`` must be sin^order-concave on ``[0, tau]`` with its maximum at 0.
@@ -149,9 +143,13 @@ def check_comparison_lemma(
 
         int_0^eps f sin^k / int_0^tau f sin^k
             >= int_0^eps cos^order sin^k / int_0^{pi/2} cos^order sin^k.
+
+    The pointwise checks allow 1e-8 and the ratio check 1e-9.  Raises
+    ``InvalidOrder`` for an order that is not finite and positive, and
+    ``PreconditionFailed`` when ``f`` is not sin^order-concave with its
+    maximum at 0.
     """
-    if order <= 0:
-        raise InvalidOrder(f"concavity order must be positive, got {order}")
+    _require_order(order)
     if k < 0:
         raise OutOfDomain("sine weight exponent k must be nonnegative")
     func, iv = _as_callable(f, interval)
@@ -165,13 +163,10 @@ def check_comparison_lemma(
 
     x = iv.grid(grid_size)
     fx = np.asarray(func(x), dtype=float)
-    if verify_concavity:
-        if fx[0] + pointwise_tol < np.max(fx):
-            raise PreconditionFailed("density must attain its maximum at 0")
-        if not is_sin_concave(func, order, interval=iv, grid_size=min(grid_size, 512)):
-            raise PreconditionFailed(
-                f"density is not sin^{order}-concave on its interval"
-            )
+    if fx[0] + 1e-8 < np.max(fx):
+        raise PreconditionFailed("density must attain its maximum at 0")
+    if not is_sin_concave(func, order, interval=iv, grid_size=min(grid_size, 512)):
+        raise PreconditionFailed(f"density is not sin^{order}-concave on its interval")
 
     f_eps = float(np.asarray(func(np.array([epsilon])))[0])
     if f_eps <= 0:
@@ -182,8 +177,8 @@ def check_comparison_lemma(
     left = x <= epsilon
     right = ~left
     pointwise_ok = bool(
-        np.all(fx[left] >= hx[left] - pointwise_tol)
-        and np.all(fx[right] <= hx[right] + pointwise_tol)
+        np.all(fx[left] >= hx[left] - 1e-8)
+        and np.all(fx[right] <= hx[right] + 1e-8)
     )
 
     def weighted(t):
@@ -193,7 +188,7 @@ def check_comparison_lemma(
     total = quadrature.integrate(weighted, 0.0, tau, atol=1e-13)
     lhs = head / total
     rhs = trig_mass(order, k, 0.0, epsilon) / trig_mass(order, k, 0.0, HALF_PI)
-    ratio_ok = bool(lhs >= rhs - ratio_tol)
+    ratio_ok = bool(lhs >= rhs - 1e-9)
 
     return ComparisonReport(
         pointwise_ok=pointwise_ok,

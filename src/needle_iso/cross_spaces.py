@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Interval, TrigDensity, normalize
+from .densities import HALF_PI, Interval, TrigDensity, normalize
 from .errors import NotApplicable, OutOfDomain
-
-HALF_PI = math.pi / 2.0
 
 SPHERE = "sphere"
 REAL_PROJECTIVE = "real-projective"

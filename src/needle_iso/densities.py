@@ -56,13 +56,10 @@ class Interval:
     def length(self):
         return self.hi - self.lo
 
-    @property
-    def midpoint(self):
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, t, tol=_DOMAIN_TOL):
+    def contains(self, t):
+        """Whether every angle of ``t`` lies in the interval, to 1e-9."""
         t = np.asarray(t, dtype=float)
-        return bool(np.all(t >= self.lo - tol) and np.all(t <= self.hi + tol))
+        return bool(np.all(t >= self.lo - _DOMAIN_TOL) and np.all(t <= self.hi + _DOMAIN_TOL))
 
     def grid(self, n):
         return np.linspace(self.lo, self.hi, n)
@@ -362,6 +359,8 @@ class TabulatedDensity(_DensityBase):
         v = np.array(self.values, dtype=float)
         if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
             raise OutOfDomain("grid and values must be 1-D arrays of equal length >= 2")
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
+            raise OutOfDomain("grid and values must be finite")
         if np.any(np.diff(g) <= 0):
             raise OutOfDomain("grid must be strictly increasing")
         if np.any(v < -1e-12):
@@ -469,10 +468,6 @@ def reflect(density):
     vals = density.pdf(lo + hi - g)
     d = TabulatedDensity(grid=g, values=vals)
     return normalize(d)
-
-
-def density_to_dict(density):
-    return density.to_dict()
 
 
 def density_from_dict(rec):

@@ -12,22 +12,15 @@ case the result is flagged as heuristic.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cross_spaces import SPHERE
-from .densities import (
-    HALF_PI,
-    Interval,
-    SinAffineDensity,
-    TrigDensity,
-    normalize,
-    trig_quantile,
-)
+from .densities import HALF_PI, Interval, SinAffineDensity, normalize, trig_quantile
 from .errors import HypothesisViolated, NotApplicable, OutOfDomain
-from .separation import _gap_rule, as_mass_pair, sep_1d
+from .sampling import _affine_draws
+from .separation import _gap_rule, as_mass_pair
 
 _TIE_TOL = 1e-12
 
@@ -85,10 +78,8 @@ def sphere_needle_bound(n, masses, force=False):
         raise OutOfDomain(f"sphere dimension must be >= 2, got {n}")
     mp = as_mass_pair(masses)
     ok = _require_straddle(mp, force, "sphere needle bound")
-    needle = normalize(TrigDensity(m=n - 1, k=0, interval=Interval(-HALF_PI, HALF_PI)))
-    res = sep_1d(needle, mp)
     return NeedleBoundResult(
-        bound=res.sep,
+        bound=float(_trig_sep(n - 1, 0, -HALF_PI, HALF_PI, mp.k1, mp.k2)),
         family="sphere-cos",
         params={"n": n, "m": n - 1},
         ties=((n - 1, 0),),
@@ -171,27 +162,20 @@ def batch_affine_sep(phase, power, lo, hi, k1, k2):
     return _trig_sep(power, 0.0, lo - phase, hi - phase, k1, k2)
 
 
-def optimize_affine_family(
-    interval_length_max, p_range, masses, samples, seed, min_length=1e-3
-):
+def optimize_affine_family(interval_length_max, p_range, masses, samples, seed):
     """Seeded random search over valid sin^p-affine needles.
 
-    Samples ``(phase, p, sub-interval)`` with the density positive on the
-    open support and support length at most ``interval_length_max``; returns
-    the best separation found.  Deterministic for a fixed seed.
+    Samples ``(sub-interval, p, phase)`` with the density positive on the
+    open support and support length in ``[1e-3, interval_length_max]``;
+    returns the best separation found.  Deterministic for a fixed seed: the
+    supports ``[0, L]``, the power indices and the phases are drawn in that
+    order, one array each, from ``Generator(PCG64(seed))``.
     """
     if samples < 1:
         raise OutOfDomain("samples must be >= 1")
     mp = as_mass_pair(masses)
-    p_choices = np.asarray(sorted(p_range), dtype=float)
-    if p_choices.size == 0:
-        raise OutOfDomain("p_range must be nonempty")
     rng = np.random.Generator(np.random.PCG64(seed))
-    length_cap = min(float(interval_length_max), math.pi)
-    lengths = rng.uniform(min_length, length_cap, size=samples)
-    powers = p_choices[rng.integers(0, p_choices.size, size=samples)]
-    # positivity of cos(t - phase) on (0, L) requires phase in [L - pi/2, pi/2]
-    phases = rng.uniform(lengths - HALF_PI, HALF_PI)
+    lengths, powers, phases = _affine_draws(rng, samples, interval_length_max, p_range, 1e-3)
     los = np.zeros(samples)
     seps = batch_affine_sep(phases, powers, los, lengths, mp.k1, mp.k2)
     best_idx = int(np.argmax(seps))

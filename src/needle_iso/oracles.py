@@ -45,7 +45,7 @@ from .needle_bound import (
     cross_needle_bound,
     sphere_needle_bound,
 )
-from .sampling import as_rng_spec, random_affine_needle
+from .sampling import _affine_draws, as_rng_spec, random_affine_needle
 from .separation import MassPair, sep_1d, sep_1d_bruteforce
 from .solver import (
     SolveRequest,
@@ -348,13 +348,6 @@ def _check_reflection_invariance(ctx):
 # ---------------------------------------------------------------------------
 
 
-def _sample_affine_batch(gen, count, length_cap, p_lo, p_hi):
-    lengths = gen.uniform(0.05, length_cap, count)
-    powers = gen.integers(p_lo, p_hi + 1, count).astype(float)
-    phases = gen.uniform(lengths - HALF_PI, HALF_PI)
-    return phases, powers, lengths
-
-
 def _check_sphere_dominance(ctx):
     gen = ctx.spec.generator(30)
     count = 1000
@@ -363,7 +356,7 @@ def _check_sphere_dominance(ctx):
     # sin^(n-1)-affine needles against the cos^(n-1) needle on the half
     # period; higher powers are not sin^(n-1)-concave and can beat the bound
     for n in (2, 3):
-        phases, powers, lengths = _sample_affine_batch(gen, count, math.pi, n - 1, n - 1)
+        lengths, powers, phases = _affine_draws(gen, count, math.pi, [n - 1], 0.05)
         k1 = gen.uniform(0.02, 0.5, count)
         k2 = gen.uniform(0.5, 1.0 - k1)  # k1 + k2 < 1: both sides separate
         needle_seps = batch_affine_sep(phases, powers, 0.0, lengths, k1, k2)
@@ -393,7 +386,7 @@ def _check_cross_dominance(ctx):
         ]
     )
     count = 1000
-    phases, powers, lengths = _sample_affine_batch(gen, count, HALF_PI, 1, 8)
+    lengths, powers, phases = _affine_draws(gen, count, HALF_PI, range(1, 9), 0.05)
     idx = gen.integers(0, 20, count)
     seps = batch_affine_sep(phases, powers, 0.0, lengths, pool_k1[idx], pool_k2[idx])
     margin = seps - bounds[idx]

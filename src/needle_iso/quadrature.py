@@ -11,6 +11,7 @@ import numpy as np
 from .errors import QuadratureError
 
 _NODE_CACHE: dict = {}
+_MAX_PANELS = 4000
 
 
 def _nodes(order):
@@ -25,18 +26,19 @@ def _panel(f, a, b, order):
     return half * float(np.dot(w, f(0.5 * (a + b) + half * x)))
 
 
-def integrate(f, a, b, atol=1e-12, max_panels=4000):
+def integrate(f, a, b, atol=1e-12):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``atol``.
 
     ``f`` must accept numpy arrays.  Panels are bisected until the
     difference between a 10-point and a 21-point Gauss-Legendre rule falls
     under the panel's share of the tolerance; the recursion grades the mesh
-    automatically near endpoint singularities of the derivatives.
+    automatically near endpoint singularities of the derivatives.  Raises
+    :class:`QuadratureError` after 4000 panel splits.
     """
     if a == b:
         return 0.0
     if b < a:
-        return -integrate(f, b, a, atol=atol, max_panels=max_panels)
+        return -integrate(f, b, a, atol=atol)
     stack = [(float(a), float(b), float(atol))]
     total = 0.0
     panels = 0
@@ -48,10 +50,8 @@ def integrate(f, a, b, atol=1e-12, max_panels=4000):
             total += fine
             continue
         panels += 1
-        if panels > max_panels:
-            raise QuadratureError(
-                f"failed to reach atol={atol} after {max_panels} panel splits"
-            )
+        if panels > _MAX_PANELS:
+            raise QuadratureError(f"failed to reach atol={atol} after {_MAX_PANELS} panel splits")
         mid = 0.5 * (a0 + b0)
         stack.append((a0, mid, 0.5 * tol0))
         stack.append((mid, b0, 0.5 * tol0))

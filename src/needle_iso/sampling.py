@@ -17,6 +17,7 @@ from .densities import HALF_PI, Interval, SinAffineDensity, normalize
 from .errors import OutOfDomain, RetryExhausted, ZeroMass
 
 _MC_CHUNK = 1 << 14
+_AFFINE_RETRIES = 100
 
 
 @dataclass(frozen=True)
@@ -84,34 +85,42 @@ def mc_cap_mass(n, cap_radius, samples, rng, stream=0, threads=1):
     return {"estimate": p, "stderr": stderr, "samples": samples}
 
 
-def random_affine_needle(
-    interval_length_max, p_range, rng, min_length=1e-3, retries=100
-):
+def _affine_draws(gen, count, length_cap, p_range, min_length):
+    """``count`` sin^p-affine needles on ``[0, L]``, as three array draws in
+    this order: lengths ``L`` uniform in ``[min_length, min(length_cap, pi)]``,
+    power indices uniform over ``sorted(p_range)``, and phases uniform in
+    ``[L - pi/2, pi/2]``, the window keeping ``cos(t - phase)`` positive on
+    ``(0, L)``.  Returns ``(lengths, powers, phases)``, powers as floats."""
+    choices = np.asarray(sorted(p_range), dtype=float)
+    if choices.size == 0:
+        raise OutOfDomain("p_range must be nonempty")
+    lengths = gen.uniform(min_length, min(float(length_cap), math.pi), count)
+    powers = choices[gen.integers(0, choices.size, count)]
+    return lengths, powers, gen.uniform(lengths - HALF_PI, HALF_PI)
+
+
+def random_affine_needle(interval_length_max, p_range, rng):
     """Draw a valid, normalized sin^p-affine needle.
 
-    The support is ``[0, L]`` with ``L`` uniform up to the cap (needles are
-    translation invariant for separation purposes); the phase is uniform in
-    the window keeping ``cos(t - phase)`` positive on the open support; the
-    power is uniform over ``p_range``.  Redraws on degenerate mass, raising
-    :class:`RetryExhausted` after ``retries`` failures.
+    The support is ``[0, L]`` with ``L`` uniform in ``[1e-3, min(cap, pi)]``
+    (needles are translation invariant for separation purposes); the power
+    is uniform over ``p_range``; the phase is uniform in the window keeping
+    ``cos(t - phase)`` positive on the open support.  Each attempt is one
+    :func:`_affine_draws` batch of one; redraws on degenerate mass, raising
+    :class:`RetryExhausted` after 100 failures.
     """
-    p_choices = sorted(p_range)
-    if not p_choices:
-        raise OutOfDomain("p_range must be nonempty")
+    p_choices = sorted(p_range)  # one pass over p_range serves every retry
     gen = rng if isinstance(rng, np.random.Generator) else as_rng_spec(rng).generator()
-    cap = min(float(interval_length_max), math.pi)
-    for _ in range(retries):
-        length = gen.uniform(min_length, cap)
-        power = float(p_choices[int(gen.integers(0, len(p_choices)))])
-        phase = gen.uniform(length - HALF_PI, HALF_PI)
+    for _ in range(_AFFINE_RETRIES):
+        (length,), (power,), (phase,) = _affine_draws(gen, 1, interval_length_max, p_choices, 1e-3)
         try:
             return normalize(
                 SinAffineDensity(
                     phase=float(phase),
-                    power=power,
+                    power=float(power),
                     interval=Interval(0.0, float(length)),
                 )
             )
         except ZeroMass:
             continue
-    raise RetryExhausted(f"no valid affine needle after {retries} draws")
+    raise RetryExhausted(f"no valid affine needle after {_AFFINE_RETRIES} draws")

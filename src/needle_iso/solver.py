@@ -153,11 +153,21 @@ def solve_with_complement_reduction(space, v, epsilon):
     })
 
 
-def _quadrature_enlarged(cand, space, v, epsilon, atol):
-    """Enlarged volume via adaptive quadrature only (no closed forms)."""
-    # scipy.optimize is a heavy import and only this cross-check route uses it
-    from scipy.optimize import brentq
+def _bisect(f, a, b, tol):
+    """Bisect ``[a, b]``, across which ``f`` goes from ``<= 0`` to ``> 0``,
+    down to width ``tol``; returns the midpoint of the last bracket."""
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if f(mid) <= 0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
+
+def _quadrature_enlarged(cand, space, v, epsilon, atol):
+    """Enlarged volume via adaptive quadrature only (no closed forms): the
+    radius of volume ``v`` by bisection on the quadrature CDF."""
     a, b = cand.a, cand.b
 
     def raw(t):
@@ -168,18 +178,16 @@ def _quadrature_enlarged(cand, space, v, epsilon, atol):
     def cdf(t):
         return quadrature.integrate(raw, 0.0, t, atol=atol) / total
 
-    r = brentq(lambda t: cdf(t) - v, 0.0, space.diameter, xtol=1e-14)
+    r = _bisect(lambda t: cdf(t) - v, 0.0, space.diameter, 1e-14)
     return cdf(min(r + epsilon, space.diameter))
 
 
-def isoperimetric_profile_curve(
-    space, epsilon, v_grid, refine_tol=1e-6, quadrature_atol=None
-):
+def isoperimetric_profile_curve(space, epsilon, v_grid, quadrature_atol=None):
     """Winner and enlarged volume along a grid of volume fractions.
 
     Winner transitions between consecutive grid points are refined by
-    bisection on the enlarged-volume difference to ``refine_tol`` in v.
-    With ``quadrature_atol`` set, profile evaluations use the adaptive
+    bisection on the enlarged-volume difference to 1e-6 in v.  With
+    ``quadrature_atol`` set, profile evaluations use the adaptive
     Gauss-Legendre route at that tolerance instead of the closed forms
     (slower; used by stability checks).
     """
@@ -208,30 +216,18 @@ def isoperimetric_profile_curve(
     ]
 
     crossovers = []
-    for r0, r1 in zip(rows, rows[1:]):
-        if r0["winner"] == r1["winner"]:
-            continue
-        v0, v1 = r0["v"], r1["v"]
-        c_from = next(c for c in cands if c.label == r0["winner"])
-        c_to = next(c for c in cands if c.label == r1["winner"])
-
-        def gap(v):
-            return enlarged(c_from, v) - enlarged(c_to, v)
-
-        a, b = v0, v1
-        while b - a > refine_tol:
-            mid = 0.5 * (a + b)
-            if gap(mid) <= 0:
-                a = mid
-            else:
-                b = mid
+    for j in np.flatnonzero(best[1:] != best[:-1]):
+        c_from, c_to = cands[best[j]], cands[best[j + 1]]
+        v0 = _bisect(
+            lambda v: enlarged(c_from, v) - enlarged(c_to, v), v_grid[j], v_grid[j + 1], 1e-6
+        )
         crossovers.append(
             {
-                "v_low": v0,
-                "v_high": v1,
-                "v0": 0.5 * (a + b),
-                "from": r0["winner"],
-                "to": r1["winner"],
+                "v_low": v_grid[j],
+                "v_high": v_grid[j + 1],
+                "v0": v0,
+                "from": c_from.label,
+                "to": c_to.label,
             }
         )
     return {"rows": rows, "crossovers": crossovers}
@@ -245,7 +241,7 @@ def profile_curve_csv(result):
     return "\n".join(lines) + "\n"
 
 
-def check_main_inequality(space, masses, mc_samples=100000, seed=0, tol=1e-9, threads=1):
+def check_main_inequality(space, masses, mc_samples=100000, seed=0, threads=1):
     """Antipodal-cap separation on a sphere against the needle bound.
 
     The witness pair is two caps of masses (k1, k2) at opposite centers;
@@ -261,7 +257,7 @@ def check_main_inequality(space, masses, mc_samples=100000, seed=0, tol=1e-9, th
     r1, r2 = (float(r) for r in profile_quantile(ball, space, [mp.k1, mp.k2]))
     gap = max(0.0, math.pi - r1 - r2)
     bound = sphere_needle_bound(n, mp, force=True).bound
-    ok = gap <= bound + tol
+    ok = gap <= bound + 1e-9
     mc = {}
     within = True
     for stream, (tag, radius, target) in enumerate(

@@ -50,6 +50,15 @@ class TestSep:
         assert code == 1
         assert "mass must be in (0,1]" in err
 
+    def test_non_finite_tabulated_sample_is_a_domain_error(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "sep", "--family", "tabulated", "--lo", "0", "--hi", "1",
+            "--grid", "0,0.5,1", "--values", "1,nan,1", "--k1", "0.25", "--k2", "0.25",
+        )
+        assert code == 1
+        assert "must be finite" in err and "integrates to" not in err
+
     def test_bad_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sep", "--family", "polynomial", "--lo", "0", "--hi", "1",
@@ -375,12 +384,39 @@ class TestInProcessReuse:
         assert build_parser() is not build_parser()
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported lazily, where a root is solved; importing it
-    # eagerly would add its load time and memory to every CLI call
+def _run_python(code):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    code = "import sys, needle_iso, needle_iso.cli; print('scipy.optimize' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    return run.stdout.strip()
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize would add its load time and memory to every
+    # CLI call
+    code = "import sys, needle_iso, needle_iso.cli; print('scipy.optimize' in sys.modules)"
+    assert _run_python(code) == "False"
+
+
+_ROOT_FINDING_ROUTES = """
+import contextlib, io, sys
+import numpy as np
+from needle_iso import CrossSpace, Interval, check_comparison_lemma, isoperimetric_profile_curve
+from needle_iso.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["solve", "--space", "rp3", "--v", "0.7", "--eps", "0.05"]) == 0
+    assert main(["profile", "--space", "rp3", "--eps", "0.05", "--v-grid", "40"]) == 0
+bracket = np.linspace(0.3952 - 0.02, 0.3952 + 0.02, 5)
+quad = isoperimetric_profile_curve(CrossSpace.real_projective(3), 0.05, bracket, quadrature_atol=1e-10)
+assert len(quad["crossovers"]) == 1
+check_comparison_lemma(lambda t: np.cos(t) ** 2, 2, epsilon=0.3, k=0, interval=Interval(0.0, 1.0))
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_root_finding_routes_leave_scipy_optimize_unloaded():
+    # every root the library solves (quantiles, profile crossovers, the
+    # quadrature route's inverse CDF) is a closed form or a bisection
+    assert _run_python(_ROOT_FINDING_ROUTES) == "False"

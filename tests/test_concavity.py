@@ -319,6 +319,15 @@ class TestComparisonLemma:
         with pytest.raises(PreconditionFailed):
             check_comparison_lemma(d, 2, epsilon=1.7, k=0)
 
+    @pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf, 0.0])
+    def test_order_must_be_finite_and_positive(self, order):
+        # sin(t + 0.2) peaks inside [0, 1.4], so an order checked only after
+        # the maximum-at-0 precondition would raise PreconditionFailed instead
+        with pytest.raises(InvalidOrder):
+            check_comparison_lemma(
+                lambda t: np.sin(t + 0.2), order, epsilon=0.3, k=0, interval=Interval(0.0, 1.4)
+            )
+
 
 class TestBinomialDecompose:
     def test_pure_cosine_phase(self):

@@ -390,6 +390,23 @@ class TestTabulated:
         with pytest.raises(OutOfDomain):
             TabulatedDensity(grid=(0.0, 0.5, 0.4), values=(1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "grid, values",
+        [
+            ((0.0, math.nan, 1.0), (1.0, 1.0, 1.0)),
+            ((0.0, 0.5, math.inf), (1.0, 1.0, 1.0)),
+            ((0.0, 0.5, 1.0), (1.0, math.nan, 1.0)),
+            ((0.0, 0.5, 1.0), (1.0, math.inf, 1.0)),
+            ((0.0, 0.5, 1.0), (-math.inf, 1.0, 1.0)),
+        ],
+        ids=["nan_grid", "inf_grid", "nan_value", "inf_value", "minus_inf_value"],
+    )
+    def test_rejects_non_finite_samples(self, grid, values):
+        # a NaN grid point passes the increasing-grid test (NaN compares
+        # false) and a NaN or inf value once surfaced only as a NaN mass
+        with pytest.raises(OutOfDomain, match="finite"):
+            TabulatedDensity(grid=grid, values=values)
+
     def test_samples_are_read_only_float_arrays(self):
         d = TabulatedDensity(grid=(0, 1, 2), values=(1, 2, 1))
         for samples in (d.grid, d.values):

@@ -153,6 +153,20 @@ class TestOptimizer:
         assert a["best_sep"] == b["best_sep"]
         assert np.array_equal(a["all_samples"]["sep"], b["all_samples"]["sep"])
 
+    def test_sample_stream_is_pinned(self):
+        # lengths, power indices, then phases, each one array draw from
+        # Generator(PCG64(seed)); a change here re-draws every search
+        out = optimize_affine_family(HALF_PI, {2, 3}, (0.3, 0.5), samples=500, seed=9)
+        gen = np.random.Generator(np.random.PCG64(9))
+        lengths = gen.uniform(1e-3, HALF_PI, 500)
+        powers = np.array([2.0, 3.0])[gen.integers(0, 2, 500)]
+        phases = gen.uniform(lengths - HALF_PI, HALF_PI)
+        drawn = out["all_samples"]
+        assert np.array_equal(drawn["hi"], lengths)
+        assert np.array_equal(drawn["power"], powers)
+        assert np.array_equal(drawn["phase"], phases)
+        assert np.array_equal(drawn["lo"], np.zeros(500))
+
     def test_best_needle_reproduces_best_sep(self):
         out = optimize_affine_family(HALF_PI, {1, 2, 3}, (0.3, 0.5), samples=300, seed=4)
         assert sep_1d(out["best_needle"], (0.3, 0.5)).sep == pytest.approx(

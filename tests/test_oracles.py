@@ -86,6 +86,19 @@ class TestRandomAffineNeedle:
         b = random_affine_needle(math.pi, {1, 2}, RngSpec(9))
         assert a.to_dict() == b.to_dict()
 
+    def test_draw_stream_is_pinned(self):
+        # length, power index, then phase, from the spec's generator; the
+        # first draw is a valid needle, so no retry moves the stream.  The
+        # verify suite draws its needles this way.
+        gen = np.random.Generator(np.random.PCG64(9))
+        length = gen.uniform(1e-3, math.pi)
+        power = [1.0, 2.0][gen.integers(0, 2)]
+        phase = gen.uniform(length - math.pi / 2, math.pi / 2)
+        needle = random_affine_needle(math.pi, {1, 2}, RngSpec(9))
+        assert needle.to_dict() == {
+            "family": "affine", "phase": phase, "power": power, "lo": 0.0, "hi": length,
+        }
+
 
 class TestDeterministicMap:
     def test_order_preserved_across_threads(self):
