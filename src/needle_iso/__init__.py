@@ -11,11 +11,14 @@ search, Monte Carlo sphere sampling).
 """
 
 from .concavity import (
+    MARGIN_TOL,
     BinomialDecomposition,
     ComparisonReport,
+    SinConcavityMargin,
     binomial_decompose,
     check_comparison_lemma,
     is_sin_concave,
+    sin_concavity_margin,
 )
 from .cross_spaces import (
     Candidate,
@@ -90,6 +93,7 @@ __all__ = [
     "Interval",
     "InvalidMass",
     "InvalidOrder",
+    "MARGIN_TOL",
     "MassPair",
     "NeedleBoundResult",
     "NeedleIsoError",
@@ -103,6 +107,7 @@ __all__ = [
     "SUITE_NAMES",
     "SeparationResult",
     "SinAffineDensity",
+    "SinConcavityMargin",
     "SolveRequest",
     "SolveResult",
     "TabulatedDensity",
@@ -139,6 +144,7 @@ __all__ = [
     "run_property_suite",
     "sep_1d",
     "sep_1d_bruteforce",
+    "sin_concavity_margin",
     "solve_isoperimetric",
     "solve_with_complement_reduction",
     "space_by_name",

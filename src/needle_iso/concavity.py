@@ -5,24 +5,50 @@ A nonnegative function ``f`` on an interval of length at most pi is
 
     f((x1 + x2)/2)^(1/N) >= (f(x1)^(1/N) + f(x2)^(1/N)) / (2 cos(|x2 - x1|/2)).
 
-``is_sin_concave`` is a sound-but-sampled verifier of that inequality: it
-checks all midpoint-aligned pairs of a uniform grid and can therefore reject
-with certainty but accepts only up to the grid resolution.  It evaluates the
-pairs in blocks of at most ``_GAP_BLOCK`` midpoint gaps, one 2-D array
-expression per block, so its working memory is bounded by
-``_GAP_BLOCK * grid_size`` float64 values (2 MB at ``grid_size=4096``)
-rather than by the whole triangle of pairs.
+For a positive C^2 needle that is ``g'' + g <= 0`` with ``g = f^(1/N)``,
+the CD(N-1, N) needle condition.  Two routes decide it:
+
+* ``sin_concavity_margin`` is exact for the closed families.  It returns
+  the maximum over the closed interval of a bounded, scale-free multiple
+  ``h`` of ``(g'' + g)/g``.  For ``cos^m sin^k`` with ``m, k > 0``, put
+  ``a = m/N``, ``b = k/N`` and ``x = tan^2 t``; then ``h = sin^2 t cos^2 t
+  (g'' + g)/g = q(x)/(1 + x)^2`` with ``q(x) = A x^2 + B x + C = (a^2 -
+  a) x^2 + (1 - a - b - 2ab) x + (b^2 - b)``, finite at 0 and pi/2, largest
+  at an end or at the one critical point ``x* = (2C - B)/(2A - B)``.  For
+  one factor ``cos^p(t - phase)`` (sin-affine needles, pure cosines, and
+  pure sines with phase pi/2), put ``w = p/N`` and ``s = sin^2(t -
+  phase)``; then ``h = cos^2(t - phase) (g'' + g)/g = (w^2 - w) s + (1 -
+  w)(1 - s)``, linear in ``s``.  A needle passes when its margin is at most
+  ``MARGIN_TOL``.  ``density.order_reduction`` and
+  ``density.order_reduction_within_family_band`` use this route.
+* ``is_sin_concave`` is a sound-but-sampled verifier of the midpoint
+  inequality, kept as the independent oracle for callables, tabulated
+  input, ``check_comparison_lemma`` and ``density.product_closure`` (whose
+  products of shifted cosines are not monomials).  It checks all
+  midpoint-aligned pairs of a uniform grid and can therefore reject with
+  certainty but accepts only up to the grid resolution.  It evaluates the
+  pairs in blocks of at most ``_GAP_BLOCK`` midpoint gaps, one 2-D array
+  expression per block, so its working memory is bounded by ``_GAP_BLOCK *
+  grid_size`` float64 values (2 MB at ``grid_size=4096``) rather than by
+  the whole triangle of pairs.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quadrature
-from .densities import HALF_PI, Interval, trig_mass
-from .errors import InvalidOrder, NonIntegerPower, OutOfDomain, PreconditionFailed
+from .densities import HALF_PI, Interval, SinAffineDensity, TrigDensity, trig_mass
+from .errors import (
+    InvalidOrder,
+    NonIntegerPower,
+    NotApplicable,
+    OutOfDomain,
+    PreconditionFailed,
+)
 
 
 def _as_callable(f, interval):
@@ -117,6 +143,76 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
         if bad.any():
             return False
     return True
+
+
+# A closed-family needle is sin^N-concave when its margin is at most this:
+# the margin's own rounding is a few ulps of numbers of order one.
+MARGIN_TOL = 1e-12
+
+SinConcavityMargin = namedtuple("SinConcavityMargin", "margin argmax")
+
+
+def sin_concavity_margin(density, order):
+    """Exact sin^order-concavity margin of a ``TrigDensity`` or
+    ``SinAffineDensity``: the largest value on its closed interval of ``h``,
+    a bounded positive multiple of ``(g'' + g)/g`` with ``g =
+    density^(1/order)`` (see the module docstring), and an angle where it is
+    attained.  The needle is sin^order-concave exactly when the margin is
+    ``<= 0``; callers pass it when ``margin <= MARGIN_TOL``.
+
+    Raises ``NotApplicable`` for any other density or a callable, and
+    ``InvalidOrder`` for an order that is not finite and positive.
+    """
+    if not isinstance(density, (TrigDensity, SinAffineDensity)):
+        raise NotApplicable(
+            f"no closed-form concavity margin for {type(density).__name__}; use is_sin_concave"
+        )
+    _require_order(order)
+    iv = density.interval
+    if isinstance(density, SinAffineDensity):
+        return _one_factor_margin(density.power / order, density.phase, iv)
+    m, k = density.m, density.k
+    if m > 0 and k > 0:
+        return _two_factor_margin(m / order, k / order, iv)
+    # a pure sine is the pure cosine shifted by pi/2
+    power, phase = (m, 0.0) if k == 0 else (k, HALF_PI)
+    return _one_factor_margin(power / order, phase, iv)
+
+
+def _two_factor_margin(a, b, iv):
+    """Max of ``h = q(tan^2 t)/(1 + tan^2 t)^2``, with ``q(x) = qa x^2 + qb x
+    + qc``, over ``iv`` inside [0, pi/2]; it is evaluated as ``qa sin^4 t +
+    qb sin^2 t cos^2 t + qc cos^4 t``, finite at both ends."""
+    qa, qb, qc = a * a - a, 1.0 - a - b - 2.0 * a * b, b * b - b
+
+    def h(t):
+        s2, c2 = math.sin(t) ** 2, math.cos(t) ** 2
+        return qa * s2 * s2 + qb * s2 * c2 + qc * c2 * c2
+
+    points = [min(max(iv.lo, 0.0), HALF_PI), min(max(iv.hi, 0.0), HALF_PI)]
+    if 2.0 * qa != qb:
+        x_star = (2.0 * qc - qb) / (2.0 * qa - qb)
+        if x_star > 0.0:
+            t_star = math.atan(math.sqrt(x_star))
+            if points[0] < t_star < points[1]:
+                points.append(t_star)
+    return max(SinConcavityMargin(h(t), t) for t in points)
+
+
+def _one_factor_margin(w, phase, iv):
+    """Max of ``h = (w^2 - w) s + (1 - w)(1 - s)`` with ``s = sin^2(t -
+    phase)``, over ``iv`` inside [phase - pi/2, phase + pi/2]: linear in
+    ``s``, so largest at an end or at ``t = phase``."""
+
+    def h(t):
+        tau = min(max(t - phase, -HALF_PI), HALF_PI)
+        s = math.sin(tau) ** 2
+        return (w * w - w) * s + (1.0 - w) * math.cos(tau) ** 2
+
+    points = [iv.lo, iv.hi]
+    if iv.lo < phase < iv.hi:
+        points.append(phase)
+    return max(SinConcavityMargin(h(t), t) for t in points)
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,8 @@ def optimize_affine_family(interval_length_max, p_range, masses, samples, seed):
     open support and support length in ``[1e-3, interval_length_max]``;
     returns the best separation found.  Deterministic for a fixed seed: the
     supports ``[0, L]``, the power indices and the phases are drawn in that
-    order, one array each, from ``Generator(PCG64(seed))``.
+    order, one array each, from ``Generator(PCG64(seed))``.  A length cap
+    below 1e-3 or NaN raises ``OutOfDomain``.
     """
     if samples < 1:
         raise OutOfDomain("samples must be >= 1")

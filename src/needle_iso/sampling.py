@@ -90,10 +90,14 @@ def _affine_draws(gen, count, length_cap, p_range, min_length):
     this order: lengths ``L`` uniform in ``[min_length, min(length_cap, pi)]``,
     power indices uniform over ``sorted(p_range)``, and phases uniform in
     ``[L - pi/2, pi/2]``, the window keeping ``cos(t - phase)`` positive on
-    ``(0, L)``.  Returns ``(lengths, powers, phases)``, powers as floats."""
+    ``(0, L)``.  Returns ``(lengths, powers, phases)``, powers as floats.
+    Raises ``OutOfDomain`` for an empty ``p_range`` or a length cap below
+    ``min_length`` or NaN."""
     choices = np.asarray(sorted(p_range), dtype=float)
     if choices.size == 0:
         raise OutOfDomain("p_range must be nonempty")
+    if not float(length_cap) >= min_length:
+        raise OutOfDomain(f"length cap must be at least {min_length}, got {length_cap}")
     lengths = gen.uniform(min_length, min(float(length_cap), math.pi), count)
     powers = choices[gen.integers(0, choices.size, count)]
     return lengths, powers, gen.uniform(lengths - HALF_PI, HALF_PI)
@@ -107,7 +111,8 @@ def random_affine_needle(interval_length_max, p_range, rng):
     is uniform over ``p_range``; the phase is uniform in the window keeping
     ``cos(t - phase)`` positive on the open support.  Each attempt is one
     :func:`_affine_draws` batch of one; redraws on degenerate mass, raising
-    :class:`RetryExhausted` after 100 failures.
+    :class:`RetryExhausted` after 100 failures.  A cap below 1e-3 or NaN
+    raises :class:`OutOfDomain`.
     """
     p_choices = sorted(p_range)  # one pass over p_range serves every retry
     gen = rng if isinstance(rng, np.random.Generator) else as_rng_spec(rng).generator()

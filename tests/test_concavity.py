@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 
 from needle_iso import (
     Interval,
+    MARGIN_TOL,
     InvalidOrder,
     NonIntegerPower,
+    NotApplicable,
     OutOfDomain,
     PreconditionFailed,
     SinAffineDensity,
@@ -20,6 +24,7 @@ from needle_iso import (
     integrate,
     is_sin_concave,
     normalize,
+    sin_concavity_margin,
 )
 
 HALF_PI = math.pi / 2
@@ -276,6 +281,175 @@ class TestBlockedKernel:
     def test_nan_or_misshaped_samples_rejected(self, f):
         with pytest.raises(OutOfDomain):
             is_sin_concave(f, 1, interval=FULL)
+
+
+def _closed_form_h(d, order, t):
+    """The README closed forms, written out apart from the kernel: ``q(x)/(1 +
+    x)^2`` at ``x = tan^2 t`` for two factors, ``(w^2 - w) s + (1 - w)(1 -
+    s)`` at ``s = sin^2(t - phase)`` for one."""
+    if isinstance(d, TrigDensity) and d.m > 0 and d.k > 0:
+        a, b, x = d.m / order, d.k / order, math.tan(t) ** 2
+        q = (a * a - a) * x * x + (1 - a - b - 2 * a * b) * x + (b * b - b)
+        return q / (1 + x) ** 2
+    if isinstance(d, TrigDensity):
+        power, phase = (d.m, 0.0) if d.k == 0 else (d.k, HALF_PI)
+    else:
+        power, phase = d.power, d.phase
+    w, s = power / order, math.sin(t - phase) ** 2
+    return (w * w - w) * s + (1 - w) * (1 - s)
+
+
+def _mp_h(d, order, t):
+    """The same multiple of ``(g'' + g)/g``, ``g = f^(1/order)``, from a
+    40-digit numerical second derivative."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        if isinstance(d, TrigDensity):
+            m, k = mpmath.mpf(d.m), mpmath.mpf(d.k)
+            g = lambda u: (mpmath.cos(u) ** m * mpmath.sin(u) ** k) ** (1 / mpmath.mpf(order))
+            weight = (mpmath.sin(t) * mpmath.cos(t)) ** 2 if d.m > 0 and d.k > 0 else None
+            if weight is None:
+                phase = mpmath.mpf(0) if d.k == 0 else mpmath.pi / 2
+                weight = mpmath.cos(t - phase) ** 2
+        else:
+            phase, p = mpmath.mpf(d.phase), mpmath.mpf(d.power)
+            g = lambda u: mpmath.cos(u - phase) ** (p / mpmath.mpf(order))
+            weight = mpmath.cos(t - phase) ** 2
+        return float(weight * (mpmath.diff(g, t, 2) + g(t)) / g(t))
+
+
+# (density, order) with the interval inside the open domain, so g is smooth at
+# both ends; the argmax falls at the vertex, an end, or the phase
+_MARGIN_CASES = [
+    (TrigDensity(m=1, k=3, interval=Interval(0.2, 1.3)), 1),
+    (TrigDensity(m=1, k=3, interval=Interval(0.2, 1.3)), 4),
+    (TrigDensity(m=3, k=2, interval=Interval(0.1, 1.4)), 1),
+    (TrigDensity(m=3, k=2, interval=Interval(0.1, 1.4)), 2),
+    (TrigDensity(m=2.5, k=0.7, interval=Interval(0.3, 1.2)), 1.3),
+    (TrigDensity(m=4, k=1, interval=Interval(0.05, 1.5)), 2),
+    (TrigDensity(m=2, k=0, interval=Interval(-1.4, 0.9)), 1),
+    (TrigDensity(m=0, k=3, interval=Interval(0.4, 2.9)), 2),
+    (SinAffineDensity(phase=0.4, power=3, interval=Interval(-0.8, 1.6)), 4),
+    (SinAffineDensity(phase=-0.3, power=1.5, interval=Interval(0.1, 1.2)), 1),
+    (SinAffineDensity(phase=0.9, power=2, interval=Interval(0.0, 1.1)), 2),
+]
+
+
+class TestExactMargin:
+    @pytest.mark.parametrize("d, order", _MARGIN_CASES)
+    def test_matches_forty_digit_reference(self, d, order):
+        margin, argmax = sin_concavity_margin(d, order)
+        assert d.interval.lo <= argmax <= d.interval.hi
+        assert margin == pytest.approx(_mp_h(d, order, argmax), abs=1e-12)
+        for t in (d.interval.lo, argmax, d.interval.hi):
+            assert _closed_form_h(d, order, t) == pytest.approx(_mp_h(d, order, t), abs=1e-12)
+            assert margin >= _mp_h(d, order, t) - 1e-12
+        # no interior point beats the returned maximum
+        for t in d.interval.grid(9)[1:-1]:
+            assert margin >= _mp_h(d, order, float(t)) - 1e-12
+
+    def test_readme_order_one_root(self):
+        # cos t sin^3 t at order 1: q(x) = 6 - 9x, decreasing for x < 7/3, so
+        # the margin sits at lo and changes sign at atan(sqrt(2/3))
+        root = math.atan(math.sqrt(2 / 3))
+        for lo in (0.1, 0.4, 0.6, root + 0.05):
+            d = TrigDensity(m=1, k=3, interval=Interval(lo, 1.0))
+            margin, argmax = sin_concavity_margin(d, 1)
+            x = math.tan(lo) ** 2
+            assert argmax == lo
+            assert margin == pytest.approx((6 - 9 * x) / (1 + x) ** 2, abs=1e-12)
+            assert (margin > MARGIN_TOL) == (lo < root)
+        at_root = sin_concavity_margin(TrigDensity(m=1, k=3, interval=Interval(root, 1.2)), 1)
+        assert abs(at_root.margin) <= MARGIN_TOL
+        below = TrigDensity(m=1, k=3, interval=Interval(root - 1e-6, 1.2))
+        assert sin_concavity_margin(below, 1).margin > MARGIN_TOL
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, HALF_PI), (0.3, 0.9), (1e-3, 1.5)])
+    def test_readme_order_four_is_flat(self, lo, hi):
+        # cos t sin^3 t at order 4: q(x) = -(3/16)(x + 1)^2, so h = -3/16
+        d = TrigDensity(m=1, k=3, interval=Interval(lo, hi))
+        assert sin_concavity_margin(d, 4).margin == pytest.approx(-3 / 16, abs=1e-15)
+
+    @given(
+        m=st.floats(min_value=0.01, max_value=6.0),
+        k=st.floats(min_value=0.01, max_value=6.0),
+        u=_unit,
+        iv=_sub_interval(0.0, HALF_PI),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_family_band_is_a_theorem(self, m, k, u, iv):
+        # every order in [max(m, k), m + k] makes all three coefficients of
+        # q nonpositive, on any interval of [0, pi/2]
+        d = TrigDensity(m=m, k=k, interval=iv)
+        top = max(m, k)
+        orders = {top, m + k, top + u * min(m, k)}
+        orders |= set(range(math.ceil(top), math.floor(m + k) + 1))
+        for order in orders:
+            assert sin_concavity_margin(d, order).margin <= 0.0
+
+    @given(
+        needle=st.one_of(_trig(), _affine()),
+        order=st.one_of(st.integers(1, 9), st.floats(min_value=0.1, max_value=9.0)),
+        grid_size=st.one_of(st.just(256), st.integers(3, 1100)),
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_sampled_rejection_implies_positive_margin(self, needle, order, grid_size):
+        # the grid rejects only a real violation, so the exact route must
+        # reject too; the converse fails where a violation hides between
+        # grid points.  The grid runs on the bare needle: its tol is absolute
+        # on f^(1/order), and a normalized needle at a small order scales that
+        # by norm^(1/order) (up to 5e14 here), past what the tol absorbs of
+        # the rounding, while the margin is scale-free
+        d, _ = needle
+        if not is_sin_concave(dataclasses.replace(d, norm=None), order, grid_size=grid_size):
+            assert sin_concavity_margin(d, order).margin > MARGIN_TOL
+
+    def test_seed_2024_witness_hides_between_grid_points(self):
+        # the one verdict the exact route moves in density.order_reduction at
+        # seed 2024: for f = cos t sin^2 t, f'' + f = 2 cos t (cos^2 t - 3
+        # sin^2 t), positive on [lo, pi/6); that sliver is narrower than the
+        # 256-point grid step, so the sampled check accepts order 1
+        lo, hi = 0.5204458561371477, 1.5372037446669224
+        d = normalize(TrigDensity(m=1, k=2, interval=Interval(lo, hi)))
+        margin, argmax = sin_concavity_margin(d, 1)
+        assert argmax == lo
+        # h = sin^2 cos^2 (f'' + f)/f = 2 cos^2 t (cos^2 t - 3 sin^2 t)
+        closed = 2 * math.cos(lo) ** 2 * (math.cos(lo) ** 2 - 3 * math.sin(lo) ** 2)
+        assert margin == pytest.approx(closed, abs=1e-12)
+        assert margin > MARGIN_TOL
+        sliver, step = math.pi / 6 - lo, (hi - lo) / 255
+        assert sliver == pytest.approx(3.2e-3, abs=1e-4) and step == pytest.approx(4.0e-3, abs=1e-4)
+        assert sliver < step
+        assert is_sin_concave(d, 1, grid_size=256)
+        tail = TrigDensity(m=1, k=2, interval=Interval(math.pi / 6, hi))
+        assert sin_concavity_margin(tail, 1).margin <= MARGIN_TOL
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            TabulatedDensity(grid=[0.0, 0.5, 1.0], values=[1.0, 2.0, 1.0]),
+            lambda t: np.cos(t),
+            FULL,
+        ],
+        ids=["tabulated", "callable", "interval"],
+    )
+    def test_other_inputs_not_applicable(self, f):
+        with pytest.raises(NotApplicable):
+            sin_concavity_margin(f, 1)
+
+    @pytest.mark.parametrize("order", [0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "d",
+        [
+            TrigDensity(m=1, k=2, interval=Interval(0.2, 1.0)),
+            TrigDensity(m=2, k=0, interval=FULL),
+            SinAffineDensity(phase=0.3, power=2, interval=Interval(0.0, 1.0)),
+        ],
+        ids=["two_factor", "pure_cosine", "affine"],
+    )
+    def test_invalid_order(self, d, order):
+        with pytest.raises(InvalidOrder):
+            sin_concavity_margin(d, order)
 
 
 class TestComparisonLemma:

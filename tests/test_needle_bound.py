@@ -167,6 +167,16 @@ class TestOptimizer:
         assert np.array_equal(drawn["phase"], phases)
         assert np.array_equal(drawn["lo"], np.zeros(500))
 
+    @pytest.mark.parametrize("cap", [0.0005, -1.0, math.nan])
+    def test_length_cap_below_floor_rejected(self, cap):
+        # a cap below the 1e-3 support floor once reached numpy as high < low
+        with pytest.raises(OutOfDomain):
+            optimize_affine_family(cap, [1.0], (0.3, 0.5), 5, 1)
+
+    def test_length_cap_at_floor_accepted(self):
+        out = optimize_affine_family(1e-3, [1.0], (0.3, 0.5), 5, 1)
+        assert np.array_equal(out["all_samples"]["hi"], np.full(5, 1e-3))
+
     def test_best_needle_reproduces_best_sep(self):
         out = optimize_affine_family(HALF_PI, {1, 2, 3}, (0.3, 0.5), samples=300, seed=4)
         assert sep_1d(out["best_needle"], (0.3, 0.5)).sep == pytest.approx(

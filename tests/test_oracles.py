@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +101,13 @@ class TestRandomAffineNeedle:
         }
 
 
+    @pytest.mark.parametrize("cap", [0.0005, -1.0, math.nan])
+    def test_length_cap_below_floor_rejected(self, cap):
+        # a cap below the 1e-3 support floor once reached numpy as high < low
+        with pytest.raises(OutOfDomain):
+            random_affine_needle(cap, {1, 2}, RngSpec(9))
+
+
 class TestDeterministicMap:
     def test_order_preserved_across_threads(self):
         items = list(range(40))
@@ -160,6 +168,32 @@ class TestSuiteRunner:
         t = np.linspace(example["lo"], math.atan(math.sqrt(2 / 3)), 64)[:-1]
         residual = 3 * np.sin(t) * np.cos(t) * (2 * np.cos(t) ** 2 - 3 * np.sin(t) ** 2)
         assert np.all(residual > 0)
+
+    def test_only_product_closure_samples_concavity(self, monkeypatch):
+        # the order-reduction checks decide concavity by the exact margin;
+        # only product_closure, whose products are not monomials, keeps the
+        # sampled oracle, one call per product
+        import needle_iso.oracles as oracles
+
+        callers = []
+
+        def counting(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return is_sin_concave(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "is_sin_concave", counting)
+        run_property_suite("density", SEED)
+        assert len(callers) == 60
+        assert set(callers) == {"_check_product_closure"}
+
+    def test_exact_route_counts_the_sliver_witness(self):
+        # at seed 2024 the 256-point grid accepted cos t sin^2 t on
+        # [0.520, 1.537] at order 1 (85 violations); the exact margin rejects
+        # it, making it the 86th (see test_concavity's seed-2024 witness)
+        report = run_property_suite("density", 2024)
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["density.order_reduction"]["details"]["violations"] == 86
+        assert report["failures"] == ["density.order_reduction"]
 
     def test_needle_dominance_checks_pass(self, full_report):
         # Finding (README "Findings"): the half-period dominance check
