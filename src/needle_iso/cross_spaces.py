@@ -11,12 +11,23 @@ diameter pi/2 (sectional curvature in [1, 4], constant 1 for the real
 projective family); spheres have curvature 1 and diameter pi.
 """
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import HALF_PI, Interval, TrigDensity, normalize
+from .densities import (
+    HALF_PI,
+    Interval,
+    TrigDensity,
+    _fold,
+    _Needle,
+    _needle_cdf,
+    _needle_quantile,
+    normalize,
+)
 from .errors import NotApplicable, OutOfDomain
 
 SPHERE = "sphere"
@@ -130,21 +141,63 @@ def catalog(space):
     ]
 
 
+# What every solve reads of a space, built once: the catalog, each candidate's
+# row, its normalized radial density, and one needle record of all of them.
+_Record = namedtuple("_Record", "candidates rows densities needle")
+
+
+def _build_density(candidate, space):
+    return normalize(TrigDensity(m=candidate.b, k=candidate.a, interval=Interval(0.0, space.diameter)))
+
+
+@functools.lru_cache(maxsize=32)
+def _record(space):
+    """The space's catalog record, built once and read-only: the densities
+    of the candidates, each folded alone, and one ``_fold`` of all their
+    ``(b, a)`` exponents on ``[0, diameter]``, whose (candidate x 1) fields
+    broadcast against a row of volumes."""
+    cands = tuple(catalog(space))
+    densities = tuple(_build_density(c, space) for c in cands)
+    needle = _fold(*_exponent_columns(cands), 0.0, space.diameter)
+    for arr in (*needle, *(f for d in densities for f in d._needle)):
+        if isinstance(arr, np.ndarray):  # numpy scalars are immutable already
+            arr.flags.writeable = False
+    return _Record(cands, {c: i for i, c in enumerate(cands)}, densities, needle)
+
+
+def _exponent_columns(cands):
+    """The cosine and sine exponents ``(b, a)`` as (candidate x 1) columns."""
+    return np.array([[c.b] for c in cands]), np.array([[c.a] for c in cands])
+
+
 def radial_density(candidate, space):
-    """The normalized radial profile sin^a cos^b on [0, diameter]."""
-    return normalize(
-        TrigDensity(
-            m=candidate.b, k=candidate.a, interval=Interval(0.0, space.diameter)
-        )
-    )
+    """The normalized radial profile sin^a cos^b on [0, diameter].
+
+    A catalog candidate's density is built once per space, cached and
+    shared by every caller; its needle record's arrays are read-only.  A
+    candidate outside the catalog gets a fresh density.
+    """
+    rec = _record(space)
+    row = rec.rows.get(candidate)
+    return _build_density(candidate, space) if row is None else rec.densities[row]
+
+
+def _radial_cdf(needle, diameter, r):
+    """Normalized mass of ``[0, r]``, ``r`` in ``[0, diameter]``: the
+    needle's CDF, exactly 0 at 0 and exactly 1 at the diameter."""
+    f = np.minimum(np.maximum(_needle_cdf(needle, r), 0.0), 1.0)
+    return np.where(r <= 0.0, 0.0, np.where(r >= diameter, 1.0, f))
 
 
 def profile_cdf(candidate, space, r):
-    """Fraction of the space's volume within distance ``r`` of the core."""
+    """Fraction of the space's volume within distance ``r`` of the core;
+    exactly 0 at ``r = 0`` and exactly 1 at the diameter."""
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < -1e-12) or np.any(r_arr > space.diameter + 1e-12):
         raise OutOfDomain(f"radius outside [0, {space.diameter:.6g}]")
-    return radial_density(candidate, space).cdf(np.clip(r_arr, 0.0, space.diameter))
+    r_arr = np.clip(r_arr, 0.0, space.diameter)
+    out = _radial_cdf(radial_density(candidate, space)._needle, space.diameter, r_arr)
+    return out if out.shape else float(out)
 
 
 def profile_quantile(candidate, space, v):
@@ -152,17 +205,71 @@ def profile_quantile(candidate, space, v):
     return radial_density(candidate, space).quantile(v)
 
 
+def _enlarge(needle, diameter, v, epsilon):
+    """``F(min(Q(v) + epsilon, diameter))`` for every needle row at once,
+    broadcast between the needle's fields and ``v``: one quantile and one
+    CDF pass.  Returns it with the radii ``Q(v)`` and ``min(Q(v) + epsilon,
+    diameter)``."""
+    q = np.minimum(np.maximum(v, 0.0), 1.0)
+    t = np.where(q <= 0.0, 0.0, np.where(q >= 1.0, diameter, _needle_quantile(needle, q)))
+    r = np.minimum(t + epsilon, diameter)
+    return _radial_cdf(needle, diameter, r), t, r
+
+
+def _as_volumes(v, epsilon):
+    if not (0.0 < epsilon < math.inf):
+        raise OutOfDomain(f"epsilon must be positive and finite, got {epsilon}")
+    v = np.asarray(v, dtype=float)
+    if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-12)):
+        raise OutOfDomain("mass fractions must lie in [0, 1]")
+    return v
+
+
 def enlarged_volume(candidate, space, v, epsilon):
     """Volume fraction of the epsilon-enlargement of the volume-v candidate.
 
     The epsilon-neighborhood of the radius-r tube is the radius-(r+epsilon)
-    tube, so the enlargement saturates at the diameter.  An array ``v`` takes
-    one quantile and one CDF call; a scalar ``v`` gives a float.
+    tube, so the enlargement saturates at the diameter, where it is exactly
+    1.  One quantile and one CDF pass over the needle record of the
+    candidate's cached density; the values have the bits of the candidate's
+    row in the batched catalog pass of ``solve`` and ``profile``.  A scalar
+    ``v`` gives a float.
     """
-    if not (0.0 < epsilon < math.inf):
-        raise OutOfDomain(f"epsilon must be positive and finite, got {epsilon}")
-    density = radial_density(candidate, space)
-    return density.cdf(np.minimum(density.quantile(v) + epsilon, space.diameter))
+    v = _as_volumes(v, epsilon)
+    out = _enlarge(radial_density(candidate, space)._needle, space.diameter, v, epsilon)[0]
+    return out if out.shape else float(out)
+
+
+def _catalog_enlarged(space, v, epsilon):
+    """Every catalog candidate's :func:`enlarged_volume` at ``v`` from one
+    pass over the space's catalog record: the candidates, and their values
+    as a (candidate x ``v``) array of shape ``(len(catalog),) + shape(v)``."""
+    v = _as_volumes(v, epsilon)
+    rec = _record(space)
+    out = _enlarge(rec.needle, space.diameter, v.reshape(1, -1), epsilon)[0]
+    return rec.candidates, out.reshape((-1,) + v.shape)
+
+
+def _enlarged_difference(space, i, j, epsilon):
+    """``f(v) -> (E_i(v) - E_j(v), E_i'(v) - E_j'(v))`` for catalog rows ``i``
+    and ``j``, each call one pass over the two rows.  The slope of an
+    enlargement is ``f_c(r) / f_c(Q_c(v))``, ``r = min(Q_c(v) + epsilon,
+    diameter)``, with ``f_c`` the radial density (its normalization
+    cancels), and 0 once the enlargement saturates."""
+    rec = _record(space)
+    rows = [i, j]
+    needle = _Needle(*(f[rows] for f in rec.needle))
+    cosine, sine = _exponent_columns([rec.candidates[k] for k in rows])
+
+    def raw(t):
+        return np.sin(t) ** sine * np.cos(t) ** cosine
+
+    def diff(v):
+        e, t, r = _enlarge(needle, space.diameter, v, epsilon)
+        s = np.where(r >= space.diameter, 0.0, raw(r) / raw(t))
+        return float(e[0, 0] - e[1, 0]), float(s[0, 0] - s[1, 0])
+
+    return diff
 
 
 def polar_of(candidate, space):

@@ -627,7 +627,7 @@ def _check_enlargement_monotonicity(ctx):
             vals = [enlarged_volume(cand, space, 0.3, e) for e in np.linspace(0.02, 0.3, 8)]
             if np.any(np.diff(vals) <= 1e-12):
                 ok = False
-            vals = [enlarged_volume(cand, space, v, 0.05) for v in np.linspace(0.05, 0.45, 8)]
+            vals = enlarged_volume(cand, space, np.linspace(0.05, 0.45, 8), 0.05)
             if np.any(np.diff(vals) <= 1e-12):
                 ok = False
     return {"passed": ok, "details": {}}

@@ -16,8 +16,9 @@ import numpy as np
 from . import quadrature
 from .cross_spaces import (
     SPHERE,
+    _catalog_enlarged,
+    _enlarged_difference,
     catalog,
-    enlarged_volume,
     polar_of,
     profile_quantile,
 )
@@ -28,6 +29,7 @@ from .separation import MassPair, as_mass_pair
 
 _TIE_TOL = 1e-10
 _MASS_FLOOR = 1e-12
+_RESOLUTION = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,13 @@ def _needle_check(space, v, w, epsilon):
 
 
 def _solve(req):
-    """The candidate table at ``req.v``: one :func:`enlarged_volume` call per
-    candidate, the least value, its co-winners within 1e-10, and the needle
-    check at the complement mass of the winner's enlargement."""
-    rows = tuple((c, enlarged_volume(c, req.space, req.v, req.epsilon)) for c in catalog(req.space))
+    """The candidate table at ``req.v``: every candidate's enlarged volume
+    from one pass over the space's cached catalog record (the bits of
+    :func:`enlarged_volume`), the least value, its co-winners within 1e-10,
+    and the needle check at the complement mass of the winner's
+    enlargement."""
+    cands, values = _catalog_enlarged(req.space, req.v, req.epsilon)
+    rows = tuple(zip(cands, map(float, values)))
     best = min(e for _, e in rows)
     co = tuple(c for c, e in rows if e <= best + _TIE_TOL)
     return SolveResult(
@@ -153,21 +158,42 @@ def solve_with_complement_reduction(space, v, epsilon):
     })
 
 
-def _bisect(f, a, b, tol):
-    """Bisect ``[a, b]``, across which ``f`` goes from ``<= 0`` to ``> 0``,
-    down to width ``tol``; returns the midpoint of the last bracket."""
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if f(mid) <= 0:
-            a = mid
+def _newton(fg, a, b, x=None, ftol=0.0):
+    """A root of ``f`` in ``[a, b]``, across which ``f`` goes from ``<= 0``
+    to ``> 0``; ``fg(x)`` returns ``f(x)`` and its slope.
+
+    Safeguarded Newton (rtsafe): each evaluation moves the bracket's end on
+    its side of the root to ``x``.  The next point is the Newton step, or
+    the bracket's midpoint when that step leaves the bracket, the slope is
+    0, or the step is not under half the one before last.  Starts at ``x``
+    (default the midpoint).  Returns the first point with ``|f| <= ftol``
+    (the rounding level of ``f``, past which steps only follow noise), or
+    the point after the first step within 4 ulps of the bracket's scale.
+    """
+    x = 0.5 * (a + b) if x is None else x
+    step = before = b - a
+    while True:
+        f, df = fg(x)
+        if abs(f) <= ftol:
+            return x
+        if f < 0.0:
+            a = x
         else:
-            b = mid
-    return 0.5 * (a + b)
+            b = x
+        newton = f / df if df else math.inf
+        if not (a < x - newton < b) or abs(2.0 * newton) > abs(before):
+            newton = x - 0.5 * (a + b)
+        before, step = step, newton
+        x -= step
+        if abs(step) <= _RESOLUTION * max(abs(a), abs(b)):
+            return x
 
 
 def _quadrature_enlarged(cand, space, v, epsilon, atol):
-    """Enlarged volume via adaptive quadrature only (no closed forms): the
-    radius of volume ``v`` by bisection on the quadrature CDF."""
+    """Enlarged volume via adaptive quadrature only (no closed forms), and
+    its slope in ``v``: the radius of volume ``v`` by :func:`_newton` on the
+    quadrature CDF, whose slope is ``raw(t)/total``; the enlargement's slope
+    is ``raw(r)/raw(t)``, and 0 once it saturates."""
     a, b = cand.a, cand.b
 
     def raw(t):
@@ -178,37 +204,50 @@ def _quadrature_enlarged(cand, space, v, epsilon, atol):
     def cdf(t):
         return quadrature.integrate(raw, 0.0, t, atol=atol) / total
 
-    r = _bisect(lambda t: cdf(t) - v, 0.0, space.diameter, 1e-14)
-    return cdf(min(r + epsilon, space.diameter))
+    t = _newton(lambda t: (cdf(t) - v, raw(t) / total), 0.0, space.diameter, ftol=_RESOLUTION * v)
+    r = min(t + epsilon, space.diameter)
+    return cdf(r), (0.0 if r >= space.diameter else raw(r) / raw(t))
 
 
 def isoperimetric_profile_curve(space, epsilon, v_grid, quadrature_atol=None):
     """Winner and enlarged volume along a grid of volume fractions.
 
-    Winner transitions between consecutive grid points are refined by
-    bisection on the enlarged-volume difference to 1e-6 in v.  With
-    ``quadrature_atol`` set, profile evaluations use the adaptive
-    Gauss-Legendre route at that tolerance instead of the closed forms
-    (slower; used by stability checks).
+    The (candidate x v) table is one pass over the space's cached catalog
+    record.  A winner change between consecutive grid points is refined by
+    :func:`_newton` on the enlarged-volume difference, to float resolution
+    in v, starting from the secant through the grid values; each step is
+    one pass over the two candidates.  A cell whose upper-end values tie
+    exactly (both enlargements saturated) has no sign change and reports no
+    crossover.  With ``quadrature_atol`` set, profile evaluations use the
+    adaptive Gauss-Legendre route at that tolerance instead of the closed
+    forms (slower; used by stability checks).
     """
     v_grid = sorted(float(v) for v in v_grid)
     if not v_grid or v_grid[0] <= 0 or v_grid[-1] > 0.5 + 1e-12:
         raise OutOfDomain("the volume grid must lie in (0, 1/2]")
-    cands = catalog(space)
 
     if quadrature_atol is None:
-        def enlarged(cand, v):
-            return enlarged_volume(cand, space, v, epsilon)
+        cands, table = _catalog_enlarged(space, np.array(v_grid), epsilon)
+
+        def difference(i, j):
+            return _enlarged_difference(space, i, j, epsilon)
     else:
         # the reference route finds one root per volume
-        def enlarged(cand, v):
-            return np.vectorize(
-                lambda x: _quadrature_enlarged(cand, space, x, epsilon, quadrature_atol),
-                otypes=[float],
-            )(v)
+        cands = catalog(space)
 
-    # (candidate x v) table; argmin keeps the first candidate on exact ties
-    table = np.array([enlarged(c, np.array(v_grid)) for c in cands])
+        def enlarged(cand, v):
+            return _quadrature_enlarged(cand, space, v, epsilon, quadrature_atol)
+
+        table = np.array([[enlarged(c, v)[0] for v in v_grid] for c in cands])
+
+        def difference(i, j):
+            def diff(v):
+                (e_i, s_i), (e_j, s_j) = enlarged(cands[i], v), enlarged(cands[j], v)
+                return e_i - e_j, s_i - s_j
+
+            return diff
+
+    # argmin keeps the first candidate on exact ties
     best = np.argmin(table, axis=0)
     rows = [
         {"v": v, "winner": cands[i].label, "enlarged": float(table[i, j])}
@@ -217,17 +256,20 @@ def isoperimetric_profile_curve(space, epsilon, v_grid, quadrature_atol=None):
 
     crossovers = []
     for j in np.flatnonzero(best[1:] != best[:-1]):
-        c_from, c_to = cands[best[j]], cands[best[j + 1]]
-        v0 = _bisect(
-            lambda v: enlarged(c_from, v) - enlarged(c_to, v), v_grid[j], v_grid[j + 1], 1e-6
-        )
+        i_from, i_to = best[j], best[j + 1]
+        low, high = table[i_from, j] - table[i_to, j], table[i_from, j + 1] - table[i_to, j + 1]
+        if high <= 0.0:
+            continue
+        secant = v_grid[j] + (v_grid[j + 1] - v_grid[j]) * low / (low - high)
+        # the enlarged volumes grow with v, so the upper end bounds their rounding
+        ftol = _RESOLUTION * max(table[i_from, j + 1], table[i_to, j + 1])
         crossovers.append(
             {
                 "v_low": v_grid[j],
                 "v_high": v_grid[j + 1],
-                "v0": v0,
-                "from": c_from.label,
-                "to": c_to.label,
+                "v0": float(_newton(difference(i_from, i_to), v_grid[j], v_grid[j + 1], secant, ftol)),
+                "from": cands[i_from].label,
+                "to": cands[i_to].label,
             }
         )
     return {"rows": rows, "crossovers": crossovers}

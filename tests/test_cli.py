@@ -418,5 +418,6 @@ print("scipy.optimize" in sys.modules)
 
 def test_root_finding_routes_leave_scipy_optimize_unloaded():
     # every root the library solves (quantiles, profile crossovers, the
-    # quadrature route's inverse CDF) is a closed form or a bisection
+    # quadrature route's inverse CDF) is a closed form or a safeguarded
+    # Newton iteration
     assert _run_python(_ROOT_FINDING_ROUTES) == "False"

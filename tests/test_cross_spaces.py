@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from needle_iso import (
+    Candidate,
     CrossSpace,
+    Interval,
     NotApplicable,
     OutOfDomain,
+    TrigDensity,
     catalog,
     catalog_to_dict,
     enlarged_volume,
+    normalize,
     polar_of,
     profile_cdf,
     profile_quantile,
+    radial_density,
     space_by_name,
 )
+from needle_iso.cross_spaces import _catalog_enlarged, _record
 
 HALF_PI = math.pi / 2
 
@@ -143,6 +149,92 @@ class TestEnlargedVolume:
             assert got.shape == v.shape
             assert got.tolist() == [enlarged_volume(cand, space, float(x), eps) for x in v]
             assert isinstance(enlarged_volume(cand, space, 0.1, eps), float)
+
+
+BATCH_SPACES = ["s2", "s3", "s7", "rp3", "rp4", "cp2", "hp2", "cap2"]
+# on both sides of 1/2, with the ends of the unit interval
+VOLUMES = [0.0, 1e-9, 0.03, 0.25, 0.4999, 0.5, 0.5001, 0.75, 0.97, 1.0]
+
+
+def _as_list(x):
+    return np.asarray(x).tolist()
+
+
+class TestCatalogPass:
+    @pytest.mark.parametrize("name", BATCH_SPACES)
+    def test_batched_pass_equals_per_candidate_calls_bitwise(self, name):
+        # eps = diameter saturates every enlargement of positive volume
+        space = space_by_name(name)
+        for eps in (0.05, 0.3, space.diameter):
+            for v in [*VOLUMES, np.array(VOLUMES)]:
+                cands, table = _catalog_enlarged(space, v, eps)
+                assert cands == tuple(catalog(space))
+                assert table.shape == (len(cands),) + np.shape(v)
+                for cand, row in zip(cands, table):
+                    assert _as_list(row) == _as_list(enlarged_volume(cand, space, v, eps))
+            if eps == space.diameter:
+                assert np.all(table[:, 1:] == 1.0)
+
+    @pytest.mark.parametrize("name", BATCH_SPACES)
+    def test_only_saturated_values_leave_the_density_route(self, name):
+        # the route of a fresh normalized density: its quantile, then its CDF
+        space = space_by_name(name)
+        v = np.array(VOLUMES)
+        for cand in catalog(space):
+            d = normalize(TrigDensity(m=cand.b, k=cand.a, interval=Interval(0.0, space.diameter)))
+            for eps in (0.05, 0.3, space.diameter):
+                r = np.minimum(d.quantile(v) + eps, space.diameter)
+                want = np.where(r >= space.diameter, 1.0, d.cdf(r))
+                assert _as_list(enlarged_volume(cand, space, v, eps)) == want.tolist()
+
+    def test_record_is_cached_shared_and_read_only(self):
+        cp2 = space_by_name("cp2")
+        rec = _record(cp2)
+        assert _record(CrossSpace.complex_projective(2)) is rec
+        arrays = list(rec.needle)
+        arrays += [f for d in rec.densities for f in d._needle if isinstance(f, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            rec.needle.total[0, 0] = 1.0
+        for i, cand in enumerate(catalog(cp2)):
+            assert radial_density(cand, cp2) is rec.densities[i]
+        v = np.array(VOLUMES)
+        first = _catalog_enlarged(cp2, v, 0.2)[1]
+        assert _catalog_enlarged(cp2, v, 0.2)[1].tolist() == first.tolist()
+        ball = catalog(cp2)[0]
+        assert enlarged_volume(ball, cp2, v, 0.2).tolist() == enlarged_volume(ball, cp2, v, 0.2).tolist()
+
+    def test_candidate_outside_the_catalog_gets_a_fresh_density(self):
+        rp3 = space_by_name("rp3")
+        odd = Candidate("custom", 3.0, 1.0, "custom")
+        assert radial_density(odd, rp3) is not radial_density(odd, rp3)
+        d = normalize(TrigDensity(m=1.0, k=3.0, interval=Interval(0.0, HALF_PI)))
+        assert enlarged_volume(odd, rp3, 0.3, 0.1) == d.cdf(d.quantile(0.3) + 0.1)
+
+    def test_volumes_outside_the_unit_interval_raise(self):
+        rp3 = space_by_name("rp3")
+        for v in (-0.1, 1.1, math.nan):
+            with pytest.raises(OutOfDomain):
+                _catalog_enlarged(rp3, v, 0.1)
+            with pytest.raises(OutOfDomain):
+                enlarged_volume(catalog(rp3)[0], rp3, v, 0.1)
+
+
+class TestSaturation:
+    def test_profile_ends_are_exact(self):
+        # the mirrored pure-sine fold of the RP^3 ball read 1 - 2^-53 at pi/2
+        for name in BATCH_SPACES:
+            space = space_by_name(name)
+            for cand in catalog(space):
+                assert profile_cdf(cand, space, 0.0) == 0.0
+                assert profile_cdf(cand, space, space.diameter) == 1.0
+
+    def test_saturated_rp3_ball_reads_one(self):
+        rp3 = space_by_name("rp3")
+        ball = catalog(rp3)[0]
+        assert profile_cdf(ball, rp3, HALF_PI) == 1.0
+        assert enlarged_volume(ball, rp3, 0.959361, 0.129673) == 1.0
+        assert enlarged_volume(ball, rp3, np.array([0.2, 0.5]), 1.4).tolist() == [1.0, 1.0]
 
 
 class TestPolar:

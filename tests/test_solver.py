@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -21,7 +22,10 @@ from needle_iso import (
     profile_quantile,
     solve_isoperimetric,
     solve_with_complement_reduction,
+    space_by_name,
 )
+from needle_iso import solver
+from needle_iso.cross_spaces import _enlarged_difference
 
 HALF_PI = math.pi / 2
 S2 = CrossSpace.sphere(2)
@@ -162,6 +166,141 @@ class TestProfileCurve:
         lines = text.splitlines()
         assert lines[0] == "v,winner,enlarged"
         assert len(lines) == 3
+
+
+def _mp_enlarged(cand, v, eps):
+    """40-digit enlarged volume on a diameter-pi/2 space: the radial CDF is
+    the regularized incomplete beta ``I(sin^2 t; (a+1)/2, (b+1)/2)``, and
+    the radius of volume v its bracketed root."""
+    half_pi = mpmath.pi / 2
+
+    def cdf(t):
+        return mpmath.betainc((cand.a + 1) / 2, (cand.b + 1) / 2, 0, mpmath.sin(t) ** 2, regularized=True)
+
+    t = mpmath.findroot(lambda t: cdf(t) - v, (mpmath.mpf(0), half_pi), solver="anderson")
+    return cdf(min(t + eps, half_pi))
+
+
+def _mp_crossover(c_from, c_to, eps, v_low, v_high):
+    with mpmath.workdps(40):
+        return mpmath.findroot(
+            lambda v: _mp_enlarged(c_from, v, eps) - _mp_enlarged(c_to, v, eps),
+            (mpmath.mpf(v_low), mpmath.mpf(v_high)),
+            solver="anderson",
+        )
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts the crossover passes of each refined crossover, in order."""
+    counts = []
+
+    def counted(*args):
+        diff = _enlarged_difference(*args)
+        counts.append(0)
+
+        def step(v):
+            counts[-1] += 1
+            return diff(v)
+
+        return step
+
+    monkeypatch.setattr(solver, "_enlarged_difference", counted)
+    return counts
+
+
+class TestCrossoverRefinement:
+    @pytest.mark.parametrize(
+        "name,eps,count",
+        [("rp3", 0.1, 1), ("rp3", 0.3, 2), ("cp2", 0.2, 1), ("hp2", 0.2, 1), ("cap2", 0.036293, 1)],
+    )
+    def test_v0_matches_40_digit_reference(self, passes, name, eps, count):
+        space = space_by_name(name)
+        cands = {c.label: c for c in catalog(space)}
+        out = isoperimetric_profile_curve(space, eps, np.linspace(0.02, 0.5, 25))
+        assert len(out["crossovers"]) == count
+        # bisection to 1e-6 made about 15 steps of two enlarged_volume calls
+        assert len(passes) == count and max(passes) <= 10
+        for c in out["crossovers"]:
+            ref = _mp_crossover(cands[c["from"]], cands[c["to"]], eps, c["v_low"], c["v_high"])
+            assert c["v_low"] < c["v0"] < c["v_high"]
+            assert abs(c["v0"] - float(ref)) < 1e-12
+
+    def test_bracket_with_a_saturated_side(self, passes):
+        # at eps 1.2 the RP^3 ball saturates near v = 0.021, past its crossing
+        # with the tube around RP^1: the grid cell [0.0125, 0.025] ends saturated
+        ball, tube = catalog(RP3)[:2]
+        out = isoperimetric_profile_curve(RP3, 1.2, np.linspace(0.0125, 0.5, 40))
+        first = out["crossovers"][0]
+        assert (first["from"], first["to"]) == ("ball", "tube around RP^1")
+        assert enlarged_volume(ball, RP3, first["v_high"], 1.2) == 1.0
+        assert first["v_low"] < first["v0"] < first["v_high"]
+        ref = float(_mp_crossover(ball, tube, 1.2, first["v_low"], first["v_high"]))
+        assert abs(first["v0"] - ref) < 1e-12
+        assert max(passes) <= 10
+        # from a midpoint inside the saturated part, whose slope leaves the bracket
+        v0 = solver._newton(_enlarged_difference(RP3, 0, 1, 1.2), 0.0125, 0.05)
+        assert enlarged_volume(ball, RP3, 0.03125, 1.2) == 1.0
+        assert abs(v0 - ref) < 1e-12
+
+    @pytest.mark.parametrize("eps", [1.2, 1.4])
+    def test_saturated_ties_are_no_crossover(self, eps):
+        # all three candidates saturate in turn; past that every value is 1
+        # and the first candidate (the ball) names the tie
+        cands = {c.label: c for c in catalog(RP3)}
+        out = isoperimetric_profile_curve(RP3, eps, np.linspace(0.025, 0.5, 20))
+        want = {1.2: [("tube around RP^1", "tube around RP^2")], 1.4: []}[eps]
+        assert [(c["from"], c["to"]) for c in out["crossovers"]] == want
+        for c in out["crossovers"]:
+            e_from = enlarged_volume(cands[c["from"]], RP3, c["v0"], eps)
+            e_to = enlarged_volume(cands[c["to"]], RP3, c["v0"], eps)
+            assert max(e_from, e_to) < 1.0 and abs(e_from - e_to) < 1e-15
+        assert out["rows"][-1] == {"v": 0.5, "winner": "ball", "enlarged": 1.0}
+
+    def test_slope_is_the_enlargement_derivative(self):
+        # central differences of the enlarged volumes; a saturated
+        # enlargement is flat, so only the other candidate's slope is left
+        ball, tube = catalog(RP3)[:2]
+        h = 1e-6
+        for eps, v in ((0.1, 0.3), (1.2, 0.01), (1.2, 0.03)):
+            _, slope = _enlarged_difference(RP3, 0, 1, eps)(v)
+            fd = [(enlarged_volume(c, RP3, v + h, eps) - enlarged_volume(c, RP3, v - h, eps)) / (2 * h)
+                  for c in (ball, tube)]
+            assert slope == pytest.approx(fd[0] - fd[1], abs=1e-6)
+        assert enlarged_volume(ball, RP3, 0.03 - h, 1.2) == 1.0
+
+    def test_quadrature_route_agrees_with_closed_forms(self):
+        bracket = np.linspace(0.3752, 0.4152, 5)
+        closed = isoperimetric_profile_curve(RP3, 0.05, bracket)["crossovers"][0]["v0"]
+        quad = isoperimetric_profile_curve(RP3, 0.05, bracket, quadrature_atol=1e-10)
+        assert abs(quad["crossovers"][0]["v0"] - closed) < 1e-10
+
+
+class TestNewton:
+    def test_overshooting_slopes_fall_back_to_bisection(self):
+        # Newton on atan diverges from far starts
+        def fg(x):
+            return math.atan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)
+
+        assert solver._newton(fg, -10.0, 20.0) == pytest.approx(0.3, abs=1e-15)
+
+    def test_flat_side_falls_back_to_bisection(self):
+        # slope 0 past 0.5, as for a saturated enlargement
+        def fg(x):
+            return min(x, 0.5) - 0.2, (1.0 if x < 0.5 else 0.0)
+
+        assert solver._newton(fg, 0.0, 1.0) == pytest.approx(0.2, abs=1e-15)
+
+    def test_stops_at_the_rounding_level(self):
+        calls = []
+
+        def fg(x):
+            calls.append(x)
+            return x * x - 2.0, 2.0 * x
+
+        root = solver._newton(fg, 1.0, 2.0, ftol=4 * np.finfo(float).eps)
+        assert abs(root - math.sqrt(2.0)) <= 2 * np.spacing(math.sqrt(2.0))
+        assert len(calls) <= 6
 
 
 class TestMainInequality:
