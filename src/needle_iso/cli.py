@@ -159,8 +159,10 @@ def _cmd_profile(args):
                 f"-- crossover at v0={c['v0']:.6f} "
                 f"({c['from']} -> {c['to']}, bracket [{c['v_low']:.6f}, {c['v_high']:.6f}])"
             )
-        if not result["crossovers"]:
+        if len({row["winner"] for row in result["rows"]}) == 1:
             print("-- no crossover: single winner over the grid")
+        elif not result["crossovers"]:
+            print("-- no crossover: the winner changes only where enlargements saturate")
     return 0
 
 

@@ -74,11 +74,12 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     """Sampled check of the sin^N midpoint concavity inequality.
 
     ``f`` may be a density object or a callable (then ``interval`` is
-    required).  Pairs are checked only where both endpoint values exceed
-    ``tol`` (zero values satisfy the inequality vacuously on the right-hand
-    side); any negative value rejects outright, since a density cannot be
-    negative.  Pairs at distance >= pi are skipped (the cosine factor would
-    vanish).
+    required).  ``tol`` is relative, so scaling ``f`` keeps the verdict: a
+    pair is checked only where both end values exceed ``tol`` times the
+    largest sample (zero values pass vacuously), fails when its midpoint
+    falls short by over ``tol`` times the largest ``f^(1/order)``, and a
+    value below ``-tol`` times the largest ``|f|`` rejects outright.  Pairs
+    at distance >= pi are skipped (the cosine factor would vanish).
 
     The pairs ``(x[j], x[j + 2d])`` with midpoint ``x[j + d]`` are evaluated
     a block of at most ``_GAP_BLOCK`` gaps ``d`` at a time, as one 2-D array
@@ -90,8 +91,8 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
 
     Raises ``InvalidOrder`` for an order that is not finite and positive,
     and ``OutOfDomain`` for a ``grid_size`` that is not an integer >= 3, a
-    ``tol`` that is not finite and nonnegative, or samples that are NaN or
-    not one per grid point.
+    ``tol`` that is not finite and nonnegative, or samples that are not
+    finite (they have no scale) or not one per grid point.
     """
     _require_order(order)
     if isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer)) or grid_size < 3:
@@ -103,12 +104,13 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     v = np.asarray(func(x), dtype=float)
     if v.shape != x.shape:
         raise OutOfDomain(f"expected {x.shape[0]} samples, got shape {v.shape}")
-    if np.isnan(v).any():
-        raise OutOfDomain("density samples contain NaN")
-    if np.any(v < -tol):
+    if not np.isfinite(v).all():
+        raise OutOfDomain("density samples must be finite")
+    if np.any(v < -tol * np.max(np.abs(v))):
         return False
     v = np.maximum(v, 0.0)
     u = np.power(v, 1.0 / order)
+    v_tol, u_tol = tol * np.max(v), tol * np.max(u)
     step = x[1] - x[0]
     # denominators 2 cos(gap/2) of the gaps d = 1, 2, ... below pi
     denom = []
@@ -122,7 +124,7 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     # so the row of gap d holds no pair beyond column grid_size - 2d - 1
     pad = 2 * _GAP_BLOCK
     u_pad = np.concatenate((u, np.full(pad, np.nan)))
-    ok_pad = np.concatenate((v > tol, np.zeros(pad, dtype=bool)))
+    ok_pad = np.concatenate((v > v_tol, np.zeros(pad, dtype=bool)))
     # one buffer pair for every block, so no two blocks are ever alive at once
     rows = min(_GAP_BLOCK, denom.size)
     rhs_buf = np.empty((rows, grid_size - 2))
@@ -136,7 +138,7 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
         ok_win = sliding_window_view(ok_pad, width)
         rhs = np.add(u_win[0], u_win[2 * d0 : 2 * d1 : 2], out=rhs_buf[: d1 - d0, :width])
         rhs /= denom[d0 - 1 : d1 - 1, None]
-        rhs -= tol
+        rhs -= u_tol
         bad = np.less(u_win[d0:d1], rhs, out=bad_buf[: d1 - d0, :width])
         bad &= ok_win[0]
         bad &= ok_win[2 * d0 : 2 * d1 : 2]

@@ -141,28 +141,21 @@ def catalog(space):
     ]
 
 
-# What every solve reads of a space, built once: the catalog, each candidate's
-# row, its normalized radial density, and one needle record of all of them.
-_Record = namedtuple("_Record", "candidates rows densities needle")
-
-
-def _build_density(candidate, space):
-    return normalize(TrigDensity(m=candidate.b, k=candidate.a, interval=Interval(0.0, space.diameter)))
+# What every profile reads of a space: the catalog, its needle record and each row.
+_Record = namedtuple("_Record", "candidates needle rows")
 
 
 @functools.lru_cache(maxsize=32)
 def _record(space):
-    """The space's catalog record, built once and read-only: the densities
-    of the candidates, each folded alone, and one ``_fold`` of all their
-    ``(b, a)`` exponents on ``[0, diameter]``, whose (candidate x 1) fields
-    broadcast against a row of volumes."""
+    """The space's catalog record, built once and read-only: one ``_fold`` of
+    all candidates' ``(b, a)`` on ``[0, diameter]``, whose (candidate x 1)
+    fields broadcast against a row of volumes, and each candidate's row."""
     cands = tuple(catalog(space))
-    densities = tuple(_build_density(c, space) for c in cands)
     needle = _fold(*_exponent_columns(cands), 0.0, space.diameter)
-    for arr in (*needle, *(f for d in densities for f in d._needle)):
-        if isinstance(arr, np.ndarray):  # numpy scalars are immutable already
-            arr.flags.writeable = False
-    return _Record(cands, {c: i for i, c in enumerate(cands)}, densities, needle)
+    for arr in needle:
+        arr.flags.writeable = False
+    rows = {c: _Needle(*(f[i, 0] for f in needle)) for i, c in enumerate(cands)}
+    return _Record(cands, needle, rows)
 
 
 def _exponent_columns(cands):
@@ -170,23 +163,20 @@ def _exponent_columns(cands):
     return np.array([[c.b] for c in cands]), np.array([[c.a] for c in cands])
 
 
+def _radial_density(candidate, space):
+    return TrigDensity(m=candidate.b, k=candidate.a, interval=Interval(0.0, space.diameter))
+
+
+def _row(candidate, space):
+    """The candidate's needle record: its row of the space's catalog record,
+    or, for a candidate outside the catalog, its own fold."""
+    row = _record(space).rows.get(candidate)
+    return _radial_density(candidate, space)._needle if row is None else row
+
+
 def radial_density(candidate, space):
-    """The normalized radial profile sin^a cos^b on [0, diameter].
-
-    A catalog candidate's density is built once per space, cached and
-    shared by every caller; its needle record's arrays are read-only.  A
-    candidate outside the catalog gets a fresh density.
-    """
-    rec = _record(space)
-    row = rec.rows.get(candidate)
-    return _build_density(candidate, space) if row is None else rec.densities[row]
-
-
-def _radial_cdf(needle, diameter, r):
-    """Normalized mass of ``[0, r]``, ``r`` in ``[0, diameter]``: the
-    needle's CDF, exactly 0 at 0 and exactly 1 at the diameter."""
-    f = np.minimum(np.maximum(_needle_cdf(needle, r), 0.0), 1.0)
-    return np.where(r <= 0.0, 0.0, np.where(r >= diameter, 1.0, f))
+    """A fresh normalized radial profile sin^a cos^b on [0, diameter]."""
+    return normalize(_radial_density(candidate, space))
 
 
 def profile_cdf(candidate, space, r):
@@ -195,25 +185,27 @@ def profile_cdf(candidate, space, r):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < -1e-12) or np.any(r_arr > space.diameter + 1e-12):
         raise OutOfDomain(f"radius outside [0, {space.diameter:.6g}]")
-    r_arr = np.clip(r_arr, 0.0, space.diameter)
-    out = _radial_cdf(radial_density(candidate, space)._needle, space.diameter, r_arr)
+    out = _needle_cdf(_row(candidate, space), r_arr)
     return out if out.shape else float(out)
 
 
 def profile_quantile(candidate, space, v):
-    """Radius at which the candidate encloses volume fraction ``v``."""
-    return radial_density(candidate, space).quantile(v)
+    """Radius enclosing volume fraction ``v``: exactly 0 at 0, the diameter at 1."""
+    q = np.asarray(v, dtype=float)
+    if not np.all((q >= -1e-12) & (q <= 1.0 + 1e-12)):
+        raise OutOfDomain("mass fractions must lie in [0, 1]")
+    out = _needle_quantile(_row(candidate, space), q)
+    return out if out.shape else float(out)
 
 
-def _enlarge(needle, diameter, v, epsilon):
-    """``F(min(Q(v) + epsilon, diameter))`` for every needle row at once,
+def _enlarge(needle, v, epsilon):
+    """``F(min(Q(v) + epsilon, hi))`` for every needle row at once,
     broadcast between the needle's fields and ``v``: one quantile and one
     CDF pass.  Returns it with the radii ``Q(v)`` and ``min(Q(v) + epsilon,
-    diameter)``."""
-    q = np.minimum(np.maximum(v, 0.0), 1.0)
-    t = np.where(q <= 0.0, 0.0, np.where(q >= 1.0, diameter, _needle_quantile(needle, q)))
-    r = np.minimum(t + epsilon, diameter)
-    return _radial_cdf(needle, diameter, r), t, r
+    hi)``."""
+    t = _needle_quantile(needle, v)
+    r = np.minimum(t + epsilon, needle.hi)
+    return _needle_cdf(needle, r), t, r
 
 
 def _as_volumes(v, epsilon):
@@ -230,13 +222,13 @@ def enlarged_volume(candidate, space, v, epsilon):
 
     The epsilon-neighborhood of the radius-r tube is the radius-(r+epsilon)
     tube, so the enlargement saturates at the diameter, where it is exactly
-    1.  One quantile and one CDF pass over the needle record of the
-    candidate's cached density; the values have the bits of the candidate's
-    row in the batched catalog pass of ``solve`` and ``profile``.  A scalar
-    ``v`` gives a float.
+    1.  One quantile and one CDF pass over the candidate's row of the
+    space's catalog record; the values have the bits of that row in the
+    batched catalog pass of ``solve`` and ``profile``.  A scalar ``v``
+    gives a float.
     """
     v = _as_volumes(v, epsilon)
-    out = _enlarge(radial_density(candidate, space)._needle, space.diameter, v, epsilon)[0]
+    out = _enlarge(_row(candidate, space), v, epsilon)[0]
     return out if out.shape else float(out)
 
 
@@ -246,7 +238,7 @@ def _catalog_enlarged(space, v, epsilon):
     as a (candidate x ``v``) array of shape ``(len(catalog),) + shape(v)``."""
     v = _as_volumes(v, epsilon)
     rec = _record(space)
-    out = _enlarge(rec.needle, space.diameter, v.reshape(1, -1), epsilon)[0]
+    out = _enlarge(rec.needle, v.reshape(1, -1), epsilon)[0]
     return rec.candidates, out.reshape((-1,) + v.shape)
 
 
@@ -265,7 +257,7 @@ def _enlarged_difference(space, i, j, epsilon):
         return np.sin(t) ** sine * np.cos(t) ** cosine
 
     def diff(v):
-        e, t, r = _enlarge(needle, space.diameter, v, epsilon)
+        e, t, r = _enlarge(needle, v, epsilon)
         s = np.where(r >= space.diameter, 0.0, raw(r) / raw(t))
         return float(e[0, 0] - e[1, 0]), float(s[0, 0] - s[1, 0])
 

@@ -126,12 +126,14 @@ def _fold(m, k, lo, hi):
 
 def _needle_cdf(n, t):
     """Normalized mass of ``[lo, t]`` under needle ``n``, for ``t`` in
-    ``[lo, hi]``.  Whole quarters and tails are differenced apart, so no
-    tail loses digits to a whole quarter."""
+    ``[lo, hi]``: in [0, 1], exactly 0 up to ``lo`` and exactly 1 from ``hi``.
+    Whole quarters and tails are differenced apart, so no tail loses digits
+    to a whole quarter."""
     far, folded = _fold_points(n.shift, n.mirrored, t)
     whole, part = _position(far, folded, *_tails(n.a, n.b, np.sin(folded) ** 2, np.cos(folded) ** 2))
     mass = (whole - n.whole) + (part - n.part)
-    return np.where(n.flat, t - n.lo, mass) / n.total
+    # one clamp to [0, 1] whose bounds pin 1 from hi on and 0 up to lo
+    return np.minimum(np.maximum(np.where(n.flat, t - n.lo, mass) / n.total, t >= n.hi), t > n.lo)
 
 
 def _needle_quantile(n, q):
@@ -139,7 +141,8 @@ def _needle_quantile(n, q):
     the arcsin form when the target's mass within its quarter is at most
     that of ``[0, pi/4]``, the arccos form of the complement otherwise.  The
     mass left of the answer comes from ``q`` and the mass right of it from
-    ``1 - q``, so neither loses digits to cancellation in its own tail."""
+    ``1 - q``, so neither loses digits to cancellation in its own tail.
+    Exactly ``lo`` for ``q <= 0`` and exactly ``hi`` for ``q >= 1``."""
     q = np.asarray(q, dtype=float)
     below = n.left + q * n.total
     above = n.right + (1.0 - q) * n.total
@@ -157,8 +160,8 @@ def _needle_quantile(n, q):
     root = np.sqrt(x)
     t = np.where(arcsin, np.arcsin(root), np.arccos(root))
     t = np.where(past, math.pi - t, t) - n.shift
-    t = np.where(n.flat, below, t)
-    return np.minimum(np.maximum(t, n.lo), n.hi)
+    t = np.minimum(np.maximum(np.where(n.flat, below, t), n.lo), n.hi)
+    return np.where(q <= 0.0, n.lo, np.where(q >= 1.0, n.hi, t))
 
 
 def trig_mass(m, k, lo, hi):
@@ -201,14 +204,14 @@ class _DensityBase:
         raise NotImplementedError
 
     def cdf(self, t):
-        """Normalized mass of ``[lo, t]``; raises OutOfDomain outside."""
+        """Normalized mass of ``[lo, t]``, in [0, 1]; raises OutOfDomain for
+        ``t`` more than 1e-9 outside the interval."""
         t = np.asarray(t, dtype=float)
         if not self.interval.contains(t):
             raise OutOfDomain(
                 f"abscissa outside [{self.interval.lo:.6g}, {self.interval.hi:.6g}]"
             )
-        t = np.minimum(np.maximum(t, self.interval.lo), self.interval.hi)
-        out = np.minimum(np.maximum(self._cdf(t), 0.0), 1.0)
+        out = self._cdf(t)
         return out if out.shape else float(out)
 
     def quantile(self, q):
@@ -216,9 +219,8 @@ class _DensityBase:
         q = np.asarray(q, dtype=float)
         if not np.all((q >= -1e-12) & (q <= 1.0 + 1e-12)):
             raise OutOfDomain("mass fractions must lie in [0, 1]")
-        lo, hi = self.interval.lo, self.interval.hi
-        t = np.minimum(np.maximum(self._quantile(np.minimum(np.maximum(q, 0.0), 1.0)), lo), hi)
-        t = np.where(q <= 0.0, lo, np.where(q >= 1.0, hi, t))
+        t = np.minimum(np.maximum(self._quantile(q), self.interval.lo), self.interval.hi)
+        t = np.where(q <= 0.0, self.interval.lo, np.where(q >= 1.0, self.interval.hi, t))
         return t if t.shape else float(t)
 
     def mass(self, a, b):
@@ -391,7 +393,8 @@ class TabulatedDensity(_DensityBase):
         f0 = self.values[idx]
         f1 = self.values[idx + 1]
         s = np.clip(t - t0, 0.0, h)
-        return (self._cum[idx] + f0 * s + 0.5 * (f1 - f0) * s * s / h) / self._raw_total
+        out = (self._cum[idx] + f0 * s + 0.5 * (f1 - f0) * s * s / h) / self._raw_total
+        return np.minimum(np.maximum(out, 0.0), 1.0)
 
     def _quantile(self, q, right=False):
         # the first segment whose right end reaches the target mass (so a zero

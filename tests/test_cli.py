@@ -237,6 +237,26 @@ class TestProfile:
         assert len(rec["crossovers"]) == 1
         assert rec["crossovers"][0]["from"] == "ball"
 
+    def test_human_summary_of_a_saturated_winner_change(self, capsys):
+        # from v = 0.225 on every enlargement saturates at exactly 1 and the
+        # tie goes to the first candidate, so the winner changes without a
+        # crossover
+        code, out, _ = run_cli(
+            capsys,
+            "profile", "--space", "rp3", "--eps", "1.4", "--v-grid", "20", "--format", "human",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "winner=tube around RP^2" in lines[0] and "winner=ball" in lines[-2]
+        assert lines[-1] == "-- no crossover: the winner changes only where enlargements saturate"
+
+    def test_human_summary_of_a_single_winner(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "profile", "--space", "s2", "--eps", "0.1", "--v-grid", "5", "--format", "human"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == "-- no crossover: single winner over the grid"
+
     @pytest.mark.parametrize("eps", ["inf", "nan", "0"])
     def test_non_finite_or_nonpositive_eps_is_rejected(self, capsys, eps):
         code, out, err = run_cli(

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -39,10 +38,11 @@ def _loop_reference(f, order, interval=None, grid_size=1024, tol=1e-9):
         f, interval = f.pdf, f.interval
     x = interval.grid(grid_size)
     v = np.asarray(f(x), dtype=float)
-    if np.any(v < -tol):
+    if np.any(v < -tol * np.max(np.abs(v))):
         return False
     v = np.maximum(v, 0.0)
     u = np.power(v, 1.0 / order)
+    v_tol, u_tol = tol * np.max(v), tol * np.max(u)
     step = x[1] - x[0]
     max_d = grid_size - 1
     for d in range(1, (max_d // 2) + 1):
@@ -52,9 +52,9 @@ def _loop_reference(f, order, interval=None, grid_size=1024, tol=1e-9):
         i1 = slice(0, grid_size - 2 * d)
         i2 = slice(2 * d, grid_size)
         imid = slice(d, grid_size - d)
-        valid = (v[i1] > tol) & (v[i2] > tol)
+        valid = (v[i1] > v_tol) & (v[i2] > v_tol)
         rhs = (u[i1] + u[i2]) / (2.0 * math.cos(0.5 * gap))
-        bad = valid & (u[imid] < rhs - tol)
+        bad = valid & (u[imid] < rhs - u_tol)
         if np.any(bad):
             return False
     return True
@@ -217,6 +217,36 @@ class TestBlockedKernel:
         f, iv = needle
         kw = {"interval": iv, "grid_size": grid_size, "tol": tol}
         assert is_sin_concave(f, order, **kw) == _loop_reference(f, order, **kw)
+
+    @given(
+        needle=_needles,
+        order=st.one_of(st.integers(1, 9), st.floats(min_value=0.1, max_value=9.0)),
+        grid_size=st.one_of(st.just(256), st.integers(3, 600)),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_verdict_does_not_depend_on_scale(self, needle, order, grid_size):
+        f, iv = needle
+        if iv is None:
+            f, iv = f.pdf, f.interval
+        verdicts = {
+            is_sin_concave(lambda t, c=c: c * np.asarray(f(t)), order, interval=iv, grid_size=grid_size)
+            for c in (1e-12, 1.0, 1e12)
+        }
+        assert len(verdicts) == 1
+
+    def test_normalized_sin_affine_needle_passes(self):
+        # g = f^4 = c cos t, so g'' + g = 0 exactly; the norm^4 of about 7.8e6
+        # once scaled the rounding of g past an absolute tol
+        iv = Interval(-HALF_PI, -HALF_PI + 0.05)
+        bare = SinAffineDensity(phase=0.0, power=0.25, interval=iv)
+        for d in (bare, normalize(bare)):
+            assert is_sin_concave(d, 0.25, grid_size=256)
+
+    @pytest.mark.parametrize("c", [1e-13, 1.0])
+    def test_small_convex_function_is_rejected(self, c):
+        # f'' + f = c (t - 1/2)^2 + 3 c > 0; below an absolute tol, the whole
+        # of c = 1e-13 was once masked off as zero and accepted
+        assert not is_sin_concave(lambda t: c * ((t - 0.5) ** 2 + 1), 1, interval=Interval(0.0, 1.0))
 
     @pytest.mark.parametrize("grid_size", [3, 4, 129, 130, 1023, 1024, 1025])
     def test_half_period_cut_off(self, grid_size):
@@ -396,12 +426,10 @@ class TestExactMargin:
     def test_sampled_rejection_implies_positive_margin(self, needle, order, grid_size):
         # the grid rejects only a real violation, so the exact route must
         # reject too; the converse fails where a violation hides between
-        # grid points.  The grid runs on the bare needle: its tol is absolute
-        # on f^(1/order), and a normalized needle at a small order scales that
-        # by norm^(1/order) (up to 5e14 here), past what the tol absorbs of
-        # the rounding, while the margin is scale-free
+        # grid points.  Both run on the normalized needle, whose norm^(1/order)
+        # reaches 5e14 here: both verdicts are scale-free
         d, _ = needle
-        if not is_sin_concave(dataclasses.replace(d, norm=None), order, grid_size=grid_size):
+        if not is_sin_concave(d, order, grid_size=grid_size):
             assert sin_concavity_margin(d, order).margin > MARGIN_TOL
 
     def test_seed_2024_witness_hides_between_grid_points(self):

@@ -192,17 +192,22 @@ class TestCatalogPass:
         rec = _record(cp2)
         assert _record(CrossSpace.complex_projective(2)) is rec
         arrays = list(rec.needle)
-        arrays += [f for d in rec.densities for f in d._needle if isinstance(f, np.ndarray)]
         assert arrays and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
             rec.needle.total[0, 0] = 1.0
-        for i, cand in enumerate(catalog(cp2)):
-            assert radial_density(cand, cp2) is rec.densities[i]
         v = np.array(VOLUMES)
         first = _catalog_enlarged(cp2, v, 0.2)[1]
         assert _catalog_enlarged(cp2, v, 0.2)[1].tolist() == first.tolist()
         ball = catalog(cp2)[0]
         assert enlarged_volume(ball, cp2, v, 0.2).tolist() == enlarged_volume(ball, cp2, v, 0.2).tolist()
+
+    def test_rows_are_sliced_once_from_the_catalog_fold(self):
+        cp2 = space_by_name("cp2")
+        rec = _record(cp2)
+        for i, cand in enumerate(catalog(cp2)):
+            row = rec.rows[cand]
+            assert _record(cp2).rows[cand] is row
+            assert [float(f) for f in row] == [float(f[i, 0]) for f in rec.needle]
 
     def test_candidate_outside_the_catalog_gets_a_fresh_density(self):
         rp3 = space_by_name("rp3")
@@ -218,6 +223,36 @@ class TestCatalogPass:
                 _catalog_enlarged(rp3, v, 0.1)
             with pytest.raises(OutOfDomain):
                 enlarged_volume(catalog(rp3)[0], rp3, v, 0.1)
+            with pytest.raises(OutOfDomain):
+                profile_quantile(catalog(rp3)[0], rp3, v)
+
+
+class TestOneRadialPath:
+    """Every profile read of a catalog candidate equals, bit for bit, the
+    CDF and quantile of a fresh normalized density of its profile."""
+
+    @pytest.mark.parametrize("name", BATCH_SPACES)
+    def test_profile_reads_equal_the_fresh_density_route(self, name):
+        space = space_by_name(name)
+        v = np.array(VOLUMES)
+        r = np.linspace(0.0, space.diameter, 13)  # both ends exactly
+        for cand in catalog(space):
+            d = radial_density(cand, space)
+            assert radial_density(cand, space) is not d
+            assert _as_list(profile_cdf(cand, space, r)) == _as_list(d.cdf(r))
+            assert [profile_cdf(cand, space, x) for x in r] == [d.cdf(x) for x in r]
+            assert _as_list(profile_quantile(cand, space, v)) == _as_list(d.quantile(v))
+            assert [profile_quantile(cand, space, x) for x in VOLUMES] == [d.quantile(x) for x in VOLUMES]
+            for eps in (0.05, 0.3, space.diameter):
+                want = d.cdf(np.minimum(d.quantile(v) + eps, space.diameter))
+                assert _as_list(enlarged_volume(cand, space, v, eps)) == _as_list(want)
+
+    def test_high_dimensional_catalog_needs_no_raw_mass(self):
+        # sin^89 on [0, pi/2] has raw mass below the density floor, which
+        # the catalog fold, in quarter masses, never reads; mpmath reference
+        rp90 = space_by_name("rp90")
+        got = enlarged_volume(catalog(rp90)[0], rp90, 0.3, 0.05)
+        assert got == pytest.approx(0.57375189607945198279, abs=1e-13)
 
 
 class TestSaturation:
@@ -228,6 +263,7 @@ class TestSaturation:
             for cand in catalog(space):
                 assert profile_cdf(cand, space, 0.0) == 0.0
                 assert profile_cdf(cand, space, space.diameter) == 1.0
+                assert profile_quantile(cand, space, [0.0, 1.0]).tolist() == [0.0, space.diameter]
 
     def test_saturated_rp3_ball_reads_one(self):
         rp3 = space_by_name("rp3")

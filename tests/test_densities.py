@@ -114,6 +114,33 @@ class TestCdf:
         with pytest.raises(OutOfDomain):
             d.cdf(2.0)
 
+    def test_mirrored_sine_fold_reads_one_at_its_end(self):
+        # the pure-sine fold spans two quarters mirrored about pi/2, and its
+        # upper end once read 1 - 2^-53
+        d = normalize(TrigDensity(m=0.0, k=2.0, interval=Interval(0.0, HALF_PI)))
+        assert d.cdf(HALF_PI) == 1.0
+        assert d.mass(0.0, HALF_PI) == 1.0
+
+    @given(
+        m=st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.0]),
+        k=st.sampled_from([0.0, 0.5, 1.0, 2.0, 15.0]),
+        lo=st.floats(min_value=0.0, max_value=1.5),
+        width=st.floats(min_value=1e-3, max_value=HALF_PI),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_kernels_pin_the_needle_ends(self, m, k, lo, width):
+        # the CDF kernel is exactly 0 and 1 at the ends and in [0, 1] between;
+        # the quantile kernel is exactly lo and hi at the ends of [0, 1]
+        hi = min(lo + width, HALF_PI)
+        if k == 0.0:  # pure cosines (and the constant) fold by a shift
+            lo, hi = lo - HALF_PI, hi - HALF_PI
+        n = densities._fold(m, k, lo, hi)
+        f = densities._needle_cdf(n, np.linspace(lo, hi, 65))
+        assert f[0] == 0.0 and f[-1] == 1.0 and np.all((f >= 0.0) & (f <= 1.0))
+        assert densities._needle_cdf(n, np.array([lo - 1e-10, hi + 1e-10])).tolist() == [0.0, 1.0]
+        t = densities._needle_quantile(n, np.array([-0.5, 0.0, 1.0, 1.5]))
+        assert t.tolist() == [lo, lo, hi, hi]
+
     def test_matches_quadrature_for_fractional_exponents(self):
         d = normalize(TrigDensity(m=1.7, k=0.3, interval=Interval(0.05, 1.4)))
         for t in (0.3, 0.8, 1.2):
