@@ -63,13 +63,14 @@ from .needle_bound import (
     bound_profile,
     bound_profile_csv,
     cross_needle_bound,
+    cross_needle_bounds,
     optimize_affine_family,
     sphere_needle_bound,
 )
 from .oracles import INVARIANT_COVERAGE, SUITE_NAMES, report_to_json, run_property_suite
 from .quadrature import integrate
 from .sampling import RngSpec, deterministic_map, mc_cap_mass, random_affine_needle
-from .separation import MassPair, SeparationResult, sep_1d, sep_1d_bruteforce
+from .separation import MassPair, SeparationResult, batch_sep, sep_1d, sep_1d_bruteforce
 from .solver import (
     SolveRequest,
     SolveResult,
@@ -114,6 +115,7 @@ __all__ = [
     "TrigDensity",
     "ZeroMass",
     "batch_affine_sep",
+    "batch_sep",
     "batch_trig_sep",
     "binomial_decompose",
     "bound_profile",
@@ -124,6 +126,7 @@ __all__ = [
     "check_main_inequality",
     "check_realization",
     "cross_needle_bound",
+    "cross_needle_bounds",
     "density_from_dict",
     "deterministic_map",
     "enlarged_volume",

@@ -242,9 +242,15 @@ def check_comparison_lemma(f, order, epsilon, k, interval=None, grid_size=512):
         int_0^eps f sin^k / int_0^tau f sin^k
             >= int_0^eps cos^order sin^k / int_0^{pi/2} cos^order sin^k.
 
-    The pointwise checks allow 1e-8 and the ratio check 1e-9.  Raises
-    ``InvalidOrder`` for an order that is not finite and positive, and
-    ``PreconditionFailed`` when ``f`` is not sin^order-concave with its
+    The checks are scale-free: the pointwise checks and the maximum at 0
+    allow 1e-8 times the largest sample of ``f``, and the ratio check 1e-9.
+    The head-mass ratio of ``f`` is closed-form where one exists: the
+    density's own CDF at ``epsilon`` for a ``TrigDensity`` or
+    ``SinAffineDensity`` with ``k == 0``, and :func:`trig_mass` with the
+    sine exponent raised by ``k`` for a ``TrigDensity``; otherwise both
+    integrals are adaptive quadrature at 1e-13 times the largest sample.
+    Raises ``InvalidOrder`` for an order that is not finite and positive,
+    and ``PreconditionFailed`` when ``f`` is not sin^order-concave with its
     maximum at 0.
     """
     _require_order(order)
@@ -261,7 +267,9 @@ def check_comparison_lemma(f, order, epsilon, k, interval=None, grid_size=512):
 
     x = iv.grid(grid_size)
     fx = np.asarray(func(x), dtype=float)
-    if fx[0] + 1e-8 < np.max(fx):
+    peak = float(np.max(fx))
+    tol = 1e-8 * peak
+    if fx[0] + tol < peak:
         raise PreconditionFailed("density must attain its maximum at 0")
     if not is_sin_concave(func, order, interval=iv, grid_size=min(grid_size, 512)):
         raise PreconditionFailed(f"density is not sin^{order}-concave on its interval")
@@ -275,16 +283,22 @@ def check_comparison_lemma(f, order, epsilon, k, interval=None, grid_size=512):
     left = x <= epsilon
     right = ~left
     pointwise_ok = bool(
-        np.all(fx[left] >= hx[left] - 1e-8)
-        and np.all(fx[right] <= hx[right] + 1e-8)
+        np.all(fx[left] >= hx[left] - tol)
+        and np.all(fx[right] <= hx[right] + tol)
     )
 
-    def weighted(t):
-        return func(t) * np.sin(t) ** k if k > 0 else func(t)
+    if k == 0 and isinstance(f, (TrigDensity, SinAffineDensity)):
+        lhs = f.cdf(epsilon)
+    elif isinstance(f, TrigDensity):
+        lhs = trig_mass(f.m, f.k + k, iv.lo, epsilon) / trig_mass(f.m, f.k + k, iv.lo, tau)
+    else:
 
-    head = quadrature.integrate(weighted, 0.0, min(epsilon, tau), atol=1e-13)
-    total = quadrature.integrate(weighted, 0.0, tau, atol=1e-13)
-    lhs = head / total
+        def weighted(t):
+            return func(t) * np.sin(t) ** k if k > 0 else func(t)
+
+        # f sin^k is at most the peak of f, which sets the integrals' scale
+        head = quadrature.integrate(weighted, 0.0, epsilon, atol=1e-13 * peak)
+        lhs = head / quadrature.integrate(weighted, 0.0, tau, atol=1e-13 * peak)
     rhs = trig_mass(order, k, 0.0, epsilon) / trig_mass(order, k, 0.0, HALF_PI)
     ratio_ok = bool(lhs >= rhs - 1e-9)
 

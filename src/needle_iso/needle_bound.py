@@ -12,6 +12,7 @@ case the result is flagged as heuristic.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,12 +90,54 @@ def sphere_needle_bound(n, masses, force=False):
 
 @functools.lru_cache(maxsize=32)
 def _exponent_grid(low, top):
-    """The pairs ``(m, k)`` with ``low <= m + k <= top``, and their (read-only)
-    float columns; built once per grid and shared by every call and its ties."""
-    pairs = tuple((total - k, k) for total in range(low, top + 1) for k in range(total + 1))
+    """The pairs ``(m, k)`` with ``low <= m + k <= top`` in sorted order, and
+    their (read-only) float columns; built once per grid and shared by every
+    call and its ties."""
+    pairs = tuple(sorted((total - k, k) for total in range(low, top + 1) for k in range(total + 1)))
     columns = np.array(pairs, dtype=float).T
     columns.flags.writeable = False
     return pairs, columns
+
+
+def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
+    """:func:`cross_needle_bound` for each of ``mass_pairs``, as a tuple of
+    results in that order; no result depends on the other pairs, bit for bit.
+
+    The grid is folded once per call, and one quantile pass over targets of
+    shape ``(4, pairs, grid)`` gives the whole (pair x needle) table of
+    separations; each pair's ties are the grid entries within 1e-12 of its
+    row maximum.
+    """
+    if space.family == SPHERE:
+        raise NotApplicable("use sphere_needle_bound for spheres")
+    if abs(space.diameter - HALF_PI) > 1e-12:
+        raise NotApplicable("the trig-monomial grid applies to diameter pi/2 spaces")
+    mps = [as_mass_pair(p) for p in mass_pairs]
+    oks = [_require_straddle(mp, force, "cross needle bound") for mp in mps]
+    low = max(space.dim - 1, 1)
+    top = float(space.dim + 7 if max_total_power is None else max_total_power)
+    if not (math.isfinite(top) and top.is_integer()):
+        raise OutOfDomain(f"max_total_power must be an integer, got {max_total_power!r}")
+    mtp = int(top)
+    if mtp < low:
+        raise OutOfDomain(
+            f"max_total_power={mtp} is below the admissibility floor {low}"
+        )
+    pairs, (m_arr, k_arr) = _exponent_grid(low, mtp)
+    k1 = np.array([mp.k1 for mp in mps])[:, None]
+    k2 = np.array([mp.k2 for mp in mps])[:, None]
+    seps = _trig_sep(m_arr, k_arr, 0.0, space.diameter, k1, k2)
+    best = np.max(seps, axis=1)
+    return tuple(
+        NeedleBoundResult(
+            bound=float(b),
+            family="trig",
+            params={"space": space.name, "max_total_power": mtp},
+            ties=tuple(pairs[j] for j in np.flatnonzero(row >= b - _TIE_TOL)),
+            hypothesis_satisfied=ok,
+        )
+        for row, b, ok in zip(seps, best, oks)
+    )
 
 
 def cross_needle_bound(space, masses, max_total_power=None, force=False):
@@ -102,40 +145,24 @@ def cross_needle_bound(space, masses, max_total_power=None, force=False):
 
     The integer grid runs over ``m, k >= 0`` with
     ``dim - 1 <= m + k <= max_total_power`` (default ``dim + 7``).  All
-    maximizing pairs within 1e-12 are reported as ties.
+    maximizing pairs within 1e-12 are reported as ties, sorted.  A
+    ``max_total_power`` that is not a finite integer (integer-valued floats
+    pass) or is below ``max(dim - 1, 1)`` raises ``OutOfDomain``.
     """
-    if space.family == SPHERE:
-        raise NotApplicable("use sphere_needle_bound for spheres")
-    if abs(space.diameter - HALF_PI) > 1e-12:
-        raise NotApplicable("the trig-monomial grid applies to diameter pi/2 spaces")
-    mp = as_mass_pair(masses)
-    ok = _require_straddle(mp, force, "cross needle bound")
-    low = max(space.dim - 1, 1)
-    mtp = space.dim + 7 if max_total_power is None else int(max_total_power)
-    if mtp < low:
-        raise OutOfDomain(
-            f"max_total_power={mtp} is below the admissibility floor {low}"
-        )
-    pairs, (m_arr, k_arr) = _exponent_grid(low, mtp)
-    seps = batch_trig_sep(m_arr, k_arr, 0.0, space.diameter, mp.k1, mp.k2)
-    best = float(np.max(seps))
-    ties = tuple(sorted(p for p, s in zip(pairs, seps) if s >= best - _TIE_TOL))
-    return NeedleBoundResult(
-        bound=best,
-        family="trig",
-        params={"space": space.name, "max_total_power": mtp},
-        ties=ties,
-        hypothesis_satisfied=ok,
-    )
+    return cross_needle_bounds(space, [masses], max_total_power, force)[0]
 
 
 def _trig_sep(m, k, lo, hi, k1, k2):
-    """``sep_1d``'s gap rule on closed-form quantiles, one
-    :func:`trig_quantile` call per batch (these CDFs strictly increase, so
-    no right interval needs the plateau correction)."""
-    m, k, lo, hi, k1, k2 = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (m, k, lo, hi, k1, k2))
-    )
+    """``sep_1d``'s gap rule on closed-form quantiles (these CDFs strictly
+    increase, so no right interval needs the plateau correction).  The
+    needles ``(m, k, lo, hi)`` are folded once at their own broadcast shape
+    and the masses broadcast against them, so ``(P, 1)`` masses over ``(N,)``
+    needles give a ``(P, N)`` table from one fold and one quantile call."""
+    k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
+    shape = np.broadcast(m, k, lo, hi, k1, k2).shape
+    # only when needed: np.broadcast_to's Python overhead rivals a whole scalar bound
+    if k1.shape != shape or k2.shape != shape:
+        k1, k2 = np.broadcast_to(k1, shape), np.broadcast_to(k2, shape)
     return _gap_rule(lambda q: trig_quantile(m, k, lo, hi, q), k1, k2)[2]
 
 

@@ -59,11 +59,21 @@ def mc_cap_mass(n, cap_radius, samples, rng, stream=0, threads=1):
     estimate and its standard error.  Sampling is chunked with one
     substream per fixed chunk index, so the estimate does not depend on the
     thread count.
+
+    ``cap_radius`` may be an array: each chunk's draw and norms then serve
+    every radius, and ``estimate`` and ``stderr`` are arrays of its shape,
+    each entry bit for bit that radius's own call.  Raises ``OutOfDomain``
+    for a dimension or sample count that is not an integer >= 1, and for
+    any radius that is not finite or lies outside [0, pi].
     """
-    if samples < 1:
-        raise OutOfDomain("samples must be >= 1")
+    for name, count in (("sphere dimension", n), ("samples", samples)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise OutOfDomain(f"{name} must be an integer >= 1, got {count!r}")
+    radii = np.asarray(cap_radius, dtype=float)
+    if not np.all((radii >= 0.0) & (radii <= math.pi)):  # NaN compares false
+        raise OutOfDomain(f"cap radii must be finite and lie in [0, pi], got {cap_radius!r}")
     spec = as_rng_spec(rng)
-    cos_r = math.cos(cap_radius)
+    cos_r = np.array([math.cos(r) for r in radii.ravel()])[:, None]
     chunks = []
     start = 0
     idx = 0
@@ -77,11 +87,13 @@ def mc_cap_mass(n, cap_radius, samples, rng, stream=0, threads=1):
         gen = spec.generator(stream, chunk_idx)
         x = gen.standard_normal((size, n + 1))
         norms = np.linalg.norm(x, axis=1)
-        return int(np.count_nonzero(x[:, 0] >= cos_r * norms))
+        return np.count_nonzero(x[:, 0] >= cos_r * norms, axis=1)
 
-    hits = sum(deterministic_map(count_chunk, chunks, threads=threads))
+    hits = sum(deterministic_map(count_chunk, chunks, threads=threads)).reshape(radii.shape)
     p = hits / samples
-    stderr = math.sqrt(max(p * (1.0 - p), 1e-300) / samples)
+    stderr = np.sqrt(np.maximum(p * (1.0 - p), 1e-300) / samples)
+    if radii.ndim == 0:
+        p, stderr = float(p), float(stderr)
     return {"estimate": p, "stderr": stderr, "samples": samples}
 
 

@@ -79,6 +79,21 @@ def _gap_rule(ends, k1, k2):
     return t, gap_12 >= gap_21, np.maximum(np.maximum(gap_12, gap_21), 0.0)
 
 
+def _density_gaps(density, k1, k2):
+    """:func:`_gap_rule` on one density over a mass axis: ``k1`` and ``k2``
+    share one shape (any), and the ends come from one quantile call."""
+    ends = density.quantile
+    if isinstance(density, TabulatedDensity):
+        # only a tabulated CDF can be flat inside its interval: across a zero
+        # plateau a right interval (entries 1, 3) starts at the plateau's end
+        right = np.array([False, True, False, True]).reshape((4,) + (1,) * np.ndim(k1))
+
+        def ends(q):
+            return density._quantile(q, right=right)
+
+    return _gap_rule(ends, k1, k2)
+
+
 def sep_1d(density, masses):
     """Separation distance of a needle, with the realizing intervals.
 
@@ -93,14 +108,7 @@ def sep_1d(density, masses):
     # intervals, which holds for the library's unimodal families; other
     # tabulated shapes need the brute-force route
     lo, hi = density.interval.lo, density.interval.hi
-    ends = density.quantile
-    if isinstance(density, TabulatedDensity):
-        # only a tabulated CDF can be flat inside its interval: across a zero
-        # plateau a right interval (entries 1, 3) starts at the plateau's end
-        def ends(q):
-            return density._quantile(q, right=np.array([False, True, False, True]))
-
-    t, k1_left, sep = _gap_rule(ends, mp.k1, mp.k2)
+    t, k1_left, sep = _density_gaps(density, mp.k1, mp.k2)
     i = 0 if k1_left else 2  # the winning arrangement's two end points
     return SeparationResult(
         sep=float(sep),
@@ -109,6 +117,19 @@ def sep_1d(density, masses):
         left_mass=mp.k1 if k1_left else mp.k2,
         right_mass=mp.k2 if k1_left else mp.k1,
     )
+
+
+def batch_sep(density, k1, k2):
+    """``sep_1d(density, (k1, k2)).sep`` over a batch of mass pairs of one
+    needle: ``k1`` and ``k2`` broadcast, each in (0, 1], and the batch takes
+    one quantile call.  Returns a float array of the broadcast shape, bit
+    for bit the scalar seps."""
+    k1, k2 = np.broadcast_arrays(np.asarray(k1, dtype=float), np.asarray(k2, dtype=float))
+    for name, k in (("k1", k1), ("k2", k2)):
+        bad = ~((k > 0.0) & (k <= 1.0))
+        if bad.any():
+            raise InvalidMass(f"mass must be in (0,1], got {name}={k[bad][0]}")
+    return _density_gaps(density, k1, k2)[2]
 
 
 def sep_1d_bruteforce(density, masses, grid_size=4096):

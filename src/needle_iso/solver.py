@@ -291,39 +291,51 @@ def check_main_inequality(space, masses, mc_samples=100000, seed=0, threads=1):
     Carlo oracle re-estimates the cap masses from uniform sphere samples and
     must agree with the closed-form masses within three standard errors.
     """
+    return _check_main_inequalities(space, [masses], mc_samples, seed, threads)[0]
+
+
+def _check_main_inequalities(space, mass_pairs, mc_samples, seed, threads):
+    """:func:`check_main_inequality` for each of ``mass_pairs``, each report
+    equal to the one-pair call: one quantile call gives every cap radius,
+    and the k1 caps of all pairs share the draws of stream 0 and the k2
+    caps those of stream 1, one :func:`mc_cap_mass` call each."""
     if space.family != SPHERE or space.dim not in (2, 3):
         raise NotApplicable("the antipodal-cap witness is implemented for S^2, S^3")
-    mp = as_mass_pair(masses)
+    mps = [as_mass_pair(p) for p in mass_pairs]
     n = space.dim
-    ball = catalog(space)[0]
-    r1, r2 = (float(r) for r in profile_quantile(ball, space, [mp.k1, mp.k2]))
-    gap = max(0.0, math.pi - r1 - r2)
-    bound = sphere_needle_bound(n, mp, force=True).bound
-    ok = gap <= bound + 1e-9
-    mc = {}
-    within = True
-    for stream, (tag, radius, target) in enumerate(
-        [("cap1", r1, mp.k1), ("cap2", r2, mp.k2)]
-    ):
-        est = mc_cap_mass(n, radius, mc_samples, RngSpec(seed), stream=stream, threads=threads)
-        dev = abs(est["estimate"] - target)
-        band = 3.0 * math.sqrt(target * (1.0 - target) / mc_samples)
-        mc[tag] = {
-            "radius": radius,
-            "closed_form": target,
-            "estimate": est["estimate"],
-            "stderr": est["stderr"],
-            "within_3_sigma": bool(dev <= band),
-        }
-        within = within and dev <= band
-    return {
-        "sep_estimate": gap,
-        "bound": float(bound),
-        "residual": float(abs(gap - bound)) if gap > 0 else float(bound),
-        "ok": bool(ok),
-        "mc": mc,
-        "mc_within_3_sigma": bool(within),
-    }
+    targets = np.array([[mp.k1, mp.k2] for mp in mps]).reshape(-1, 2)
+    radii = profile_quantile(catalog(space)[0], space, targets)
+    ests = [
+        mc_cap_mass(n, radii[:, stream], mc_samples, RngSpec(seed), stream=stream, threads=threads)
+        for stream in (0, 1)
+    ]
+    reports = []
+    for i, mp in enumerate(mps):
+        gap = max(0.0, math.pi - float(radii[i, 0]) - float(radii[i, 1]))
+        bound = sphere_needle_bound(n, mp, force=True).bound
+        mc = {}
+        within = True
+        for stream, (tag, target) in enumerate([("cap1", mp.k1), ("cap2", mp.k2)]):
+            estimate = float(ests[stream]["estimate"][i])
+            dev = abs(estimate - target)
+            band = 3.0 * math.sqrt(target * (1.0 - target) / mc_samples)
+            mc[tag] = {
+                "radius": float(radii[i, stream]),
+                "closed_form": target,
+                "estimate": estimate,
+                "stderr": float(ests[stream]["stderr"][i]),
+                "within_3_sigma": bool(dev <= band),
+            }
+            within = within and dev <= band
+        reports.append({
+            "sep_estimate": gap,
+            "bound": float(bound),
+            "residual": float(abs(gap - bound)) if gap > 0 else float(bound),
+            "ok": bool(gap <= bound + 1e-9),
+            "mc": mc,
+            "mc_within_3_sigma": bool(within),
+        })
+    return reports
 
 
 def check_realization(space, candidate, masses):

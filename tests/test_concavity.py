@@ -521,6 +521,39 @@ class TestComparisonLemma:
         with pytest.raises(PreconditionFailed):
             check_comparison_lemma(d, 2, epsilon=1.7, k=0)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_verdicts_are_scale_free(self, scale):
+        # 1e12 cos^2 used to raise QuadratureError at the absolute atol 1e-13
+        rep = check_comparison_lemma(
+            lambda t: scale * np.cos(t) ** 2, 2, epsilon=0.3, k=0, interval=Interval(0.0, 1.0)
+        )
+        base = check_comparison_lemma(
+            lambda t: np.cos(t) ** 2, 2, epsilon=0.3, k=0, interval=Interval(0.0, 1.0)
+        )
+        assert (rep.pointwise_ok, rep.ratio_ok) == (base.pointwise_ok, base.ratio_ok) == (True, True)
+        assert rep.ratio_lhs == pytest.approx(base.ratio_lhs, abs=1e-12)
+        assert rep.envelope_constant == pytest.approx(scale * base.envelope_constant, rel=1e-12)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_vanishing_fractional_power_takes_the_closed_cdf(self, normalized):
+        # cos(t - phase)^0.25 vanishes at tau with an infinite slope, which
+        # the adaptive quadrature could not resolve
+        d = SinAffineDensity(phase=0.05 - HALF_PI, power=0.25, interval=Interval(0.0, 0.05))
+        d = normalize(d) if normalized else d
+        rep = check_comparison_lemma(d, 0.25, epsilon=0.01, k=0)
+        assert rep.pointwise_ok and rep.ratio_ok
+        assert rep.ratio_lhs == d.cdf(0.01)
+
+    def test_sine_weight_on_a_trig_density_is_closed_form(self):
+        d = normalize(TrigDensity(m=2, k=0, interval=Interval(0.0, 1.0)))
+        rep = check_comparison_lemma(d, 2, epsilon=0.4, k=2)
+
+        def weighted(t):
+            return np.cos(t) ** 2 * np.sin(t) ** 2
+
+        lhs = integrate(weighted, 0.0, 0.4, atol=1e-14) / integrate(weighted, 0.0, 1.0, atol=1e-14)
+        assert rep.ratio_lhs == pytest.approx(lhs, abs=1e-12)
+
     @pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf, 0.0])
     def test_order_must_be_finite_and_positive(self, order):
         # sin(t + 0.2) peaks inside [0, 1.4], so an order checked only after

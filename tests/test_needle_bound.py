@@ -19,6 +19,7 @@ from needle_iso import (
     bound_profile,
     bound_profile_csv,
     cross_needle_bound,
+    cross_needle_bounds,
     is_sin_concave,
     normalize,
     optimize_affine_family,
@@ -101,6 +102,51 @@ class TestCrossBound:
         with pytest.raises(OutOfDomain):
             cross_needle_bound(CrossSpace.cayley_plane(), (0.3, 0.5), max_total_power=8)
 
+    @pytest.mark.parametrize("top", [2.7, math.nan, math.inf, -math.inf])
+    def test_power_cap_must_be_a_finite_integer(self, top):
+        # 2.7 used to run silently as 2, and NaN raised a bare ValueError
+        with pytest.raises(OutOfDomain):
+            cross_needle_bound(CP1, (0.3, 0.5), max_total_power=top)
+
+    def test_integer_valued_float_power_cap_accepted(self):
+        a = cross_needle_bound(CP1, (0.3, 0.5), max_total_power=8.0)
+        assert a == cross_needle_bound(CP1, (0.3, 0.5), max_total_power=8)
+        assert type(a.params["max_total_power"]) is int
+
+
+class TestCrossBoundPairAxis:
+    @pytest.mark.parametrize(
+        "space, top",
+        [
+            (CP1, 8),
+            (CrossSpace.real_projective(3), None),
+            (CrossSpace.complex_projective(2), None),
+            (CrossSpace.quaternionic_projective(2), None),
+            (CrossSpace.cayley_plane(), None),
+        ],
+        ids=["cp1-8", "rp3", "cp2", "hp2", "cap2"],
+    )
+    def test_matches_one_call_per_pair(self, space, top):
+        gen = np.random.Generator(np.random.PCG64(13))
+        k1 = gen.uniform(0.02, 0.5, 24)
+        pairs = list(zip(k1, gen.uniform(0.5, 1.0 - k1))) + [(0.25, 0.75), (0.5, 0.5), (0.3, 0.5)]
+        many = cross_needle_bounds(space, pairs, max_total_power=top)
+        assert len(many) == len(pairs)
+        for pair, res in zip(pairs, many):
+            one = cross_needle_bound(space, pair, max_total_power=top)
+            assert res.bound == one.bound  # bitwise, not approx
+            assert res.ties == one.ties
+            assert res == one
+
+    def test_hypothesis_flag_per_pair(self):
+        many = cross_needle_bounds(CP1, [(0.3, 0.5), (0.2, 0.3)], force=True)
+        assert [r.hypothesis_satisfied for r in many] == [True, False]
+        with pytest.raises(HypothesisViolated):
+            cross_needle_bounds(CP1, [(0.3, 0.5), (0.2, 0.3)])
+
+    def test_no_pairs_no_results(self):
+        assert cross_needle_bounds(CP1, []) == ()
+
 
 class TestBatchHelpers:
     def test_batch_affine_matches_scalar(self):
@@ -127,6 +173,15 @@ class TestBatchHelpers:
             scalar = sep_1d(needle, mp).sep
             batch = float(batch_trig_sep(m, k, 0.0, HALF_PI, mp[0], mp[1]))
             assert batch == pytest.approx(scalar, abs=1e-12)
+
+    def test_one_needle_over_a_mass_axis_matches_scalar_bits(self):
+        # a scalar needle is folded once and its masses broadcast against it
+        gen = np.random.Generator(np.random.PCG64(8))
+        k1 = gen.uniform(0.05, 0.5, 50)
+        k2 = gen.uniform(0.5, 1.0 - k1)
+        batch = batch_trig_sep(2.0, 1.0, 0.1, 1.4, k1, k2)
+        single = [float(batch_trig_sep(2.0, 1.0, 0.1, 1.4, a, b)) for a, b in zip(k1, k2)]
+        assert batch.tolist() == single
 
     def test_batch_trig_rejects_bad_window(self):
         with pytest.raises(OutOfDomain):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -63,6 +64,37 @@ class TestMcCapMass:
         b = mc_cap_mass(2, 1.0, 60000, RngSpec(7), threads=4)
         assert a == b
 
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_radius_axis_matches_one_call_per_radius(self, threads):
+        radii = np.array([0.0, 0.3, 1.0, math.pi / 2, 2.0, math.pi])
+        many = mc_cap_mass(3, radii, 40000, RngSpec(7), stream=1, threads=threads)
+        assert many["estimate"].shape == many["stderr"].shape == radii.shape
+        for i, r in enumerate(radii):
+            one = mc_cap_mass(3, float(r), 40000, RngSpec(7), stream=1, threads=threads)
+            assert one["estimate"] == many["estimate"][i]  # bitwise
+            assert one["stderr"] == many["stderr"][i]
+        assert many["estimate"][0] == 0.0 and many["estimate"][-1] == 1.0
+
+    @pytest.mark.parametrize("radius", [7.0, math.nan, math.inf, -1.0])
+    def test_radius_outside_zero_to_pi_rejected(self, radius):
+        # 7.0 used to read 0.113, NaN 0.0 and -1.0 the 0.222 of radius 1.0
+        with pytest.raises(OutOfDomain):
+            mc_cap_mass(2, radius, 1000, RngSpec(1))
+        with pytest.raises(OutOfDomain):
+            mc_cap_mass(2, [1.0, radius], 1000, RngSpec(1))
+
+    @pytest.mark.parametrize("n", [2.5, 0, -1, True])
+    def test_dimension_must_be_a_positive_integer(self, n):
+        # 2.5 used to raise a bare TypeError from numpy
+        with pytest.raises(OutOfDomain):
+            mc_cap_mass(n, 1.0, 1000, RngSpec(1))
+
+    @pytest.mark.parametrize("samples", [0, 2.5, math.nan])
+    def test_sample_count_must_be_a_positive_integer(self, samples):
+        # NaN used to return a NaN estimate, 2.5 a bare TypeError
+        with pytest.raises(OutOfDomain):
+            mc_cap_mass(2, 1.0, samples, RngSpec(1))
+
 
 class TestRandomAffineNeedle:
     def test_draws_are_valid_needles(self):
@@ -127,6 +159,13 @@ class TestSuiteRunner:
             union.extend(suite_check_names(suite))
         assert [c["name"] for c in full_report["checks"]] == union
         assert full_report["pass_count"] + full_report["fail_count"] == len(union)
+
+    def test_all_report_at_the_readme_seed_is_pinned(self):
+        # the bytes of `needle-iso verify --suite all --seed 42`; a change that
+        # moves any report value must update this pin and say why
+        text = report_to_json(run_property_suite("all", 42))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "897638979d0f4c19abea2e2655ea04d34eace837fd4c26bfa36a3e1e539bb6b8"
 
     def test_report_is_byte_stable_across_threads(self):
         a = run_property_suite("spaces", 5, threads=1)

@@ -12,6 +12,7 @@ from needle_iso import (
     SinAffineDensity,
     TabulatedDensity,
     TrigDensity,
+    batch_sep,
     normalize,
     sep_1d,
     sep_1d_bruteforce,
@@ -167,3 +168,41 @@ class TestBruteForce:
             )
             mp = (float(gen.uniform(0.05, 0.95)), float(gen.uniform(0.05, 0.95)))
             assert sep_1d(d, mp).sep == pytest.approx(sep_1d(mirrored, mp).sep, abs=1e-9)
+
+
+class TestBatchSep:
+    """The pair axis of one needle: bit for bit the scalar ``sep_1d``."""
+
+    @pytest.mark.parametrize(
+        "density",
+        [
+            normalize(TrigDensity(m=2, k=3, interval=Interval(0.1, 1.4))),
+            normalize(TrigDensity(m=2.5, k=0, interval=Interval(-1.4, 1.2))),
+            normalize(SinAffineDensity(phase=0.3, power=2.5, interval=Interval(-1.0, 1.5))),
+            TabulatedDensity.from_density(SIN, n=257),
+            # an interior zero plateau: right intervals start at its far end
+            normalize(TabulatedDensity(grid=[0.0, 0.5, 1.0, 1.5, 2.0], values=[1, 1, 0, 0, 1])),
+        ],
+        ids=["trig", "pure-cosine", "affine", "tabulated", "tabulated-plateau"],
+    )
+    def test_matches_scalar_bits(self, density):
+        gen = np.random.Generator(np.random.PCG64(21))
+        k1 = np.concatenate([gen.uniform(0.01, 1.0, 200), [0.25, 0.5, 0.5, 1.0, 0.4]])
+        k2 = np.concatenate([gen.uniform(0.01, 1.0, 200), [0.5, 0.5, 0.25, 1.0, 0.4]])
+        single = [sep_1d(density, (a, b)).sep for a, b in zip(k1, k2)]
+        assert batch_sep(density, k1, k2).tolist() == single
+        # any shape: the batch broadcasts its masses
+        assert batch_sep(density, k1.reshape(5, 41), k2.reshape(5, 41)).ravel().tolist() == single
+
+    def test_masses_broadcast(self):
+        grid = np.linspace(0.05, 0.9, 12)
+        single = [sep_1d(COS, (x, 0.2)).sep for x in grid]
+        assert batch_sep(COS, grid, 0.2).tolist() == single
+        assert batch_sep(COS, 0.2, grid).tolist() == [sep_1d(COS, (0.2, x)).sep for x in grid]
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.2, math.nan])
+    def test_rejects_out_of_range(self, bad):
+        with pytest.raises(InvalidMass):
+            batch_sep(COS, [0.3, bad], 0.5)
+        with pytest.raises(InvalidMass):
+            batch_sep(COS, 0.5, [bad, 0.3])

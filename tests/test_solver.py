@@ -331,6 +331,29 @@ class TestMainInequality:
         with pytest.raises(NotApplicable):
             check_main_inequality(RP3, (0.3, 0.5))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_many_pairs_share_draws_and_match_one_call_per_pair(self, n, threads):
+        space = CrossSpace.sphere(n)
+        pairs = [(0.3, 0.5), (0.25, 0.5), (0.5, 0.5), (0.1, 0.8), (0.6, 0.2)]
+        many = solver._check_main_inequalities(space, pairs, 20000, 11, threads)
+        assert len(many) == len(pairs)
+        for pair, rep in zip(pairs, many):
+            one = check_main_inequality(space, pair, mc_samples=20000, seed=11, threads=threads)
+            assert json.dumps(rep, sort_keys=True) == json.dumps(one, sort_keys=True)
+
+    def test_many_pairs_draw_once_per_stream(self, monkeypatch):
+        calls = []
+        original = solver.mc_cap_mass
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["stream"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "mc_cap_mass", counting)
+        solver._check_main_inequalities(S2, [(0.3, 0.5), (0.25, 0.5), (0.2, 0.6)], 5000, 3, 1)
+        assert calls == [0, 1]
+
 
 class TestRealization:
     def test_rp3_self_dual_tube_realizes(self):
