@@ -22,6 +22,7 @@ from .densities import (
     HALF_PI,
     Interval,
     TrigDensity,
+    _as_fractions,
     _fold,
     _Needle,
     _needle_cdf,
@@ -45,6 +46,14 @@ _FAMILIES = {
     QUATERNIONIC_PROJECTIVE: ("hp", "HP", 4, 1, "quaternionic projective spaces"),
     CAYLEY_PLANE: ("cap", "CaP", 8, 2, "Cayley planes"),  # CaP^2 only
 }
+
+
+def _integer(value, name):
+    """``value`` as an int: a finite integer (integer-valued floats pass), else OutOfDomain."""
+    x = float(value)
+    if not (math.isfinite(x) and x.is_integer()):
+        raise OutOfDomain(f"{name} must be an integer, got {value!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,7 @@ class CrossSpace:
     @classmethod
     def _of(cls, family, n):
         _, _, s, least, plural = _FAMILIES[family]
+        n = _integer(n, "n")
         if n < least:
             raise OutOfDomain(f"{plural} require n >= {least}")
         return cls(family, n, s * n, math.pi if family == SPHERE else HALF_PI, (s * n - 1, s - 1))
@@ -191,10 +201,7 @@ def profile_cdf(candidate, space, r):
 
 def profile_quantile(candidate, space, v):
     """Radius enclosing volume fraction ``v``: exactly 0 at 0, the diameter at 1."""
-    q = np.asarray(v, dtype=float)
-    if not np.all((q >= -1e-12) & (q <= 1.0 + 1e-12)):
-        raise OutOfDomain("mass fractions must lie in [0, 1]")
-    out = _needle_quantile(_row(candidate, space), q)
+    out = _needle_quantile(_row(candidate, space), _as_fractions(v))
     return out if out.shape else float(out)
 
 
@@ -211,10 +218,7 @@ def _enlarge(needle, v, epsilon):
 def _as_volumes(v, epsilon):
     if not (0.0 < epsilon < math.inf):
         raise OutOfDomain(f"epsilon must be positive and finite, got {epsilon}")
-    v = np.asarray(v, dtype=float)
-    if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-12)):
-        raise OutOfDomain("mass fractions must lie in [0, 1]")
-    return v
+    return _as_fractions(v)
 
 
 def enlarged_volume(candidate, space, v, epsilon):

@@ -170,10 +170,12 @@ def trig_mass(m, k, lo, hi):
     return float(_fold(m, k, lo, hi).mass)
 
 
-def trig_quantile(m, k, lo, hi, q):
-    """Inverse of the normalized CDF of ``cos^m sin^k`` on ``[lo, hi]``,
-    vectorized over every argument; one needle record per call."""
-    return _needle_quantile(_fold(m, k, lo, hi), q)
+def _as_fractions(q):
+    """``q`` as a float array of mass fractions in [0, 1] (to 1e-12), else OutOfDomain."""
+    q = np.asarray(q, dtype=float)
+    if not np.all((q >= -1e-12) & (q <= 1.0 + 1e-12)):
+        raise OutOfDomain("mass fractions must lie in [0, 1]")
+    return q
 
 
 def _validate_trig_domain(m, k, interval):
@@ -196,6 +198,8 @@ class _DensityBase:
     """Shared CDF/quantile plumbing; subclasses provide ``_cdf`` and
     ``_quantile`` on their own interval."""
 
+    _offset = 0.0  # a closed family's needle record sits this far left of it
+
     @property
     def raw_mass(self):
         return self._raw_total
@@ -216,9 +220,7 @@ class _DensityBase:
 
     def quantile(self, q):
         """Inverse CDF: the least ``t`` with ``cdf(t) >= q``; endpoints for q in {0, 1}."""
-        q = np.asarray(q, dtype=float)
-        if not np.all((q >= -1e-12) & (q <= 1.0 + 1e-12)):
-            raise OutOfDomain("mass fractions must lie in [0, 1]")
+        q = _as_fractions(q)
         t = np.minimum(np.maximum(self._quantile(q), self.interval.lo), self.interval.hi)
         t = np.where(q <= 0.0, self.interval.lo, np.where(q >= 1.0, self.interval.hi, t))
         return t if t.shape else float(t)

@@ -12,16 +12,15 @@ case the result is flagged as heuristic.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cross_spaces import SPHERE
-from .densities import HALF_PI, Interval, SinAffineDensity, normalize, trig_quantile
+from .cross_spaces import SPHERE, _integer
+from .densities import HALF_PI, Interval, SinAffineDensity, _fold, normalize
 from .errors import HypothesisViolated, NotApplicable, OutOfDomain
 from .sampling import _affine_draws
-from .separation import _gap_rule, as_mass_pair
+from .separation import _as_masses, _needle_gaps, as_mass_pair
 
 _TIE_TOL = 1e-12
 
@@ -73,8 +72,11 @@ def sphere_needle_bound(n, masses, force=False):
     """Needle separation distance for the n-sphere: sep of ``C cos^(n-1)``.
 
     Exact for straddling mass pairs; with ``force=True`` the same formula is
-    evaluated for non-straddling pairs and flagged as heuristic.
+    evaluated for non-straddling pairs and flagged as heuristic.  An ``n``
+    below 2 or not a finite integer (integer-valued floats pass) raises
+    ``OutOfDomain``.
     """
+    n = _integer(n, "sphere dimension")
     if n < 2:
         raise OutOfDomain(f"sphere dimension must be >= 2, got {n}")
     mp = as_mass_pair(masses)
@@ -115,10 +117,7 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
     mps = [as_mass_pair(p) for p in mass_pairs]
     oks = [_require_straddle(mp, force, "cross needle bound") for mp in mps]
     low = max(space.dim - 1, 1)
-    top = float(space.dim + 7 if max_total_power is None else max_total_power)
-    if not (math.isfinite(top) and top.is_integer()):
-        raise OutOfDomain(f"max_total_power must be an integer, got {max_total_power!r}")
-    mtp = int(top)
+    mtp = _integer(space.dim + 7 if max_total_power is None else max_total_power, "max_total_power")
     if mtp < low:
         raise OutOfDomain(
             f"max_total_power={mtp} is below the admissibility floor {low}"
@@ -153,17 +152,8 @@ def cross_needle_bound(space, masses, max_total_power=None, force=False):
 
 
 def _trig_sep(m, k, lo, hi, k1, k2):
-    """``sep_1d``'s gap rule on closed-form quantiles (these CDFs strictly
-    increase, so no right interval needs the plateau correction).  The
-    needles ``(m, k, lo, hi)`` are folded once at their own broadcast shape
-    and the masses broadcast against them, so ``(P, 1)`` masses over ``(N,)``
-    needles give a ``(P, N)`` table from one fold and one quantile call."""
-    k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
-    shape = np.broadcast(m, k, lo, hi, k1, k2).shape
-    # only when needed: np.broadcast_to's Python overhead rivals a whole scalar bound
-    if k1.shape != shape or k2.shape != shape:
-        k1, k2 = np.broadcast_to(k1, shape), np.broadcast_to(k2, shape)
-    return _gap_rule(lambda q: trig_quantile(m, k, lo, hi, q), k1, k2)[2]
+    """Separations of the needles ``cos^m sin^k`` on ``[lo, hi]``, folded once."""
+    return _needle_gaps(_fold(m, k, lo, hi), k1, k2)[2]
 
 
 def batch_trig_sep(m, k, lo, hi, k1, k2):
@@ -171,22 +161,23 @@ def batch_trig_sep(m, k, lo, hi, k1, k2):
 
     ``sep_1d`` on the equivalent :class:`TrigDensity`, vectorized over
     needles; all arguments broadcast.  Intervals must lie inside [0, pi/2],
-    the domain on which every exponent combination is a density.
+    the domain on which every exponent combination is a density, and every
+    mass in (0, 1].
     """
     if np.any(np.asarray(lo) < -1e-12) or np.any(np.asarray(hi) > HALF_PI + 1e-12):
         raise OutOfDomain("batch_trig_sep expects intervals inside [0, pi/2]")
-    return _trig_sep(m, k, lo, hi, k1, k2)
+    return _trig_sep(m, k, lo, hi, *_as_masses(k1, k2))
 
 
 def batch_affine_sep(phase, power, lo, hi, k1, k2):
     """Separation distances for a batch of sin^p-affine needles.
 
-    All arguments broadcast elementwise.  ``sep_1d(SinAffineDensity(...),
-    (k1, k2))`` vectorized over the batch: the needle is ``cos^power`` on
-    the interval shifted by ``-phase``.
+    All arguments broadcast elementwise, and every mass must lie in (0, 1].
+    ``sep_1d(SinAffineDensity(...), (k1, k2))`` vectorized over the batch:
+    the needle is ``cos^power`` on the interval shifted by ``-phase``.
     """
     phase = np.asarray(phase, dtype=float)
-    return _trig_sep(power, 0.0, lo - phase, hi - phase, k1, k2)
+    return _trig_sep(power, 0.0, lo - phase, hi - phase, *_as_masses(k1, k2))
 
 
 def optimize_affine_family(interval_length_max, p_range, masses, samples, seed):

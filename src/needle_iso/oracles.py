@@ -43,7 +43,6 @@ from .needle_bound import (
     batch_affine_sep,
     batch_trig_sep,
     cross_needle_bounds,
-    sphere_needle_bound,
 )
 from .sampling import _affine_draws, as_rng_spec, random_affine_needle
 from .separation import MassPair, batch_sep, sep_1d, sep_1d_bruteforce
@@ -329,19 +328,14 @@ def _check_bruteforce_agreement(ctx):
 
 def _check_reflection_invariance(ctx):
     gen = ctx.spec.generator(24)
-    worst = 0.0
+    rows = []  # (phase, power, lo, hi, k1, k2) per needle, in draw order
     for _ in range(30):
-        needle = random_affine_needle(math.pi, range(1, 6), gen)
-        mp = MassPair(float(gen.uniform(0.05, 0.95)), float(gen.uniform(0.05, 0.95)))
-        iv = needle.interval
-        mirrored = normalize(
-            SinAffineDensity(
-                phase=(iv.lo + iv.hi) - needle.phase,
-                power=needle.power,
-                interval=iv,
-            )
-        )
-        worst = max(worst, abs(sep_1d(needle, mp).sep - sep_1d(mirrored, mp).sep))
+        d = random_affine_needle(math.pi, range(1, 6), gen)
+        rows.append((d.phase, d.power, d.interval.lo, d.interval.hi, *gen.uniform(0.05, 0.95, 2)))
+    phase, power, lo, hi, k1, k2 = np.array(rows).T
+    # row 0 the needles, row 1 their mirrors about the interval midpoint
+    seps = batch_affine_sep(np.array([phase, (lo + hi) - phase]), power, lo, hi, k1, k2)
+    worst = float(np.max(np.abs(seps[0] - seps[1])))
     return {"passed": worst < 1e-9, "details": {"max_reflection_error": worst}}
 
 
@@ -455,17 +449,11 @@ def _check_component_bound(ctx):
 def _check_power_monotonicity_observation(ctx):
     """Numerical observation (logged, never asserted): per-(m,k) separation
     shrinks as m+k grows with the m/k ratio fixed."""
-    mp = MassPair(0.3, 0.6)
-    data = {}
-    monotone = True
-    for base in [(1, 0), (0, 1), (1, 1), (2, 1)]:
-        seq = []
-        for scale in range(1, 6):
-            m, k = base[0] * scale, base[1] * scale
-            seq.append(float(batch_trig_sep(m, k, 0.0, HALF_PI, mp.k1, mp.k2)))
-        data[f"{base[0]}:{base[1]}"] = seq
-        if np.any(np.diff(seq) > 1e-12):
-            monotone = False
+    bases = np.array([(1, 0), (0, 1), (1, 1), (2, 1)])
+    scaled = bases[:, :, None] * np.arange(1, 6)  # (base, m or k, scale)
+    seqs = batch_trig_sep(scaled[:, 0], scaled[:, 1], 0.0, HALF_PI, 0.3, 0.6)
+    data = {f"{m}:{k}": seq for (m, k), seq in zip(bases.tolist(), seqs.tolist())}
+    monotone = not np.any(np.diff(seqs, axis=1) > 1e-12)
     return {
         "passed": True,
         "details": {"observed_monotone": monotone, "sequences": data},
@@ -473,12 +461,10 @@ def _check_power_monotonicity_observation(ctx):
 
 
 def _check_sphere_bound_dimension_monotone(ctx):
-    ok = True
-    for mp in [MassPair(0.2, 0.5), MassPair(0.3, 0.7), MassPair(0.5, 0.5)]:
-        seq = [sphere_needle_bound(n, mp).bound for n in range(2, 11)]
-        if np.any(np.diff(seq) > 1e-12):
-            ok = False
-    return {"passed": ok, "details": {}}
+    # the sphere bound of S^n, n = 2..10, at three straddling pairs: one row each
+    k1, k2 = np.array([[0.2], [0.3], [0.5]]), np.array([[0.5], [0.7], [0.5]])
+    seqs = batch_affine_sep(0.0, np.arange(1.0, 10.0), -HALF_PI, HALF_PI, k1, k2)
+    return {"passed": not np.any(np.diff(seqs, axis=1) > 1e-12), "details": {}}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Interval, TabulatedDensity
+from .densities import Interval, TabulatedDensity, _needle_quantile
 from .errors import InvalidMass, OutOfDomain
 
 
@@ -79,19 +79,40 @@ def _gap_rule(ends, k1, k2):
     return t, gap_12 >= gap_21, np.maximum(np.maximum(gap_12, gap_21), 0.0)
 
 
+def _needle_gaps(needle, k1, k2):
+    """:func:`_gap_rule` on a needle record's closed-form quantiles, in its own
+    frame (strictly increasing CDFs need no plateau correction).  The masses
+    broadcast against the record's fields: ``(P, 1)`` masses over an ``(N,)``
+    record give a ``(P, N)`` table from one quantile call."""
+    k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
+    shape = np.broadcast(needle.a, k1, k2).shape
+    # only when needed: np.broadcast_to's Python overhead rivals a whole scalar bound
+    if k1.shape != shape or k2.shape != shape:
+        k1, k2 = np.broadcast_to(k1, shape), np.broadcast_to(k2, shape)
+    return _gap_rule(lambda q: _needle_quantile(needle, q), k1, k2)
+
+
 def _density_gaps(density, k1, k2):
     """:func:`_gap_rule` on one density over a mass axis: ``k1`` and ``k2``
-    share one shape (any), and the ends come from one quantile call."""
-    ends = density.quantile
-    if isinstance(density, TabulatedDensity):
-        # only a tabulated CDF can be flat inside its interval: across a zero
-        # plateau a right interval (entries 1, 3) starts at the plateau's end
-        right = np.array([False, True, False, True]).reshape((4,) + (1,) * np.ndim(k1))
+    share one shape (any), and the ends come from one quantile call.  They
+    fall ``density._offset`` short: a closed family works in its record's frame."""
+    if not isinstance(density, TabulatedDensity):
+        return _needle_gaps(density._needle, k1, k2)
+    # only a tabulated CDF can be flat inside its interval: across a zero
+    # plateau a right interval (entries 1, 3) starts at the plateau's end
+    right = np.array([False, True, False, True]).reshape((4,) + (1,) * np.ndim(k1))
+    return _gap_rule(lambda q: density._quantile(q, right=right), k1, k2)
 
-        def ends(q):
-            return density._quantile(q, right=right)
 
-    return _gap_rule(ends, k1, k2)
+def _as_masses(k1, k2):
+    """``k1`` and ``k2`` as float arrays broadcast against each other; an
+    entry outside (0, 1] raises InvalidMass."""
+    k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
+    for name, k in (("k1", k1), ("k2", k2)):
+        bad = ~((k > 0.0) & (k <= 1.0))
+        if bad.any():
+            raise InvalidMass(f"mass must be in (0,1], got {name}={k[bad][0]}")
+    return np.broadcast_arrays(k1, k2)
 
 
 def sep_1d(density, masses):
@@ -101,7 +122,7 @@ def sep_1d(density, masses):
     the right runs from the least ``t`` with ``F(t) >= a`` to the largest
     ``t`` with ``F(t) <= 1 - b``; the result is the larger of the two
     arrangements, clamped at zero (the intervals are still reported at
-    exact masses when they overlap).
+    exact masses when they overlap, and always inside the interval).
     """
     mp = as_mass_pair(masses)
     # quantile-based extremality assumes the supremum is reached by extreme
@@ -112,8 +133,8 @@ def sep_1d(density, masses):
     i = 0 if k1_left else 2  # the winning arrangement's two end points
     return SeparationResult(
         sep=float(sep),
-        left_interval=Interval(lo, max(float(t[i]), np.nextafter(lo, hi))),
-        right_interval=Interval(min(float(t[i + 1]), np.nextafter(hi, lo)), hi),
+        left_interval=Interval(lo, min(max(float(t[i]) + density._offset, np.nextafter(lo, hi)), hi)),
+        right_interval=Interval(max(min(float(t[i + 1]) + density._offset, np.nextafter(hi, lo)), lo), hi),
         left_mass=mp.k1 if k1_left else mp.k2,
         right_mass=mp.k2 if k1_left else mp.k1,
     )
@@ -124,12 +145,7 @@ def batch_sep(density, k1, k2):
     needle: ``k1`` and ``k2`` broadcast, each in (0, 1], and the batch takes
     one quantile call.  Returns a float array of the broadcast shape, bit
     for bit the scalar seps."""
-    k1, k2 = np.broadcast_arrays(np.asarray(k1, dtype=float), np.asarray(k2, dtype=float))
-    for name, k in (("k1", k1), ("k2", k2)):
-        bad = ~((k > 0.0) & (k <= 1.0))
-        if bad.any():
-            raise InvalidMass(f"mass must be in (0,1], got {name}={k[bad][0]}")
-    return _density_gaps(density, k1, k2)[2]
+    return _density_gaps(density, *_as_masses(k1, k2))[2]
 
 
 def sep_1d_bruteforce(density, masses, grid_size=4096):

@@ -65,6 +65,25 @@ class TestCatalog:
             for cand in catalog(space):
                 assert cand.a + cand.b >= space.dim - 1
 
+    @pytest.mark.parametrize(
+        "build, n",
+        [
+            (CrossSpace.sphere, 2.5),
+            (CrossSpace.sphere, math.nan),
+            (CrossSpace.real_projective, 3.5),
+            (CrossSpace.complex_projective, 1.5),
+            (CrossSpace.quaternionic_projective, math.inf),
+        ],
+    )
+    def test_index_must_be_a_finite_integer(self, build, n):
+        # sphere(2.5) used to build a space with ball exponents (1.5, 0)
+        with pytest.raises(OutOfDomain):
+            build(n)
+
+    def test_integer_valued_float_index_accepted(self):
+        s = CrossSpace.sphere(3.0)
+        assert s == CrossSpace.sphere(3) and s.name == "s3" and type(s.index) is int
+
     def test_descriptor_table(self):
         s = CrossSpace.sphere(4)
         assert (s.dim, s.diameter, s.ball_exponents) == (4, math.pi, (3, 0))

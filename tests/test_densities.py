@@ -330,7 +330,7 @@ class TestQuantileAgainstMpmath:
 
 
 class TestQuantileBatch:
-    """A block of needles in one :func:`trig_quantile` call matches each
+    """A block of needles in one needle-record quantile call matches each
     needle's own quantile bit for bit, and costs one tail pair per needle
     and one inversion per target."""
 
@@ -341,7 +341,7 @@ class TestQuantileBatch:
         m, k = np.array(self.PAIRS, dtype=float).T
         k1, k2 = np.linspace(0.05, 0.45, m.size), np.linspace(0.95, 0.55, m.size)
         targets = np.array([k1, 1.0 - k2, k2, 1.0 - k1])
-        block = densities.trig_quantile(m, k, 0.0, HALF_PI, targets)
+        block = densities._needle_quantile(densities._fold(m, k, 0.0, HALF_PI), targets)
         for j, (mj, kj) in enumerate(self.PAIRS):
             own = TrigDensity(m=mj, k=kj, interval=Interval(0.0, HALF_PI)).quantile(targets[:, j])
             assert np.array_equal(block[:, j], own), (mj, kj)

@@ -8,6 +8,7 @@ from needle_iso import (
     CrossSpace,
     HypothesisViolated,
     Interval,
+    InvalidMass,
     MassPair,
     NotApplicable,
     OutOfDomain,
@@ -65,6 +66,17 @@ class TestSphereBound:
     def test_dimension_floor(self):
         with pytest.raises(OutOfDomain):
             sphere_needle_bound(1, (0.3, 0.5))
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+    def test_dimension_must_be_a_finite_integer(self, n):
+        # 2.5 used to return the cos^1.5 bound, and NaN or inf a NaN bound
+        with pytest.raises(OutOfDomain):
+            sphere_needle_bound(n, (0.3, 0.6))
+
+    def test_integer_valued_float_dimension_accepted(self):
+        a = sphere_needle_bound(3.0, (0.3, 0.6))
+        assert a == sphere_needle_bound(3, (0.3, 0.6))
+        assert type(a.params["n"]) is int
 
 
 class TestCrossBound:
@@ -161,7 +173,7 @@ class TestBatchHelpers:
             )
             scalar = sep_1d(needle, mp).sep
             batch = float(batch_affine_sep(phase, power, 0.0, length, mp[0], mp[1]))
-            assert batch == pytest.approx(scalar, abs=1e-12)
+            assert batch == scalar  # one kernel: bit for bit
 
     def test_batch_trig_matches_scalar(self):
         gen = np.random.Generator(np.random.PCG64(6))
@@ -172,7 +184,7 @@ class TestBatchHelpers:
             needle = normalize(TrigDensity(m=m, k=k, interval=Interval(0.0, HALF_PI)))
             scalar = sep_1d(needle, mp).sep
             batch = float(batch_trig_sep(m, k, 0.0, HALF_PI, mp[0], mp[1]))
-            assert batch == pytest.approx(scalar, abs=1e-12)
+            assert batch == scalar  # one kernel: bit for bit
 
     def test_one_needle_over_a_mass_axis_matches_scalar_bits(self):
         # a scalar needle is folded once and its masses broadcast against it
@@ -186,6 +198,14 @@ class TestBatchHelpers:
     def test_batch_trig_rejects_bad_window(self):
         with pytest.raises(OutOfDomain):
             batch_trig_sep(1.0, 1.0, 0.0, 2.0, 0.3, 0.6)
+
+    @pytest.mark.parametrize("k1, k2", [(-0.5, 0.2), (1.5, 0.2), (math.nan, 0.2), (0.2, -0.5)])
+    def test_batch_seps_reject_masses_outside_the_unit_interval(self, k1, k2):
+        # these used to return 0.852, 0.0 or NaN without raising
+        with pytest.raises(InvalidMass):
+            batch_trig_sep(1.0, 1.0, 0.0, 1.0, k1, k2)
+        with pytest.raises(InvalidMass):
+            batch_affine_sep(0.0, 2.0, 0.0, 1.0, [0.3, k1], [0.4, k2])
 
 
 class TestOptimizer:

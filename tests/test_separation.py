@@ -12,7 +12,9 @@ from needle_iso import (
     SinAffineDensity,
     TabulatedDensity,
     TrigDensity,
+    batch_affine_sep,
     batch_sep,
+    batch_trig_sep,
     normalize,
     sep_1d,
     sep_1d_bruteforce,
@@ -206,3 +208,68 @@ class TestBatchSep:
             batch_sep(COS, [0.3, bad], 0.5)
         with pytest.raises(InvalidMass):
             batch_sep(COS, 0.5, [bad, 0.3])
+
+
+class TestOneClosedFamilyPath:
+    """``sep_1d``, ``batch_sep`` and the batch seps of ``needle_bound`` run one
+    kernel on a closed-family needle, so they agree bit for bit."""
+
+    MASS = st.floats(0.01, 1.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        exponents=st.sampled_from([(2.0, 3.0), (0.5, 1.5), (2.5, 0.0), (0.0, 1.5), (0.0, 0.0)]),
+        lo=st.floats(0.0, 0.7),
+        length=st.floats(0.05, 0.85),
+        k1=MASS,
+        k2=MASS,
+    )
+    def test_trig_needles(self, exponents, lo, length, k1, k2):
+        # both exponents, pure cosine, pure sine and the constant
+        m, k = exponents
+        d = normalize(TrigDensity(m=m, k=k, interval=Interval(lo, lo + length)))
+        sep = sep_1d(d, (k1, k2)).sep
+        assert float(batch_sep(d, k1, k2)) == sep
+        assert float(batch_trig_sep(m, k, lo, lo + length, k1, k2)) == sep
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        power=st.sampled_from([0.0, 1.0, 2.5, 6.0]),
+        lo=st.floats(-1.0, 1.0),
+        length=st.floats(0.05, 3.0),
+        window=st.floats(0.0, 1.0),
+        k1=MASS,
+        k2=MASS,
+    )
+    def test_affine_needles(self, power, lo, length, window, k1, k2):
+        hi = lo + length
+        phase = (hi - HALF_PI) + window * (lo - hi + math.pi)  # cos(t - phase) >= 0 on [lo, hi]
+        d = normalize(SinAffineDensity(phase=phase, power=power, interval=Interval(lo, hi)))
+        sep = sep_1d(d, (k1, k2)).sep
+        assert float(batch_sep(d, k1, k2)) == sep
+        assert float(batch_affine_sep(phase, power, lo, hi, k1, k2)) == sep
+
+    def test_a_batch_of_needles_matches_each_needle(self):
+        gen = np.random.Generator(np.random.PCG64(3))
+        lo, length = gen.uniform(-1.0, 1.0, 300), gen.uniform(0.05, 3.0, 300)
+        phase = (lo + length - HALF_PI) + gen.uniform(0.0, 1.0, 300) * (math.pi - length)
+        power, k1, k2 = gen.uniform(0.0, 6.0, 300), gen.uniform(0.01, 1.0, 300), gen.uniform(0.01, 1.0, 300)
+        batch = batch_affine_sep(phase, power, lo, lo + length, k1, k2)
+        for j in range(300):
+            iv = Interval(float(lo[j]), float(lo[j] + length[j]))
+            d = normalize(SinAffineDensity(phase=float(phase[j]), power=float(power[j]), interval=iv))
+            assert batch[j] == sep_1d(d, (k1[j], k2[j])).sep
+
+    def test_reported_intervals_stay_inside_the_needle(self):
+        # a full mass puts an end on the needle's own end, which the frame
+        # shift by the phase can round one ulp past it
+        gen = np.random.Generator(np.random.PCG64(11))
+        for j in range(3000):
+            lo, length = gen.uniform(-1.0, 1.0), gen.uniform(0.05, 3.0)
+            iv = Interval(lo, lo + length)
+            phase = (iv.hi - HALF_PI) + gen.uniform() * (math.pi - length)
+            d = normalize(SinAffineDensity(phase=phase, power=gen.uniform(0.0, 6.0), interval=iv))
+            masses = (1.0, gen.uniform(0.01, 1.0)) if j % 2 else (gen.uniform(0.01, 1.0), 1.0)
+            res = sep_1d(d, masses)
+            for part in (res.left_interval, res.right_interval):
+                assert iv.lo <= part.lo < part.hi <= iv.hi, (j, part, iv)
