@@ -12,26 +12,21 @@ worker threads.
 
 import argparse
 import functools
-import json
 import os
 import sys
 
 import numpy as np
 
 from .cross_spaces import space_by_name
-from .densities import Interval, SinAffineDensity, TabulatedDensity, TrigDensity, normalize
+from .densities import density_from_dict
 from .errors import NeedleIsoError, OutOfDomain
-from .needle_bound import bound_profile_csv, cross_needle_bound, sphere_needle_bound
+from .needle_bound import _csv_row, bound_profile_csv, cross_needle_bound, sphere_needle_bound
 from .oracles import SUITE_NAMES, report_to_json, run_property_suite
 from .separation import MassPair, sep_1d
 from .solver import isoperimetric_profile_curve, profile_curve_csv, solve_with_complement_reduction
 
 # json and csv are stable schemas; human output is unstable
 OUTPUT_FORMATS = ("json", "csv", "human")
-
-
-def _dump_json(payload):
-    sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _parse_floats(text):
@@ -45,38 +40,18 @@ def _positive_int(text):
     return n
 
 
-def _build_density(args):
-    interval = Interval(args.lo, args.hi)
-    if args.family == "trig":
-        return normalize(TrigDensity(m=args.m, k=args.k, interval=interval))
-    if args.family == "affine":
-        return normalize(
-            SinAffineDensity(phase=args.phase, power=args.power, interval=interval)
-        )
-    if args.grid is None or args.values is None:
-        raise NeedleIsoError("tabulated densities need --grid and --values")
-    if (args.lo, args.hi) != (args.grid[0], args.grid[-1]):
-        raise OutOfDomain(
-            f"--lo/--hi [{args.lo:.6g}, {args.hi:.6g}] must be the --grid ends "
-            f"[{args.grid[0]:.6g}, {args.grid[-1]:.6g}]"
-        )
-    return normalize(TabulatedDensity(grid=args.grid, values=args.values))
-
-
 def _cmd_sep(args):
-    density = _build_density(args)
+    density = density_from_dict(vars(args))
     masses = MassPair(args.k1, args.k2)
     result = sep_1d(density, masses)
     if args.format == "json":
         payload = {"density": density.to_dict(), "k1": masses.k1, "k2": masses.k2}
         payload.update(result.to_dict())
-        _dump_json(payload)
+        sys.stdout.write(report_to_json(payload))
     elif args.format == "csv":
         sys.stdout.write("sep,left_lo,left_hi,right_lo,right_hi\n")
-        sys.stdout.write(
-            f"{result.sep!r},{result.left_interval.lo!r},{result.left_interval.hi!r},"
-            f"{result.right_interval.lo!r},{result.right_interval.hi!r}\n"
-        )
+        left, right = result.left_interval, result.right_interval
+        sys.stdout.write(_csv_row((result.sep, left.lo, left.hi, right.lo, right.hi)))
     else:
         print(f"separation: {result.sep:.12g}")
         print(
@@ -105,7 +80,7 @@ def _cmd_bound(args):
     rec = res.to_dict()
     rec.update({"k1": masses.k1, "k2": masses.k2})
     if args.format == "json":
-        _dump_json(rec)
+        sys.stdout.write(report_to_json(rec))
     elif args.format == "csv":
         sys.stdout.write(bound_profile_csv([rec]))
     else:
@@ -120,11 +95,11 @@ def _cmd_solve(args):
     space = space_by_name(args.space)
     res = solve_with_complement_reduction(space, args.v, args.eps)
     if args.format == "json":
-        _dump_json(res.to_dict())
+        sys.stdout.write(report_to_json(res.to_dict()))
     elif args.format == "csv":
         sys.stdout.write("label,a,b,enlarged\n")
         for c, e in res.per_candidate:
-            sys.stdout.write(f"{c.label},{c.a!r},{c.b!r},{e!r}\n")
+            sys.stdout.write(_csv_row((c.label, c.a, c.b, e)))
     else:
         if res.complement_reduction:
             print(f"volume {args.v} exceeds 1/2: solved the complementary problem")
@@ -148,7 +123,7 @@ def _cmd_profile(args):
     grid = np.linspace(v_lo, v_hi, args.v_grid)
     result = isoperimetric_profile_curve(space, args.eps, grid)
     if args.format == "json":
-        _dump_json({"space": space.name, "epsilon": args.eps, **result})
+        sys.stdout.write(report_to_json({"space": space.name, "epsilon": args.eps, **result}))
     elif args.format == "csv":
         sys.stdout.write(profile_curve_csv(result))
     else:

@@ -48,6 +48,7 @@ from .errors import (
     NotApplicable,
     OutOfDomain,
     PreconditionFailed,
+    _require_count,
 )
 
 
@@ -95,8 +96,7 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     finite (they have no scale) or not one per grid point.
     """
     _require_order(order)
-    if isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer)) or grid_size < 3:
-        raise OutOfDomain(f"grid_size must be an integer >= 3, got {grid_size!r}")
+    _require_count(grid_size, "grid_size", 3)
     if not (math.isfinite(tol) and tol >= 0):
         raise OutOfDomain(f"tol must be finite and nonnegative, got {tol}")
     func, iv = _as_callable(f, interval)

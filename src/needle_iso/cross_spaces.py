@@ -23,6 +23,7 @@ from .densities import (
     Interval,
     TrigDensity,
     _as_fractions,
+    _checked_fold,
     _fold,
     _Needle,
     _needle_cdf,
@@ -173,20 +174,16 @@ def _exponent_columns(cands):
     return np.array([[c.b] for c in cands]), np.array([[c.a] for c in cands])
 
 
-def _radial_density(candidate, space):
-    return TrigDensity(m=candidate.b, k=candidate.a, interval=Interval(0.0, space.diameter))
-
-
 def _row(candidate, space):
     """The candidate's needle record: its row of the space's catalog record,
-    or, for a candidate outside the catalog, its own fold."""
+    or, for a candidate outside the catalog, its own checked fold."""
     row = _record(space).rows.get(candidate)
-    return _radial_density(candidate, space)._needle if row is None else row
+    return _checked_fold(candidate.b, candidate.a, 0.0, space.diameter) if row is None else row
 
 
 def radial_density(candidate, space):
     """A fresh normalized radial profile sin^a cos^b on [0, diameter]."""
-    return normalize(_radial_density(candidate, space))
+    return normalize(TrigDensity(m=candidate.b, k=candidate.a, interval=Interval(0.0, space.diameter)))
 
 
 def profile_cdf(candidate, space, r):

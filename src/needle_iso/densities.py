@@ -101,13 +101,20 @@ def _position(far, folded, low, up):
 _Needle = namedtuple("_Needle", "a b lo hi shift mirrored flat left right whole part total quarter mass")
 
 
+def _frame(m, k):
+    """Where ``cos^m sin^k`` folds: pure cosine (``swap``) is pure sine
+    ``shift``-ed by pi/2, pure sine spans two quarters ``mirrored`` about
+    pi/2, and the constant is ``flat``."""
+    swap, sine = k == 0.0, m == 0.0
+    return swap, HALF_PI * swap, swap | sine, swap & sine
+
+
 def _fold(m, k, lo, hi):
     """The needle record of ``cos^m sin^k`` on ``[lo, hi]``, vectorized: the
     tails at both ends from one ``_tails`` call at the needles' broadcast
     shape, the interval's mass as a difference of the smaller tails."""
     m, k, lo, hi = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (m, k, lo, hi)))
-    swap, sine = k == 0.0, m == 0.0
-    shift, mirrored, flat = HALF_PI * swap, swap | sine, swap & sine
+    swap, shift, mirrored, flat = _frame(m, k)
     a, b = 0.5 * (np.where(swap, m, k) + 1.0), 0.5 * (np.where(swap, 0.0, m) + 1.0)
     far, folded = _fold_points(shift, mirrored, np.array([lo, hi]))
     low, up = _tails(a, b, np.sin(folded) ** 2, np.cos(folded) ** 2)
@@ -122,6 +129,34 @@ def _fold(m, k, lo, hi):
     # sin^2 = cos^2 = 1/2 exactly at pi/4, where the quantile's two forms meet
     quarter = betainc(a, b, 0.5)
     return _Needle(a, b, lo, hi, shift, mirrored, flat, start, right[1], whole, part, total, quarter, mass)
+
+
+def _checked_fold(m, k, lo, hi, offset=0.0):
+    """:func:`_fold` of needles given from outside the library, ``cos^m
+    sin^k`` on ``[lo, hi]`` moved back by ``offset``, after the one
+    closed-family domain check: exponents finite and >= 0, ``lo < hi`` at
+    most pi apart (the :class:`Interval` rule), and the interval inside the
+    fold's own domain to 1e-9 -- ``[0, pi/2]``, ``[-pi/2, pi/2]`` for pure
+    cosine, ``[0, pi]`` for pure sine, anywhere for the constant.  So a
+    needle is valid exactly where its fold is defined.  Vectorized; any
+    invalid needle raises OutOfDomain."""
+    m, k = np.asarray(m, dtype=float), np.asarray(k, dtype=float)
+    _, shift, mirrored, flat = _frame(m, k)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails lo < hi
+        lo, hi = np.asarray(lo, dtype=float) - offset, np.asarray(hi, dtype=float) - offset
+        ok = (
+            (np.minimum(m, k) >= 0.0) & (np.maximum(m, k) < math.inf)
+            & (lo < hi) & (hi - lo <= math.pi + 1e-12)
+            & (flat | (lo + shift >= -_DOMAIN_TOL) & (hi + shift <= (HALF_PI + _DOMAIN_TOL) + HALF_PI * mirrored))
+        )
+    if not ok.all():
+        m, k, lo, hi = (np.broadcast_to(x, ok.shape)[~ok][0] for x in (m, k, lo, hi))
+        raise OutOfDomain(
+            f"cos^{m:.6g} sin^{k:.6g} on [{lo:.6g}, {hi:.6g}] is not a needle: exponents "
+            "must be finite and >= 0, and lo < hi at most pi apart inside [0, pi/2] "
+            "([-pi/2, pi/2] for pure cosine, [0, pi] for pure sine)"
+        )
+    return _fold(m, k, lo, hi)
 
 
 def _needle_cdf(n, t):
@@ -165,9 +200,11 @@ def _needle_quantile(n, q):
 
 
 def trig_mass(m, k, lo, hi):
-    """Exact ``int_lo^hi cos^m sin^k dt``: ``[lo, hi]`` inside [0, pi/2], or
-    [-pi/2, pi/2] for pure cosine, [0, pi] for pure sine, R for the constant."""
-    return float(_fold(m, k, lo, hi).mass)
+    """Exact ``int_lo^hi cos^m sin^k dt`` on a valid needle: ``[lo, hi]`` at
+    most pi long inside [0, pi/2], or [-pi/2, pi/2] for pure cosine, [0, pi]
+    for pure sine, anywhere for the constant; any other input raises
+    OutOfDomain."""
+    return float(_checked_fold(m, k, lo, hi).mass)
 
 
 def _as_fractions(q):
@@ -176,22 +213,6 @@ def _as_fractions(q):
     if not np.all((q >= -1e-12) & (q <= 1.0 + 1e-12)):
         raise OutOfDomain("mass fractions must lie in [0, 1]")
     return q
-
-
-def _validate_trig_domain(m, k, interval):
-    tol = 1e-9
-    if m < 0 or k < 0:
-        raise OutOfDomain("exponents must be nonnegative")
-    if k > 0 and not (interval.lo >= -tol and interval.hi <= math.pi + tol):
-        raise OutOfDomain(
-            f"sin^{k} requires the interval inside [0, pi], got "
-            f"[{interval.lo:.6g}, {interval.hi:.6g}]"
-        )
-    if m > 0 and not (interval.lo >= -HALF_PI - tol and interval.hi <= HALF_PI + tol):
-        raise OutOfDomain(
-            f"cos^{m} requires the interval inside [-pi/2, pi/2], got "
-            f"[{interval.lo:.6g}, {interval.hi:.6g}]"
-        )
 
 
 class _DensityBase:
@@ -238,10 +259,11 @@ def _finalize(density, total):
 
 class _NeedleDensity(_DensityBase):
     """The closed families: CDF and quantile read one needle record, built
-    once by ``__post_init__`` on the interval moved back by ``offset``."""
+    once by ``__post_init__`` on the interval moved back by ``offset``,
+    through the closed-family domain check of :func:`_checked_fold`."""
 
     def _build(self, m, k, offset):
-        needle = _fold(m, k, self.interval.lo - offset, self.interval.hi - offset)
+        needle = _checked_fold(m, k, self.interval.lo, self.interval.hi, offset)
         object.__setattr__(self, "_needle", needle)
         object.__setattr__(self, "_offset", offset)
         _finalize(self, needle.mass)
@@ -270,7 +292,6 @@ class TrigDensity(_NeedleDensity):
     family = "trig"
 
     def __post_init__(self):
-        _validate_trig_domain(self.m, self.k, self.interval)
         self._build(self.m, self.k, 0.0)
 
     def pdf(self, t):
@@ -295,8 +316,10 @@ class TrigDensity(_NeedleDensity):
 class SinAffineDensity(_NeedleDensity):
     """Density proportional to ``(sin(phase) sin t + cos(phase) cos t)^power``.
 
-    The affine form equals ``cos(t - phase)``, so it must stay positive on
-    the open interval: ``(lo - phase, hi - phase)`` inside ``(-pi/2, pi/2)``.
+    The affine form equals ``cos(t - phase)``, so the needle is
+    ``cos^power`` on ``[lo - phase, hi - phase]`` and takes that needle's
+    domain: a finite ``power >= 0``, and ``[lo - phase, hi - phase]`` inside
+    ``[-pi/2, pi/2]`` (to 1e-9) unless ``power`` is 0.
     """
 
     phase: float
@@ -307,15 +330,6 @@ class SinAffineDensity(_NeedleDensity):
     family = "affine"
 
     def __post_init__(self):
-        if self.power < 0:
-            raise OutOfDomain("power must be nonnegative")
-        tol = 1e-9
-        if self.interval.lo - self.phase < -HALF_PI - tol or self.interval.hi - self.phase > HALF_PI + tol:
-            raise OutOfDomain(
-                "affine density not positive on the open interval: phase "
-                f"{self.phase:.6g} leaves cos(t - phase) nonpositive inside "
-                f"[{self.interval.lo:.6g}, {self.interval.hi:.6g}]"
-            )
         self._build(self.power, 0.0, self.phase)
 
     def pdf(self, t):

@@ -1,4 +1,7 @@
-"""Semantic exception hierarchy shared across the library."""
+"""Semantic exception hierarchy shared across the library, and the one
+check of a count argument."""
+
+import numpy as np
 
 
 class NeedleIsoError(ValueError):
@@ -43,3 +46,10 @@ class RetryExhausted(NeedleIsoError):
 
 class QuadratureError(NeedleIsoError):
     """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+def _require_count(value, name, least):
+    """Raise OutOfDomain unless ``value`` is an integer (Python or numpy, not
+    a bool, not an integer-valued float) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise OutOfDomain(f"{name} must be an integer >= {least}, got {value!r}")

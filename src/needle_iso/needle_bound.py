@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cross_spaces import SPHERE, _integer
-from .densities import HALF_PI, Interval, SinAffineDensity, _fold, normalize
-from .errors import HypothesisViolated, NotApplicable, OutOfDomain
+from .densities import HALF_PI, Interval, SinAffineDensity, _checked_fold, _fold, normalize
+from .errors import HypothesisViolated, NotApplicable, OutOfDomain, _require_count
 from .sampling import _affine_draws
 from .separation import _as_masses, _needle_gaps, as_mass_pair
 
@@ -157,16 +157,14 @@ def _trig_sep(m, k, lo, hi, k1, k2):
 
 
 def batch_trig_sep(m, k, lo, hi, k1, k2):
-    """Separations for a batch of trig-monomial needles inside [0, pi/2].
+    """Separations for a batch of trig-monomial needles.
 
     ``sep_1d`` on the equivalent :class:`TrigDensity`, vectorized over
-    needles; all arguments broadcast.  Intervals must lie inside [0, pi/2],
-    the domain on which every exponent combination is a density, and every
-    mass in (0, 1].
+    needles; all arguments broadcast.  Every needle must lie in the
+    constructor's domain (an invalid one raises ``OutOfDomain``, as
+    ``TrigDensity`` does), and every mass in (0, 1].
     """
-    if np.any(np.asarray(lo) < -1e-12) or np.any(np.asarray(hi) > HALF_PI + 1e-12):
-        raise OutOfDomain("batch_trig_sep expects intervals inside [0, pi/2]")
-    return _trig_sep(m, k, lo, hi, *_as_masses(k1, k2))
+    return _needle_gaps(_checked_fold(m, k, lo, hi), *_as_masses(k1, k2))[2]
 
 
 def batch_affine_sep(phase, power, lo, hi, k1, k2):
@@ -174,10 +172,10 @@ def batch_affine_sep(phase, power, lo, hi, k1, k2):
 
     All arguments broadcast elementwise, and every mass must lie in (0, 1].
     ``sep_1d(SinAffineDensity(...), (k1, k2))`` vectorized over the batch:
-    the needle is ``cos^power`` on the interval shifted by ``-phase``.
+    the needle is ``cos^power`` on the interval shifted by ``-phase``, and
+    an invalid one raises ``OutOfDomain``, as ``SinAffineDensity`` does.
     """
-    phase = np.asarray(phase, dtype=float)
-    return _trig_sep(power, 0.0, lo - phase, hi - phase, *_as_masses(k1, k2))
+    return _needle_gaps(_checked_fold(power, 0.0, lo, hi, phase), *_as_masses(k1, k2))[2]
 
 
 def optimize_affine_family(interval_length_max, p_range, masses, samples, seed):
@@ -188,10 +186,10 @@ def optimize_affine_family(interval_length_max, p_range, masses, samples, seed):
     returns the best separation found.  Deterministic for a fixed seed: the
     supports ``[0, L]``, the power indices and the phases are drawn in that
     order, one array each, from ``Generator(PCG64(seed))``.  A length cap
-    below 1e-3 or NaN raises ``OutOfDomain``.
+    below 1e-3 or NaN, or a ``samples`` that is not an integer >= 1, raises
+    ``OutOfDomain``.
     """
-    if samples < 1:
-        raise OutOfDomain("samples must be >= 1")
+    _require_count(samples, "samples", 1)
     mp = as_mass_pair(masses)
     rng = np.random.Generator(np.random.PCG64(seed))
     lengths, powers, phases = _affine_draws(rng, samples, interval_length_max, p_range, 1e-3)
@@ -234,11 +232,13 @@ def bound_profile(bound_fn, mass_pairs):
     return rows
 
 
+def _csv_row(cells):
+    """The one CSV row rule of every emitter: ``None`` is an empty cell, a
+    string passes as it is, a number is its ``repr``; newline-terminated."""
+    return ",".join("" if c is None else c if isinstance(c, str) else repr(c) for c in cells) + "\n"
+
+
 def bound_profile_csv(rows):
     """CSV emission with the stable header ``k1,k2,bound,family,m,k``."""
-    lines = ["k1,k2,bound,family,m,k"]
-    for r in rows:
-        m = "" if r["m"] is None else r["m"]
-        k = "" if r["k"] is None else r["k"]
-        lines.append(f"{r['k1']!r},{r['k2']!r},{r['bound']!r},{r['family']},{m},{k}")
-    return "\n".join(lines) + "\n"
+    fields = ("k1", "k2", "bound", "family", "m", "k")
+    return "".join([_csv_row(fields)] + [_csv_row(r[f] for f in fields) for r in rows])

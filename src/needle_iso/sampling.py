@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import HALF_PI, Interval, SinAffineDensity, normalize
-from .errors import OutOfDomain, RetryExhausted, ZeroMass
+from .errors import OutOfDomain, RetryExhausted, ZeroMass, _require_count
 
 _MC_CHUNK = 1 << 14
 _AFFINE_RETRIES = 100
@@ -66,9 +66,8 @@ def mc_cap_mass(n, cap_radius, samples, rng, stream=0, threads=1):
     for a dimension or sample count that is not an integer >= 1, and for
     any radius that is not finite or lies outside [0, pi].
     """
-    for name, count in (("sphere dimension", n), ("samples", samples)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-            raise OutOfDomain(f"{name} must be an integer >= 1, got {count!r}")
+    _require_count(n, "sphere dimension", 1)
+    _require_count(samples, "samples", 1)
     radii = np.asarray(cap_radius, dtype=float)
     if not np.all((radii >= 0.0) & (radii <= math.pi)):  # NaN compares false
         raise OutOfDomain(f"cap radii must be finite and lie in [0, pi], got {cap_radius!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import Interval, TabulatedDensity, _needle_quantile
-from .errors import InvalidMass, OutOfDomain
+from .errors import InvalidMass, _require_count
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,10 @@ def sep_1d_bruteforce(density, masses, grid_size=4096):
     the other, and reports the larger gap.  It therefore assumes, like
     :func:`sep_1d`, that extreme intervals attain the supremum, and checks
     the quantile arithmetic rather than that reduction.  Agrees with the
-    quantile route to within ``2 * length / grid_size``.
+    quantile route to within ``2 * length / grid_size``.  A ``grid_size``
+    that is not an integer >= 64 raises ``OutOfDomain``.
     """
-    if grid_size < 64:
-        raise OutOfDomain(f"grid_size must be at least 64, got {grid_size}")
+    _require_count(grid_size, "grid_size", 64)
     mp = as_mass_pair(masses)
     if isinstance(density, TabulatedDensity) and len(density.grid) == grid_size + 1:
         tab = density

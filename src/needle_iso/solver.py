@@ -23,7 +23,7 @@ from .cross_spaces import (
     profile_quantile,
 )
 from .errors import NotApplicable, OutOfDomain
-from .needle_bound import cross_needle_bound, sphere_needle_bound
+from .needle_bound import _csv_row, cross_needle_bound, sphere_needle_bound
 from .sampling import RngSpec, mc_cap_mass
 from .separation import MassPair, as_mass_pair
 
@@ -143,16 +143,12 @@ def solve_with_complement_reduction(space, v, epsilon):
     res = _solve(SolveRequest(space=space, v=v, epsilon=epsilon))
     if v <= 0.5:
         return res
-    try:
-        polar_label = polar_of(res.winner, space).label
-    except NotApplicable:
-        polar_label = res.winner.label
     w = 1.0 - res.enlarged
     return replace(res, complement_reduction={
         "applied": True,
         "w": float(w),
         "construction": (
-            f"complement of the {epsilon}-enlargement of '{polar_label}' "
+            f"complement of the {epsilon}-enlargement of '{res.winner.polar_label}' "
             f"at volume {w:.12g}"
         ),
     })
@@ -277,10 +273,8 @@ def isoperimetric_profile_curve(space, epsilon, v_grid, quadrature_atol=None):
 
 def profile_curve_csv(result):
     """CSV emission with the stable header ``v,winner,enlarged``."""
-    lines = ["v,winner,enlarged"]
-    for r in result["rows"]:
-        lines.append(f"{r['v']!r},{r['winner']},{r['enlarged']!r}")
-    return "\n".join(lines) + "\n"
+    fields = ("v", "winner", "enlarged")
+    return "".join([_csv_row(fields)] + [_csv_row(r[f] for f in fields) for r in result["rows"]])
 
 
 def check_main_inequality(space, masses, mc_samples=100000, seed=0, threads=1):

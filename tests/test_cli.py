@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -104,6 +105,15 @@ class TestSep:
         )
         assert code == 0
         assert json.loads(out)["sep"] == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("given", [(), ("--grid", "0,0.5,1"), ("--values", "1,1,1")])
+    def test_tabulated_family_needs_grid_and_values(self, capsys, given):
+        code, out, err = run_cli(
+            capsys, "sep", "--family", "tabulated", "--lo", "0", "--hi", "1",
+            *given, "--k1", "0.25", "--k2", "0.25",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_tabulated_interval_must_match_grid(self, capsys):
         code, out, err = run_cli(
@@ -441,3 +451,41 @@ def test_root_finding_routes_leave_scipy_optimize_unloaded():
     # quadrature route's inverse CDF) is a closed form or a safeguarded
     # Newton iteration
     assert _run_python(_ROOT_FINDING_ROUTES) == "False"
+
+
+class TestGoldenOutput:
+    """The sha256 of the json and csv stdout of the README commands (and one
+    tabulated sep), pinned from the emitters as they were before the CLI
+    shared ``report_to_json`` and the CSV row rule: not a byte moved."""
+
+    COMMANDS = {
+        "sep-trig": "sep --family trig --m 1 --k 0 --lo -1.5707963 --hi 1.5707963 --k1 0.25 --k2 0.25",
+        "sep-tabulated": "sep --family tabulated --lo 0 --hi 1 --grid 0,0.25,0.5,1 --values 1,3,2,0.5 "
+        "--k1 0.3 --k2 0.4",
+        "bound-sphere": "bound --sphere-dim 2 --k1 0.25 --k2 0.5",
+        "bound-cp1": "bound --space cp1 --k1 0.25 --k2 0.25 --force",
+        "solve-s2": "solve --space s2 --v 0.5 --eps 0.2",
+        "solve-rp3": "solve --space rp3 --v 0.7 --eps 0.05",
+        "profile-rp3": "profile --space rp3 --eps 0.05 --v-grid 100",
+    }
+
+    @pytest.mark.parametrize("name, fmt, digest", [
+        ("sep-trig", "json", "0551a68f078cd7786450d9212c2ca7fdb316b0d2caa2d7d215e712f281efbdec"),
+        ("sep-trig", "csv", "e06c1c81939ba103c5ae2b9941c6b4945676b6c50e8831dea7c7f2bf6fa41de2"),
+        ("sep-tabulated", "json", "bf61d2488eeaec71eacf617f793da1bf8da85a02e2a6ccee81d05fa6e43bf611"),
+        ("sep-tabulated", "csv", "6b8b5275788a53a5c576a5232835ddb27529b48803ba21f3adb48bf410bc12b4"),
+        ("bound-sphere", "json", "35b1b64df774d750f93c398f6cd117858ff53347d6581473bc10fc049933339a"),
+        ("bound-sphere", "csv", "a072e08ffabcbc423d0576577dee597bbc52a9fda1ce08eb9836b95abd9f4aa2"),
+        ("bound-cp1", "json", "46fd9aa70462c09de5ef3ffe87bdf754d2d9cd834770e41eee04c4e70c48f86d"),
+        ("bound-cp1", "csv", "9512d970705cd7b61e00de7646fd520ca31f0777b22947715854b46b119f6db0"),
+        ("solve-s2", "json", "0a24ceac8935e1b08e713e2a890a4351fc800e894baacc95f8147d54051a4633"),
+        ("solve-s2", "csv", "ef2d3ec3f235dd3a510cb503d750c454716206080bf25f44c09c60ce9518f405"),
+        ("solve-rp3", "json", "590dff0297e42250d313349c045b065083caa60f050ba0fd7000107f0fa0e081"),
+        ("solve-rp3", "csv", "429301bee370f7f386ea5bb26498df36d70ef5a198ad270b4765fd415c4e3937"),
+        ("profile-rp3", "json", "78849214e6517a06f07c887d7fcb1e60fe82114af4d3f1a615cfbf0670853aea"),
+        ("profile-rp3", "csv", "b4cc21398ed2b821aae3e8ef804d9ac2da340b136c6c01a2dac971081d70bd50"),
+    ])
+    def test_stdout_keeps_its_bytes(self, capsys, name, fmt, digest):
+        code, out, _ = run_cli(capsys, *self.COMMANDS[name].split(), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

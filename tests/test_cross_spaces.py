@@ -235,6 +235,19 @@ class TestCatalogPass:
         d = normalize(TrigDensity(m=1.0, k=3.0, interval=Interval(0.0, HALF_PI)))
         assert enlarged_volume(odd, rp3, 0.3, 0.1) == d.cdf(d.quantile(0.3) + 0.1)
 
+    def test_candidate_outside_the_catalog_takes_the_needle_domain(self):
+        # sin cos on [0, pi] is negative past pi/2: no profile of s2
+        s2 = space_by_name("s2")
+        odd = Candidate("x", 1.0, 1.0, "x")
+        for read in (
+            lambda: profile_cdf(odd, s2, 0.5),
+            lambda: profile_quantile(odd, s2, 0.5),
+            lambda: enlarged_volume(odd, s2, 0.3, 0.1),
+            lambda: radial_density(odd, s2),
+        ):
+            with pytest.raises(OutOfDomain):
+                read()
+
     def test_volumes_outside_the_unit_interval_raise(self):
         rp3 = space_by_name("rp3")
         for v in (-0.1, 1.1, math.nan):
@@ -313,6 +326,15 @@ class TestPolar:
         s2 = CrossSpace.sphere(2)
         with pytest.raises(NotApplicable):
             polar_of(catalog(s2)[0], s2)
+
+    @pytest.mark.parametrize("name", ["rp3", "rp5", "cp3", "hp2", "cap2"])
+    def test_polar_label_names_the_polar_candidate(self, name):
+        space = space_by_name(name)
+        for cand in catalog(space):
+            assert cand.polar_label == polar_of(cand, space).label
+
+    def test_sphere_ball_is_its_own_polar_label(self):
+        assert catalog(CrossSpace.sphere(2))[0].polar_label == "ball"
 
 
 class TestDualityAndCoincidence:

@@ -87,6 +87,19 @@ class TestDomainValidation:
         with pytest.raises(OutOfDomain):
             SinAffineDensity(phase=1.0, power=2, interval=Interval(-1.0, 1.0))
 
+    def test_power_zero_affine_is_the_constant_at_any_phase(self):
+        d = normalize(SinAffineDensity(phase=3.0, power=0.0, interval=Interval(0.0, 1.0)))
+        assert d.cdf(0.25) == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_exponents_must_be_finite_and_nonnegative(self, bad):
+        # a NaN or infinite exponent used to raise ZeroMass
+        for m, k in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(OutOfDomain):
+                TrigDensity(m=m, k=k, interval=Interval(0.1, 1.0))
+        with pytest.raises(OutOfDomain):
+            SinAffineDensity(phase=0.0, power=bad, interval=Interval(0.1, 1.0))
+
 
 class TestCdf:
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -508,3 +521,11 @@ def test_trig_mass_closed_forms():
     assert trig_mass(1, 0, 0.0, HALF_PI) == pytest.approx(1.0, abs=1e-12)
     assert trig_mass(1, 1, 0.0, HALF_PI) == pytest.approx(0.5, abs=1e-12)
     assert trig_mass(2, 0, -HALF_PI, HALF_PI) == pytest.approx(HALF_PI, abs=1e-12)
+
+
+@pytest.mark.parametrize("needle", [(1, 1, 0.0, 2.0), (1, 1, 1.0, 0.5), (-1, 0, 0.0, 1.0), (math.nan, 0, 0.0, 1.0)])
+def test_trig_mass_rejects_what_the_constructor_rejects(needle):
+    # (1, 1, 0, 2) returned 0.5, the mass of [0, pi/2], though its domain
+    # ends at pi/2
+    with pytest.raises(OutOfDomain):
+        trig_mass(*needle)

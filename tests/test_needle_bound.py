@@ -199,6 +199,27 @@ class TestBatchHelpers:
         with pytest.raises(OutOfDomain):
             batch_trig_sep(1.0, 1.0, 0.0, 2.0, 0.3, 0.6)
 
+    @pytest.mark.parametrize("needle", [(2.0, 2.0, 0.0, 1.0), (0.0, -1.0, 0.0, 1.0)])
+    def test_batch_affine_rejects_what_the_constructor_rejects(self, needle):
+        # cos(t - 2) < 0 on part of [0, 1] (this returned 0.0388), and a
+        # negative power (this returned NaN)
+        phase, power, lo, hi = needle
+        with pytest.raises(OutOfDomain):
+            SinAffineDensity(phase=phase, power=power, interval=Interval(lo, hi))
+        with pytest.raises(OutOfDomain):
+            batch_affine_sep(phase, power, lo, hi, 0.3, 0.6)
+
+    @pytest.mark.parametrize("needle", [(-1.0, 1.0, 0.0, 1.0), (1.0, 1.0, 1.0, 0.5)])
+    def test_batch_trig_rejects_negative_exponents_and_inverted_intervals(self, needle):
+        with pytest.raises(OutOfDomain):
+            batch_trig_sep(*needle, 0.3, 0.6)
+
+    def test_batch_trig_takes_the_pure_families_own_windows(self):
+        # pure cosine on [-pi/2, pi/2] and pure sine on [0, pi], as TrigDensity
+        for m, k, lo, hi in ((2.0, 0.0, -HALF_PI, HALF_PI), (0.0, 2.0, 0.0, math.pi)):
+            d = normalize(TrigDensity(m=m, k=k, interval=Interval(lo, hi)))
+            assert float(batch_trig_sep(m, k, lo, hi, 0.3, 0.6)) == sep_1d(d, (0.3, 0.6)).sep
+
     @pytest.mark.parametrize("k1, k2", [(-0.5, 0.2), (1.5, 0.2), (math.nan, 0.2), (0.2, -0.5)])
     def test_batch_seps_reject_masses_outside_the_unit_interval(self, k1, k2):
         # these used to return 0.852, 0.0 or NaN without raising
@@ -209,6 +230,12 @@ class TestBatchHelpers:
 
 
 class TestOptimizer:
+    @pytest.mark.parametrize("samples", [2.5, 0, True])
+    def test_samples_must_be_a_positive_integer(self, samples):
+        # 2.5 raised a bare TypeError from numpy
+        with pytest.raises(OutOfDomain, match="samples must be an integer >= 1"):
+            optimize_affine_family(HALF_PI, [1.0], (0.3, 0.6), samples, 1)
+
     def test_search_confirms_half_period_dominance(self):
         # every sin^1-affine needle with support <= pi is dominated by the
         # full-interval cosine needle

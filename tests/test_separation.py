@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from needle_iso import (
     Interval,
     InvalidMass,
     MassPair,
+    OutOfDomain,
     SinAffineDensity,
     TabulatedDensity,
     TrigDensity,
+    ZeroMass,
     batch_affine_sep,
     batch_sep,
     batch_trig_sep,
@@ -121,6 +123,12 @@ class TestBruteForce:
 
         with pytest.raises(OutOfDomain):
             sep_1d_bruteforce(UNIFORM, (0.25, 0.25), grid_size=32)
+
+    @pytest.mark.parametrize("grid_size", [100.5, 128.0, True])
+    def test_grid_size_must_be_an_integer(self, grid_size):
+        # 100.5 and 128.0 raised a bare TypeError from numpy
+        with pytest.raises(OutOfDomain, match="grid_size must be an integer >= 64"):
+            sep_1d_bruteforce(UNIFORM, (0.25, 0.25), grid_size=grid_size)
 
     def test_agrees_with_quantile_route_on_random_densities(self):
         gen = np.random.Generator(np.random.PCG64(2024))
@@ -248,6 +256,46 @@ class TestOneClosedFamilyPath:
         sep = sep_1d(d, (k1, k2)).sep
         assert float(batch_sep(d, k1, k2)) == sep
         assert float(batch_affine_sep(phase, power, lo, hi, k1, k2)) == sep
+
+    # beyond each needle's domain: NaN, infinities, negative exponents,
+    # inverted intervals, intervals past the window and longer than pi
+    SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -1e-10, HALF_PI + 1e-10, math.pi + 1e-10])
+    EXPONENT = st.one_of(st.just(0.0), st.floats(0.0, 8.0), SPECIAL)
+    ANGLE = st.one_of(st.floats(-2.0, 3.5), SPECIAL)
+    LENGTH = st.one_of(st.floats(0.0, 1.6), st.floats(-1.0, 3.5), SPECIAL)
+
+    @staticmethod
+    def _density_or_none(build):
+        """The normalized density, or None where the constructor raises
+        OutOfDomain; a needle of too little mass is no case."""
+        try:
+            return normalize(build())
+        except OutOfDomain:
+            return None
+        except ZeroMass:
+            assume(False)
+
+    @settings(max_examples=400, deadline=None)
+    @given(m=EXPONENT, k=EXPONENT, lo=ANGLE, length=LENGTH, k1=MASS, k2=MASS)
+    def test_batch_trig_takes_exactly_the_constructor_domain(self, m, k, lo, length, k1, k2):
+        hi = lo + length
+        d = self._density_or_none(lambda: TrigDensity(m=m, k=k, interval=Interval(lo, hi)))
+        if d is None:
+            with pytest.raises(OutOfDomain):
+                batch_trig_sep(m, k, lo, hi, k1, k2)
+        else:
+            assert float(batch_trig_sep(m, k, lo, hi, k1, k2)) == sep_1d(d, (k1, k2)).sep
+
+    @settings(max_examples=400, deadline=None)
+    @given(phase=ANGLE, power=EXPONENT, lo=ANGLE, length=LENGTH, k1=MASS, k2=MASS)
+    def test_batch_affine_takes_exactly_the_constructor_domain(self, phase, power, lo, length, k1, k2):
+        hi = lo + length
+        d = self._density_or_none(lambda: SinAffineDensity(phase=phase, power=power, interval=Interval(lo, hi)))
+        if d is None:
+            with pytest.raises(OutOfDomain):
+                batch_affine_sep(phase, power, lo, hi, k1, k2)
+        else:
+            assert float(batch_affine_sep(phase, power, lo, hi, k1, k2)) == sep_1d(d, (k1, k2)).sep
 
     def test_a_batch_of_needles_matches_each_needle(self):
         gen = np.random.Generator(np.random.PCG64(3))
