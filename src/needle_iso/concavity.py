@@ -8,29 +8,23 @@ A nonnegative function ``f`` on an interval of length at most pi is
 For a positive C^2 needle that is ``g'' + g <= 0`` with ``g = f^(1/N)``,
 the CD(N-1, N) needle condition.  Two routes decide it:
 
-* ``sin_concavity_margin`` is exact for the closed families.  It returns
-  the maximum over the closed interval of a bounded, scale-free multiple
-  ``h`` of ``(g'' + g)/g``.  For ``cos^m sin^k`` with ``m, k > 0``, put
-  ``a = m/N``, ``b = k/N`` and ``x = tan^2 t``; then ``h = sin^2 t cos^2 t
-  (g'' + g)/g = q(x)/(1 + x)^2`` with ``q(x) = A x^2 + B x + C = (a^2 -
-  a) x^2 + (1 - a - b - 2ab) x + (b^2 - b)``, finite at 0 and pi/2, largest
-  at an end or at the one critical point ``x* = (2C - B)/(2A - B)``.  For
-  one factor ``cos^p(t - phase)`` (sin-affine needles, pure cosines, and
-  pure sines with phase pi/2), put ``w = p/N`` and ``s = sin^2(t -
-  phase)``; then ``h = cos^2(t - phase) (g'' + g)/g = (w^2 - w) s + (1 -
-  w)(1 - s)``, linear in ``s``.  A needle passes when its margin is at most
-  ``MARGIN_TOL``.  ``density.order_reduction`` and
-  ``density.order_reduction_within_family_band`` use this route.
+* ``sin_concavity_margin`` is exact for products of K shifted cosines,
+  ``g = prod_i cos^(w_i)(t - phi_i)`` with ``w_i = p_i/N``, as both closed
+  families are.  With ``c_i = cos(t - phi_i)``, ``s_i = sin(t - phi_i)``,
+  ``P_i = prod_(j != i) c_j`` and ``W = sum_i w_i``, it returns the maximum
+  over the closed interval of the bounded multiple
+
+      h = prod_j c_j^2 (g'' + g)/g
+        = (sum_i w_i s_i P_i)^2 - sum_i w_i s_i^2 P_i^2 + (1 - W) prod_j c_j^2,
+
+  a trigonometric polynomial of degree 2K, largest at an end or at a root
+  of its derivative; ``_product_margin`` finds it for a batch of rows.  A
+  needle passes when its margin is at most ``MARGIN_TOL``.
 * ``is_sin_concave`` is a sound-but-sampled verifier of the midpoint
-  inequality, kept as the independent oracle for callables, tabulated
-  input, ``check_comparison_lemma`` and ``density.product_closure`` (whose
-  products of shifted cosines are not monomials).  It checks all
-  midpoint-aligned pairs of a uniform grid and can therefore reject with
-  certainty but accepts only up to the grid resolution.  It evaluates the
-  pairs in blocks of at most ``_GAP_BLOCK`` midpoint gaps, one 2-D array
-  expression per block, so its working memory is bounded by ``_GAP_BLOCK *
-  grid_size`` float64 values (2 MB at ``grid_size=4096``) rather than by
-  the whole triangle of pairs.
+  inequality on every midpoint-aligned pair of a uniform grid: it rejects
+  with certainty but accepts only up to the grid resolution.  It stays the
+  independent oracle for callables, tabulated input and
+  ``check_comparison_lemma``.
 """
 
 import math
@@ -155,12 +149,12 @@ SinConcavityMargin = namedtuple("SinConcavityMargin", "margin argmax")
 
 
 def sin_concavity_margin(density, order):
-    """Exact sin^order-concavity margin of a ``TrigDensity`` or
-    ``SinAffineDensity``: the largest value on its closed interval of ``h``,
-    a bounded positive multiple of ``(g'' + g)/g`` with ``g =
-    density^(1/order)`` (see the module docstring), and an angle where it is
-    attained.  The needle is sin^order-concave exactly when the margin is
-    ``<= 0``; callers pass it when ``margin <= MARGIN_TOL``.
+    """Exact sin^order-concavity margin of a ``TrigDensity`` (the factors
+    ``cos^m(t) cos^k(t - pi/2)``) or a ``SinAffineDensity`` (``cos^p(t -
+    phase)``): one row of :func:`_product_margin`, the largest ``h`` on the
+    closed interval and an angle where it is attained.  The needle is
+    sin^order-concave exactly when the margin is ``<= 0``; callers pass it
+    when ``margin <= MARGIN_TOL``.
 
     Raises ``NotApplicable`` for any other density or a callable, and
     ``InvalidOrder`` for an order that is not finite and positive.
@@ -170,51 +164,61 @@ def sin_concavity_margin(density, order):
             f"no closed-form concavity margin for {type(density).__name__}; use is_sin_concave"
         )
     _require_order(order)
-    iv = density.interval
     if isinstance(density, SinAffineDensity):
-        return _one_factor_margin(density.power / order, density.phase, iv)
-    m, k = density.m, density.k
-    if m > 0 and k > 0:
-        return _two_factor_margin(m / order, k / order, iv)
-    # a pure sine is the pure cosine shifted by pi/2
-    power, phase = (m, 0.0) if k == 0 else (k, HALF_PI)
-    return _one_factor_margin(power / order, phase, iv)
+        powers, phases = [density.power], [density.phase]
+    else:
+        powers, phases = [density.m, density.k], [0.0, HALF_PI]
+    iv = density.interval
+    margin, argmax = _product_margin(np.array([powers]) / order, [phases], [iv.lo], [iv.hi])
+    return SinConcavityMargin(float(margin[0]), float(argmax[0]))
 
 
-def _two_factor_margin(a, b, iv):
-    """Max of ``h = q(tan^2 t)/(1 + tan^2 t)^2``, with ``q(x) = qa x^2 + qb x
-    + qc``, over ``iv`` inside [0, pi/2]; it is evaluated as ``qa sin^4 t +
-    qb sin^2 t cos^2 t + qc cos^4 t``, finite at both ends."""
-    qa, qb, qc = a * a - a, 1.0 - a - b - 2.0 * a * b, b * b - b
-
-    def h(t):
-        s2, c2 = math.sin(t) ** 2, math.cos(t) ** 2
-        return qa * s2 * s2 + qb * s2 * c2 + qc * c2 * c2
-
-    points = [min(max(iv.lo, 0.0), HALF_PI), min(max(iv.hi, 0.0), HALF_PI)]
-    if 2.0 * qa != qb:
-        x_star = (2.0 * qc - qb) / (2.0 * qa - qb)
-        if x_star > 0.0:
-            t_star = math.atan(math.sqrt(x_star))
-            if points[0] < t_star < points[1]:
-                points.append(t_star)
-    return max(SinConcavityMargin(h(t), t) for t in points)
+def _product_h(weights, phases, t):
+    """``h`` of each row of factors at its angles ``t``, one row per row of
+    ``weights``; a factor of weight 0 is no factor at all."""
+    theta = t[..., None] - phases[:, None, :]
+    absent = weights[:, None, :] == 0.0
+    c = np.where(absent, 1.0, np.cos(theta))
+    s = np.where(absent, 0.0, np.sin(theta))
+    # sp[..., i] = s_i P_i with P_i = prod_(j != i) c_j, no division by c_i
+    sp = s * np.where(np.eye(c.shape[-1], dtype=bool), 1.0, c[..., None, :]).prod(axis=-1)
+    wsp = weights[:, None, :] * sp
+    rest = (1.0 - weights.sum(axis=-1))[:, None]
+    return wsp.sum(axis=-1) ** 2 - (wsp * sp).sum(axis=-1) + rest * (c * c).prod(axis=-1)
 
 
-def _one_factor_margin(w, phase, iv):
-    """Max of ``h = (w^2 - w) s + (1 - w)(1 - s)`` with ``s = sin^2(t -
-    phase)``, over ``iv`` inside [phase - pi/2, phase + pi/2]: linear in
-    ``s``, so largest at an end or at ``t = phase``."""
+def _product_margin(weights, phases, lo, hi):
+    """The margins of rows of shifted-cosine factors, each on its ``[lo,
+    hi]``: the largest ``h`` (module docstring) and an angle attaining it.
 
-    def h(t):
-        tau = min(max(t - phase, -HALF_PI), HALF_PI)
-        s = math.sin(tau) ** 2
-        return (w * w - w) * s + (1.0 - w) * math.cos(tau) ** 2
-
-    points = [iv.lo, iv.hi]
-    if iv.lo < phase < iv.hi:
-        points.append(phase)
-    return max(SinConcavityMargin(h(t), t) for t in points)
+    ``weights`` and ``phases`` broadcast to ``(rows, K)``; ``lo`` and ``hi``
+    hold one end per row.  ``h`` has period pi and degree ``K`` in ``u =
+    e^(2it)``: ``2K + 1`` samples give its coefficients ``a_n``, and its
+    critical points are angles of roots of ``sum_n n a_n u^(n + K)``,
+    eigenvalues of one companion matrix per row.  The top coefficient, ``|1
+    - W^2| / 4^K``, vanishes at ``W = 1``; it is never divided by, since
+    coefficients below rounding are rolled from the top to the bottom,
+    adding roots near 0.  Each root's angle, moved into ``[lo, lo + pi)``
+    and clipped to ``hi``, is a candidate beside the ends: a root off the
+    unit circle only adds a point of the interval, and a constant ``h`` is
+    decided at its ends."""
+    weights, phases = np.asarray(weights, dtype=float), np.asarray(phases, dtype=float)
+    rows, k = np.arange(weights.shape[0])[:, None], weights.shape[1]
+    lo, hi = (np.asarray(x, dtype=float)[:, None] for x in (lo, hi))
+    n = np.arange(-k, k + 1)
+    samples = _product_h(weights, phases, np.arange(2 * k + 1) * (np.pi / (2 * k + 1)))
+    coef = n * np.fft.fftshift(np.fft.fft(samples), axes=-1) / (2 * k + 1)
+    # h's terms are at most (1 + W)^2, so rounding leaves coefficients below this
+    live = np.abs(coef) > 64 * np.finfo(float).eps * (1.0 + weights.sum(axis=-1, keepdims=True)) ** 2
+    poly = coef[rows, (n + k - np.argmax(live[:, ::-1], axis=-1)[:, None]) % (2 * k + 1)]
+    poly[~live.any(axis=-1), -1] = 1.0
+    companion = np.broadcast_to(np.eye(2 * k, k=-1), (rows.size, 2 * k, 2 * k)).astype(complex)
+    companion[:, 0, :] = -poly[:, -2::-1] / poly[:, -1:]
+    inner = lo + np.mod(0.5 * np.angle(np.linalg.eigvals(companion)) - lo, np.pi)
+    t = np.concatenate((lo, hi, np.minimum(inner, hi)), axis=-1)
+    h = _product_h(weights, phases, t)
+    best = np.argmax(h, axis=-1)[:, None]
+    return h[rows, best][:, 0], t[rows, best][:, 0]
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,9 @@ def _needle_quantile(n, q):
     that of ``[0, pi/4]``, the arccos form of the complement otherwise.  The
     mass left of the answer comes from ``q`` and the mass right of it from
     ``1 - q``, so neither loses digits to cancellation in its own tail.
-    Exactly ``lo`` for ``q <= 0`` and exactly ``hi`` for ``q >= 1``."""
+    Exactly ``lo`` for ``q <= 0`` and exactly ``hi`` for ``q >= 1``.
+    Monotone only to ulps: ``betaincinv`` rounds on its own, so one ulp more
+    of ``q`` can give a ``t`` up to 4 ulps lower; nothing corrects that."""
     q = np.asarray(q, dtype=float)
     below = n.left + q * n.total
     above = n.right + (1.0 - q) * n.total

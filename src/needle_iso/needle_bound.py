@@ -234,7 +234,8 @@ def bound_profile(bound_fn, mass_pairs):
 
 def _csv_row(cells):
     """The one CSV row rule of every emitter: ``None`` is an empty cell, a
-    string passes as it is, a number is its ``repr``; newline-terminated."""
+    string passes as is, a number is the ``repr`` of its Python value."""
+    cells = (c.item() if isinstance(c, np.generic) else c for c in cells)
     return ",".join("" if c is None else c if isinstance(c, str) else repr(c) for c in cells) + "\n"
 
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import quadrature
-from .concavity import MARGIN_TOL, binomial_decompose, is_sin_concave, sin_concavity_margin
+from .concavity import MARGIN_TOL, _product_margin, binomial_decompose
 from .cross_spaces import (
     CrossSpace,
     catalog,
@@ -36,6 +36,7 @@ from .densities import (
     Interval,
     SinAffineDensity,
     TrigDensity,
+    _frame,
     normalize,
 )
 from .errors import OutOfDomain
@@ -73,23 +74,17 @@ def _pyify(obj):
 
 
 def _random_trig(gen, max_exp=5, min_length=0.3, integer_only=True):
-    """A random normalized trig density on a random valid sub-interval."""
+    """A random normalized trig density on a random sub-interval of its
+    fold's domain (of [0, 1] for the constant)."""
     m = int(gen.integers(0, max_exp + 1))
     k = int(gen.integers(0, max_exp + 1))
     if not integer_only and gen.uniform() < 0.3:
         m += float(gen.uniform(0, 1))
         k += float(gen.uniform(0, 1))
-    if k > 0 and m > 0:
-        window = (0.0, HALF_PI)
-    elif k > 0:
-        window = (0.0, math.pi)
-    elif m > 0:
-        window = (-HALF_PI, HALF_PI)
-    else:
-        window = (0.0, 1.0)
-    span = window[1] - window[0]
+    _, shift, mirrored, flat = _frame(m, k)
+    start, span = (0.0, 1.0) if flat else (-shift, HALF_PI * (1 + mirrored))
     length = gen.uniform(min_length, min(span, math.pi))
-    lo = window[0] + gen.uniform(0.0, span - length)
+    lo = start + gen.uniform(0.0, span - length)
     return normalize(TrigDensity(m=m, k=k, interval=Interval(lo, lo + length)))
 
 
@@ -158,24 +153,24 @@ def _check_order_reduction(ctx):
     """Faithful check of the configured claim: passing at order c implies
     passing at every integer order below c.  The package's own oracles
     refute this (pure cosine powers pin their order from below), so this
-    check honestly reports the violations it finds.  Each order is decided
-    by the exact margin, so a violation narrower than a grid step counts."""
+    check honestly reports the violations it finds.  One call of the exact
+    margin decides every (needle, order), so a violation narrower than a
+    grid step counts."""
     gen = ctx.spec.generator(13)
+    needles = [_random_trig(gen, max_exp=4, min_length=0.6) for _ in range(100)]
+    rows = [(d, n) for d in needles for n in range(1, int(d.m + d.k) + 1)]
+    margin, _ = _product_margin(
+        [(d.m / n, d.k / n) for d, n in rows],
+        [(0.0, HALF_PI)],
+        [d.interval.lo for d, _ in rows],
+        [d.interval.hi for d, _ in rows],
+    )
+    verdicts = iter(margin <= MARGIN_TOL)
     violations = 0
     example = None
-    for _ in range(100):
-        d = _random_trig(gen, max_exp=4, min_length=0.6)
-        natural = int(d.m + d.k)
-        if natural == 0:
-            continue
-        passing = [
-            n
-            for n in range(1, natural + 1)
-            if sin_concavity_margin(d, n).margin <= MARGIN_TOL
-        ]
-        if not passing:
-            continue
-        top = max(passing)
+    for d in needles:
+        passing = [n for n in range(1, int(d.m + d.k) + 1) if next(verdicts)]
+        top = max(passing, default=0)
         missing = [s for s in range(1, top) if s not in passing]
         if missing:
             violations += 1
@@ -197,49 +192,45 @@ def _check_order_reduction(ctx):
 def _check_order_reduction_within_family_band(ctx):
     """Provable part of order reduction for trig monomials: every order in
     [max(m,k), m+k] passes on any valid interval, since there all three
-    coefficients of the exact margin's quadratic are nonpositive."""
+    coefficients of ``h`` in sin^4, sin^2 cos^2 and cos^4 are nonpositive."""
     gen = ctx.spec.generator(14)
-    failures = 0
+    rows = []
     for _ in range(40):
         m = int(gen.integers(1, 5))
         k = int(gen.integers(1, 5))
         length = gen.uniform(0.4, HALF_PI)
         lo = gen.uniform(0.0, HALF_PI - length)
-        d = normalize(TrigDensity(m=m, k=k, interval=Interval(lo, lo + length)))
-        for order in range(max(m, k), m + k + 1):
-            if sin_concavity_margin(d, order).margin > MARGIN_TOL:
-                failures += 1
+        rows += [((m / n, k / n), lo, lo + length) for n in range(max(m, k), m + k + 1)]
+    weights, lo, hi = zip(*rows)
+    margin, _ = _product_margin(weights, [(0.0, HALF_PI)], lo, hi)
+    failures = int(np.sum(margin > MARGIN_TOL))
     return {"passed": failures == 0, "details": {"failures": failures}}
 
 
 def _check_product_closure(ctx):
+    """A product of sin-concave needles is sin-concave at the summed order;
+    each product is three shifted-cosine factors (an absent one has weight
+    0), and one call of the exact margin decides all 60."""
     gen = ctx.spec.generator(15)
-    failures = 0
+    rows = []
     for _ in range(60):
         length = gen.uniform(0.4, HALF_PI)
         lo = gen.uniform(0.0, HALF_PI - length)
-        iv = Interval(lo, lo + length)
+        hi = lo + length
         p1 = int(gen.integers(1, 5))
-        ph1 = gen.uniform(iv.hi - HALF_PI, iv.lo + HALF_PI)
-        f = SinAffineDensity(phase=float(ph1), power=p1, interval=iv)
+        ph1 = gen.uniform(hi - HALF_PI, lo + HALF_PI)
         if gen.uniform() < 0.5:
             p2 = int(gen.integers(1, 5))
-            ph2 = gen.uniform(iv.hi - HALF_PI, iv.lo + HALF_PI)
-            g = SinAffineDensity(phase=float(ph2), power=p2, interval=iv)
-            order2 = p2
+            powers, phases = (p1, p2, 0), (ph1, gen.uniform(hi - HALF_PI, lo + HALF_PI), 0.0)
         else:
             m2 = int(gen.integers(0, 3))
             k2 = int(gen.integers(0, 3))
             if m2 + k2 == 0:
                 m2 = 1
-            g = TrigDensity(m=m2, k=k2, interval=iv)
-            order2 = m2 + k2
-
-        def product(t, f=f, g=g):
-            return np.asarray(f.pdf(t)) * np.asarray(g.pdf(t))
-
-        if not is_sin_concave(product, p1 + order2, interval=iv, grid_size=512):
-            failures += 1
+            powers, phases = (p1, m2, k2), (ph1, 0.0, HALF_PI)
+        rows.append((np.array(powers) / sum(powers), phases, lo, hi))
+    margin, _ = _product_margin(*zip(*rows))
+    failures = int(np.sum(margin > MARGIN_TOL))
     return {"passed": failures == 0, "details": {"failures": failures}}
 
 

@@ -25,6 +25,7 @@ from needle_iso import (
     normalize,
     sin_concavity_margin,
 )
+from needle_iso.concavity import _product_margin
 
 HALF_PI = math.pi / 2
 FULL = Interval(-HALF_PI, HALF_PI)
@@ -155,6 +156,18 @@ def _edited(draw):
         return v
 
     return f, iv
+
+
+@st.composite
+def _shifted_cosines(draw):
+    """``prod_i cos^(p_i)(t - phi_i)`` for 1 to 3 factors, on a piece of the
+    window where every factor is nonnegative, with an order from a fifth to
+    one and a half times ``sum p_i``."""
+    phases = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=3))
+    powers = [draw(st.one_of(st.integers(1, 4), st.floats(0.1, 4.0))) for _ in phases]
+    iv = draw(_sub_interval(max(phases) - HALF_PI, min(phases) + HALF_PI))
+    order = sum(powers) * draw(st.one_of(st.just(1.0), st.floats(0.2, 1.5)))
+    return powers, phases, iv, order
 
 
 _needles = st.one_of(_trig(), _affine(), _tabulated(), _product(), _edited())
@@ -431,6 +444,23 @@ class TestExactMargin:
         d, _ = needle
         if not is_sin_concave(d, order, grid_size=grid_size):
             assert sin_concavity_margin(d, order).margin > MARGIN_TOL
+
+    @given(case=_shifted_cosines(), grid_size=st.sampled_from([64, 256, 512]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_sampled_rejection_of_a_product_implies_positive_margin(self, case, grid_size):
+        # the kernel's rows beyond the closed families: 1-3 shifted cosines,
+        # at orders down to a fifth of the summed power, where the grid
+        # rejects about two draws in five
+        powers, phases, iv, order = case
+
+        def f(t):
+            factors = [np.maximum(np.cos(t - ph), 0.0) ** p for p, ph in zip(powers, phases)]
+            return np.prod(factors, axis=0)
+
+        margin, argmax = _product_margin(np.array([powers]) / order, [phases], [iv.lo], [iv.hi])
+        assert iv.lo <= argmax[0] <= iv.hi
+        if not is_sin_concave(f, order, interval=iv, grid_size=grid_size):
+            assert margin[0] > MARGIN_TOL
 
     def test_seed_2024_witness_hides_between_grid_points(self):
         # the one verdict the exact route moves in density.order_reduction at

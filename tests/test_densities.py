@@ -183,6 +183,17 @@ class TestQuantile:
         d = normalize(TrigDensity(m=1, k=3, interval=Interval(0.0, HALF_PI)))
         assert d.quantile(0.25) == pytest.approx(math.pi / 4, abs=1e-9)
 
+    def test_quantile_is_monotone_only_to_a_few_ulps(self):
+        # betaincinv rounds on its own, so one ulp more of q can give a lower
+        # t; the noise is documented and bounded, not corrected
+        d = TrigDensity(m=2.5, k=1.5, interval=Interval(0.2, 1.3))
+        centres = np.linspace(0.05, 0.95, 19)[:, None]
+        t = d.quantile(centres + np.arange(2000) * np.spacing(centres))
+        step = np.diff(t, axis=-1)
+        down = step < 0
+        assert 0.01 < down.mean() < 0.05
+        assert np.max(-step[down] / np.spacing(t[:, 1:][down])) <= 4
+
     def test_round_trip_grid(self):
         d = normalize(TrigDensity(m=2, k=3, interval=Interval(0.1, 1.5)))
         q = np.linspace(0.0, 1.0, 1000)

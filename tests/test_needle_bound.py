@@ -28,6 +28,7 @@ from needle_iso import (
     sep_1d_bruteforce,
     sphere_needle_bound,
 )
+from needle_iso.needle_bound import _csv_row
 
 HALF_PI = math.pi / 2
 CP1 = CrossSpace.complex_projective(1)
@@ -433,3 +434,12 @@ class TestBoundProfile:
         assert lines[0] == "k1,k2,bound,family,m,k"
         assert lines[1].startswith("0.25,0.5,")
         assert text.endswith("\n")
+
+    def test_csv_writes_numpy_scalars_as_python_numbers(self):
+        # a MassPair keeps the numpy scalar it is given; its cell once read
+        # np.float64(0.25)
+        rows = bound_profile(lambda mp: sphere_needle_bound(2, mp), [MassPair(np.float64(0.25), 0.5)])
+        assert type(rows[0]["k1"]) is np.float64
+        assert bound_profile_csv(rows).splitlines()[1].startswith("0.25,0.5,")
+        cells = [np.int64(3), np.float64(0.1), np.str_("cos"), None, "sin", 2, 0.5, True]
+        assert _csv_row(cells) == "3,0.1,cos,,sin,2,0.5,True\n"
