@@ -12,7 +12,9 @@ case the result is flagged as heuristic.
 """
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,17 +29,27 @@ _TIE_TOL = 1e-12
 
 @dataclass(frozen=True, slots=True)
 class NeedleBoundResult:
-    """A needle separation bound together with the maximizing needle."""
+    """A needle separation bound together with the maximizing needle.
+
+    ``params`` is a read-only mapping shared by every result of one sphere
+    dimension, or of one space and power cap, and ``ties`` is shared by
+    every result of one grid and tie set: a kept result holds little more
+    than its bound.
+    """
 
     bound: float
     family: str  # "sphere-cos" | "trig" | "affine"
-    params: dict
+    params: MappingProxyType
     ties: tuple
     hypothesis_satisfied: bool
 
     @property
     def argmax(self):
         return self.ties[0]
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: send a dict, rewrapped on load
+        return _unpickle_result, (self.bound, self.family, dict(self.params), self.ties, self.hypothesis_satisfied)
 
     def to_dict(self):
         m, k = (None, None)
@@ -55,6 +67,10 @@ class NeedleBoundResult:
         }
         rec.update({k_: v for k_, v in self.params.items() if k_ not in rec})
         return rec
+
+
+def _unpickle_result(bound, family, params, ties, hypothesis_satisfied):
+    return NeedleBoundResult(bound, family, MappingProxyType(params), ties, hypothesis_satisfied)
 
 
 def _require_straddle(mp, force, context):
@@ -81,34 +97,72 @@ def sphere_needle_bound(n, masses, force=False):
         raise OutOfDomain(f"sphere dimension must be >= 2, got {n}")
     mp = as_mass_pair(masses)
     ok = _require_straddle(mp, force, "sphere needle bound")
+    params, ties = _sphere_labels(n)
     return NeedleBoundResult(
         bound=float(_trig_sep(n - 1, 0, -HALF_PI, HALF_PI, mp.k1, mp.k2)),
         family="sphere-cos",
-        params={"n": n, "m": n - 1},
-        ties=((n - 1, 0),),
+        params=params,
+        ties=ties,
         hypothesis_satisfied=ok,
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _sphere_labels(n):
+    """The ``params`` and ``ties`` every n-sphere result shares."""
+    return MappingProxyType({"n": n, "m": n - 1}), ((n - 1, 0),)
+
+
+@functools.lru_cache(maxsize=64)
+def _cross_params(space, top):
+    """The ``params`` every bound on one space at one power cap shares."""
+    return MappingProxyType({"space": space, "max_total_power": top})
+
+
+# What every cross bound reads of its grid: the sorted ``pairs``, the ``needle``
+# record of their ``m <= k`` half, each pair's ``column`` in that half, and the
+# ``ties`` tuples met so far, by the bytes of their indices into ``pairs``.
+_Grid = namedtuple("_Grid", "pairs needle column ties")
+
+
 @functools.lru_cache(maxsize=32)
-def _exponent_grid(low, top):
-    """The pairs ``(m, k)`` with ``low <= m + k <= top`` in sorted order, and
-    their (read-only) float columns; built once per grid and shared by every
-    call and its ties."""
+def _exponent_grid(low, top, diameter):
+    """The grid of pairs ``(m, k)`` with ``low <= m + k <= top``, built once
+    and read-only: one ``_fold`` of the ``m <= k`` half on ``[0, diameter]``
+    serves every pair, since reflecting about pi/4 swaps ``m`` and ``k`` and
+    the two arrangements of the gap rule, so ``sep(m, k) == sep(k, m)``."""
     pairs = tuple(sorted((total - k, k) for total in range(low, top + 1) for k in range(total + 1)))
-    columns = np.array(pairs, dtype=float).T
-    columns.flags.writeable = False
-    return pairs, columns
+    half = [p for p in pairs if p[0] <= p[1]]
+    where = {p: j for j, p in enumerate(half)}
+    column = np.array([where[min(p), max(p)] for p in pairs])
+    needle = _fold(*np.array(half, dtype=float).T, 0.0, diameter)
+    for arr in (*needle, column):
+        arr.flags.writeable = False
+    return _Grid(pairs, needle, column, {})
+
+
+def _grid_ties(grid, row, best):
+    """The pairs within 1e-12 of ``best`` in ``row``, in grid order, as the
+    grid's one tuple for that tie set (its own ``pairs`` when all tie)."""
+    hit = np.flatnonzero(row >= best - _TIE_TOL)
+    key = hit.tobytes()
+    ties = grid.ties.get(key)
+    if ties is None:  # setdefault is atomic: threads that race keep one tuple
+        ties = grid.pairs if hit.size == len(grid.pairs) else tuple(grid.pairs[j] for j in hit)
+        ties = grid.ties.setdefault(key, ties)
+    return ties
 
 
 def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
     """:func:`cross_needle_bound` for each of ``mass_pairs``, as a tuple of
     results in that order; no result depends on the other pairs, bit for bit.
 
-    The grid is folded once per call, and one quantile pass over targets of
-    shape ``(4, pairs, grid)`` gives the whole (pair x needle) table of
-    separations; each pair's ties are the grid entries within 1e-12 of its
-    row maximum.
+    Each grid's ``m <= k`` half is folded once per process and cached
+    (:func:`_exponent_grid`); one quantile pass over targets of shape
+    ``(4, pairs, half)`` gives the (pair x needle) table of separations on
+    that half, and one fancy index mirrors it onto the whole grid, so twins
+    ``(m, k)`` and ``(k, m)`` carry the same bits.  Each pair's ties are the
+    grid entries within 1e-12 of its row maximum, in grid order.
     """
     if space.family == SPHERE:
         raise NotApplicable("use sphere_needle_bound for spheres")
@@ -122,17 +176,18 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
         raise OutOfDomain(
             f"max_total_power={mtp} is below the admissibility floor {low}"
         )
-    pairs, (m_arr, k_arr) = _exponent_grid(low, mtp)
+    grid = _exponent_grid(low, mtp, space.diameter)
     k1 = np.array([mp.k1 for mp in mps])[:, None]
     k2 = np.array([mp.k2 for mp in mps])[:, None]
-    seps = _trig_sep(m_arr, k_arr, 0.0, space.diameter, k1, k2)
+    seps = _needle_gaps(grid.needle, k1, k2)[2][:, grid.column]
     best = np.max(seps, axis=1)
+    params = _cross_params(space.name, mtp)
     return tuple(
         NeedleBoundResult(
             bound=float(b),
             family="trig",
-            params={"space": space.name, "max_total_power": mtp},
-            ties=tuple(pairs[j] for j in np.flatnonzero(row >= b - _TIE_TOL)),
+            params=params,
+            ties=_grid_ties(grid, row, b),
             hypothesis_satisfied=ok,
         )
         for row, b, ok in zip(seps, best, oks)

@@ -456,7 +456,8 @@ def test_root_finding_routes_leave_scipy_optimize_unloaded():
 class TestGoldenOutput:
     """The sha256 of the json and csv stdout of the README commands (and one
     tabulated sep), pinned from the emitters as they were before the CLI
-    shared ``report_to_json`` and the CSV row rule: not a byte moved."""
+    shared ``report_to_json`` and the CSV row rule: not a byte moved, apart
+    from the one-ulp move of the bound-cp1 bound noted below."""
 
     COMMANDS = {
         "sep-trig": "sep --family trig --m 1 --k 0 --lo -1.5707963 --hi 1.5707963 --k1 0.25 --k2 0.25",
@@ -476,8 +477,10 @@ class TestGoldenOutput:
         ("sep-tabulated", "csv", "6b8b5275788a53a5c576a5232835ddb27529b48803ba21f3adb48bf410bc12b4"),
         ("bound-sphere", "json", "35b1b64df774d750f93c398f6cd117858ff53347d6581473bc10fc049933339a"),
         ("bound-sphere", "csv", "a072e08ffabcbc423d0576577dee597bbc52a9fda1ce08eb9836b95abd9f4aa2"),
-        ("bound-cp1", "json", "46fd9aa70462c09de5ef3ffe87bdf754d2d9cd834770e41eee04c4e70c48f86d"),
-        ("bound-cp1", "csv", "9512d970705cd7b61e00de7646fd520ca31f0777b22947715854b46b119f6db0"),
+        # bound-cp1 moved one ulp, to the float nearer asin(3/4) - asin(1/4) =
+        # 0.59538182383940235457..., when the mirror twins began sharing one value
+        ("bound-cp1", "json", "80aa6293c4c542637c83dea24b79471385d46f41c59f49e6f154b2c3c3af4873"),
+        ("bound-cp1", "csv", "515c49076541311927ce52498995654273a374adfb0eb1be40d80c28fc4d9ab9"),
         ("solve-s2", "json", "0a24ceac8935e1b08e713e2a890a4351fc800e894baacc95f8147d54051a4633"),
         ("solve-s2", "csv", "ef2d3ec3f235dd3a510cb503d750c454716206080bf25f44c09c60ce9518f405"),
         ("solve-rp3", "json", "590dff0297e42250d313349c045b065083caa60f050ba0fd7000107f0fa0e081"),

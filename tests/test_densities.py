@@ -24,6 +24,7 @@ from needle_iso import (
     trig_mass,
     verify_unit_mass,
 )
+from needle_iso.needle_bound import _exponent_grid
 
 HALF_PI = math.pi / 2
 
@@ -371,13 +372,23 @@ class TestQuantileBatch:
             assert np.array_equal(block[:, j], own), (mj, kj)
 
     def test_cross_bound_work_count(self, monkeypatch):
+        space = CrossSpace.cayley_plane()
+        _exponent_grid.cache_clear()  # so the first call folds its grid
         inversions = _record_where(monkeypatch, "betaincinv")
         tails = _record_where(monkeypatch, "betainc")
-        cross_needle_bound(CrossSpace.cayley_plane(), (0.3, 0.6))
-        n = len(self.PAIRS)
+        cross_needle_bound(space, (0.3, 0.6))
+        # only the m <= k half is evaluated; its mirror twins share its columns
+        n = sum(m <= k for m, k in self.PAIRS)
+        assert n == 92
         assert sum(int(w.sum()) for w in inversions) == 4 * n  # one per target
         # the two tails at lo and hi, and the mass of [0, pi/4], per needle
         assert sum(int(w.sum()) for w in tails) <= 2 * 3 * n
+        tails.clear()
+        cross_needle_bound(space, (0.2, 0.7))
+        assert not tails  # the grid's fold is cached
+        grid = _exponent_grid(15, 23, space.diameter)
+        assert len(grid.pairs) == len(self.PAIRS)
+        assert not any(arr.flags.writeable for arr in (*grid.needle, grid.column))
 
 
 class TestSinAffine:

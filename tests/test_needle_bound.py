@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +29,10 @@ from needle_iso import (
     optimize_affine_family,
     sep_1d,
     sep_1d_bruteforce,
+    space_by_name,
     sphere_needle_bound,
 )
-from needle_iso.needle_bound import _csv_row
+from needle_iso.needle_bound import _csv_row, _exponent_grid
 
 HALF_PI = math.pi / 2
 CP1 = CrossSpace.complex_projective(1)
@@ -159,6 +163,104 @@ class TestCrossBoundPairAxis:
 
     def test_no_pairs_no_results(self):
         assert cross_needle_bounds(CP1, []) == ()
+
+
+MIRROR_SPACES = [f"rp{n}" for n in range(3, 11)] + [f"cp{n}" for n in range(1, 6)] + ["hp2", "hp3", "cap2"]
+
+
+class TestCrossBoundMirror:
+    """The grid's ``m <= k`` half serves its mirror twins: each bound is its
+    own argmax's separation bit for bit, and the ties are those of the whole
+    grid evaluated needle by needle."""
+
+    @pytest.mark.parametrize("name", MIRROR_SPACES)
+    def test_bound_is_its_argmax_sep_and_ties_match_full_grid(self, name):
+        space = space_by_name(name)
+        gen = np.random.Generator(np.random.PCG64(17))
+        k1 = gen.uniform(0.02, 0.5, 40)
+        k2 = gen.uniform(0.5, 1.0, 40)
+        swap = gen.random(40) < 0.5
+        k1, k2 = np.where(swap, k2, k1), np.where(swap, k1, k2)
+        results = cross_needle_bounds(space, zip(k1, k2))
+        top = results[0].params["max_total_power"]
+        low = max(space.dim - 1, 1)
+        pairs = sorted((t - k, k) for t in range(low, top + 1) for k in range(t + 1))
+        m, k = np.array(pairs, dtype=float).T
+        full = batch_trig_sep(m, k, 0.0, HALF_PI, k1[:, None], k2[:, None])
+        for res, a, b, row in zip(results, k1, k2, full):
+            assert res.bound == float(batch_trig_sep(*res.ties[0], 0.0, HALF_PI, a, b))
+            best = row.max()
+            assert res.ties == tuple(pairs[j] for j in np.flatnonzero(row >= best - 1e-12))
+            assert abs(res.bound - best) <= 1e-15
+
+    def test_twins_share_one_value(self):
+        res = cross_needle_bound(CrossSpace.real_projective(3), (0.2, 0.5), max_total_power=10)
+        assert res.ties == ((0, 2), (2, 0))
+        assert res.bound == float(batch_trig_sep(0, 2, 0.0, HALF_PI, 0.2, 0.5))
+
+
+def _retained_bytes(make, args):
+    """Traced bytes per result still held after ``make(*a)`` for each ``a`` in
+    ``args``, every result kept; one untraced pass first fills the caches."""
+    for a in args:
+        make(*a)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = [make(*a) for a in args]
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == len(args)
+    return grown / len(args)
+
+
+class TestSharedLabels:
+    """A result holds its bound and flag; ``params`` and ``ties`` are shared,
+    read-only labels of its grid."""
+
+    PAIRS = [(float(a), float(b)) for a, b in zip(np.linspace(0.02, 0.48, 200), np.linspace(0.99, 0.51, 200))]
+
+    def test_retained_cross_results_are_small(self):
+        cap2 = CrossSpace.cayley_plane()
+        assert _retained_bytes(lambda *mp: cross_needle_bound(cap2, mp), self.PAIRS) <= 200
+
+    def test_retained_sphere_results_are_small(self):
+        args = [(2 + i % 11, mp) for i, mp in enumerate(self.PAIRS)]
+        assert _retained_bytes(sphere_needle_bound, args) <= 200
+
+    def test_params_are_read_only_and_shared(self):
+        a = cross_needle_bound(CP1, (0.3, 0.5), max_total_power=8)
+        b = cross_needle_bound(CP1, (0.2, 0.6), max_total_power=8)
+        assert a.params is b.params
+        assert a.params["max_total_power"] == 8
+        assert a.params == {"space": "cp1", "max_total_power": 8}
+        with pytest.raises(TypeError):
+            a.params["max_total_power"] = 9
+        rec = a.to_dict()
+        assert rec["space"] == "cp1" and rec["max_total_power"] == 8
+        s = sphere_needle_bound(3, (0.3, 0.6))
+        assert s.params is sphere_needle_bound(3, (0.2, 0.7)).params
+        assert s.params == {"n": 3, "m": 2}
+        with pytest.raises(TypeError):
+            s.params["n"] = 4
+        assert s.to_dict()["m"] == 2 and s.to_dict()["n"] == 3
+
+    def test_results_pickle_and_deep_copy(self):
+        for res in (cross_needle_bound(CP1, (0.3, 0.5)), sphere_needle_bound(3, (0.3, 0.6))):
+            for back in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+                assert back == res
+                with pytest.raises(TypeError):
+                    back.params["m"] = 0
+
+    def test_ties_are_shared_per_tie_set(self):
+        a = cross_needle_bound(CP1, (0.25, 0.25), max_total_power=9, force=True)
+        b = cross_needle_bound(CP1, (0.25, 0.25), max_total_power=9, force=True)
+        assert a.ties is b.ties
+        # zero separation: every pair ties, and the tuple is the grid's own
+        zero = cross_needle_bound(CP1, (0.5, 0.5), max_total_power=9)
+        assert zero.bound == 0.0
+        assert zero.ties is _exponent_grid(1, 9, CP1.diameter).pairs
 
 
 class TestBatchHelpers:
