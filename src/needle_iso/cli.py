@@ -20,7 +20,7 @@ import numpy as np
 from .cross_spaces import space_by_name
 from .densities import density_from_dict
 from .errors import NeedleIsoError, OutOfDomain
-from .needle_bound import _csv_row, bound_profile_csv, cross_needle_bound, sphere_needle_bound
+from .needle_bound import _csv, bound_profile_csv, cross_needle_bound, sphere_needle_bound
 from .oracles import SUITE_NAMES, report_to_json, run_property_suite
 from .separation import MassPair, sep_1d
 from .solver import isoperimetric_profile_curve, profile_curve_csv, solve_with_complement_reduction
@@ -49,9 +49,9 @@ def _cmd_sep(args):
         payload.update(result.to_dict())
         sys.stdout.write(report_to_json(payload))
     elif args.format == "csv":
-        sys.stdout.write("sep,left_lo,left_hi,right_lo,right_hi\n")
         left, right = result.left_interval, result.right_interval
-        sys.stdout.write(_csv_row((result.sep, left.lo, left.hi, right.lo, right.hi)))
+        fields = ("sep", "left_lo", "left_hi", "right_lo", "right_hi")
+        sys.stdout.write(_csv(fields, [(result.sep, left.lo, left.hi, right.lo, right.hi)]))
     else:
         print(f"separation: {result.sep:.12g}")
         print(
@@ -97,9 +97,8 @@ def _cmd_solve(args):
     if args.format == "json":
         sys.stdout.write(report_to_json(res.to_dict()))
     elif args.format == "csv":
-        sys.stdout.write("label,a,b,enlarged\n")
-        for c, e in res.per_candidate:
-            sys.stdout.write(_csv_row((c.label, c.a, c.b, e)))
+        rows = ((c.label, c.a, c.b, e) for c, e in res.per_candidate)
+        sys.stdout.write(_csv(("label", "a", "b", "enlarged"), rows))
     else:
         if res.complement_reduction:
             print(f"volume {args.v} exceeds 1/2: solved the complementary problem")
@@ -236,8 +235,8 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run a property suite")
     p_verify.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p_verify.add_argument("--seed", type=int, required=True)
-    p_verify.add_argument("--samples", type=int, default=100000)
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--samples", type=_positive_int, default=100000)
+    p_verify.add_argument("--threads", type=_positive_int, default=1)
     p_verify.add_argument("--junit", help="write a JUnit XML report to this path")
     p_verify.add_argument("--format", choices=("json", "human"), default="json")
     p_verify.set_defaults(fn=_cmd_verify)

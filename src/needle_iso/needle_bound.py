@@ -33,12 +33,12 @@ class NeedleBoundResult:
 
     ``params`` is a read-only mapping shared by every result of one sphere
     dimension, or of one space and power cap, and ``ties`` is shared by
-    every result of one grid and tie set: a kept result holds little more
+    every result of one family and tie set: a kept result holds little more
     than its bound.
     """
 
     bound: float
-    family: str  # "sphere-cos" | "trig" | "affine"
+    family: str  # "sphere-cos" | "trig"
     params: MappingProxyType
     ties: tuple
     hypothesis_satisfied: bool
@@ -52,11 +52,7 @@ class NeedleBoundResult:
         return _unpickle_result, (self.bound, self.family, dict(self.params), self.ties, self.hypothesis_satisfied)
 
     def to_dict(self):
-        m, k = (None, None)
-        if self.family == "sphere-cos":
-            m, k = self.params["m"], 0
-        elif self.family == "trig":
-            m, k = self.ties[0]
+        m, k = self.ties[0]
         rec = {
             "bound": self.bound,
             "family": self.family,
@@ -73,56 +69,48 @@ def _unpickle_result(bound, family, params, ties, hypothesis_satisfied):
     return NeedleBoundResult(bound, family, MappingProxyType(params), ties, hypothesis_satisfied)
 
 
-def _require_straddle(mp, force, context):
-    if mp.straddles_half:
-        return True
-    if not force:
-        raise HypothesisViolated(
-            f"{context}: mass pair ({mp.k1}, {mp.k2}) must straddle 1/2 "
-            "(pass force=True for a heuristic value)"
-        )
-    return False
+def _straddling(mass_pairs, force, context):
+    """The mass pairs as :class:`MassPair` records; one that does not straddle 1/2
+    raises HypothesisViolated unless ``force``."""
+    mps = [as_mass_pair(p) for p in mass_pairs]
+    for mp in mps:
+        if not (mp.straddles_half or force):
+            raise HypothesisViolated(
+                f"{context}: mass pair ({mp.k1}, {mp.k2}) must straddle 1/2 "
+                "(pass force=True for a heuristic value)"
+            )
+    return mps
 
 
-def sphere_needle_bound(n, masses, force=False):
-    """Needle separation distance for the n-sphere: sep of ``C cos^(n-1)``.
+@functools.lru_cache(maxsize=128)
+def _params(**labels):
+    """The read-only ``params`` every result with these labels shares."""
+    return MappingProxyType(labels)
 
-    Exact for straddling mass pairs; with ``force=True`` the same formula is
-    evaluated for non-straddling pairs and flagged as heuristic.  An ``n``
-    below 2 or not a finite integer (integer-valued floats pass) raises
-    ``OutOfDomain``.
-    """
-    n = _integer(n, "sphere dimension")
-    if n < 2:
-        raise OutOfDomain(f"sphere dimension must be >= 2, got {n}")
-    mp = as_mass_pair(masses)
-    ok = _require_straddle(mp, force, "sphere needle bound")
-    params, ties = _sphere_labels(n)
-    return NeedleBoundResult(
-        bound=float(_trig_sep(n - 1, 0, -HALF_PI, HALF_PI, mp.k1, mp.k2)),
-        family="sphere-cos",
-        params=params,
-        ties=ties,
-        hypothesis_satisfied=ok,
-    )
+
+# What every needle bound reads of its family: the sorted ``pairs``, the
+# ``needle`` record of the folded ones, each pair's ``column`` in that record,
+# and the ``ties`` tuples met so far, by the bytes of their indices into ``pairs``.
+_Family = namedtuple("_Family", "pairs needle column ties")
+
+
+def _family(pairs, folded, lo, hi):
+    """The read-only family of needles ``cos^m sin^k`` on ``[lo, hi]`` for
+    ``(m, k)`` in ``pairs``: one ``_fold`` of the ``folded`` pairs, and each
+    pair reads its own column or, when only its mirror twin ``(k, m)`` is
+    folded, the twin's."""
+    where = {p: j for j, p in enumerate(folded)}
+    column = np.array([where[p] if p in where else where[p[::-1]] for p in pairs])
+    needle = _fold(*np.array(folded, dtype=float).T, lo, hi)
+    for arr in (*needle, column):
+        arr.flags.writeable = False
+    return _Family(pairs, needle, column, {})
 
 
 @functools.lru_cache(maxsize=64)
-def _sphere_labels(n):
-    """The ``params`` and ``ties`` every n-sphere result shares."""
-    return MappingProxyType({"n": n, "m": n - 1}), ((n - 1, 0),)
-
-
-@functools.lru_cache(maxsize=64)
-def _cross_params(space, top):
-    """The ``params`` every bound on one space at one power cap shares."""
-    return MappingProxyType({"space": space, "max_total_power": top})
-
-
-# What every cross bound reads of its grid: the sorted ``pairs``, the ``needle``
-# record of their ``m <= k`` half, each pair's ``column`` in that half, and the
-# ``ties`` tuples met so far, by the bytes of their indices into ``pairs``.
-_Grid = namedtuple("_Grid", "pairs needle column ties")
+def _sphere_family(n):
+    """The n-sphere's one model needle ``cos^(n-1)`` on ``[-pi/2, pi/2]``."""
+    return _family(((n - 1, 0),), ((n - 1, 0),), -HALF_PI, HALF_PI)
 
 
 @functools.lru_cache(maxsize=32)
@@ -132,25 +120,43 @@ def _exponent_grid(low, top, diameter):
     serves every pair, since reflecting about pi/4 swaps ``m`` and ``k`` and
     the two arrangements of the gap rule, so ``sep(m, k) == sep(k, m)``."""
     pairs = tuple(sorted((total - k, k) for total in range(low, top + 1) for k in range(total + 1)))
-    half = [p for p in pairs if p[0] <= p[1]]
-    where = {p: j for j, p in enumerate(half)}
-    column = np.array([where[min(p), max(p)] for p in pairs])
-    needle = _fold(*np.array(half, dtype=float).T, 0.0, diameter)
-    for arr in (*needle, column):
-        arr.flags.writeable = False
-    return _Grid(pairs, needle, column, {})
+    return _family(pairs, tuple(p for p in pairs if p[0] <= p[1]), 0.0, diameter)
 
 
-def _grid_ties(grid, row, best):
-    """The pairs within 1e-12 of ``best`` in ``row``, in grid order, as the
-    grid's one tuple for that tie set (its own ``pairs`` when all tie)."""
-    hit = np.flatnonzero(row >= best - _TIE_TOL)
-    key = hit.tobytes()
-    ties = grid.ties.get(key)
-    if ties is None:  # setdefault is atomic: threads that race keep one tuple
-        ties = grid.pairs if hit.size == len(grid.pairs) else tuple(grid.pairs[j] for j in hit)
-        ties = grid.ties.setdefault(key, ties)
-    return ties
+def _family_bounds(family, name, params, mps):
+    """The bound over ``family`` for each of the mass pairs ``mps``, in that
+    order: one quantile pass gives the (mass pair x folded needle) table of
+    separations, one fancy index spreads it onto every pair, and a row's
+    ties are its entries within 1e-12 of its maximum, in family order, as
+    the family's one tuple for that tie set (``pairs`` when all tie)."""
+    k1 = np.array([mp.k1 for mp in mps])[:, None]
+    k2 = np.array([mp.k2 for mp in mps])[:, None]
+    seps = _needle_gaps(family.needle, k1, k2)[2][:, family.column]
+    best = np.max(seps, axis=1)
+    results = []
+    for row, b, mp in zip(seps, best, mps):
+        hit = np.flatnonzero(row >= b - _TIE_TOL)
+        ties = family.ties.get(key := hit.tobytes())
+        if ties is None:  # setdefault is atomic: threads that race keep one tuple
+            ties = family.pairs if hit.size == len(family.pairs) else tuple(family.pairs[j] for j in hit)
+            ties = family.ties.setdefault(key, ties)
+        results.append(NeedleBoundResult(float(b), name, params, ties, mp.straddles_half))
+    return tuple(results)
+
+
+def sphere_needle_bound(n, masses, force=False):
+    """Needle separation distance for the n-sphere: sep of ``C cos^(n-1)``.
+
+    Exact for straddling mass pairs; with ``force=True`` the same formula is
+    evaluated for non-straddling pairs and flagged as heuristic.  An ``n``
+    below 2 or not a finite integer (integer-valued floats pass) raises
+    ``OutOfDomain``.  The needle is folded once per dimension and cached.
+    """
+    n = _integer(n, "sphere dimension")
+    if n < 2:
+        raise OutOfDomain(f"sphere dimension must be >= 2, got {n}")
+    mps = _straddling([masses], force, "sphere needle bound")
+    return _family_bounds(_sphere_family(n), "sphere-cos", _params(n=n, m=n - 1), mps)[0]
 
 
 def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
@@ -158,18 +164,14 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
     results in that order; no result depends on the other pairs, bit for bit.
 
     Each grid's ``m <= k`` half is folded once per process and cached
-    (:func:`_exponent_grid`); one quantile pass over targets of shape
-    ``(4, pairs, half)`` gives the (pair x needle) table of separations on
-    that half, and one fancy index mirrors it onto the whole grid, so twins
-    ``(m, k)`` and ``(k, m)`` carry the same bits.  Each pair's ties are the
-    grid entries within 1e-12 of its row maximum, in grid order.
+    (:func:`_exponent_grid`), and mirrored onto the whole grid, so twins
+    ``(m, k)`` and ``(k, m)`` carry the same bits.
     """
     if space.family == SPHERE:
         raise NotApplicable("use sphere_needle_bound for spheres")
     if abs(space.diameter - HALF_PI) > 1e-12:
         raise NotApplicable("the trig-monomial grid applies to diameter pi/2 spaces")
-    mps = [as_mass_pair(p) for p in mass_pairs]
-    oks = [_require_straddle(mp, force, "cross needle bound") for mp in mps]
+    mps = _straddling(mass_pairs, force, "cross needle bound")
     low = max(space.dim - 1, 1)
     mtp = _integer(space.dim + 7 if max_total_power is None else max_total_power, "max_total_power")
     if mtp < low:
@@ -177,21 +179,7 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
             f"max_total_power={mtp} is below the admissibility floor {low}"
         )
     grid = _exponent_grid(low, mtp, space.diameter)
-    k1 = np.array([mp.k1 for mp in mps])[:, None]
-    k2 = np.array([mp.k2 for mp in mps])[:, None]
-    seps = _needle_gaps(grid.needle, k1, k2)[2][:, grid.column]
-    best = np.max(seps, axis=1)
-    params = _cross_params(space.name, mtp)
-    return tuple(
-        NeedleBoundResult(
-            bound=float(b),
-            family="trig",
-            params=params,
-            ties=_grid_ties(grid, row, b),
-            hypothesis_satisfied=ok,
-        )
-        for row, b, ok in zip(seps, best, oks)
-    )
+    return _family_bounds(grid, "trig", _params(space=space.name, max_total_power=mtp), mps)
 
 
 def cross_needle_bound(space, masses, max_total_power=None, force=False):
@@ -204,11 +192,6 @@ def cross_needle_bound(space, masses, max_total_power=None, force=False):
     pass) or is below ``max(dim - 1, 1)`` raises ``OutOfDomain``.
     """
     return cross_needle_bounds(space, [masses], max_total_power, force)[0]
-
-
-def _trig_sep(m, k, lo, hi, k1, k2):
-    """Separations of the needles ``cos^m sin^k`` on ``[lo, hi]``, folded once."""
-    return _needle_gaps(_fold(m, k, lo, hi), k1, k2)[2]
 
 
 def batch_trig_sep(m, k, lo, hi, k1, k2):
@@ -294,7 +277,13 @@ def _csv_row(cells):
     return ",".join("" if c is None else c if isinstance(c, str) else repr(c) for c in cells) + "\n"
 
 
+def _csv(fields, rows):
+    """The one CSV table rule: a header of ``fields``, then one
+    :func:`_csv_row` per row of cells."""
+    return "".join([_csv_row(fields), *map(_csv_row, rows)])
+
+
 def bound_profile_csv(rows):
     """CSV emission with the stable header ``k1,k2,bound,family,m,k``."""
     fields = ("k1", "k2", "bound", "family", "m", "k")
-    return "".join([_csv_row(fields)] + [_csv_row(r[f] for f in fields) for r in rows])
+    return _csv(fields, ([r[f] for f in fields] for r in rows))

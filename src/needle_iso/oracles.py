@@ -39,7 +39,7 @@ from .densities import (
     _frame,
     normalize,
 )
-from .errors import OutOfDomain
+from .errors import OutOfDomain, _require_count
 from .needle_bound import (
     batch_affine_sep,
     batch_trig_sep,
@@ -778,8 +778,10 @@ def run_property_suite(suite, rng, threads=1, mc_samples=100000):
     """Run a named invariant suite; the report is byte-stable per seed.
 
     The report never contains wall-clock data or the thread count, so runs
-    with different parallelism compare equal byte-for-byte.
+    with different parallelism compare equal byte-for-byte.  An
+    ``mc_samples`` that is not an integer >= 1 raises ``OutOfDomain``.
     """
+    _require_count(mc_samples, "mc_samples", 1)
     spec = as_rng_spec(rng)
     ctx = _Ctx(spec, threads, mc_samples)
     checks = []

@@ -16,6 +16,7 @@ import numpy as np
 from . import quadrature
 from .cross_spaces import (
     SPHERE,
+    _as_volumes,
     _catalog_enlarged,
     _enlarged_difference,
     catalog,
@@ -23,7 +24,7 @@ from .cross_spaces import (
     profile_quantile,
 )
 from .errors import NotApplicable, OutOfDomain
-from .needle_bound import _csv_row, cross_needle_bound, sphere_needle_bound
+from .needle_bound import _csv, cross_needle_bound, sphere_needle_bound
 from .sampling import RngSpec, mc_cap_mass
 from .separation import MassPair, as_mass_pair
 
@@ -216,9 +217,11 @@ def isoperimetric_profile_curve(space, epsilon, v_grid, quadrature_atol=None):
     exactly (both enlargements saturated) has no sign change and reports no
     crossover.  With ``quadrature_atol`` set, profile evaluations use the
     adaptive Gauss-Legendre route at that tolerance instead of the closed
-    forms (slower; used by stability checks).
+    forms (slower; used by stability checks).  On either route, an
+    ``epsilon`` that is not positive and finite, or a volume outside
+    (0, 1/2], NaN included, raises ``OutOfDomain`` before any evaluation.
     """
-    v_grid = sorted(float(v) for v in v_grid)
+    v_grid = sorted(_as_volumes(v_grid, epsilon).tolist())
     if not v_grid or v_grid[0] <= 0 or v_grid[-1] > 0.5 + 1e-12:
         raise OutOfDomain("the volume grid must lie in (0, 1/2]")
 
@@ -274,7 +277,7 @@ def isoperimetric_profile_curve(space, epsilon, v_grid, quadrature_atol=None):
 def profile_curve_csv(result):
     """CSV emission with the stable header ``v,winner,enlarged``."""
     fields = ("v", "winner", "enlarged")
-    return "".join([_csv_row(fields)] + [_csv_row(r[f] for f in fields) for r in result["rows"]])
+    return _csv(fields, ([r[f] for f in fields] for r in result["rows"]))
 
 
 def check_main_inequality(space, masses, mc_samples=100000, seed=0, threads=1):

@@ -324,6 +324,13 @@ class TestVerify:
             main(["verify", "--suite", "spaces"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--samples", "-5"), ("--threads", "0"), ("--threads", "-3")])
+    def test_nonpositive_counts_exit_two(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "density", "--seed", "1", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_junit_emission(self, capsys, tmp_path):
         path = tmp_path / "report.xml"
         code, _, _ = run_cli(

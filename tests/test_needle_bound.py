@@ -32,7 +32,8 @@ from needle_iso import (
     space_by_name,
     sphere_needle_bound,
 )
-from needle_iso.needle_bound import _csv_row, _exponent_grid
+from needle_iso import needle_bound
+from needle_iso.needle_bound import _csv, _csv_row, _exponent_grid
 
 HALF_PI = math.pi / 2
 CP1 = CrossSpace.complex_projective(1)
@@ -261,6 +262,54 @@ class TestSharedLabels:
         zero = cross_needle_bound(CP1, (0.5, 0.5), max_total_power=9)
         assert zero.bound == 0.0
         assert zero.ties is _exponent_grid(1, 9, CP1.diameter).pairs
+
+
+class TestFamilyTable:
+    """Both needle bounds are the row maxima of one cached family record."""
+
+    def test_sphere_bound_is_its_needles_batch_sep(self):
+        rng = np.random.default_rng(2017)
+        k1, k2 = rng.uniform(1e-9, 1.0, (2, 150))
+        # the corners, and pairs that do not straddle 1/2 (forced)
+        k1[:4], k2[:4] = (0.5, 1.0, 0.2, 0.9), (0.5, 1.0, 0.25, 0.7)
+        assert not all(MassPair(a, b).straddles_half for a, b in zip(k1, k2))
+        for n in range(2, 41):
+            batch = batch_trig_sep(n - 1, 0, -HALF_PI, HALF_PI, k1, k2)
+            bounds = [sphere_needle_bound(n, mp, force=True).bound for mp in zip(k1, k2)]
+            assert np.array_equal(bounds, batch), n
+
+    def test_sphere_needle_is_folded_once_per_dimension(self, monkeypatch):
+        folds = []
+        real = needle_bound._fold
+
+        def counting(*args):
+            folds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(needle_bound, "_fold", counting)
+        needle_bound._sphere_family.cache_clear()  # so the first call per n folds
+        for mp in [(0.3, 0.6), (0.2, 0.7), (0.5, 0.5)]:
+            for n in (2, 5, 11):
+                sphere_needle_bound(n, mp)
+        assert len(folds) == 3
+
+    def test_sphere_dimension_is_checked_before_the_masses(self):
+        with pytest.raises(OutOfDomain):
+            sphere_needle_bound(1, (0.0, 0.5))
+        with pytest.raises(OutOfDomain):
+            sphere_needle_bound(1, (0.2, 0.3))
+
+    def test_cross_masses_are_checked_before_the_power_cap(self):
+        with pytest.raises(HypothesisViolated):
+            cross_needle_bound(CP1, (0.3, 0.3), max_total_power=0)
+        with pytest.raises(InvalidMass):
+            cross_needle_bound(CP1, (0.0, 0.5), max_total_power=math.nan)
+
+    def test_both_families_label_their_argmax_alike(self):
+        for res in (sphere_needle_bound(5, (0.3, 0.6)), cross_needle_bound(CP1, (0.3, 0.6))):
+            rec = res.to_dict()
+            assert (rec["m"], rec["k"]) == res.ties[0] == res.argmax
+        assert sphere_needle_bound(5, (0.3, 0.6)).ties == ((4, 0),)
 
 
 class TestBatchHelpers:
@@ -545,3 +594,7 @@ class TestBoundProfile:
         assert bound_profile_csv(rows).splitlines()[1].startswith("0.25,0.5,")
         cells = [np.int64(3), np.float64(0.1), np.str_("cos"), None, "sin", 2, 0.5, True]
         assert _csv_row(cells) == "3,0.1,cos,,sin,2,0.5,True\n"
+
+    def test_one_table_rule(self):
+        assert _csv(("a", "b"), [(1, None), (np.float64(0.5), "x")]) == "a,b\n1,\n0.5,x\n"
+        assert _csv(("a", "b"), []) == "a,b\n"

@@ -167,6 +167,12 @@ class TestSuiteRunner:
         with pytest.raises(OutOfDomain):
             run_property_suite("everything", SEED)
 
+    @pytest.mark.parametrize("mc_samples", [0, -5, 2.0, True, "100"])
+    def test_mc_samples_must_be_a_positive_integer(self, mc_samples):
+        # the density suite runs no Monte Carlo check: it once reported 0
+        with pytest.raises(OutOfDomain):
+            run_property_suite("density", SEED, mc_samples=mc_samples)
+
     def test_all_aggregates_the_module_suites(self, full_report):
         union = []
         for suite in ("density", "separation", "needle", "spaces", "solver"):

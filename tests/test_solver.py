@@ -160,6 +160,20 @@ class TestProfileCurve:
         with pytest.raises(OutOfDomain):
             isoperimetric_profile_curve(RP3, 0.05, [0.2, 0.7])
 
+    # the quadrature route once returned negative enlarged volumes, a NaN
+    # row, and a QuadratureError after 4000 panel splits for these
+    def test_quadrature_route_rejects_a_negative_epsilon(self):
+        with pytest.raises(OutOfDomain):
+            isoperimetric_profile_curve(RP3, -1.0, [0.1, 0.3], quadrature_atol=1e-10)
+
+    def test_quadrature_route_rejects_a_nan_volume(self):
+        with pytest.raises(OutOfDomain):
+            isoperimetric_profile_curve(RP3, 0.05, [0.1, math.nan, 0.3], quadrature_atol=1e-10)
+
+    def test_quadrature_route_rejects_a_nan_epsilon(self):
+        with pytest.raises(OutOfDomain):
+            isoperimetric_profile_curve(RP3, math.nan, [0.1, 0.3], quadrature_atol=1e-10)
+
     def test_csv_emission(self):
         out = isoperimetric_profile_curve(S2, 0.1, [0.2, 0.4])
         text = profile_curve_csv(out)
