@@ -32,7 +32,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quadrature
 from .densities import HALF_PI, Interval, SinAffineDensity, TrigDensity, trig_mass
@@ -59,12 +58,6 @@ def _require_order(order):
         raise InvalidOrder(f"concavity order must be finite and positive, got {order}")
 
 
-# Midpoint gaps per array block of ``is_sin_concave``: large enough that the
-# per-block numpy overhead is amortized, small enough that a block of a
-# 4096-point grid stays near 2 MB.
-_GAP_BLOCK = 64
-
-
 def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     """Sampled check of the sin^N midpoint concavity inequality.
 
@@ -76,13 +69,9 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     value below ``-tol`` times the largest ``|f|`` rejects outright.  Pairs
     at distance >= pi are skipped (the cosine factor would vanish).
 
-    The pairs ``(x[j], x[j + 2d])`` with midpoint ``x[j + d]`` are evaluated
-    a block of at most ``_GAP_BLOCK`` gaps ``d`` at a time, as one 2-D array
-    over read-only strided views of the samples; the first block holding a
-    violated pair rejects.  Each comparison is made with the same operations
-    in the same order as a per-gap loop would, so the answer does not depend
-    on the blocking, and working memory stays below ``_GAP_BLOCK *
-    grid_size`` float64 values plus one boolean array of that shape.
+    The pairs ``(x[j], x[j + 2d])`` with midpoint ``x[j + d]`` are checked
+    one gap ``d`` at a time, as array slices of the samples; the first gap
+    holding a violated pair rejects.
 
     Raises ``InvalidOrder`` for an order that is not finite and positive,
     and ``OutOfDomain`` for a ``grid_size`` that is not an integer >= 3, a
@@ -105,38 +94,14 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     v = np.maximum(v, 0.0)
     u = np.power(v, 1.0 / order)
     v_tol, u_tol = tol * np.max(v), tol * np.max(u)
+    ok = v > v_tol
     step = x[1] - x[0]
-    # denominators 2 cos(gap/2) of the gaps d = 1, 2, ... below pi
-    denom = []
     for d in range(1, (grid_size - 1) // 2 + 1):
         gap = 2 * d * step
         if gap >= math.pi - 1e-9:
             break
-        denom.append(2.0 * math.cos(0.5 * gap))
-    denom = np.array(denom)
-    # padding past the last sample: NaN compares false and the mask is off,
-    # so the row of gap d holds no pair beyond column grid_size - 2d - 1
-    pad = 2 * _GAP_BLOCK
-    u_pad = np.concatenate((u, np.full(pad, np.nan)))
-    ok_pad = np.concatenate((v > v_tol, np.zeros(pad, dtype=bool)))
-    # one buffer pair for every block, so no two blocks are ever alive at once
-    rows = min(_GAP_BLOCK, denom.size)
-    rhs_buf = np.empty((rows, grid_size - 2))
-    bad_buf = np.empty((rows, grid_size - 2), dtype=bool)
-    for d0 in range(1, denom.size + 1, _GAP_BLOCK):
-        d1 = min(d0 + _GAP_BLOCK, denom.size + 1)
-        width = grid_size - 2 * d0
-        # row r of a window view starts at sample r: row 0 holds u[j], row d
-        # holds u[j + d] and row 2d holds u[j + 2d]
-        u_win = sliding_window_view(u_pad, width)
-        ok_win = sliding_window_view(ok_pad, width)
-        rhs = np.add(u_win[0], u_win[2 * d0 : 2 * d1 : 2], out=rhs_buf[: d1 - d0, :width])
-        rhs /= denom[d0 - 1 : d1 - 1, None]
-        rhs -= u_tol
-        bad = np.less(u_win[d0:d1], rhs, out=bad_buf[: d1 - d0, :width])
-        bad &= ok_win[0]
-        bad &= ok_win[2 * d0 : 2 * d1 : 2]
-        if bad.any():
+        rhs = (u[: -2 * d] + u[2 * d :]) / (2.0 * math.cos(0.5 * gap))
+        if np.any(ok[: -2 * d] & ok[2 * d :] & (u[d:-d] < rhs - u_tol)):
             return False
     return True
 

@@ -491,18 +491,33 @@ def reflect(density):
     return normalize(d)
 
 
+def _field(rec, name, convert=float):
+    """``convert(rec[name])``, raising ``OutOfDomain`` that names the field
+    when it is missing or does not convert."""
+    if name not in rec:
+        raise OutOfDomain(f"density record has no {name!r} field")
+    try:
+        return convert(rec[name])
+    except (TypeError, ValueError):
+        raise OutOfDomain(f"density field {name!r} must be numeric, got {rec[name]!r}") from None
+
+
 def density_from_dict(rec):
-    """Rebuild a normalized density from its JSON record."""
+    """Rebuild a normalized density from its JSON record.  A missing or
+    non-numeric field raises ``OutOfDomain`` naming it."""
     fam = rec.get("family")
-    interval = Interval(float(rec["lo"]), float(rec["hi"]))
+    interval = Interval(_field(rec, "lo"), _field(rec, "hi"))
     if fam == "trig":
-        d = TrigDensity(m=float(rec["m"]), k=float(rec["k"]), interval=interval)
+        d = TrigDensity(m=_field(rec, "m"), k=_field(rec, "k"), interval=interval)
     elif fam == "affine":
         d = SinAffineDensity(
-            phase=float(rec["phase"]), power=float(rec["power"]), interval=interval
+            phase=_field(rec, "phase"), power=_field(rec, "power"), interval=interval
         )
     elif fam == "tabulated":
-        d = TabulatedDensity(grid=rec["grid"], values=rec["values"])
+        grid, values = (
+            _field(rec, name, lambda v: np.array(v, dtype=float)) for name in ("grid", "values")
+        )
+        d = TabulatedDensity(grid=grid, values=values)
         if interval != d.interval:
             raise OutOfDomain(
                 f"lo/hi [{interval.lo:.6g}, {interval.hi:.6g}] must be the grid ends "

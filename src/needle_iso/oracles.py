@@ -406,18 +406,21 @@ def _check_component_bound(ctx):
         length = float(gen.uniform(0.3, HALF_PI))
         power = int(gen.integers(1, 7))
         phase = float(gen.uniform(0.0, HALF_PI))
-        needle = normalize(SinAffineDensity(phase=phase, power=power, interval=Interval(0.0, length)))
         mp = _straddling_pair(gen)
-        needles.append((phase, power, length, mp, sep_1d(needle, mp).sep))
+        needles.append((phase, power, length, mp.k1, mp.k2))
         starts.append(len(components))
-        components += [(m, k, length, mp.k1, mp.k2) for _, (m, k) in binomial_decompose(needle).components]
-    # all components in one batch; a needle's best is the max over its own run
+        # cos^p(t - phase) expands into the monomials cos^(p - i) sin^i
+        components += [(power - i, i, length, mp.k1, mp.k2) for i in range(power + 1)]
+    # the needles in one batch and all components in another; a needle's
+    # best is the max over its own run of components
+    phase, power, hi, k1, k2 = np.array(needles).T
+    needle_seps = batch_affine_sep(phase, power, 0.0, hi, k1, k2)
     m, k, hi, k1, k2 = np.array(components).T
     best = np.maximum.reduceat(batch_trig_sep(m, k, 0.0, hi, k1, k2), starts)
     violations = 0
     worst = None
-    for (phase, power, length, mp, needle_sep), best_comp in zip(needles, best):
-        margin = needle_sep - float(best_comp)
+    for (phase, power, length, k1, k2), needle_sep, best_comp in zip(needles, needle_seps, best):
+        margin = float(needle_sep) - float(best_comp)
         if margin > 1e-10:
             violations += 1
             if worst is None or margin > worst["margin"]:
@@ -425,9 +428,9 @@ def _check_component_bound(ctx):
                     "phase": phase,
                     "power": power,
                     "length": length,
-                    "k1": mp.k1,
-                    "k2": mp.k2,
-                    "needle_sep": needle_sep,
+                    "k1": k1,
+                    "k2": k2,
+                    "needle_sep": float(needle_sep),
                     "best_component_sep": float(best_comp),
                     "margin": margin,
                 }
@@ -778,9 +781,10 @@ def run_property_suite(suite, rng, threads=1, mc_samples=100000):
     """Run a named invariant suite; the report is byte-stable per seed.
 
     The report never contains wall-clock data or the thread count, so runs
-    with different parallelism compare equal byte-for-byte.  An
-    ``mc_samples`` that is not an integer >= 1 raises ``OutOfDomain``.
+    with different parallelism compare equal byte-for-byte.  A ``threads``
+    or ``mc_samples`` that is not an integer >= 1 raises ``OutOfDomain``.
     """
+    _require_count(threads, "threads", 1)
     _require_count(mc_samples, "mc_samples", 1)
     spec = as_rng_spec(rng)
     ctx = _Ctx(spec, threads, mc_samples)

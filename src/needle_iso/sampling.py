@@ -63,11 +63,12 @@ def mc_cap_mass(n, cap_radius, samples, rng, stream=0, threads=1):
     ``cap_radius`` may be an array: each chunk's draw and norms then serve
     every radius, and ``estimate`` and ``stderr`` are arrays of its shape,
     each entry bit for bit that radius's own call.  Raises ``OutOfDomain``
-    for a dimension or sample count that is not an integer >= 1, and for
-    any radius that is not finite or lies outside [0, pi].
+    for a dimension, sample count or thread count that is not an integer >=
+    1, and for any radius that is not finite or lies outside [0, pi].
     """
     _require_count(n, "sphere dimension", 1)
     _require_count(samples, "samples", 1)
+    _require_count(threads, "threads", 1)
     radii = np.asarray(cap_radius, dtype=float)
     if not np.all((radii >= 0.0) & (radii <= math.pi)):  # NaN compares false
         raise OutOfDomain(f"cap radii must be finite and lie in [0, pi], got {cap_radius!r}")

@@ -32,9 +32,9 @@ FULL = Interval(-HALF_PI, HALF_PI)
 
 
 def _loop_reference(f, order, interval=None, grid_size=1024, tol=1e-9):
-    """The per-gap loop ``is_sin_concave`` was first written as: one pass
-    of array slices per midpoint gap.  Kept as the reference the blocked
-    kernel must agree with, boolean for boolean."""
+    """A per-gap loop written apart from ``is_sin_concave``: one pass of
+    array slices per midpoint gap, with no input checks.  Kept as the
+    reference the kernel must agree with, boolean for boolean."""
     if hasattr(f, "pdf") and hasattr(f, "interval"):
         f, interval = f.pdf, f.interval
     x = interval.grid(grid_size)
@@ -277,7 +277,7 @@ class TestBlockedKernel:
 
     def test_memory_stays_bounded_on_a_large_grid(self):
         # the whole triangle of pairs of a 4096-point grid is about 67 MB of
-        # float64; a block of 64 gaps is about 2 MB
+        # float64; one gap at a time is a few arrays of at most 32 KB
         d = normalize(TrigDensity(m=3, k=0, interval=FULL))
         tracemalloc.start()
         try:

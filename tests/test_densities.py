@@ -526,6 +526,35 @@ class TestSerialization:
         with pytest.raises(OutOfDomain):
             density_from_dict({"family": "exotic", "lo": 0.0, "hi": 1.0})
 
+    @pytest.mark.parametrize(
+        "rec, field",
+        [
+            ({"family": "trig", "lo": 0, "hi": 1}, "m"),
+            ({"family": "trig", "lo": 0, "hi": 1, "m": 1}, "k"),
+            ({"family": "affine", "lo": 0, "hi": 1, "phase": 0.2}, "power"),
+            ({"family": "trig", "hi": 1, "m": 1, "k": 1}, "lo"),
+            ({"family": "tabulated", "lo": 0, "hi": 1, "values": [1, 1]}, "grid"),
+        ],
+    )
+    def test_missing_field_is_named(self, rec, field):
+        # these used to raise a bare KeyError
+        with pytest.raises(OutOfDomain, match=f"'{field}'"):
+            density_from_dict(rec)
+
+    @pytest.mark.parametrize(
+        "rec, field",
+        [
+            ({"family": "trig", "lo": 0, "hi": 1, "m": "x", "k": 1}, "m"),
+            ({"family": "affine", "lo": 0, "hi": 1, "phase": None, "power": 2}, "phase"),
+            ({"family": "trig", "lo": [0], "hi": 1, "m": 1, "k": 1}, "lo"),
+            ({"family": "tabulated", "lo": 0, "hi": 1, "grid": [0, 1], "values": ["a", 1]}, "values"),
+        ],
+    )
+    def test_non_numeric_field_is_named(self, rec, field):
+        # "x" used to raise a ValueError outside the library's error family
+        with pytest.raises(OutOfDomain, match=f"'{field}'"):
+            density_from_dict(rec)
+
 
 class TestReflect:
     def test_reflection_preserves_mass_and_flips_shape(self):

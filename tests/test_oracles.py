@@ -109,6 +109,12 @@ class TestMcCapMass:
         with pytest.raises(OutOfDomain):
             mc_cap_mass(2, 1.0, samples, RngSpec(1))
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, True])
+    def test_thread_count_must_be_a_positive_integer(self, threads):
+        # 0 and -3 used to run serially and 2.5 on a pool of "2.5" workers
+        with pytest.raises(OutOfDomain):
+            mc_cap_mass(2, 0.5, 1000, RngSpec(1), threads=threads)
+
 
 class TestRandomAffineNeedle:
     def test_draws_are_valid_needles(self):
@@ -173,6 +179,12 @@ class TestSuiteRunner:
         with pytest.raises(OutOfDomain):
             run_property_suite("density", SEED, mc_samples=mc_samples)
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, True])
+    def test_thread_count_must_be_a_positive_integer(self, threads):
+        # 0 and -3 used to run the whole suite serially without a word
+        with pytest.raises(OutOfDomain):
+            run_property_suite("solver", 1, threads=threads)
+
     def test_all_aggregates_the_module_suites(self, full_report):
         union = []
         for suite in ("density", "separation", "needle", "spaces", "solver"):
@@ -186,6 +198,21 @@ class TestSuiteRunner:
         text = report_to_json(run_property_suite("all", 42))
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "e34c34a565cd08d6e0ca0f6e7e0b203a1281f4f29d5efe252c7877e9469736cd"
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (0, "43be5c2796c8307b137e841f6fcfbd79b8306570e80feaefea42d0ce7f360a3b"),
+            (7, "2b63680e137842c51b2f5327d05dda6c25e145230a74d10506ec0b42cf6cc56d"),
+            (99, "6d6bfa143b1ffc115a7935f8f213549ea06c7414f2aa525d093c26ae1d1232e7"),
+            (2024, "0eeb853ea6a1fbeeedf2db5012209c473ace3398a38f71a6d0f7cf117012d2ca"),
+        ],
+    )
+    def test_all_report_is_pinned_at_more_seeds(self, seed, expected):
+        # the same bytes at four more seeds, so a refactor of any check is
+        # held to more than one draw of its rows
+        text = report_to_json(run_property_suite("all", seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
 
     def test_report_is_byte_stable_across_threads(self):
         a = run_property_suite("spaces", 5, threads=1)
@@ -253,6 +280,34 @@ class TestSuiteRunner:
             "_check_order_reduction_within_family_band",
             "_check_product_closure",
         ]
+
+    def test_needle_group_builds_no_decomposition(self, monkeypatch):
+        # needle.component_bound takes its component seps from the batch
+        # kernel: no binomial expansion, whose quadratures weigh component
+        # masses the check never reads
+        import needle_iso.concavity as concavity
+        import needle_iso.oracles as oracles
+        import needle_iso.quadrature as quadrature
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in [
+            (concavity, "binomial_decompose"),
+            (oracles, "binomial_decompose"),
+            (quadrature, "integrate"),
+        ]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        report = run_property_suite("needle", SEED)
+        assert calls == []
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["needle.component_bound"]["details"]["violations"] == 19
 
     def test_exact_route_counts_the_sliver_witness(self):
         # at seed 2024 the 256-point grid accepted cos t sin^2 t on
