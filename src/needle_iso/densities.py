@@ -209,6 +209,35 @@ def trig_mass(m, k, lo, hi):
     return float(_checked_fold(m, k, lo, hi).mass)
 
 
+def _trig_pdf(m, k, t, scale):
+    """``scale cos^m(t) sin^k(t)`` with both factors clamped at 0: the one
+    pdf formula of the trig family, behind :meth:`TrigDensity.pdf`."""
+    c = np.maximum(np.cos(t), 0.0)
+    s = np.maximum(np.sin(t), 0.0)
+    return scale * np.power(c, m) * np.power(s, k)
+
+
+def _tabulate(grid, values):
+    """The tabulated domain check, written once: ``grid`` and ``values`` as
+    float64 copies (no caller's array is aliased), 1-D of equal length >= 2,
+    finite, the grid strictly increasing and the samples >= -1e-12 with
+    rounding below 0 set to 0; any other input raises OutOfDomain.  Returns
+    them with the cumulative trapezoid mass at each grid point."""
+    g = np.array(grid, dtype=float)
+    v = np.array(values, dtype=float)
+    if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
+        raise OutOfDomain("grid and values must be 1-D arrays of equal length >= 2")
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
+        raise OutOfDomain("grid and values must be finite")
+    if np.any(np.diff(g) <= 0):
+        raise OutOfDomain("grid must be strictly increasing")
+    if np.any(v < -1e-12):
+        raise OutOfDomain("density samples must be nonnegative")
+    v = np.where(v < 0.0, 0.0, v)  # not np.maximum, which turns -0.0 into 0.0
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
+    return g, v, cum
+
+
 def _as_fractions(q):
     """``q`` as a float array of mass fractions in [0, 1] (to 1e-12), else OutOfDomain."""
     q = np.asarray(q, dtype=float)
@@ -252,11 +281,19 @@ class _DensityBase:
         return float(self.cdf(b) - self.cdf(a))
 
 
+def _require_mass(total):
+    """The mass floor, written once: every raw mass in ``total`` must be
+    finite and above ``_MASS_FLOOR``, else the first one that is not raises
+    ZeroMass."""
+    total = np.asarray(total, dtype=float)
+    ok = (total > _MASS_FLOOR) & (total < math.inf)
+    if not ok.all():
+        raise ZeroMass(f"density integrates to {total[~ok][0]:.3e}")
+
+
 def _finalize(density, total):
-    total = float(total)
-    if not np.isfinite(total) or total <= _MASS_FLOOR:
-        raise ZeroMass(f"density integrates to {total:.3e}")
-    object.__setattr__(density, "_raw_total", total)
+    _require_mass(total)
+    object.__setattr__(density, "_raw_total", float(total))
 
 
 class _NeedleDensity(_DensityBase):
@@ -298,10 +335,7 @@ class TrigDensity(_NeedleDensity):
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
-        c = np.maximum(np.cos(t), 0.0)
-        s = np.maximum(np.sin(t), 0.0)
-        scale = 1.0 if self.norm is None else self.norm
-        out = scale * np.power(c, self.m) * np.power(s, self.k)
+        out = _trig_pdf(self.m, self.k, t, 1.0 if self.norm is None else self.norm)
         return out if out.shape else float(out)
 
     def to_dict(self):
@@ -375,22 +409,10 @@ class TabulatedDensity(_DensityBase):
     family = "tabulated"
 
     def __post_init__(self):
-        g = np.array(self.grid, dtype=float)  # copies: no caller's array is aliased
-        v = np.array(self.values, dtype=float)
-        if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
-            raise OutOfDomain("grid and values must be 1-D arrays of equal length >= 2")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
-            raise OutOfDomain("grid and values must be finite")
-        if np.any(np.diff(g) <= 0):
-            raise OutOfDomain("grid must be strictly increasing")
-        if np.any(v < -1e-12):
-            raise OutOfDomain("density samples must be nonnegative")
-        v = np.where(v < 0.0, 0.0, v)  # not np.maximum, which turns -0.0 into 0.0
+        g, v, cum = _tabulate(self.grid, self.values)
         g.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-        seg = 0.5 * (v[1:] + v[:-1]) * np.diff(g)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
         object.__setattr__(self, "_cum", cum)
         object.__setattr__(self, "interval", Interval(float(g[0]), float(g[-1])))
         _finalize(self, cum[-1])

@@ -36,7 +36,10 @@ from .densities import (
     Interval,
     SinAffineDensity,
     TrigDensity,
+    _checked_fold,
     _frame,
+    _require_mass,
+    _trig_pdf,
     normalize,
 )
 from .errors import OutOfDomain, _require_count
@@ -46,7 +49,9 @@ from .needle_bound import (
     cross_needle_bounds,
 )
 from .sampling import _affine_draws, as_rng_spec, random_affine_needle
-from .separation import MassPair, batch_sep, sep_1d, sep_1d_bruteforce
+# sep_1d stays bound here: the benchmark's tracer test checks that every
+# module binding it sees one wrapper
+from .separation import _extreme_gap, sep_1d  # noqa: F401
 from .solver import (
     SolveRequest,
     _check_main_inequalities,
@@ -73,9 +78,11 @@ def _pyify(obj):
     return obj
 
 
-def _random_trig(gen, max_exp=5, min_length=0.3, integer_only=True):
-    """A random normalized trig density on a random sub-interval of its
-    fold's domain (of [0, 1] for the constant)."""
+def _trig_draw(gen, max_exp=5, min_length=0.3, integer_only=True):
+    """A random trig needle ``(m, k, lo, hi)`` on a random sub-interval of its
+    fold's domain (of [0, 1] for the constant), at least ``min_length``
+    long.  The exponents are Python ints, unless ``integer_only`` is false:
+    then 30% of the draws add a real part to both."""
     m = int(gen.integers(0, max_exp + 1))
     k = int(gen.integers(0, max_exp + 1))
     if not integer_only and gen.uniform() < 0.3:
@@ -85,11 +92,24 @@ def _random_trig(gen, max_exp=5, min_length=0.3, integer_only=True):
     start, span = (0.0, 1.0) if flat else (-shift, HALF_PI * (1 + mirrored))
     length = gen.uniform(min_length, min(span, math.pi))
     lo = start + gen.uniform(0.0, span - length)
-    return normalize(TrigDensity(m=m, k=k, interval=Interval(lo, lo + length)))
+    return m, k, lo, lo + length
+
+
+def _random_trig(gen, **draw):
+    """The normalized :class:`TrigDensity` of one :func:`_trig_draw`."""
+    m, k, lo, hi = _trig_draw(gen, **draw)
+    return normalize(TrigDensity(m=m, k=k, interval=Interval(lo, hi)))
+
+
+def _trig_rows(gen, count, masses, **draw):
+    """``count`` needles of :func:`_trig_draw`, each followed by what
+    ``masses(gen)`` draws for it, as the float columns ``m, k, lo, hi,
+    *masses``."""
+    return np.array([(*_trig_draw(gen, **draw), *masses(gen)) for _ in range(count)]).T
 
 
 def _straddling_pair(gen, lo=0.05, hi=0.95):
-    return MassPair(float(gen.uniform(lo, 0.5)), float(gen.uniform(0.5, hi)))
+    return float(gen.uniform(lo, 0.5)), float(gen.uniform(0.5, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -157,29 +177,25 @@ def _check_order_reduction(ctx):
     margin decides every (needle, order), so a violation narrower than a
     grid step counts."""
     gen = ctx.spec.generator(13)
-    needles = [_random_trig(gen, max_exp=4, min_length=0.6) for _ in range(100)]
-    rows = [(d, n) for d in needles for n in range(1, int(d.m + d.k) + 1)]
-    margin, _ = _product_margin(
-        [(d.m / n, d.k / n) for d, n in rows],
-        [(0.0, HALF_PI)],
-        [d.interval.lo for d, _ in rows],
-        [d.interval.hi for d, _ in rows],
-    )
+    needles = [_trig_draw(gen, max_exp=4, min_length=0.6) for _ in range(100)]
+    rows = [((m / n, k / n), lo, hi) for m, k, lo, hi in needles for n in range(1, m + k + 1)]
+    weights, lo, hi = zip(*rows)
+    margin, _ = _product_margin(weights, [(0.0, HALF_PI)], lo, hi)
     verdicts = iter(margin <= MARGIN_TOL)
     violations = 0
     example = None
-    for d in needles:
-        passing = [n for n in range(1, int(d.m + d.k) + 1) if next(verdicts)]
+    for m, k, lo, hi in needles:
+        passing = [n for n in range(1, m + k + 1) if next(verdicts)]
         top = max(passing, default=0)
         missing = [s for s in range(1, top) if s not in passing]
         if missing:
             violations += 1
             if example is None:
                 example = {
-                    "m": d.m,
-                    "k": d.k,
-                    "lo": d.interval.lo,
-                    "hi": d.interval.hi,
+                    "m": m,
+                    "k": k,
+                    "lo": lo,
+                    "hi": hi,
                     "passes_at": top,
                     "fails_at": missing[:3],
                 }
@@ -263,54 +279,53 @@ def _check_binomial_reconstruction(ctx):
 
 def _check_mass_swap_symmetry(ctx):
     gen = ctx.spec.generator(20)
-    exact = True
-    for _ in range(30):
-        d = _random_trig(gen)
-        k1, k2 = float(gen.uniform(0.05, 0.95)), float(gen.uniform(0.05, 0.95))
-        forward, backward = batch_sep(d, [k1, k2], [k2, k1])
-        if forward != backward:
-            exact = False
-    return {"passed": exact, "details": {}}
+    m, k, lo, hi, k1, k2 = _trig_rows(
+        gen, 30, lambda gen: (gen.uniform(0.05, 0.95), gen.uniform(0.05, 0.95))
+    )
+    forward, backward = batch_trig_sep(m, k, lo, hi, [k1, k2], [k2, k1])
+    return {"passed": bool(np.all(forward == backward)), "details": {}}
 
 
 def _check_mass_monotonicity(ctx):
     gen = ctx.spec.generator(21)
-    ok = True
-    grid = np.linspace(0.05, 0.9, 12)
-    for _ in range(6):
-        d = _random_trig(gen)
-        for fixed in (0.2, 0.5):
-            if np.any(np.diff(batch_sep(d, grid, fixed)) > 1e-12):
-                ok = False
-            if np.any(np.diff(batch_sep(d, fixed, grid)) > 1e-12):
-                ok = False
-    return {"passed": ok, "details": {}}
+    # axes: the needle, which mass runs along the grid (k1, then k2), the
+    # other's fixed value (0.2, then 0.5), and the grid
+    m, k, lo, hi = _trig_rows(gen, 6, lambda gen: ())[..., None, None, None]
+    running, fixed = np.broadcast_arrays(np.linspace(0.05, 0.9, 12), [[0.2], [0.5]])
+    seps = batch_trig_sep(m, k, lo, hi, [running, fixed], [fixed, running])
+    return {"passed": not np.any(np.diff(seps) > 1e-12), "details": {}}
+
+
+def _complementary_pair(gen):
+    k1 = gen.uniform(0.1, 0.9)
+    return k1, gen.uniform(1.0 - k1, 1.0)
 
 
 def _check_complementary_masses_zero(ctx):
     gen = ctx.spec.generator(22)
-    ok = True
-    for _ in range(20):
-        d = _random_trig(gen)
-        k1 = float(gen.uniform(0.1, 0.9))
-        k2 = float(gen.uniform(1.0 - k1, 1.0))
-        if sep_1d(d, MassPair(k1, k2)).sep != 0.0:
-            ok = False
-    return {"passed": ok, "details": {}}
+    seps = batch_trig_sep(*_trig_rows(gen, 20, _complementary_pair))
+    return {"passed": bool(np.all(seps == 0.0)), "details": {}}
 
 
 def _check_bruteforce_agreement(ctx):
+    """The exact seps of one batch call against the brute-force scan of each
+    needle's normalized samples, one needle at a time (a block of all rows
+    would hold every grid at once)."""
     gen = ctx.spec.generator(23)
     grid_size = 4096
+    rows = _trig_rows(
+        gen, 50, lambda gen: _straddling_pair(gen, lo=0.1, hi=0.9), max_exp=6, min_length=0.4
+    )
+    exact = batch_trig_sep(*rows)
+    mass = _checked_fold(*rows[:4]).mass
+    _require_mass(mass)
     worst = 0.0
     ok = True
-    for _ in range(50):
-        d = _random_trig(gen, max_exp=6, min_length=0.4)
-        mp = _straddling_pair(gen, lo=0.1, hi=0.9)
-        exact = sep_1d(d, mp).sep
-        brute = sep_1d_bruteforce(d, mp, grid_size=grid_size)
-        tol = 2.0 * d.interval.length / grid_size
-        err = abs(exact - brute)
+    for (m, k, lo, hi, k1, k2), norm, sep in zip(rows.T, 1.0 / mass, exact):
+        t = np.linspace(lo, hi, grid_size + 1)
+        brute = _extreme_gap(t, _trig_pdf(m, k, t, norm), k1, k2)
+        tol = 2.0 * (hi - lo) / grid_size
+        err = abs(float(sep) - brute)
         worst = max(worst, err - tol)
         if err > tol:
             ok = False
@@ -406,11 +421,11 @@ def _check_component_bound(ctx):
         length = float(gen.uniform(0.3, HALF_PI))
         power = int(gen.integers(1, 7))
         phase = float(gen.uniform(0.0, HALF_PI))
-        mp = _straddling_pair(gen)
-        needles.append((phase, power, length, mp.k1, mp.k2))
+        k1, k2 = _straddling_pair(gen)
+        needles.append((phase, power, length, k1, k2))
         starts.append(len(components))
         # cos^p(t - phase) expands into the monomials cos^(p - i) sin^i
-        components += [(power - i, i, length, mp.k1, mp.k2) for i in range(power + 1)]
+        components += [(power - i, i, length, k1, k2) for i in range(power + 1)]
     # the needles in one batch and all components in another; a needle's
     # best is the max over its own run of components
     phase, power, hi, k1, k2 = np.array(needles).T

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Interval, TabulatedDensity, _needle_quantile
+from .densities import Interval, TabulatedDensity, _needle_quantile, _require_mass, _tabulate
 from .errors import InvalidMass, _require_count
 
 
@@ -148,6 +148,28 @@ def batch_sep(density, k1, k2):
     return _density_gaps(density, *_as_masses(k1, k2))[2]
 
 
+def _extreme_gap(grid, values, k1, k2):
+    """The brute-force separation of one tabulated row: ``values`` sampled on
+    ``grid``, through the tabulated domain check (a non-finite or negative
+    sample raises OutOfDomain, a mass at the floor ZeroMass).  For each
+    arrangement it keeps the shortest trapezoid prefix reaching one mass and
+    the shortest suffix reaching the other, and returns the larger gap."""
+    t, _, prefix = _tabulate(grid, values)
+    total = prefix[-1]
+    _require_mass(total)
+
+    def arrangement(a, b):
+        left_ok = prefix >= a * total
+        right_ok = (total - prefix) >= b * total
+        if not left_ok.any() or not right_ok.any():
+            return 0.0
+        i = int(np.argmax(left_ok))
+        j = int(t.size - 1 - np.argmax(right_ok[::-1]))
+        return max(0.0, float(t[j] - t[i]))
+
+    return max(arrangement(k1, k2), arrangement(k2, k1))
+
+
 def sep_1d_bruteforce(density, masses, grid_size=4096):
     """Grid-exhaustive oracle for :func:`sep_1d`.
 
@@ -162,21 +184,8 @@ def sep_1d_bruteforce(density, masses, grid_size=4096):
     _require_count(grid_size, "grid_size", 64)
     mp = as_mass_pair(masses)
     if isinstance(density, TabulatedDensity) and len(density.grid) == grid_size + 1:
-        tab = density
+        t, v = density.grid, density.values
     else:
-        tab = TabulatedDensity.from_density(density, n=grid_size + 1)
-    t, v = tab.grid, tab.values
-    seg = 0.5 * (v[1:] + v[:-1]) * np.diff(t)
-    prefix = np.concatenate([[0.0], np.cumsum(seg)])
-    total = prefix[-1]
-
-    def arrangement(a, b):
-        left_ok = prefix >= a * total
-        right_ok = (total - prefix) >= b * total
-        if not left_ok.any() or not right_ok.any():
-            return 0.0
-        i = int(np.argmax(left_ok))
-        j = int(t.size - 1 - np.argmax(right_ok[::-1]))
-        return max(0.0, float(t[j] - t[i]))
-
-    return max(arrangement(mp.k1, mp.k2), arrangement(mp.k2, mp.k1))
+        t = density.interval.grid(grid_size + 1)
+        v = density.pdf(t)
+    return _extreme_gap(t, v, mp.k1, mp.k2)

@@ -218,7 +218,7 @@ class TestIsSinConcave:
         assert lhs < rhs - 1e-3
 
 
-class TestBlockedKernel:
+class TestSampledCheck:
     @given(
         needle=_needles,
         order=st.one_of(st.integers(1, 9), st.floats(min_value=0.1, max_value=9.0)),

@@ -1,24 +1,33 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from needle_iso import (
     INVARIANT_COVERAGE,
+    Interval,
     OutOfDomain,
     RngSpec,
+    TrigDensity,
+    batch_trig_sep,
     deterministic_map,
     is_sin_concave,
     mc_cap_mass,
+    normalize,
     random_affine_needle,
     report_to_json,
     run_property_suite,
+    sep_1d,
+    sep_1d_bruteforce,
     verify_unit_mass,
 )
 from needle_iso.concavity import _product_margin
-from needle_iso.oracles import _CHECKS, _Ctx, suite_check_names
+from needle_iso.densities import _checked_fold, _trig_pdf
+from needle_iso.oracles import _CHECKS, _Ctx, _random_trig, _trig_draw, suite_check_names
+from needle_iso.separation import _extreme_gap
 
 SEED = 42
 
@@ -309,6 +318,62 @@ class TestSuiteRunner:
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["needle.component_bound"]["details"]["violations"] == 19
 
+    @staticmethod
+    def _count_builds_and_seps(monkeypatch):
+        """Record every TrigDensity built and every scalar sep called."""
+        import needle_iso.densities as densities
+
+        builds, seps = [], []
+        post_init = densities.TrigDensity.__post_init__
+
+        def counting_build(self):
+            builds.append((self.m, self.k))
+            post_init(self)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                seps.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(densities.TrigDensity, "__post_init__", counting_build)
+        for module in [m for name, m in sys.modules.items() if name.startswith("needle_iso")]:
+            for name in ("sep_1d", "sep_1d_bruteforce"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return builds, seps
+
+    def test_separation_group_builds_no_density(self, monkeypatch):
+        # the separation checks decide their needles from parameter draws:
+        # one batch kernel call per check, and the brute force scans each
+        # needle's samples through the one-row core
+        builds, seps = self._count_builds_and_seps(monkeypatch)
+        report = run_property_suite("separation", SEED)
+        assert builds == [] and seps == []
+        assert report["failures"] == []
+
+    def test_density_group_builds_only_for_density_methods(self, monkeypatch):
+        # normalization, round trip and Lipschitz call the densities'
+        # methods, 8 needles each; order reduction reads only its draws
+        builds, seps = self._count_builds_and_seps(monkeypatch)
+        report = run_property_suite("density", SEED)
+        assert len(builds) == 24 and seps == []
+        assert report["failures"] == ["density.order_reduction"]
+
+    def test_separation_group_scans_one_needle_at_a_time(self):
+        # a brute-force block of all 50 needles' 4097-point grids is 1.6 MB
+        # per array; one needle at a time keeps the peak well below that
+        run_property_suite("separation", SEED)  # warm the caches
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run_property_suite("separation", SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_exact_route_counts_the_sliver_witness(self):
         # at seed 2024 the 256-point grid accepted cos t sin^2 t on
         # [0.520, 1.537] at order 1 (85 violations); the exact margin rejects
@@ -371,3 +436,45 @@ class TestSuiteRunner:
         sep = sep_1d(needle, (worst["k1"], worst["k2"])).sep
         assert sep == pytest.approx(worst["sep"], abs=1e-12)
         assert sep > worst["bound"] + 1e-10
+
+
+class TestTrigDraws:
+    """The oracles' trig needles as parameter draws: their batch seps and
+    brute-force scans against the densities they used to build."""
+
+    # the draws of the separation checks and of the round trip: integer
+    # exponents, real ones (30% of the draws), and the constant alone
+    DRAWS = ({}, {"max_exp": 6, "min_length": 0.4}, {"integer_only": False}, {"max_exp": 0})
+
+    def test_batch_route_matches_built_densities(self):
+        kinds = set()
+        for seed in range(30):
+            gen = np.random.default_rng(seed)
+            rows = [
+                (*_trig_draw(gen, **draw), gen.uniform(0.05, 0.5), gen.uniform(0.5, 0.95))
+                for draw in self.DRAWS
+                for _ in range(8)
+            ]
+            m, k, lo, hi, k1, k2 = columns = np.array(rows).T
+            exact = batch_trig_sep(m, k, lo, hi, k1, k2)
+            norms = 1.0 / _checked_fold(m, k, lo, hi).mass
+            for row, column, sep, norm in zip(rows, columns.T, exact, norms):
+                m, k, lo, hi, k1, k2 = row
+                kinds.add("constant" if m == k == 0 else type(m).__name__)
+                d = normalize(TrigDensity(m=m, k=k, interval=Interval(lo, hi)))
+                assert sep == sep_1d(d, (k1, k2)).sep, (seed, row)
+                m, k, lo, hi, k1, k2 = column
+                t = np.linspace(lo, hi, 4097)
+                brute = _extreme_gap(t, _trig_pdf(m, k, t, norm), k1, k2)
+                assert brute == sep_1d_bruteforce(d, (k1, k2)), (seed, row)
+        assert kinds == {"int", "float", "constant"}
+
+    @pytest.mark.parametrize("draw", DRAWS)
+    def test_draw_consumes_what_a_built_density_does(self, draw):
+        for seed in range(30):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                m, k, lo, hi = _trig_draw(a, **draw)
+                d = _random_trig(b, **draw)
+                assert (d.m, d.k, d.interval) == (m, k, Interval(lo, hi))
+            assert a.bit_generator.state == b.bit_generator.state

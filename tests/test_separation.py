@@ -21,6 +21,7 @@ from needle_iso import (
     sep_1d,
     sep_1d_bruteforce,
 )
+from needle_iso.separation import _extreme_gap
 
 HALF_PI = math.pi / 2
 COS = normalize(TrigDensity(m=1, k=0, interval=Interval(-HALF_PI, HALF_PI)))
@@ -129,6 +130,29 @@ class TestBruteForce:
         # 100.5 and 128.0 raised a bare TypeError from numpy
         with pytest.raises(OutOfDomain, match="grid_size must be an integer >= 64"):
             sep_1d_bruteforce(UNIFORM, (0.25, 0.25), grid_size=grid_size)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-6])
+    def test_core_rejects_what_a_tabulated_density_rejects(self, bad):
+        t = np.linspace(0.0, 1.0, 65)
+        v = np.ones_like(t)
+        v[10] = bad
+        for build in (TabulatedDensity, lambda grid, values: _extreme_gap(grid, values, 0.25, 0.25)):
+            with pytest.raises(OutOfDomain):
+                build(grid=t, values=v)
+
+    def test_core_rejects_a_row_without_mass(self):
+        t = np.linspace(0.0, 1.0, 65)
+        with pytest.raises(ZeroMass):
+            _extreme_gap(t, np.zeros_like(t), 0.25, 0.25)
+
+    def test_core_is_the_scan_of_the_tabulated_route(self):
+        # on a density's own grid the oracle scans its samples, with rounding
+        # below zero set to zero as the density does
+        t = np.linspace(0.0, 2.0, 65)
+        v = np.abs(np.sin(3.0 * t)) - 1e-13
+        d = TabulatedDensity(grid=t, values=v)
+        for masses in [(0.3, 0.4), (0.6, 0.2), (0.5, 0.5)]:
+            assert sep_1d_bruteforce(d, masses, grid_size=64) == _extreme_gap(t, v, *masses)
 
     def test_agrees_with_quantile_route_on_random_densities(self):
         gen = np.random.Generator(np.random.PCG64(2024))
