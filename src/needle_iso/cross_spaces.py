@@ -28,6 +28,7 @@ from .densities import (
     _Needle,
     _needle_cdf,
     _needle_quantile,
+    _trig_pdf,
     normalize,
 )
 from .errors import NotApplicable, OutOfDomain
@@ -190,7 +191,7 @@ def profile_cdf(candidate, space, r):
     """Fraction of the space's volume within distance ``r`` of the core;
     exactly 0 at ``r = 0`` and exactly 1 at the diameter."""
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < -1e-12) or np.any(r_arr > space.diameter + 1e-12):
+    if not np.all((r_arr >= -1e-12) & (r_arr <= space.diameter + 1e-12)):
         raise OutOfDomain(f"radius outside [0, {space.diameter:.6g}]")
     out = _needle_cdf(_row(candidate, space), r_arr)
     return out if out.shape else float(out)
@@ -254,12 +255,10 @@ def _enlarged_difference(space, i, j, epsilon):
     needle = _Needle(*(f[rows] for f in rec.needle))
     cosine, sine = _exponent_columns([rec.candidates[k] for k in rows])
 
-    def raw(t):
-        return np.sin(t) ** sine * np.cos(t) ** cosine
-
     def diff(v):
         e, t, r = _enlarge(needle, v, epsilon)
-        s = np.where(r >= space.diameter, 0.0, raw(r) / raw(t))
+        ratio = _trig_pdf(cosine, sine, r, 1.0) / _trig_pdf(cosine, sine, t, 1.0)
+        s = np.where(r >= space.diameter, 0.0, ratio)
         return float(e[0, 0] - e[1, 0]), float(s[0, 0] - s[1, 0])
 
     return diff

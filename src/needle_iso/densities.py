@@ -211,7 +211,8 @@ def trig_mass(m, k, lo, hi):
 
 def _trig_pdf(m, k, t, scale):
     """``scale cos^m(t) sin^k(t)`` with both factors clamped at 0: the one
-    pdf formula of the trig family, behind :meth:`TrigDensity.pdf`."""
+    pdf formula of the trig family, behind :meth:`TrigDensity.pdf` and the
+    profile crossover slopes."""
     c = np.maximum(np.cos(t), 0.0)
     s = np.maximum(np.sin(t), 0.0)
     return scale * np.power(c, m) * np.power(s, k)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import quadrature
 from .cross_spaces import (
     SPHERE,
     _as_volumes,
@@ -186,27 +185,7 @@ def _newton(fg, a, b, x=None, ftol=0.0):
             return x
 
 
-def _quadrature_enlarged(cand, space, v, epsilon, atol):
-    """Enlarged volume via adaptive quadrature only (no closed forms), and
-    its slope in ``v``: the radius of volume ``v`` by :func:`_newton` on the
-    quadrature CDF, whose slope is ``raw(t)/total``; the enlargement's slope
-    is ``raw(r)/raw(t)``, and 0 once it saturates."""
-    a, b = cand.a, cand.b
-
-    def raw(t):
-        return np.sin(t) ** a * np.cos(t) ** b
-
-    total = quadrature.integrate(raw, 0.0, space.diameter, atol=atol)
-
-    def cdf(t):
-        return quadrature.integrate(raw, 0.0, t, atol=atol) / total
-
-    t = _newton(lambda t: (cdf(t) - v, raw(t) / total), 0.0, space.diameter, ftol=_RESOLUTION * v)
-    r = min(t + epsilon, space.diameter)
-    return cdf(r), (0.0 if r >= space.diameter else raw(r) / raw(t))
-
-
-def isoperimetric_profile_curve(space, epsilon, v_grid, quadrature_atol=None):
+def isoperimetric_profile_curve(space, epsilon, v_grid):
     """Winner and enlarged volume along a grid of volume fractions.
 
     The (candidate x v) table is one pass over the space's cached catalog
@@ -215,36 +194,15 @@ def isoperimetric_profile_curve(space, epsilon, v_grid, quadrature_atol=None):
     in v, starting from the secant through the grid values; each step is
     one pass over the two candidates.  A cell whose upper-end values tie
     exactly (both enlargements saturated) has no sign change and reports no
-    crossover.  With ``quadrature_atol`` set, profile evaluations use the
-    adaptive Gauss-Legendre route at that tolerance instead of the closed
-    forms (slower; used by stability checks).  On either route, an
-    ``epsilon`` that is not positive and finite, or a volume outside
-    (0, 1/2], NaN included, raises ``OutOfDomain`` before any evaluation.
+    crossover.  An ``epsilon`` that is not positive and finite, or a volume
+    outside (0, 1/2], NaN included, raises ``OutOfDomain`` before any
+    evaluation.
     """
     v_grid = sorted(_as_volumes(v_grid, epsilon).tolist())
     if not v_grid or v_grid[0] <= 0 or v_grid[-1] > 0.5 + 1e-12:
         raise OutOfDomain("the volume grid must lie in (0, 1/2]")
 
-    if quadrature_atol is None:
-        cands, table = _catalog_enlarged(space, np.array(v_grid), epsilon)
-
-        def difference(i, j):
-            return _enlarged_difference(space, i, j, epsilon)
-    else:
-        # the reference route finds one root per volume
-        cands = catalog(space)
-
-        def enlarged(cand, v):
-            return _quadrature_enlarged(cand, space, v, epsilon, quadrature_atol)
-
-        table = np.array([[enlarged(c, v)[0] for v in v_grid] for c in cands])
-
-        def difference(i, j):
-            def diff(v):
-                (e_i, s_i), (e_j, s_j) = enlarged(cands[i], v), enlarged(cands[j], v)
-                return e_i - e_j, s_i - s_j
-
-            return diff
+    cands, table = _catalog_enlarged(space, np.array(v_grid), epsilon)
 
     # argmin keeps the first candidate on exact ties
     best = np.argmin(table, axis=0)
@@ -262,11 +220,12 @@ def isoperimetric_profile_curve(space, epsilon, v_grid, quadrature_atol=None):
         secant = v_grid[j] + (v_grid[j + 1] - v_grid[j]) * low / (low - high)
         # the enlarged volumes grow with v, so the upper end bounds their rounding
         ftol = _RESOLUTION * max(table[i_from, j + 1], table[i_to, j + 1])
+        difference = _enlarged_difference(space, i_from, i_to, epsilon)
         crossovers.append(
             {
                 "v_low": v_grid[j],
                 "v_high": v_grid[j + 1],
-                "v0": float(_newton(difference(i_from, i_to), v_grid[j], v_grid[j + 1], secant, ftol)),
+                "v0": float(_newton(difference, v_grid[j], v_grid[j + 1], secant, ftol)),
                 "from": cands[i_from].label,
                 "to": cands[i_to].label,
             }

@@ -2,8 +2,9 @@
 
 Every expected value is produced by an oracle that is independent of the
 code path under test: hand-derived antiderivatives, brentq inversion of
-closed forms, adaptive quadrature, grid-exhaustive search, or Monte Carlo
-sampling.  Run with ``pytest tests/test_acceptance.py -v -s``.
+closed forms, adaptive quadrature, 40-digit mpmath references,
+grid-exhaustive search, or Monte Carlo sampling.  Run with
+``pytest tests/test_acceptance.py -v -s``.
 
 Criterion 4 checks a finding: the quarter-period trig family does not
 dominate all admissible affine needles, and the needles that beat it have an
@@ -42,6 +43,7 @@ from needle_iso import (
     SolveRequest,
     sphere_needle_bound,
 )
+from mp_reference import _mp_crossover
 
 HALF_PI = math.pi / 2
 
@@ -377,18 +379,16 @@ def test_criterion_11_rp3_crossover():
     v0 = out["crossovers"][0]["v0"]
     doubled = isoperimetric_profile_curve(rp3, 0.05, np.linspace(0.0025, 0.5, 200))
     v0_dense = doubled["crossovers"][0]["v0"]
-    bracket = np.linspace(RP3_CROSSOVER_V0 - 0.02, RP3_CROSSOVER_V0 + 0.02, 5)
-    quad = isoperimetric_profile_curve(rp3, 0.05, bracket, quadrature_atol=1e-10)
-    v0_quad = quad["crossovers"][0]["v0"]
-    quad2 = isoperimetric_profile_curve(rp3, 0.05, bracket, quadrature_atol=5e-11)
-    v0_quad2 = quad2["crossovers"][0]["v0"]
-    deviations = [abs(x - RP3_CROSSOVER_V0) for x in (v0, v0_dense, v0_quad, v0_quad2)]
-    ok = one and 0 < v0 < 0.5 and max(deviations) < 1e-6
+    cross = out["crossovers"][0]
+    cands = {c.label: c for c in catalog(rp3)}
+    ref = float(_mp_crossover(cands[cross["from"]], cands[cross["to"]], 0.05, cross["v_low"], cross["v_high"]))
+    deviations = [abs(x - RP3_CROSSOVER_V0) for x in (v0, v0_dense)]
+    ok = one and 0 < v0 < 0.5 and max(deviations) < 1e-6 and abs(v0 - ref) < 1e-12
     assert _criterion(
         11,
         ok,
-        f"single ball/tube crossover at v0={v0:.7f}; stability spread "
-        f"{max(deviations):.2e} (grid doubling + quadrature route at two tolerances)",
+        f"single ball/tube crossover at v0={v0:.7f}; {abs(v0 - ref):.1e} from the 40-digit "
+        f"mpmath root, stability spread {max(deviations):.2e} (grid doubling)",
     )
 
 

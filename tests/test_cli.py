@@ -441,22 +441,27 @@ import contextlib, io, sys
 import numpy as np
 from needle_iso import CrossSpace, Interval, check_comparison_lemma, isoperimetric_profile_curve
 from needle_iso.cli import main
+from needle_iso.cross_spaces import _enlarged_difference
+from needle_iso.solver import _newton
 
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["solve", "--space", "rp3", "--v", "0.7", "--eps", "0.05"]) == 0
     assert main(["profile", "--space", "rp3", "--eps", "0.05", "--v-grid", "40"]) == 0
-bracket = np.linspace(0.3952 - 0.02, 0.3952 + 0.02, 5)
-quad = isoperimetric_profile_curve(CrossSpace.real_projective(3), 0.05, bracket, quadrature_atol=1e-10)
-assert len(quad["crossovers"]) == 1
+# a crossover cell whose upper end is saturated, refined from the profile's
+# secant and from a midpoint whose Newton step leaves the bracket
+rp3 = CrossSpace.real_projective(3)
+saturated = isoperimetric_profile_curve(rp3, 1.2, np.linspace(0.0125, 0.5, 40))
+assert saturated["crossovers"][0]["from"] == "ball"
+assert 0.0125 < _newton(_enlarged_difference(rp3, 0, 1, 1.2), 0.0125, 0.05) < 0.025
 check_comparison_lemma(lambda t: np.cos(t) ** 2, 2, epsilon=0.3, k=0, interval=Interval(0.0, 1.0))
 print("scipy.optimize" in sys.modules)
 """
 
 
 def test_root_finding_routes_leave_scipy_optimize_unloaded():
-    # every root the library solves (quantiles, profile crossovers, the
-    # quadrature route's inverse CDF) is a closed form or a safeguarded
-    # Newton iteration
+    # every root the library solves (quantiles, profile crossovers, with
+    # Newton's bisection fallback) is a closed form or a safeguarded Newton
+    # iteration
     assert _run_python(_ROOT_FINDING_ROUTES) == "False"
 
 

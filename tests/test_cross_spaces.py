@@ -122,6 +122,16 @@ class TestProfiles:
         with pytest.raises(OutOfDomain):
             profile_cdf(catalog(s2)[0], s2, 4.0)
 
+    def test_nan_radius_and_volume_raise(self):
+        # a NaN fails every range comparison, so it must not pass as in range
+        rp3 = CrossSpace.real_projective(3)
+        ball = catalog(rp3)[0]
+        for r in (math.nan, [0.1, math.nan]):
+            with pytest.raises(OutOfDomain):
+                profile_cdf(ball, rp3, r)
+        with pytest.raises(OutOfDomain):
+            profile_quantile(ball, rp3, math.nan)
+
     def test_strictly_increasing(self):
         # strictness is asserted where the increments are representable;
         # sin^15 cos^7 has sub-epsilon mass near the endpoints

@@ -1,7 +1,6 @@
 import json
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -26,6 +25,7 @@ from needle_iso import (
 )
 from needle_iso import solver
 from needle_iso.cross_spaces import _enlarged_difference
+from mp_reference import _mp_crossover
 
 HALF_PI = math.pi / 2
 S2 = CrossSpace.sphere(2)
@@ -160,19 +160,17 @@ class TestProfileCurve:
         with pytest.raises(OutOfDomain):
             isoperimetric_profile_curve(RP3, 0.05, [0.2, 0.7])
 
-    # the quadrature route once returned negative enlarged volumes, a NaN
-    # row, and a QuadratureError after 4000 panel splits for these
-    def test_quadrature_route_rejects_a_negative_epsilon(self):
+    def test_rejects_a_negative_epsilon(self):
         with pytest.raises(OutOfDomain):
-            isoperimetric_profile_curve(RP3, -1.0, [0.1, 0.3], quadrature_atol=1e-10)
+            isoperimetric_profile_curve(RP3, -1.0, [0.1, 0.3])
 
-    def test_quadrature_route_rejects_a_nan_volume(self):
+    def test_rejects_a_nan_volume(self):
         with pytest.raises(OutOfDomain):
-            isoperimetric_profile_curve(RP3, 0.05, [0.1, math.nan, 0.3], quadrature_atol=1e-10)
+            isoperimetric_profile_curve(RP3, 0.05, [0.1, math.nan, 0.3])
 
-    def test_quadrature_route_rejects_a_nan_epsilon(self):
+    def test_rejects_a_nan_epsilon(self):
         with pytest.raises(OutOfDomain):
-            isoperimetric_profile_curve(RP3, math.nan, [0.1, 0.3], quadrature_atol=1e-10)
+            isoperimetric_profile_curve(RP3, math.nan, [0.1, 0.3])
 
     def test_csv_emission(self):
         out = isoperimetric_profile_curve(S2, 0.1, [0.2, 0.4])
@@ -180,28 +178,6 @@ class TestProfileCurve:
         lines = text.splitlines()
         assert lines[0] == "v,winner,enlarged"
         assert len(lines) == 3
-
-
-def _mp_enlarged(cand, v, eps):
-    """40-digit enlarged volume on a diameter-pi/2 space: the radial CDF is
-    the regularized incomplete beta ``I(sin^2 t; (a+1)/2, (b+1)/2)``, and
-    the radius of volume v its bracketed root."""
-    half_pi = mpmath.pi / 2
-
-    def cdf(t):
-        return mpmath.betainc((cand.a + 1) / 2, (cand.b + 1) / 2, 0, mpmath.sin(t) ** 2, regularized=True)
-
-    t = mpmath.findroot(lambda t: cdf(t) - v, (mpmath.mpf(0), half_pi), solver="anderson")
-    return cdf(min(t + eps, half_pi))
-
-
-def _mp_crossover(c_from, c_to, eps, v_low, v_high):
-    with mpmath.workdps(40):
-        return mpmath.findroot(
-            lambda v: _mp_enlarged(c_from, v, eps) - _mp_enlarged(c_to, v, eps),
-            (mpmath.mpf(v_low), mpmath.mpf(v_high)),
-            solver="anderson",
-        )
 
 
 @pytest.fixture
@@ -226,7 +202,10 @@ def passes(monkeypatch):
 class TestCrossoverRefinement:
     @pytest.mark.parametrize(
         "name,eps,count",
-        [("rp3", 0.1, 1), ("rp3", 0.3, 2), ("cp2", 0.2, 1), ("hp2", 0.2, 1), ("cap2", 0.036293, 1)],
+        [
+            ("rp3", 0.05, 1), ("rp3", 0.1, 1), ("rp3", 0.3, 2),
+            ("cp2", 0.2, 1), ("hp2", 0.2, 1), ("cap2", 0.036293, 1),
+        ],
     )
     def test_v0_matches_40_digit_reference(self, passes, name, eps, count):
         space = space_by_name(name)
@@ -282,12 +261,6 @@ class TestCrossoverRefinement:
                   for c in (ball, tube)]
             assert slope == pytest.approx(fd[0] - fd[1], abs=1e-6)
         assert enlarged_volume(ball, RP3, 0.03 - h, 1.2) == 1.0
-
-    def test_quadrature_route_agrees_with_closed_forms(self):
-        bracket = np.linspace(0.3752, 0.4152, 5)
-        closed = isoperimetric_profile_curve(RP3, 0.05, bracket)["crossovers"][0]["v0"]
-        quad = isoperimetric_profile_curve(RP3, 0.05, bracket, quadrature_atol=1e-10)
-        assert abs(quad["crossovers"][0]["v0"] - closed) < 1e-10
 
 
 class TestNewton:
