@@ -219,8 +219,11 @@ def check_comparison_lemma(f, order, epsilon, k, interval=None, grid_size=512):
     sine exponent raised by ``k`` for a ``TrigDensity``; otherwise both
     integrals are adaptive quadrature at 1e-13 times the largest sample.
     Raises ``InvalidOrder`` for an order that is not finite and positive,
-    and ``PreconditionFailed`` when ``f`` is not sin^order-concave with its
-    maximum at 0.
+    ``OutOfDomain`` for a negative ``k`` or a bare callable without
+    ``interval``, and ``PreconditionFailed`` when ``f`` is not
+    sin^order-concave with its maximum at 0, or when the domain does not
+    start at 0, ``epsilon`` is outside (0, pi/2) or not below ``tau``, or
+    ``f(epsilon)`` is not positive.
     """
     _require_order(order)
     if k < 0:

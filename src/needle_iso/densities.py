@@ -211,8 +211,9 @@ def trig_mass(m, k, lo, hi):
 
 def _trig_pdf(m, k, t, scale):
     """``scale cos^m(t) sin^k(t)`` with both factors clamped at 0: the one
-    pdf formula of the trig family, behind :meth:`TrigDensity.pdf` and the
-    profile crossover slopes."""
+    pdf formula of the trig family, behind :meth:`TrigDensity.pdf`,
+    :meth:`SinAffineDensity.pdf` (``k = 0``, ``t`` shifted by the phase) and
+    the profile crossover slopes."""
     c = np.maximum(np.cos(t), 0.0)
     s = np.maximum(np.sin(t), 0.0)
     return scale * np.power(c, m) * np.power(s, k)
@@ -256,9 +257,6 @@ class _DensityBase:
     @property
     def raw_mass(self):
         return self._raw_total
-
-    def pdf(self, t):
-        raise NotImplementedError
 
     def cdf(self, t):
         """Normalized mass of ``[lo, t]``, in [0, 1]; raises OutOfDomain for
@@ -371,9 +369,7 @@ class SinAffineDensity(_NeedleDensity):
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
-        base = np.maximum(np.cos(t - self.phase), 0.0)
-        scale = 1.0 if self.norm is None else self.norm
-        out = scale * np.power(base, self.power)
+        out = _trig_pdf(self.power, 0.0, t - self.phase, 1.0 if self.norm is None else self.norm)
         return out if out.shape else float(out)
 
     @property

@@ -64,18 +64,16 @@ from .solver import (
 _DOM_TOL = 1e-10
 
 
-def _pyify(obj):
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
+def _violations(margin, **columns):
+    """The one violation rule of the dominance checks: how many entries of
+    ``margin`` exceed ``_DOM_TOL``, and the record of the first largest --
+    each column's entry there as a Python scalar, plus ``"margin"`` -- or
+    None when none does."""
+    count = int(np.count_nonzero(margin > _DOM_TOL))
+    if not count:
+        return count, None
+    w = int(np.argmax(margin))
+    return count, {**{name: col[w].item() for name, col in columns.items()}, "margin": margin[w].item()}
 
 
 def _trig_draw(gen, max_exp=5, min_length=0.3, integer_only=True):
@@ -119,16 +117,11 @@ def _straddling_pair(gen, lo=0.05, hi=0.95):
 
 def _check_normalization_cross_check(ctx):
     gen = ctx.spec.generator(10)
+    needles = [_random_trig(gen, integer_only=False) for _ in range(8)]
+    needles += [random_affine_needle(math.pi, range(1, 7), gen) for _ in range(4)]
     worst = 0.0
-    for _ in range(8):
-        d = _random_trig(gen, integer_only=False)
+    for d in needles:
         total = quadrature.integrate(d.pdf, d.interval.lo, d.interval.hi, atol=1e-13)
-        worst = max(worst, abs(total - 1.0))
-    for _ in range(4):
-        needle = random_affine_needle(math.pi, range(1, 7), gen)
-        total = quadrature.integrate(
-            needle.pdf, needle.interval.lo, needle.interval.hi, atol=1e-13
-        )
         worst = max(worst, abs(total - 1.0))
     return {"passed": worst < 1e-10, "details": {"max_unit_mass_error": worst}}
 
@@ -334,13 +327,13 @@ def _check_bruteforce_agreement(ctx):
 
 def _check_reflection_invariance(ctx):
     gen = ctx.spec.generator(24)
-    rows = []  # (phase, power, lo, hi, k1, k2) per needle, in draw order
+    rows = []  # (length, power, phase, k1, k2) per needle on [0, length], in draw order
     for _ in range(30):
-        d = random_affine_needle(math.pi, range(1, 6), gen)
-        rows.append((d.phase, d.power, d.interval.lo, d.interval.hi, *gen.uniform(0.05, 0.95, 2)))
-    phase, power, lo, hi, k1, k2 = np.array(rows).T
+        draws = _affine_draws(gen, 1, math.pi, range(1, 6), 1e-3)
+        rows.append(np.concatenate([*draws, gen.uniform(0.05, 0.95, 2)]))
+    length, power, phase, k1, k2 = np.array(rows).T
     # row 0 the needles, row 1 their mirrors about the interval midpoint
-    seps = batch_affine_sep(np.array([phase, (lo + hi) - phase]), power, lo, hi, k1, k2)
+    seps = batch_affine_sep(np.array([phase, length - phase]), power, 0.0, length, k1, k2)
     worst = float(np.max(np.abs(seps[0] - seps[1])))
     return {"passed": worst < 1e-9, "details": {"max_reflection_error": worst}}
 
@@ -364,7 +357,7 @@ def _check_sphere_dominance(ctx):
         needle_seps = batch_affine_sep(phases, powers, 0.0, lengths, k1, k2)
         bound_seps = batch_affine_sep(0.0, float(n - 1), -HALF_PI, HALF_PI, k1, k2)
         margin = needle_seps - bound_seps
-        violations += int(np.count_nonzero(margin > 1e-10))
+        violations += _violations(margin)[0]
         details[f"max_margin_n{n}"] = float(np.max(margin))
     return {
         "passed": violations == 0,
@@ -388,22 +381,10 @@ def _check_cross_dominance(ctx):
     lengths, powers, phases = _affine_draws(gen, count, HALF_PI, range(1, 9), 0.05)
     idx = gen.integers(0, 20, count)
     seps = batch_affine_sep(phases, powers, 0.0, lengths, pool_k1[idx], pool_k2[idx])
-    margin = seps - bounds[idx]
-    bad = margin > 1e-10
-    violations = int(np.count_nonzero(bad))
-    worst = None
-    if violations:
-        w = int(np.argmax(margin))
-        worst = {
-            "phase": float(phases[w]),
-            "power": float(powers[w]),
-            "length": float(lengths[w]),
-            "k1": float(pool_k1[idx[w]]),
-            "k2": float(pool_k2[idx[w]]),
-            "sep": float(seps[w]),
-            "bound": float(bounds[idx[w]]),
-            "margin": float(margin[w]),
-        }
+    violations, worst = _violations(
+        seps - bounds[idx], phase=phases, power=powers, length=lengths,
+        k1=pool_k1[idx], k2=pool_k2[idx], sep=seps, bound=bounds[idx],
+    )
     return {
         "passed": violations == 0,
         "details": {"needles": count, "violations": violations, "worst": worst},
@@ -428,27 +409,14 @@ def _check_component_bound(ctx):
         components += [(power - i, i, length, k1, k2) for i in range(power + 1)]
     # the needles in one batch and all components in another; a needle's
     # best is the max over its own run of components
-    phase, power, hi, k1, k2 = np.array(needles).T
-    needle_seps = batch_affine_sep(phase, power, 0.0, hi, k1, k2)
     m, k, hi, k1, k2 = np.array(components).T
     best = np.maximum.reduceat(batch_trig_sep(m, k, 0.0, hi, k1, k2), starts)
-    violations = 0
-    worst = None
-    for (phase, power, length, k1, k2), needle_sep, best_comp in zip(needles, needle_seps, best):
-        margin = float(needle_sep) - float(best_comp)
-        if margin > 1e-10:
-            violations += 1
-            if worst is None or margin > worst["margin"]:
-                worst = {
-                    "phase": phase,
-                    "power": power,
-                    "length": length,
-                    "k1": k1,
-                    "k2": k2,
-                    "needle_sep": float(needle_sep),
-                    "best_component_sep": float(best_comp),
-                    "margin": margin,
-                }
+    phase, power, length, k1, k2 = np.array(needles).T
+    needle_seps = batch_affine_sep(phase, power, 0.0, length, k1, k2)
+    violations, worst = _violations(
+        needle_seps - best, phase=phase, power=power.astype(int), length=length,
+        k1=k1, k2=k2, needle_sep=needle_seps, best_component_sep=best,
+    )
     return {
         "passed": violations == 0,
         "details": {"violations": violations, "worst": worst},
@@ -605,12 +573,10 @@ def _check_complement_reduction_duality(ctx):
             worst = max(worst, abs(res.enlarged - direct))
             if abs(res.enlarged - direct) > 1e-10:
                 ok = False
-            w = 1.0 - res.enlarged
-            if w > 1e-6:
-                dual = solve_isoperimetric(SolveRequest(space, w, eps))
-                polar_labels = {polar_of(c, space).label for c in res.co_winners}
-                if not polar_labels & {c.label for c in dual.co_winners}:
-                    ok = False
+            dual = solve_isoperimetric(SolveRequest(space, 1.0 - res.enlarged, eps))
+            polar_labels = {polar_of(c, space).label for c in res.co_winners}
+            if not polar_labels & {c.label for c in dual.co_winners}:
+                ok = False
     return {"passed": ok, "details": {"max_direct_gap": worst}}
 
 
@@ -637,8 +603,6 @@ def _check_needle_bound_consistency(ctx):
         for v in (0.1, 0.3, 0.5):
             res = solve_isoperimetric(SolveRequest(space, v, 0.1))
             check = res.needle_bound_check
-            if check["bound"] is None:
-                continue
             worst_sphere = max(worst_sphere, check["residual"])
             if check["residual"] >= 1e-6:
                 ok = False
@@ -646,10 +610,7 @@ def _check_needle_bound_consistency(ctx):
         for v in (0.2, 0.4):
             res = solve_isoperimetric(SolveRequest(space, v, 0.05))
             check = res.needle_bound_check
-            w = check["w"]
-            if w <= 1e-9:
-                continue
-            real = check_realization(space, res.winner, (v, w))
+            real = check_realization(space, res.winner, (v, check["w"]))
             if real["realizes"]:
                 realized += 1
                 if check["residual"] >= 1e-6:
@@ -806,13 +767,7 @@ def run_property_suite(suite, rng, threads=1, mc_samples=100000):
     checks = []
     for name in suite_check_names(suite):
         out = _CHECKS[name](ctx)
-        checks.append(
-            {
-                "name": name,
-                "passed": bool(out["passed"]),
-                "details": _pyify(out["details"]),
-            }
-        )
+        checks.append({"name": name, "passed": bool(out["passed"]), "details": out["details"]})
     failures = [c["name"] for c in checks if not c["passed"]]
     return {
         "suite": suite,

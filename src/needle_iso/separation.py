@@ -161,8 +161,8 @@ def _extreme_gap(grid, values, k1, k2):
     def arrangement(a, b):
         left_ok = prefix >= a * total
         right_ok = (total - prefix) >= b * total
-        if not left_ok.any() or not right_ok.any():
-            return 0.0
+        # masses lie in (0, 1], so both masks hold at least one True: the last
+        # prefix is total >= fl(a * total), the first suffix total >= fl(b * total)
         i = int(np.argmax(left_ok))
         j = int(t.size - 1 - np.argmax(right_ok[::-1]))
         return max(0.0, float(t[j] - t[i]))

@@ -546,6 +546,22 @@ class TestComparisonLemma:
         with pytest.raises(PreconditionFailed):
             check_comparison_lemma(d, 2, epsilon=0.3, k=0)
 
+    @pytest.mark.parametrize(
+        "f,epsilon,k,interval,error,match",
+        [
+            (np.cos, 0.3, 0, None, OutOfDomain, "explicit interval"),
+            (np.cos, 0.3, -1, Interval(0.0, 1.0), OutOfDomain, "nonnegative"),
+            (np.cos, 0.3, 0, Interval(0.1, 1.0), PreconditionFailed, "start at 0"),
+            (np.cos, 0.3, 0, Interval(0.0, 0.3), PreconditionFailed, "tau must exceed"),
+            (lambda t: np.where(t < 0.5, 1.0, 0.5), 0.3, 0, Interval(0.0, 1.0), PreconditionFailed, "concave"),
+            (lambda t: np.maximum(np.cos(2 * t), 0.0), 0.9, 0, Interval(0.0, 1.0), PreconditionFailed, "positive"),
+        ],
+        ids=["no-interval", "negative-k", "domain-not-at-0", "tau-at-eps", "not-concave", "zero-at-eps"],
+    )
+    def test_rejects_inputs_outside_the_lemma(self, f, epsilon, k, interval, error, match):
+        with pytest.raises(error, match=match):
+            check_comparison_lemma(f, 1, epsilon, k, interval=interval)
+
     def test_rejects_epsilon_out_of_range(self):
         d = normalize(TrigDensity(m=2, k=0, interval=Interval(0.0, 1.0)))
         with pytest.raises(PreconditionFailed):

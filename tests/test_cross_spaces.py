@@ -80,6 +80,11 @@ class TestCatalog:
         with pytest.raises(OutOfDomain):
             build(n)
 
+    @pytest.mark.parametrize("build, n", [(CrossSpace.sphere, 1), (CrossSpace.complex_projective, 0)])
+    def test_index_below_the_family_floor_raises(self, build, n):
+        with pytest.raises(OutOfDomain, match="require n >="):
+            build(n)
+
     def test_integer_valued_float_index_accepted(self):
         s = CrossSpace.sphere(3.0)
         assert s == CrossSpace.sphere(3) and s.name == "s3" and type(s.index) is int
@@ -336,6 +341,10 @@ class TestPolar:
         s2 = CrossSpace.sphere(2)
         with pytest.raises(NotApplicable):
             polar_of(catalog(s2)[0], s2)
+
+    def test_off_catalog_candidate_has_no_polar(self):
+        with pytest.raises(NotApplicable, match="no catalog polar"):
+            polar_of(Candidate("cap", 5.0, 0.0, "cap"), CrossSpace.real_projective(3))
 
     @pytest.mark.parametrize("name", ["rp3", "rp5", "cp3", "hp2", "cap2"])
     def test_polar_label_names_the_polar_candidate(self, name):

@@ -565,6 +565,13 @@ class TestReflect:
         t = np.linspace(0.05, 1.95, 9)
         assert np.allclose(r.pdf(t), d.pdf(2.0 - t), rtol=1e-5, atol=1e-6)
 
+    def test_tabulated_reflection_reverses_its_samples(self):
+        d = normalize(TabulatedDensity(grid=[0.0, 0.5, 2.0], values=[1.0, 3.0, 2.0]))
+        r = reflect(d)
+        assert r.grid.tolist() == [0.0, 1.5, 2.0]
+        assert r.values.tolist() == d.values[::-1].tolist() and r.norm == d.norm
+        assert r.pdf([0.0, 1.5, 2.0]).tolist() == d.pdf([2.0, 0.5, 0.0]).tolist()
+
 
 def test_trig_mass_closed_forms():
     # oracle values by hand: int_0^{pi/2} cos = 1, int sin cos = 1/2,

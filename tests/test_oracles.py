@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import sys
 import tracemalloc
@@ -168,6 +169,10 @@ class TestRandomAffineNeedle:
         with pytest.raises(OutOfDomain):
             random_affine_needle(cap, {1, 2}, RngSpec(9))
 
+    def test_empty_power_range_rejected(self):
+        with pytest.raises(OutOfDomain):
+            random_affine_needle(math.pi, [], 0)
+
 
 class TestDeterministicMap:
     def test_order_preserved_across_threads(self):
@@ -222,6 +227,24 @@ class TestSuiteRunner:
         # held to more than one draw of its rows
         text = report_to_json(run_property_suite("all", seed))
         assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+    def test_report_is_json_native(self, full_report):
+        # the checks return plain Python values, which the report stores as
+        # they are: it survives a JSON round trip, and no leaf is a tuple or
+        # a numpy scalar (np.float64 would compare equal to its float)
+        assert json.loads(report_to_json(full_report)) == full_report
+
+        def leaves(obj):
+            if type(obj) is dict:
+                return [leaf for v in obj.values() for leaf in leaves(v)]
+            if type(obj) is list:
+                return [leaf for v in obj for leaf in leaves(v)]
+            return [obj]
+
+        assert {type(leaf) for leaf in leaves(full_report)} <= {str, int, float, bool, type(None)}
+        by_name = {c["name"]: c["details"] for c in full_report["checks"]}
+        assert type(by_name["needle.component_bound"]["worst"]["power"]) is int
+        assert type(by_name["needle.cross_dominance"]["worst"]["power"]) is float
 
     def test_report_is_byte_stable_across_threads(self):
         a = run_property_suite("spaces", 5, threads=1)
