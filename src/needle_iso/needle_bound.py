@@ -21,7 +21,7 @@ import numpy as np
 from .cross_spaces import SPHERE, _integer
 from .densities import HALF_PI, Interval, SinAffineDensity, _checked_fold, _fold, normalize
 from .errors import HypothesisViolated, NotApplicable, OutOfDomain, _require_count
-from .sampling import _affine_draws
+from .sampling import RngSpec, _affine_draws
 from .separation import _as_masses, _needle_gaps, as_mass_pair
 
 _TIE_TOL = 1e-12
@@ -223,13 +223,14 @@ def optimize_affine_family(interval_length_max, p_range, masses, samples, seed):
     open support and support length in ``[1e-3, interval_length_max]``;
     returns the best separation found.  Deterministic for a fixed seed: the
     supports ``[0, L]``, the power indices and the phases are drawn in that
-    order, one array each, from ``Generator(PCG64(seed))``.  A length cap
-    below 1e-3 or NaN, or a ``samples`` that is not an integer >= 1, raises
-    ``OutOfDomain``.
+    order, one array each, from ``RngSpec(seed).generator()``, the stream
+    of ``Generator(PCG64(seed))``.  A length cap below 1e-3 or NaN, a
+    ``samples`` that is not an integer >= 1, or a seed that is not an
+    integer >= 0 raises ``OutOfDomain``.
     """
     _require_count(samples, "samples", 1)
     mp = as_mass_pair(masses)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = RngSpec(seed).generator()
     lengths, powers, phases = _affine_draws(rng, samples, interval_length_max, p_range, 1e-3)
     los = np.zeros(samples)
     seps = batch_affine_sep(phases, powers, los, lengths, mp.k1, mp.k2)

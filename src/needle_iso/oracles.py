@@ -757,8 +757,10 @@ def run_property_suite(suite, rng, threads=1, mc_samples=100000):
     """Run a named invariant suite; the report is byte-stable per seed.
 
     The report never contains wall-clock data or the thread count, so runs
-    with different parallelism compare equal byte-for-byte.  A ``threads``
-    or ``mc_samples`` that is not an integer >= 1 raises ``OutOfDomain``.
+    with different parallelism compare equal byte-for-byte.  ``rng`` is an
+    ``RngSpec`` or a seed; a seed that is not an integer >= 0 (Python or
+    numpy, not a bool), and a ``threads`` or ``mc_samples`` that is not an
+    integer >= 1, raise ``OutOfDomain``.
     """
     _require_count(threads, "threads", 1)
     _require_count(mc_samples, "mc_samples", 1)

@@ -2,9 +2,12 @@
 
 The reproducibility contract: a :class:`RngSpec` names a 64-bit seed and the
 ``pcg64`` generator; identical specs yield identical streams on every
-platform.  Parallel work never shares a stream -- substreams are derived by
-spawn keys from fixed task indices, so results are bitwise independent of
-the thread count and schedule.
+platform.  A seed is an integer >= 0 (Python or numpy, not a bool); any
+other raises ``OutOfDomain``.  Parallel work never shares a stream --
+substreams are derived by spawn keys from fixed task indices, so results
+are bitwise independent of the thread count and schedule.  Arithmetic on
+the draws runs in a fixed order (the cap test sums the squared coordinates
+left to right), so results do not depend on how numpy chooses to reduce.
 """
 
 import math
@@ -28,6 +31,8 @@ class RngSpec:
     algorithm: str = "pcg64"
 
     def __post_init__(self):
+        _require_count(self.seed, "seed", 0)
+        object.__setattr__(self, "seed", int(self.seed))
         if self.algorithm != "pcg64":
             raise OutOfDomain(f"unsupported rng algorithm {self.algorithm!r}")
 
@@ -39,7 +44,7 @@ class RngSpec:
 def as_rng_spec(rng):
     if isinstance(rng, RngSpec):
         return rng
-    return RngSpec(int(rng))
+    return RngSpec(rng)
 
 
 def deterministic_map(fn, items, threads=1):
@@ -55,39 +60,40 @@ def mc_cap_mass(n, cap_radius, samples, rng, stream=0, threads=1):
 
     Uniform samples on S^n come from normalized isotropic Gaussian vectors
     (dimension-agnostic and unbiased); the cap of radius r around the first
-    basis vector is the event ``x_0 >= cos r``.  Returns the binomial
-    estimate and its standard error.  Sampling is chunked with one
-    substream per fixed chunk index, so the estimate does not depend on the
-    thread count.
+    basis vector is the event ``x_0 >= cos r``.  The hit test is
+    ``x_0 >= cos(r) * sqrt(s)``, ``s`` the squared coordinates summed in
+    one fixed order, ``x_0^2`` first and then ``x_1^2`` to ``x_n^2``, so
+    the estimate does not depend on numpy's reduction strategy.  Returns
+    the binomial estimate and its standard error.  Sampling is chunked
+    with one substream ``(stream, chunk index)`` per fixed chunk index, so
+    the estimate does not depend on the thread count.
 
     ``cap_radius`` may be an array: each chunk's draw and norms then serve
     every radius, and ``estimate`` and ``stderr`` are arrays of its shape,
     each entry bit for bit that radius's own call.  Raises ``OutOfDomain``
     for a dimension, sample count or thread count that is not an integer >=
-    1, and for any radius that is not finite or lies outside [0, pi].
+    1, for a ``stream`` or seed that is not an integer >= 0, and for any
+    radius that is not finite or lies outside [0, pi].
     """
     _require_count(n, "sphere dimension", 1)
     _require_count(samples, "samples", 1)
     _require_count(threads, "threads", 1)
+    _require_count(stream, "stream", 0)
     radii = np.asarray(cap_radius, dtype=float)
     if not np.all((radii >= 0.0) & (radii <= math.pi)):  # NaN compares false
         raise OutOfDomain(f"cap radii must be finite and lie in [0, pi], got {cap_radius!r}")
     spec = as_rng_spec(rng)
     cos_r = np.array([math.cos(r) for r in radii.ravel()])[:, None]
-    chunks = []
-    start = 0
-    idx = 0
-    while start < samples:
-        chunks.append((idx, min(_MC_CHUNK, samples - start)))
-        start += _MC_CHUNK
-        idx += 1
+    chunks = list(enumerate(range(0, samples, _MC_CHUNK)))
 
     def count_chunk(chunk):
-        chunk_idx, size = chunk
+        chunk_idx, start = chunk
         gen = spec.generator(stream, chunk_idx)
-        x = gen.standard_normal((size, n + 1))
-        norms = np.linalg.norm(x, axis=1)
-        return np.count_nonzero(x[:, 0] >= cos_r * norms, axis=1)
+        x = gen.standard_normal((min(_MC_CHUNK, samples - start), n + 1))
+        sq = x[:, 0] * x[:, 0]
+        for j in range(1, n + 1):
+            sq += x[:, j] * x[:, j]
+        return np.count_nonzero(x[:, 0] >= cos_r * np.sqrt(sq), axis=1)
 
     hits = sum(deterministic_map(count_chunk, chunks, threads=threads)).reshape(radii.shape)
     p = hits / samples

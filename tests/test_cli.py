@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from needle_iso import density_from_dict, sep_1d
+from needle_iso import SUITE_NAMES, density_from_dict, sep_1d
 from needle_iso.cli import build_parser, main
 
 HALF_PI = math.pi / 2
@@ -330,6 +330,14 @@ class TestVerify:
             main(["verify", "--suite", "density", "--seed", "1", flag, value])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_negative_seed_is_a_domain_error(self, capsys, suite):
+        # density used to print numpy's traceback, spaces to exit 0 and
+        # report seed -1
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be an integer >= 0, got -1\n"
 
     def test_junit_emission(self, capsys, tmp_path):
         path = tmp_path / "report.xml"

@@ -393,6 +393,12 @@ class TestOptimizer:
         with pytest.raises(OutOfDomain, match="samples must be an integer >= 1"):
             optimize_affine_family(HALF_PI, [1.0], (0.3, 0.6), samples, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # -1 raised a bare ValueError from numpy
+        with pytest.raises(OutOfDomain, match="seed must be an integer >= 0"):
+            optimize_affine_family(HALF_PI, [1.0], (0.3, 0.6), 5, seed)
+
     def test_search_confirms_half_period_dominance(self):
         # every sin^1-affine needle with support <= pi is dominated by the
         # full-interval cosine needle

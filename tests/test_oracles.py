@@ -28,6 +28,7 @@ from needle_iso import (
 from needle_iso.concavity import _product_margin
 from needle_iso.densities import _checked_fold, _trig_pdf
 from needle_iso.oracles import _CHECKS, _Ctx, _random_trig, _trig_draw, suite_check_names
+from needle_iso.sampling import as_rng_spec
 from needle_iso.separation import _extreme_gap
 
 SEED = 42
@@ -67,6 +68,26 @@ class TestRngSpec:
         a = RngSpec(123).generator(0).standard_normal(8)
         b = RngSpec(123).generator(1).standard_normal(8)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [-1, 1.7, True, math.nan, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # -1 used to raise a bare ValueError from numpy at the first draw,
+        # and 1.7 a bare TypeError; as_rng_spec truncated 1.7 to seed 1
+        with pytest.raises(OutOfDomain, match="seed must be an integer >= 0"):
+            RngSpec(seed)
+        with pytest.raises(OutOfDomain, match="seed must be an integer >= 0"):
+            as_rng_spec(seed)
+
+    @pytest.mark.parametrize("seed", [0, 123, np.int64(123), np.uint32(7), 2**63])
+    def test_valid_seed_keeps_its_stream(self, seed):
+        # the seed rule only rejects; a numpy integer becomes a Python int
+        # (so a report stays JSON-native) and draws what numpy itself draws
+        spec = as_rng_spec(seed)
+        assert type(spec.seed) is int and spec.seed == seed
+        expected = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(int(seed), spawn_key=(3,)))
+        )
+        assert np.array_equal(spec.generator(3).random(8), expected.random(8))
 
 
 class TestMcCapMass:
@@ -124,6 +145,31 @@ class TestMcCapMass:
         # 0 and -3 used to run serially and 2.5 on a pool of "2.5" workers
         with pytest.raises(OutOfDomain):
             mc_cap_mass(2, 0.5, 1000, RngSpec(1), threads=threads)
+
+    @pytest.mark.parametrize("stream", [-1, 1.5, True])
+    def test_stream_must_be_a_nonnegative_integer(self, stream):
+        # -1 used to raise a bare ValueError from numpy, 1.5 a bare TypeError
+        with pytest.raises(OutOfDomain, match="stream must be an integer >= 0"):
+            mc_cap_mass(2, 0.5, 1000, RngSpec(1), stream=stream)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_hit_rule_matches_a_norm_reference(self, n):
+        # the hit test sums squared coordinates left to right; the reference
+        # takes np.linalg.norm of the same chunk draws, which from 8 columns
+        # sums pairwise, so this pins that no hit moves at any dimension
+        radii = np.array([0.0, 0.4, math.pi / 2, 2.5, math.pi])
+        samples = 40000
+        for seed in (0, 7):
+            for stream in (0, 1):
+                hits = np.zeros(radii.size, dtype=int)
+                for chunk, start in enumerate(range(0, samples, 1 << 14)):
+                    gen = RngSpec(seed).generator(stream, chunk)
+                    x = gen.standard_normal((min(1 << 14, samples - start), n + 1))
+                    norms = np.linalg.norm(x, axis=1)
+                    for i, r in enumerate(radii):
+                        hits[i] += np.count_nonzero(x[:, 0] >= math.cos(r) * norms)
+                est = mc_cap_mass(n, radii, samples, RngSpec(seed), stream=stream)
+                assert np.array_equal(est["estimate"], hits / samples)
 
 
 class TestRandomAffineNeedle:
@@ -246,10 +292,21 @@ class TestSuiteRunner:
         assert type(by_name["needle.component_bound"]["worst"]["power"]) is int
         assert type(by_name["needle.cross_dominance"]["worst"]["power"]) is float
 
-    def test_report_is_byte_stable_across_threads(self):
-        a = run_property_suite("spaces", 5, threads=1)
-        b = run_property_suite("spaces", 5, threads=4)
+    @pytest.mark.parametrize("suite", ["spaces", "solver"])
+    def test_report_is_byte_stable_across_threads(self, suite):
+        # solver.request_determinism and solver.main_inequality_mc are the
+        # checks whose Monte Carlo draws run on the thread pool
+        a = run_property_suite(suite, 5, threads=1, mc_samples=40000)
+        b = run_property_suite(suite, 5, threads=4, mc_samples=40000)
         assert report_to_json(a) == report_to_json(b)
+
+    @pytest.mark.parametrize("suite", ["spaces", "density"])
+    @pytest.mark.parametrize("seed", [-1, 1.7])
+    def test_seed_must_be_a_nonnegative_integer(self, suite, seed):
+        # the spaces suite, which draws nothing, used to report seed -1, or
+        # seed 1 for 1.7; the density suite raised numpy's bare ValueError
+        with pytest.raises(OutOfDomain, match="seed must be an integer >= 0"):
+            run_property_suite(suite, seed)
 
     def test_coverage_manifest_is_total(self):
         all_names = set(suite_check_names("all"))
