@@ -31,7 +31,7 @@ from .densities import (
     _trig_pdf,
     normalize,
 )
-from .errors import NotApplicable, OutOfDomain
+from .errors import NotApplicable, OutOfDomain, _real_scalar
 
 SPHERE = "sphere"
 REAL_PROJECTIVE = "real-projective"
@@ -120,6 +120,8 @@ class CrossSpace:
 
 def space_by_name(name):
     """Parse names like ``s2``, ``rp3``, ``cp2``, ``hp1``, ``cap2``."""
+    if not isinstance(name, str):
+        raise OutOfDomain(f"space name must be a string, got {name!r}")
     name = name.strip().lower()
     prefix = name.rstrip("0123456789")
     digits = name[len(prefix):]
@@ -213,10 +215,18 @@ def _enlarge(needle, v, epsilon):
     return _needle_cdf(needle, r), t, r
 
 
-def _as_volumes(v, epsilon):
-    if not (0.0 < epsilon < math.inf):
+def _epsilon(epsilon):
+    """``epsilon`` as a Python float, positive and finite, else OutOfDomain."""
+    eps = _real_scalar(epsilon, "epsilon")
+    if not (0.0 < eps < math.inf):
         raise OutOfDomain(f"epsilon must be positive and finite, got {epsilon}")
-    return _as_fractions(v)
+    return eps
+
+
+def _as_volumes(v, epsilon):
+    """``v`` as mass fractions and ``epsilon`` by :func:`_epsilon`, checked first."""
+    eps = _epsilon(epsilon)
+    return _as_fractions(v), eps
 
 
 def enlarged_volume(candidate, space, v, epsilon):
@@ -229,7 +239,7 @@ def enlarged_volume(candidate, space, v, epsilon):
     batched catalog pass of ``solve`` and ``profile``.  A scalar ``v``
     gives a float.
     """
-    v = _as_volumes(v, epsilon)
+    v, epsilon = _as_volumes(v, epsilon)
     out = _enlarge(_row(candidate, space), v, epsilon)[0]
     return out if out.shape else float(out)
 
@@ -238,7 +248,7 @@ def _catalog_enlarged(space, v, epsilon):
     """Every catalog candidate's :func:`enlarged_volume` at ``v`` from one
     pass over the space's catalog record: the candidates, and their values
     as a (candidate x ``v``) array of shape ``(len(catalog),) + shape(v)``."""
-    v = _as_volumes(v, epsilon)
+    v, epsilon = _as_volumes(v, epsilon)
     rec = _record(space)
     out = _enlarge(rec.needle, v.reshape(1, -1), epsilon)[0]
     return rec.candidates, out.reshape((-1,) + v.shape)

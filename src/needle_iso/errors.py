@@ -1,5 +1,5 @@
 """Semantic exception hierarchy shared across the library, and the one
-check of a count argument."""
+check of a count argument and of a real scalar argument."""
 
 import numpy as np
 
@@ -53,3 +53,11 @@ def _require_count(value, name, least):
     a bool, not an integer-valued float) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise OutOfDomain(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _real_scalar(value, name):
+    """``value`` as a Python float: an int or a float (Python or numpy,
+    not a bool, not an array), else OutOfDomain."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise OutOfDomain(f"{name} must be an int or a float, got {value!r}")
+    return float(value)

@@ -25,6 +25,8 @@ from . import quadrature
 from .concavity import MARGIN_TOL, _product_margin, binomial_decompose
 from .cross_spaces import (
     CrossSpace,
+    _enlarge,
+    _row,
     catalog,
     enlarged_volume,
     polar_of,
@@ -582,9 +584,11 @@ def _check_complement_reduction_duality(ctx):
 
 def _check_enlargement_monotonicity(ctx):
     ok = True
+    eps_grid = np.linspace(0.02, 0.3, 8)
     for space in [CrossSpace.real_projective(3), CrossSpace.complex_projective(2)]:
         for cand in catalog(space):
-            vals = [enlarged_volume(cand, space, 0.3, e) for e in np.linspace(0.02, 0.3, 8)]
+            # the epsilon sweep in one pass: the bits of enlarged_volume at each epsilon
+            vals = _enlarge(_row(cand, space), 0.3, eps_grid)[0]
             if np.any(np.diff(vals) <= 1e-12):
                 ok = False
             vals = enlarged_volume(cand, space, np.linspace(0.05, 0.45, 8), 0.05)

@@ -8,6 +8,7 @@ complement of an enlarged polar candidate, mirroring the symmetry of the
 separation distance.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -18,11 +19,12 @@ from .cross_spaces import (
     _as_volumes,
     _catalog_enlarged,
     _enlarged_difference,
+    _epsilon,
     catalog,
     polar_of,
     profile_quantile,
 )
-from .errors import NotApplicable, OutOfDomain
+from .errors import NotApplicable, OutOfDomain, _real_scalar
 from .needle_bound import _csv, cross_needle_bound, sphere_needle_bound
 from .sampling import RngSpec, mc_cap_mass
 from .separation import MassPair, as_mass_pair
@@ -34,15 +36,20 @@ _RESOLUTION = 4.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SolveRequest:
+    """A solve's inputs; ``v`` and ``epsilon`` are stored as Python floats.
+    Each must be an int or a float (Python or numpy, not a bool), ``v`` in
+    (0, 1) and ``epsilon`` positive and finite, else OutOfDomain."""
+
     space: object
     v: float
     epsilon: float
 
     def __post_init__(self):
-        if not (0.0 < self.v < 1.0):
+        v = _real_scalar(self.v, "volume fraction")
+        if not (0.0 < v < 1.0):
             raise OutOfDomain(f"volume fraction must be in (0,1), got {self.v}")
-        if not (0.0 < self.epsilon < math.inf):
-            raise OutOfDomain(f"epsilon must be positive and finite, got {self.epsilon}")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,14 @@ class SolveResult:
     co_winners: tuple
     enlarged: float
     per_candidate: tuple  # ((candidate, enlarged volume), ...)
-    needle_bound_check: dict
     complement_reduction: dict | None = None
+
+    @functools.cached_property
+    def needle_bound_check(self):
+        """The needle check at the complement mass of the winner's
+        enlargement, computed on first read and kept; a ``replace()`` copy
+        derives its own."""
+        return _needle_check(self.space, self.v, 1.0 - self.enlarged, self.epsilon)
 
     def to_dict(self):
         rec = {
@@ -96,9 +109,8 @@ def _needle_check(space, v, w, epsilon):
 def _solve(req):
     """The candidate table at ``req.v``: every candidate's enlarged volume
     from one pass over the space's cached catalog record (the bits of
-    :func:`enlarged_volume`), the least value, its co-winners within 1e-10,
-    and the needle check at the complement mass of the winner's
-    enlargement."""
+    :func:`enlarged_volume`), the least value and its co-winners within
+    1e-10.  The needle check is left to the result's first read."""
     cands, values = _catalog_enlarged(req.space, req.v, req.epsilon)
     rows = tuple(zip(cands, map(float, values)))
     best = min(e for _, e in rows)
@@ -111,7 +123,6 @@ def _solve(req):
         co_winners=co,
         enlarged=float(best),
         per_candidate=rows,
-        needle_bound_check=_needle_check(req.space, req.v, 1.0 - best, req.epsilon),
     )
 
 
@@ -141,14 +152,14 @@ def solve_with_complement_reduction(space, v, epsilon):
     at volume ``w`` (the (k1, k2) symmetry of the separation distance).
     """
     res = _solve(SolveRequest(space=space, v=v, epsilon=epsilon))
-    if v <= 0.5:
+    if res.v <= 0.5:
         return res
     w = 1.0 - res.enlarged
     return replace(res, complement_reduction={
         "applied": True,
         "w": float(w),
         "construction": (
-            f"complement of the {epsilon}-enlargement of '{res.winner.polar_label}' "
+            f"complement of the {res.epsilon}-enlargement of '{res.winner.polar_label}' "
             f"at volume {w:.12g}"
         ),
     })
@@ -198,7 +209,10 @@ def isoperimetric_profile_curve(space, epsilon, v_grid):
     outside (0, 1/2], NaN included, raises ``OutOfDomain`` before any
     evaluation.
     """
-    v_grid = sorted(_as_volumes(v_grid, epsilon).tolist())
+    v_grid, epsilon = _as_volumes(v_grid, epsilon)
+    if v_grid.ndim != 1:
+        raise OutOfDomain("the volume grid must be a 1-D sequence")
+    v_grid = sorted(v_grid.tolist())
     if not v_grid or v_grid[0] <= 0 or v_grid[-1] > 0.5 + 1e-12:
         raise OutOfDomain("the volume grid must lie in (0, 1/2]")
 

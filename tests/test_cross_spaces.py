@@ -20,7 +20,7 @@ from needle_iso import (
     radial_density,
     space_by_name,
 )
-from needle_iso.cross_spaces import _catalog_enlarged, _record
+from needle_iso.cross_spaces import _catalog_enlarged, _enlarge, _record, _row
 
 HALF_PI = math.pi / 2
 
@@ -183,6 +183,15 @@ class TestEnlargedVolume:
             assert got.shape == v.shape
             assert got.tolist() == [enlarged_volume(cand, space, float(x), eps) for x in v]
             assert isinstance(enlarged_volume(cand, space, 0.1, eps), float)
+
+    @pytest.mark.parametrize("name", ["rp3", "cp2", "hp2", "cap2"])
+    def test_epsilon_sweep_in_one_pass_matches_scalar_calls_bitwise(self, name):
+        # the sweep solver.enlargement_monotonicity takes at v = 0.3
+        space = space_by_name(name)
+        eps = np.linspace(0.02, 0.3, 8)
+        for cand in catalog(space):
+            swept = _enlarge(_row(cand, space), 0.3, eps)[0]
+            assert swept.tolist() == [enlarged_volume(cand, space, 0.3, e) for e in eps]
 
 
 BATCH_SPACES = ["s2", "s3", "s7", "rp3", "rp4", "cp2", "hp2", "cap2"]

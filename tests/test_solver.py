@@ -24,7 +24,9 @@ from needle_iso import (
     space_by_name,
 )
 from needle_iso import solver
+from needle_iso.cli import main
 from needle_iso.cross_spaces import _enlarged_difference
+from needle_iso.oracles import report_to_json, run_property_suite
 from mp_reference import _mp_crossover
 
 HALF_PI = math.pi / 2
@@ -86,6 +88,13 @@ class TestSolve:
         with pytest.raises(OutOfDomain):
             SolveRequest(RP3, 0.3, -1.0)
 
+    def test_numpy_scalars_are_stored_as_floats(self):
+        req = SolveRequest(RP3, np.float32(0.3), np.int64(1))
+        assert type(req.v) is float and type(req.epsilon) is float
+        assert req.v == float(np.float32(0.3)) and req.epsilon == 1.0
+        rec = json.loads(report_to_json(solve_isoperimetric(req).to_dict()))
+        assert rec["v"] == req.v and rec["epsilon"] == 1.0
+
     def test_saturated_complement_is_flagged(self):
         res = solve_isoperimetric(SolveRequest(S2, 0.5, 3.0))
         assert res.enlarged == pytest.approx(1.0)
@@ -96,6 +105,84 @@ class TestSolve:
         res = solve_isoperimetric(SolveRequest(RP3, 0.4, 0.05))
         rec = json.loads(json.dumps(res.to_dict()))
         assert rec["space"] == "rp3" and len(rec["candidates"]) == 3
+
+
+_C = catalog(RP3)[0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SolveRequest(RP3, True, 0.1),
+        lambda: SolveRequest(RP3, 0.3, True),
+        lambda: SolveRequest(RP3, np.array([0.3, 0.4]), 0.1),
+        lambda: SolveRequest(RP3, "0.3", 0.1),
+        lambda: SolveRequest(RP3, None, 0.1),
+        lambda: SolveRequest(RP3, 0.3, np.array([0.1, 0.2])),
+        lambda: SolveRequest(RP3, 0.3, "0.1"),
+        lambda: SolveRequest(RP3, 0.3, None),
+        lambda: solve_with_complement_reduction(RP3, 0.7, True),
+        lambda: enlarged_volume(_C, RP3, 0.3, np.array([0.1, 0.2])),
+        lambda: enlarged_volume(_C, RP3, 0.3, True),
+        lambda: isoperimetric_profile_curve(RP3, np.array([0.1, 0.2]), [0.1, 0.3]),
+        lambda: isoperimetric_profile_curve(RP3, 0.1, 0.3),
+        lambda: isoperimetric_profile_curve(RP3, 0.1, [[0.1, 0.2]]),
+        lambda: space_by_name(3),
+    ],
+    ids=[
+        "v-bool", "eps-bool", "v-array", "v-str", "v-none", "eps-array", "eps-str",
+        "eps-none", "complement-eps-bool", "enlarged-eps-array", "enlarged-eps-bool",
+        "profile-eps-array", "profile-scalar-grid", "profile-2d-grid", "space-int",
+    ],
+)
+def test_untyped_inputs_are_out_of_domain(call):
+    with pytest.raises(OutOfDomain):
+        call()
+
+
+def _count_needle_checks(monkeypatch):
+    calls = []
+    inner = solver._needle_check
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(solver, "_needle_check", counted)
+    return calls
+
+
+class TestNeedleCheckOnFirstRead:
+    def test_solver_group_evaluates_only_the_checks_it_reads(self, monkeypatch):
+        # needle_bound_consistency reads 13 and request_determinism 4; the
+        # 38 solves of winner_in_catalog and complement_reduction_duality none
+        calls = _count_needle_checks(monkeypatch)
+        run_property_suite("solver", 42)
+        assert len(calls) == 17
+
+    @pytest.mark.parametrize("v", ["0.3", "0.7"])
+    @pytest.mark.parametrize("fmt, count", [("json", 1), ("human", 1), ("csv", 0)])
+    def test_cli_solve_evaluates_what_it_prints(self, monkeypatch, capsys, v, fmt, count):
+        calls = _count_needle_checks(monkeypatch)
+        assert main(["solve", "--space", "cp2", "--v", v, "--eps", "0.05", "--format", fmt]) == 0
+        capsys.readouterr()
+        assert len(calls) == count
+
+    def test_second_read_is_the_first_dict(self, monkeypatch):
+        calls = _count_needle_checks(monkeypatch)
+        res = solve_isoperimetric(SolveRequest(RP3, 0.3, 0.05))
+        assert not calls
+        first = res.needle_bound_check
+        assert res.needle_bound_check is first and res.to_dict()["check"] is first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["s2", "rp3", "cp2", "hp2", "cap2"])
+    def test_value_is_the_check_at_the_complement_mass(self, name):
+        space = space_by_name(name)
+        for v in (0.1, 0.3, 0.5):
+            res = solve_isoperimetric(SolveRequest(space, v, 0.05))
+            expect = solver._needle_check(space, v, 1.0 - res.enlarged, 0.05)
+            assert res.needle_bound_check == expect
 
 
 class TestComplementReduction:
