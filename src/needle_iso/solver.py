@@ -205,9 +205,9 @@ def isoperimetric_profile_curve(space, epsilon, v_grid):
     in v, starting from the secant through the grid values; each step is
     one pass over the two candidates.  A cell whose upper-end values tie
     exactly (both enlargements saturated) has no sign change and reports no
-    crossover.  An ``epsilon`` that is not positive and finite, or a volume
-    outside (0, 1/2], NaN included, raises ``OutOfDomain`` before any
-    evaluation.
+    crossover.  An ``epsilon`` that is not a positive, finite scalar, a grid
+    that is not 1-D, or a volume outside (0, 1/2], NaN included, raises
+    ``OutOfDomain`` before any evaluation.
     """
     v_grid, epsilon = _as_volumes(v_grid, epsilon)
     if v_grid.ndim != 1:

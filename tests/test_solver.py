@@ -107,7 +107,7 @@ class TestSolve:
         assert rec["space"] == "rp3" and len(rec["candidates"]) == 3
 
 
-_C = catalog(RP3)[0]
+RP3_BALL = catalog(RP3)[0]
 
 
 @pytest.mark.parametrize(
@@ -122,8 +122,8 @@ _C = catalog(RP3)[0]
         lambda: SolveRequest(RP3, 0.3, "0.1"),
         lambda: SolveRequest(RP3, 0.3, None),
         lambda: solve_with_complement_reduction(RP3, 0.7, True),
-        lambda: enlarged_volume(_C, RP3, 0.3, np.array([0.1, 0.2])),
-        lambda: enlarged_volume(_C, RP3, 0.3, True),
+        lambda: enlarged_volume(RP3_BALL, RP3, 0.3, np.array([0.1, 0.2])),
+        lambda: enlarged_volume(RP3_BALL, RP3, 0.3, True),
         lambda: isoperimetric_profile_curve(RP3, np.array([0.1, 0.2]), [0.1, 0.3]),
         lambda: isoperimetric_profile_curve(RP3, 0.1, 0.3),
         lambda: isoperimetric_profile_curve(RP3, 0.1, [[0.1, 0.2]]),
@@ -173,7 +173,7 @@ class TestNeedleCheckOnFirstRead:
         res = solve_isoperimetric(SolveRequest(RP3, 0.3, 0.05))
         assert not calls
         first = res.needle_bound_check
-        assert res.needle_bound_check is first and res.to_dict()["check"] is first
+        assert res.needle_bound_check is first and res.to_dict()["check"] == first
         assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["s2", "rp3", "cp2", "hp2", "cap2"])
