@@ -51,8 +51,9 @@ _FAMILIES = {
 
 
 def _integer(value, name):
-    """``value`` as an int: a finite integer (integer-valued floats pass), else OutOfDomain."""
-    x = float(value)
+    """``value`` as an int: an int or a finite integer-valued float (Python
+    or numpy, not a bool), else OutOfDomain."""
+    x = _real_scalar(value, name)
     if not (math.isfinite(x) and x.is_integer()):
         raise OutOfDomain(f"{name} must be an integer, got {value!r}")
     return int(x)

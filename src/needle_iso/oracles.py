@@ -26,6 +26,7 @@ from .concavity import MARGIN_TOL, _product_margin, binomial_decompose
 from .cross_spaces import (
     CrossSpace,
     _enlarge,
+    _record,
     _row,
     catalog,
     enlarged_volume,
@@ -37,9 +38,10 @@ from .densities import (
     HALF_PI,
     Interval,
     SinAffineDensity,
-    TrigDensity,
     _checked_fold,
     _frame,
+    _needle_cdf,
+    _needle_quantile,
     _require_mass,
     _trig_pdf,
     normalize,
@@ -50,7 +52,7 @@ from .needle_bound import (
     batch_trig_sep,
     cross_needle_bounds,
 )
-from .sampling import _affine_draws, as_rng_spec, random_affine_needle
+from .sampling import _affine_draws, as_rng_spec
 # sep_1d stays bound here: the benchmark's tracer test checks that every
 # module binding it sees one wrapper
 from .separation import _extreme_gap, sep_1d  # noqa: F401
@@ -95,12 +97,6 @@ def _trig_draw(gen, max_exp=5, min_length=0.3, integer_only=True):
     return m, k, lo, lo + length
 
 
-def _random_trig(gen, **draw):
-    """The normalized :class:`TrigDensity` of one :func:`_trig_draw`."""
-    m, k, lo, hi = _trig_draw(gen, **draw)
-    return normalize(TrigDensity(m=m, k=k, interval=Interval(lo, hi)))
-
-
 def _trig_rows(gen, count, masses, **draw):
     """``count`` needles of :func:`_trig_draw`, each followed by what
     ``masses(gen)`` draws for it, as the float columns ``m, k, lo, hi,
@@ -118,50 +114,53 @@ def _straddling_pair(gen, lo=0.05, hi=0.95):
 
 
 def _check_normalization_cross_check(ctx):
+    """8 trig needles, then 4 affine ones (``random_affine_needle``'s first
+    draw, kept below the mass floor), as rows ``cos^m sin^k`` on ``[lo, hi]``
+    moved back by ``offset``; quadrature weighs each normalized pdf."""
     gen = ctx.spec.generator(10)
-    needles = [_random_trig(gen, integer_only=False) for _ in range(8)]
-    needles += [random_affine_needle(math.pi, range(1, 7), gen) for _ in range(4)]
+    trig = _trig_rows(gen, 8, lambda gen: (), integer_only=False)
+    draws = [_affine_draws(gen, 1, math.pi, range(1, 7), 1e-3) for _ in range(4)]
+    length, power, phase = np.concatenate(draws, axis=1)
+    rows = np.concatenate([[*trig, np.zeros(8)], [power, *np.zeros((2, 4)), length, phase]], axis=1)
+    mass = _checked_fold(*rows).mass
+    _require_mass(mass[:8])
     worst = 0.0
-    for d in needles:
-        total = quadrature.integrate(d.pdf, d.interval.lo, d.interval.hi, atol=1e-13)
+    for (m, k, lo, hi, offset), norm in zip(rows.T, 1.0 / mass):
+        total = quadrature.integrate(lambda t: _trig_pdf(m, k, t - offset, norm), lo, hi, atol=1e-13)
         worst = max(worst, abs(total - 1.0))
     return {"passed": worst < 1e-10, "details": {"max_unit_mass_error": worst}}
 
 
+def _trig_needles(gen, **draw):
+    """8 :func:`_trig_draw` needles: the exponents as (needle x 1) columns
+    ``m, k`` and the checked fold, above the mass floor."""
+    m, k, lo, hi = _trig_rows(gen, 8, lambda gen: (), **draw)[..., None]
+    needle = _checked_fold(m, k, lo, hi)
+    _require_mass(needle.mass)
+    return m, k, needle
+
+
 def _check_quantile_cdf_round_trip(ctx):
-    gen = ctx.spec.generator(11)
+    needle = _trig_needles(ctx.spec.generator(11), integer_only=False)[-1]
     q = np.linspace(0.0, 1.0, 1000)
-    worst = 0.0
-    for _ in range(8):
-        d = _random_trig(gen, integer_only=False)
-        err = np.max(np.abs(d.cdf(d.quantile(q)) - q))
-        worst = max(worst, float(err))
+    worst = float(np.max(np.abs(_needle_cdf(needle, _needle_quantile(needle, q)) - q)))
     return {"passed": worst < 1e-9, "details": {"max_round_trip_error": worst}}
 
 
 def _check_cdf_monotone_lipschitz(ctx):
-    gen = ctx.spec.generator(12)
-    ok = True
-    worst_slack = -np.inf
-    for _ in range(8):
-        d = _random_trig(gen)
-        t = d.interval.grid(512)
-        f = d.cdf(t)
-        if np.any(np.diff(f) < -1e-12):
-            ok = False
-        # per-segment mass bounded by the local sup of the density; the
-        # 3-point segment max under-reads the true sup by O(dt^2), hence the
-        # small relative inflation
-        ends = d.pdf(t)
-        mids = d.pdf(0.5 * (t[:-1] + t[1:]))
-        seg_peak = np.maximum(np.maximum(ends[:-1], ends[1:]), mids)
-        slack = np.max(
-            np.abs(np.diff(f)) - seg_peak * np.diff(t) * (1 + 1e-6) - 1e-9
-        )
-        worst_slack = max(worst_slack, float(slack))
-        if slack > 0:
-            ok = False
-    return {"passed": ok, "details": {"max_lipschitz_slack": worst_slack}}
+    m, k, needle = _trig_needles(ctx.spec.generator(12))
+    t = np.linspace(needle.lo[:, 0], needle.hi[:, 0], 512, axis=1)
+    df = np.diff(_needle_cdf(needle, t))
+    # per-segment mass bounded by the local sup of the density; the 3-point
+    # segment max under-reads the true sup by O(dt^2), hence the small
+    # relative inflation
+    norm = 1.0 / needle.mass
+    ends = _trig_pdf(m, k, t, norm)
+    mids = _trig_pdf(m, k, 0.5 * (t[:, :-1] + t[:, 1:]), norm)
+    seg_peak = np.maximum(np.maximum(ends[:, :-1], ends[:, 1:]), mids)
+    slack = np.max(np.abs(df) - seg_peak * np.diff(t) * (1 + 1e-6) - 1e-9, axis=1)
+    ok = not (np.any(df < -1e-12) or np.any(slack > 0))
+    return {"passed": ok, "details": {"max_lipschitz_slack": float(np.max(slack))}}
 
 
 def _check_order_reduction(ctx):
@@ -460,13 +459,15 @@ def _suite_spaces():
 
 
 def _check_polar_duality_identity(ctx):
+    """One CDF pass over each space's cached catalog record at ``r`` and
+    ``pi/2 - r``; a candidate's polar row is taken by its catalog index."""
     worst = 0.0
     r = np.linspace(0.0, HALF_PI, 257)
     for space in _suite_spaces():
-        for cand in catalog(space):
-            polar = polar_of(cand, space)
-            total = profile_cdf(cand, space, r) + profile_cdf(polar, space, HALF_PI - r)
-            worst = max(worst, float(np.max(np.abs(total - 1.0))))
+        rec = _record(space)
+        polar = [rec.candidates.index(polar_of(c, space)) for c in rec.candidates]
+        near, far = _needle_cdf(rec.needle, np.array([r, HALF_PI - r])[:, None])
+        worst = max(worst, float(np.max(np.abs(near + far[polar] - 1.0))))
     return {"passed": worst < _DOM_TOL, "details": {"max_duality_error": worst}}
 
 
@@ -508,21 +509,19 @@ def _check_exponent_admissibility(ctx):
 
 
 def _check_profile_monotone_inverse(ctx):
+    """One CDF pass over each space's cached catalog record on a radius grid,
+    and one quantile pass on a volume grid that its CDF must invert."""
     worst = 0.0
     ok = True
     v = np.linspace(0.0, 1.0, 201)
     for space in _suite_spaces()[:6] + [CrossSpace.sphere(3)]:
-        for cand in catalog(space):
-            r = np.linspace(0.0, space.diameter, 201)
-            f = profile_cdf(cand, space, r)
-            if np.any(np.diff(f) < 0):
-                ok = False
-            # strict increase wherever the increments are representable
-            interior = (f[:-1] > 1e-9) & (f[1:] < 1 - 1e-9)
-            if np.any(np.diff(f)[interior] <= 0):
-                ok = False
-            q = profile_quantile(cand, space, v)
-            worst = max(worst, float(np.max(np.abs(profile_cdf(cand, space, q) - v))))
+        needle = _record(space).needle
+        f = _needle_cdf(needle, np.linspace(0.0, space.diameter, 201))
+        df = np.diff(f)
+        # strict increase wherever the increments are representable
+        interior = (f[:, :-1] > 1e-9) & (f[:, 1:] < 1 - 1e-9)
+        ok = ok and not (np.any(df < 0) or np.any(df[interior] <= 0))
+        worst = max(worst, float(np.max(np.abs(_needle_cdf(needle, _needle_quantile(needle, v)) - v))))
     return {
         "passed": ok and worst < 1e-9,
         "details": {"max_inverse_error": worst},

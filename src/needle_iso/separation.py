@@ -13,23 +13,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import Interval, TabulatedDensity, _needle_quantile, _require_mass, _tabulate
-from .errors import InvalidMass, _require_count
+from .errors import InvalidMass, _real_scalar, _require_count
 
 
 @dataclass(frozen=True)
 class MassPair:
-    """Two mass thresholds in (0, 1]."""
+    """Two mass thresholds in (0, 1], stored as Python floats.  Each must be
+    an int or a float (Python or numpy, not a bool, not an array), else
+    OutOfDomain; a number outside (0, 1] raises InvalidMass."""
 
     k1: float
     k2: float
 
     def __post_init__(self):
-        for name, v in (("k1", self.k1), ("k2", self.k2)):
+        for name in ("k1", "k2"):
+            v = _real_scalar(getattr(self, name), name)
             if not (0.0 < v <= 1.0):
                 raise InvalidMass(f"mass must be in (0,1], got {name}={v}")
-
-    def swapped(self):
-        return MassPair(self.k2, self.k1)
+            object.__setattr__(self, name, v)
 
     @property
     def straddles_half(self):
@@ -40,7 +41,7 @@ def as_mass_pair(masses):
     if isinstance(masses, MassPair):
         return masses
     k1, k2 = masses
-    return MassPair(float(k1), float(k2))
+    return MassPair(k1, k2)
 
 
 @dataclass(frozen=True, slots=True)

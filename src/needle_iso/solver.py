@@ -82,10 +82,10 @@ class SolveResult:
                 {"label": c.label, "a": c.a, "b": c.b, "enlarged": e}
                 for c, e in self.per_candidate
             ],
-            "check": self.needle_bound_check,
+            "check": dict(self.needle_bound_check),
         }
         if self.complement_reduction is not None:
-            rec["complement_reduction"] = self.complement_reduction
+            rec["complement_reduction"] = dict(self.complement_reduction)
         return rec
 
 

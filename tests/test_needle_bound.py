@@ -598,10 +598,11 @@ class TestBoundProfile:
         assert text.endswith("\n")
 
     def test_csv_writes_numpy_scalars_as_python_numbers(self):
-        # a MassPair keeps the numpy scalar it is given; its cell once read
-        # np.float64(0.25)
+        # a MassPair stores the numpy scalar it is given as a Python float
+        # (its cell once read np.float64(0.25)); numpy cells of any other
+        # source are written by their Python value
         rows = bound_profile(lambda mp: sphere_needle_bound(2, mp), [MassPair(np.float64(0.25), 0.5)])
-        assert type(rows[0]["k1"]) is np.float64
+        assert type(rows[0]["k1"]) is float
         assert bound_profile_csv(rows).splitlines()[1].startswith("0.25,0.5,")
         cells = [np.int64(3), np.float64(0.1), np.str_("cos"), None, "sin", 2, 0.5, True]
         assert _csv_row(cells) == "3,0.1,cos,,sin,2,0.5,True\n"

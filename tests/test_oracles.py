@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -9,15 +10,21 @@ import pytest
 
 from needle_iso import (
     INVARIANT_COVERAGE,
+    CrossSpace,
     Interval,
     OutOfDomain,
     RngSpec,
     TrigDensity,
     batch_trig_sep,
+    catalog,
     deterministic_map,
     is_sin_concave,
     mc_cap_mass,
     normalize,
+    polar_of,
+    profile_cdf,
+    profile_quantile,
+    quadrature,
     random_affine_needle,
     report_to_json,
     run_property_suite,
@@ -27,7 +34,7 @@ from needle_iso import (
 )
 from needle_iso.concavity import _product_margin
 from needle_iso.densities import _checked_fold, _trig_pdf
-from needle_iso.oracles import _CHECKS, _Ctx, _random_trig, _trig_draw, suite_check_names
+from needle_iso.oracles import _CHECKS, _Ctx, _suite_spaces, _trig_draw, suite_check_names
 from needle_iso.sampling import as_rng_spec
 from needle_iso.separation import _extreme_gap
 
@@ -434,11 +441,12 @@ class TestSuiteRunner:
         assert report["failures"] == []
 
     def test_density_group_builds_only_for_density_methods(self, monkeypatch):
-        # normalization, round trip and Lipschitz call the densities'
-        # methods, 8 needles each; order reduction reads only its draws
+        # normalization, round trip and Lipschitz read their needles as
+        # parameter rows too; only binomial reconstruction builds a density,
+        # a SinAffineDensity, since binomial_decompose takes one
         builds, seps = self._count_builds_and_seps(monkeypatch)
         report = run_property_suite("density", SEED)
-        assert len(builds) == 24 and seps == []
+        assert builds == [] and seps == []
         assert report["failures"] == ["density.order_reduction"]
 
     def test_separation_group_scans_one_needle_at_a_time(self):
@@ -549,12 +557,129 @@ class TestTrigDraws:
                 assert brute == sep_1d_bruteforce(d, (k1, k2)), (seed, row)
         assert kinds == {"int", "float", "constant"}
 
-    @pytest.mark.parametrize("draw", DRAWS)
-    def test_draw_consumes_what_a_built_density_does(self, draw):
+
+def _random_trig(gen, **draw):
+    m, k, lo, hi = _trig_draw(gen, **draw)
+    return normalize(TrigDensity(m=m, k=k, interval=Interval(lo, hi)))
+
+
+def _normalization_by_objects(ctx):
+    gen = ctx.spec.generator(10)
+    needles = [_random_trig(gen, integer_only=False) for _ in range(8)]
+    needles += [random_affine_needle(math.pi, range(1, 7), gen) for _ in range(4)]
+    worst = 0.0
+    for d in needles:
+        total = quadrature.integrate(d.pdf, d.interval.lo, d.interval.hi, atol=1e-13)
+        worst = max(worst, abs(total - 1.0))
+    return {"passed": worst < 1e-10, "details": {"max_unit_mass_error": worst}}
+
+
+def _round_trip_by_objects(ctx):
+    gen = ctx.spec.generator(11)
+    q = np.linspace(0.0, 1.0, 1000)
+    worst = 0.0
+    for _ in range(8):
+        d = _random_trig(gen, integer_only=False)
+        worst = max(worst, float(np.max(np.abs(d.cdf(d.quantile(q)) - q))))
+    return {"passed": worst < 1e-9, "details": {"max_round_trip_error": worst}}
+
+
+def _lipschitz_by_objects(ctx):
+    gen = ctx.spec.generator(12)
+    ok = True
+    worst_slack = -np.inf
+    for _ in range(8):
+        d = _random_trig(gen)
+        t = d.interval.grid(512)
+        f = d.cdf(t)
+        ends = d.pdf(t)
+        mids = d.pdf(0.5 * (t[:-1] + t[1:]))
+        seg_peak = np.maximum(np.maximum(ends[:-1], ends[1:]), mids)
+        slack = float(np.max(np.abs(np.diff(f)) - seg_peak * np.diff(t) * (1 + 1e-6) - 1e-9))
+        worst_slack = max(worst_slack, slack)
+        ok = ok and not np.any(np.diff(f) < -1e-12) and slack <= 0
+    return {"passed": ok, "details": {"max_lipschitz_slack": worst_slack}}
+
+
+def _polar_duality_by_objects(ctx):
+    worst = 0.0
+    r = np.linspace(0.0, math.pi / 2, 257)
+    for space in _suite_spaces():
+        for cand in catalog(space):
+            total = profile_cdf(cand, space, r) + profile_cdf(polar_of(cand, space), space, math.pi / 2 - r)
+            worst = max(worst, float(np.max(np.abs(total - 1.0))))
+    return {"passed": worst < 1e-10, "details": {"max_duality_error": worst}}
+
+
+def _monotone_inverse_by_objects(ctx):
+    worst = 0.0
+    ok = True
+    v = np.linspace(0.0, 1.0, 201)
+    for space in _suite_spaces()[:6] + [CrossSpace.sphere(3)]:
+        for cand in catalog(space):
+            f = profile_cdf(cand, space, np.linspace(0.0, space.diameter, 201))
+            interior = (f[:-1] > 1e-9) & (f[1:] < 1 - 1e-9)
+            ok = ok and not (np.any(np.diff(f) < 0) or np.any(np.diff(f)[interior] <= 0))
+            q = profile_quantile(cand, space, v)
+            worst = max(worst, float(np.max(np.abs(profile_cdf(cand, space, q) - v))))
+    return {"passed": ok and worst < 1e-9, "details": {"max_inverse_error": worst}}
+
+
+class _SpecSpy:
+    """An RngSpec that keeps every generator it hands out."""
+
+    def __init__(self, seed):
+        self.spec, self.handed = RngSpec(seed), []
+
+    def generator(self, *spawn_key):
+        self.handed.append(self.spec.generator(*spawn_key))
+        return self.handed[-1]
+
+
+class TestRowRoutes:
+    """The density checks that read their needles as parameter rows, and
+    the spaces checks that read the cached catalog records, against the
+    density objects and per-candidate profile calls they replaced; and the
+    checked scalar folds a verify epoch has left."""
+
+    @pytest.mark.parametrize(
+        "name, by_objects",
+        [
+            ("density.normalization_cross_check", _normalization_by_objects),
+            ("density.quantile_cdf_round_trip", _round_trip_by_objects),
+            ("density.cdf_monotone_lipschitz", _lipschitz_by_objects),
+            ("spaces.polar_duality_identity", _polar_duality_by_objects),
+            ("spaces.profile_monotone_inverse", _monotone_inverse_by_objects),
+        ],
+    )
+    def test_rows_report_what_the_objects_did(self, name, by_objects):
+        # same report bit for bit, and the same draws: each generator is
+        # left in the state the object route leaves it in
         for seed in range(30):
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(10):
-                m, k, lo, hi = _trig_draw(a, **draw)
-                d = _random_trig(b, **draw)
-                assert (d.m, d.k, d.interval) == (m, k, Interval(lo, hi))
-            assert a.bit_generator.state == b.bit_generator.state
+            rows, objects = _SpecSpy(seed), _SpecSpy(seed)
+            assert _CHECKS[name](_Ctx(rows, 1, 1)) == by_objects(_Ctx(objects, 1, 1)), seed
+            states = [[g.bit_generator.state for g in spy.handed] for spy in (rows, objects)]
+            assert states[0] == states[1], seed
+
+    def test_verify_epoch_makes_fifteen_checked_scalar_folds(self, monkeypatch):
+        # binomial_decompose takes a density, one per power, and the sphere
+        # bound of sphere_dominance is one needle per dimension; every other
+        # check folds its needles as rows
+        import needle_iso.densities as densities
+
+        checks = {fn.__code__: name for name, fn in _CHECKS.items()}
+        counts = collections.Counter()
+        fold = densities._fold
+
+        def counted(*args):
+            out = fold(*args)
+            if np.ndim(out.mass) == 0:
+                frame = sys._getframe(1)
+                while frame and frame.f_code not in checks:
+                    frame = frame.f_back
+                counts[frame and checks[frame.f_code]] += 1
+            return out
+
+        monkeypatch.setattr(densities, "_fold", counted)
+        run_property_suite("all", SEED)
+        assert counts == {"density.binomial_reconstruction": 13, "needle.sphere_dominance": 2}

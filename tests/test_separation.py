@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from needle_iso import (
+    CrossSpace,
     Interval,
     InvalidMass,
     MassPair,
@@ -20,6 +21,7 @@ from needle_iso import (
     normalize,
     sep_1d,
     sep_1d_bruteforce,
+    sphere_needle_bound,
 )
 from needle_iso.separation import _extreme_gap
 
@@ -39,6 +41,34 @@ class TestMassPair:
         assert MassPair(0.3, 0.7).straddles_half
         assert MassPair(0.5, 0.5).straddles_half
         assert not MassPair(0.2, 0.4).straddles_half
+
+    def test_masses_are_stored_as_python_floats(self):
+        mp = MassPair(np.float64(0.25), 1)
+        assert (type(mp.k1), type(mp.k2)) == (float, float) and mp == MassPair(0.25, 1.0)
+
+
+class TestScalarRule:
+    # each once stored a bool, raised a bare TypeError or ValueError, or
+    # parsed a string: a mass, a sphere dimension or a space index is an
+    # int or a float (Python or numpy), not a bool, a string or an array
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: MassPair(True, 0.5),
+            lambda: MassPair(0.3, np.False_),
+            lambda: MassPair("0.3", 0.5),
+            lambda: MassPair(np.array([0.3, 0.4]), 0.5),
+            lambda: sep_1d(COS, ("0.3", "0.6")),
+            lambda: CrossSpace.sphere("3"),
+            lambda: CrossSpace.complex_projective(True),
+            lambda: sphere_needle_bound("3", (0.3, 0.6)),
+        ],
+        ids=["bool-mass", "numpy-bool-mass", "string-mass", "array-mass", "string-sep-masses",
+             "string-sphere-index", "bool-space-index", "string-sphere-dimension"],
+    )
+    def test_non_numbers_raise_out_of_domain(self, call):
+        with pytest.raises(OutOfDomain):
+            call()
 
 
 class TestSep1d:

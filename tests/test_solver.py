@@ -205,6 +205,17 @@ class TestComplementReduction:
                 1 - res.enlarged, abs=1e-12
             )
 
+    def test_record_edits_leave_the_result_alone(self):
+        # to_dict once put the kept check and the complement record into its
+        # record as they were, so editing the record edited the result
+        res = solve_with_complement_reduction(RP3, 0.7, 0.05)
+        rec = res.to_dict()
+        rec["check"]["bound"] = -1.0
+        rec["complement_reduction"]["w"] = 9
+        assert res.needle_bound_check["bound"] > 0.0
+        assert res.complement_reduction["w"] == pytest.approx(1 - res.enlarged, abs=1e-12)
+        assert res.to_dict() == solve_with_complement_reduction(RP3, 0.7, 0.05).to_dict()
+
     def test_dual_problem_selects_polar_winner(self):
         res = solve_with_complement_reduction(CP2, 0.65, 0.05)
         w = 1.0 - res.enlarged
