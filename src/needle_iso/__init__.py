@@ -39,9 +39,7 @@ from .densities import (
     TrigDensity,
     density_from_dict,
     normalize,
-    reflect,
     trig_mass,
-    verify_unit_mass,
 )
 from .errors import (
     HypothesisViolated,
@@ -53,7 +51,6 @@ from .errors import (
     OutOfDomain,
     PreconditionFailed,
     QuadratureError,
-    RetryExhausted,
     ZeroMass,
 )
 from .needle_bound import (
@@ -69,7 +66,7 @@ from .needle_bound import (
 )
 from .oracles import INVARIANT_COVERAGE, SUITE_NAMES, report_to_json, run_property_suite
 from .quadrature import integrate
-from .sampling import RngSpec, deterministic_map, mc_cap_mass, random_affine_needle
+from .sampling import RngSpec, deterministic_map, mc_cap_mass
 from .separation import MassPair, SeparationResult, batch_sep, sep_1d, sep_1d_bruteforce
 from .solver import (
     SolveRequest,
@@ -103,7 +100,6 @@ __all__ = [
     "OutOfDomain",
     "PreconditionFailed",
     "QuadratureError",
-    "RetryExhausted",
     "RngSpec",
     "SUITE_NAMES",
     "SeparationResult",
@@ -141,8 +137,6 @@ __all__ = [
     "profile_curve_csv",
     "profile_quantile",
     "radial_density",
-    "random_affine_needle",
-    "reflect",
     "report_to_json",
     "run_property_suite",
     "sep_1d",
@@ -153,5 +147,4 @@ __all__ = [
     "space_by_name",
     "sphere_needle_bound",
     "trig_mass",
-    "verify_unit_mass",
 ]

@@ -314,36 +314,40 @@ class BinomialDecomposition:
         return float(np.max(np.abs(self.reconstruct(x) - np.asarray(pdf(x)))))
 
 
-def binomial_decompose(affine):
-    """Expand ``C (C1 sin t + C2 cos t)^p`` for integer ``p >= 0``.
+def _binomial_rows(phase, power, lo, hi, scale):
+    """Expand rows ``scale cos^p(t - phase)`` on ``[lo, hi]``, integer ``p >=
+    0``, one :class:`BinomialDecomposition` per row.
 
-    The i-th coefficient is ``C * binom(p, i) C1^i C2^(p-i)`` attached to the
-    monomial ``cos^(p-i) sin^i``.  Component masses are computed by adaptive
-    quadrature so sign-carrying coefficients (phases outside [0, pi/2]) are
-    handled too.
+    Since ``cos(t - phase) = C1 sin t + C2 cos t`` with ``C1 = sin(phase)``
+    and ``C2 = cos(phase)``, the i-th coefficient is ``scale * binom(p, i)
+    C1^i C2^(p-i)``, attached to the monomial ``cos^(p-i) sin^i``.  Component
+    masses are computed by adaptive quadrature so sign-carrying coefficients
+    (phases outside [0, pi/2]) are handled too.  A power more than 1e-12 from
+    an integer raises ``NonIntegerPower``.
     """
-    p_real = affine.power
-    p = round(p_real)
-    if abs(p_real - p) > 1e-12:
-        raise NonIntegerPower(f"power {p_real} is not an integer")
+    out = []
+    for phase, p_real, lo, hi, scale in zip(phase, power, lo, hi, scale):
+        p = round(float(p_real))
+        if abs(p_real - p) > 1e-12:
+            raise NonIntegerPower(f"power {p_real} is not an integer")
+        phase, lo, hi, scale = float(phase), float(lo), float(hi), float(scale)
+        c1, c2 = math.sin(phase), math.cos(phase)
+        coefs = [scale * math.comb(p, i) * (c1**i) * (c2 ** (p - i)) for i in range(p + 1)]
+        masses = [
+            0.0 if coef == 0.0 else coef * quadrature.integrate(
+                lambda t, m=p - i, k=i: np.cos(t) ** m * np.sin(t) ** k, lo, hi, atol=1e-13
+            )
+            for i, coef in enumerate(coefs)
+        ]
+        comps = tuple((coef, (float(p - i), float(i))) for i, coef in enumerate(coefs))
+        out.append(BinomialDecomposition(components=comps, masses=tuple(masses), interval=Interval(lo, hi)))
+    return out
+
+
+def binomial_decompose(affine):
+    """Expand ``C (C1 sin t + C2 cos t)^p`` for integer ``p >= 0``: the one
+    row of a ``SinAffineDensity`` through :func:`_binomial_rows`, ``C`` its
+    norm (1 when unnormalized)."""
+    iv = affine.interval
     scale = 1.0 if affine.norm is None else affine.norm
-    c1, c2 = affine.c1, affine.c2
-    comps = []
-    masses = []
-    for i in range(p + 1):
-        coef = scale * math.comb(p, i) * (c1**i) * (c2 ** (p - i))
-        m_exp, k_exp = p - i, i
-        comps.append((coef, (float(m_exp), float(k_exp))))
-        if coef == 0.0:
-            masses.append(0.0)
-            continue
-        mass = coef * quadrature.integrate(
-            lambda t, m=m_exp, k=k_exp: np.cos(t) ** m * np.sin(t) ** k,
-            affine.interval.lo,
-            affine.interval.hi,
-            atol=1e-13,
-        )
-        masses.append(mass)
-    return BinomialDecomposition(
-        components=tuple(comps), masses=tuple(masses), interval=affine.interval
-    )
+    return _binomial_rows([affine.phase], [affine.power], [iv.lo], [iv.hi], [scale])[0]

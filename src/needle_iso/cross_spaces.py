@@ -31,7 +31,7 @@ from .densities import (
     _trig_pdf,
     normalize,
 )
-from .errors import NotApplicable, OutOfDomain, _real_scalar
+from .errors import NotApplicable, OutOfDomain, _real_array, _real_scalar
 
 SPHERE = "sphere"
 REAL_PROJECTIVE = "real-projective"
@@ -193,7 +193,7 @@ def radial_density(candidate, space):
 def profile_cdf(candidate, space, r):
     """Fraction of the space's volume within distance ``r`` of the core;
     exactly 0 at ``r = 0`` and exactly 1 at the diameter."""
-    r_arr = np.asarray(r, dtype=float)
+    r_arr = _real_array(r, "radius")
     if not np.all((r_arr >= -1e-12) & (r_arr <= space.diameter + 1e-12)):
         raise OutOfDomain(f"radius outside [0, {space.diameter:.6g}]")
     out = _needle_cdf(_row(candidate, space), r_arr)

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln
 
-from . import quadrature
-from .errors import OutOfDomain, ZeroMass
+from .errors import OutOfDomain, ZeroMass, _real_array
 
 HALF_PI = math.pi / 2.0
 
@@ -139,11 +138,12 @@ def _checked_fold(m, k, lo, hi, offset=0.0):
     fold's own domain to 1e-9 -- ``[0, pi/2]``, ``[-pi/2, pi/2]`` for pure
     cosine, ``[0, pi]`` for pure sine, anywhere for the constant.  So a
     needle is valid exactly where its fold is defined.  Vectorized; any
-    invalid needle raises OutOfDomain."""
-    m, k = np.asarray(m, dtype=float), np.asarray(k, dtype=float)
+    invalid needle, or a parameter that is not ints or floats, raises
+    OutOfDomain."""
+    m, k, lo, hi, offset = (_real_array(x, "needle parameters") for x in (m, k, lo, hi, offset))
     _, shift, mirrored, flat = _frame(m, k)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails lo < hi
-        lo, hi = np.asarray(lo, dtype=float) - offset, np.asarray(hi, dtype=float) - offset
+        lo, hi = lo - offset, hi - offset
         ok = (
             (np.minimum(m, k) >= 0.0) & (np.maximum(m, k) < math.inf)
             & (lo < hi) & (hi - lo <= math.pi + 1e-12)
@@ -242,7 +242,7 @@ def _tabulate(grid, values):
 
 def _as_fractions(q):
     """``q`` as a float array of mass fractions in [0, 1] (to 1e-12), else OutOfDomain."""
-    q = np.asarray(q, dtype=float)
+    q = _real_array(q, "mass fractions")
     if not np.all((q >= -1e-12) & (q <= 1.0 + 1e-12)):
         raise OutOfDomain("mass fractions must lie in [0, 1]")
     return q
@@ -414,15 +414,6 @@ class TabulatedDensity(_DensityBase):
         object.__setattr__(self, "interval", Interval(float(g[0]), float(g[-1])))
         _finalize(self, cum[-1])
 
-    @classmethod
-    def from_callable(cls, f, interval, n=2049):
-        g = interval.grid(n)
-        return cls(grid=g, values=f(g))
-
-    @classmethod
-    def from_density(cls, density, n=2049):
-        return cls.from_callable(density.pdf, density.interval, n=n)
-
     def _cdf(self, t):
         idx = np.clip(np.searchsorted(self.grid, t, side="right") - 1, 0, self.grid.size - 2)
         t0 = self.grid[idx]
@@ -478,36 +469,6 @@ def normalize(density):
     out = copy.copy(density)
     object.__setattr__(out, "norm", 1.0 / total)
     return out
-
-
-def verify_unit_mass(density, atol=1e-10):
-    """Cross-check the normalized mass against an independent integral.
-
-    Smooth families go through adaptive Gauss-Legendre; tabulated densities
-    are defined by their trapezoid integral, which is used directly (the
-    kinks would defeat the adaptive error estimate).
-    """
-    if density.family == "tabulated":
-        v = density.values * (1.0 if density.norm is None else density.norm)
-        total = float(np.trapezoid(v, density.grid))
-    else:
-        total = quadrature.integrate(
-            density.pdf, density.interval.lo, density.interval.hi, atol=min(atol, 1e-12)
-        )
-    return abs(total - 1.0) <= atol
-
-
-def reflect(density):
-    """Reflect a density about its interval midpoint (t -> lo + hi - t)."""
-    lo, hi = density.interval.lo, density.interval.hi
-    if density.family == "tabulated":
-        g = lo + hi - density.grid[::-1]
-        return TabulatedDensity(grid=g, values=density.values[::-1], norm=density.norm)
-    n = 4097
-    g = np.linspace(lo, hi, n)
-    vals = density.pdf(lo + hi - g)
-    d = TabulatedDensity(grid=g, values=vals)
-    return normalize(d)
 
 
 def _field(rec, name, convert=float):

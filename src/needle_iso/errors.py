@@ -1,5 +1,6 @@
 """Semantic exception hierarchy shared across the library, and the one
-check of a count argument and of a real scalar argument."""
+check of a count argument, of a real scalar argument and of a real array
+argument."""
 
 import numpy as np
 
@@ -40,10 +41,6 @@ class NotApplicable(NeedleIsoError):
     """The requested operation is undefined for this space family."""
 
 
-class RetryExhausted(NeedleIsoError):
-    """Random generation failed repeatedly to produce a valid object."""
-
-
 class QuadratureError(NeedleIsoError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
@@ -61,3 +58,13 @@ def _real_scalar(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise OutOfDomain(f"{name} must be an int or a float, got {value!r}")
     return float(value)
+
+
+def _real_array(value, name):
+    """``value`` as a float64 array: ints or floats (Python or numpy, any
+    shape; numeric dtype kinds ``i``, ``u`` and ``f``), else OutOfDomain --
+    so a bool, a string, None or an object array is never read as a number."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise OutOfDomain(f"{name} must be ints or floats, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import quadrature
-from .concavity import MARGIN_TOL, _product_margin, binomial_decompose
+from .concavity import MARGIN_TOL, _binomial_rows, _product_margin
 from .cross_spaces import (
     CrossSpace,
     _enlarge,
@@ -36,15 +36,12 @@ from .cross_spaces import (
 )
 from .densities import (
     HALF_PI,
-    Interval,
-    SinAffineDensity,
     _checked_fold,
     _frame,
     _needle_cdf,
     _needle_quantile,
     _require_mass,
     _trig_pdf,
-    normalize,
 )
 from .errors import OutOfDomain, _require_count
 from .needle_bound import (
@@ -114,8 +111,8 @@ def _straddling_pair(gen, lo=0.05, hi=0.95):
 
 
 def _check_normalization_cross_check(ctx):
-    """8 trig needles, then 4 affine ones (``random_affine_needle``'s first
-    draw, kept below the mass floor), as rows ``cos^m sin^k`` on ``[lo, hi]``
+    """8 trig needles, then 4 affine ones (one ``_affine_draws`` draw each,
+    kept below the mass floor), as rows ``cos^m sin^k`` on ``[lo, hi]``
     moved back by ``offset``; quadrature weighs each normalized pdf."""
     gen = ctx.spec.generator(10)
     trig = _trig_rows(gen, 8, lambda gen: (), integer_only=False)
@@ -245,17 +242,25 @@ def _check_product_closure(ctx):
 
 
 def _check_binomial_reconstruction(ctx):
+    """13 sin-affine needles ``cos^p(t - phase)``, ``p`` = 0 to 12, each on
+    a random sub-interval of [0, pi/2] with its phase in [0, pi/2]
+    (nonnegative coefficients), as rows: one checked fold normalizes them,
+    and each expansion is checked against its normalized pdf pointwise and
+    by the sum of its component masses."""
     gen = ctx.spec.generator(16)
-    worst_err = 0.0
-    worst_mass = 0.0
+    draws = []
     for p in range(0, 13):
         length = gen.uniform(0.5, HALF_PI)
         lo = gen.uniform(0.0, HALF_PI - length)
-        iv = Interval(lo, lo + length)
-        phase = gen.uniform(0.0, HALF_PI)  # nonnegative coefficients
-        d = normalize(SinAffineDensity(phase=float(phase), power=p, interval=iv))
-        dec = binomial_decompose(d)
-        worst_err = max(worst_err, dec.max_reconstruction_error(d.pdf))
+        draws.append((gen.uniform(0.0, HALF_PI), p, lo, lo + length))
+    phase, power, lo, hi = np.array(draws).T
+    mass = _checked_fold(power, 0.0, lo, hi, phase).mass
+    _require_mass(mass)
+    norm = 1.0 / mass
+    worst_err = 0.0
+    worst_mass = 0.0
+    for dec, p, ph, scale in zip(_binomial_rows(phase, power, lo, hi, norm), power, phase, norm):
+        worst_err = max(worst_err, dec.max_reconstruction_error(lambda t: _trig_pdf(p, 0.0, t - ph, scale)))
         worst_mass = max(worst_mass, abs(sum(dec.masses) - 1.0))
     return {
         "passed": worst_err < 1e-10 and worst_mass < 1e-9,

@@ -1,4 +1,4 @@
-"""Deterministic random generation: sphere sampling and random needles.
+"""Deterministic random generation: sphere sampling and random needle draws.
 
 The reproducibility contract: a :class:`RngSpec` names a 64-bit seed and the
 ``pcg64`` generator; identical specs yield identical streams on every
@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import HALF_PI, Interval, SinAffineDensity, normalize
-from .errors import OutOfDomain, RetryExhausted, ZeroMass, _require_count
+from .densities import HALF_PI
+from .errors import OutOfDomain, _require_count
 
 _MC_CHUNK = 1 << 14
-_AFFINE_RETRIES = 100
 
 
 @dataclass(frozen=True)
@@ -119,31 +118,3 @@ def _affine_draws(gen, count, length_cap, p_range, min_length):
     lengths = gen.uniform(min_length, min(float(length_cap), math.pi), count)
     powers = choices[gen.integers(0, choices.size, count)]
     return lengths, powers, gen.uniform(lengths - HALF_PI, HALF_PI)
-
-
-def random_affine_needle(interval_length_max, p_range, rng):
-    """Draw a valid, normalized sin^p-affine needle.
-
-    The support is ``[0, L]`` with ``L`` uniform in ``[1e-3, min(cap, pi)]``
-    (needles are translation invariant for separation purposes); the power
-    is uniform over ``p_range``; the phase is uniform in the window keeping
-    ``cos(t - phase)`` positive on the open support.  Each attempt is one
-    :func:`_affine_draws` batch of one; redraws on degenerate mass, raising
-    :class:`RetryExhausted` after 100 failures.  A cap below 1e-3 or NaN
-    raises :class:`OutOfDomain`.
-    """
-    p_choices = sorted(p_range)  # one pass over p_range serves every retry
-    gen = rng if isinstance(rng, np.random.Generator) else as_rng_spec(rng).generator()
-    for _ in range(_AFFINE_RETRIES):
-        (length,), (power,), (phase,) = _affine_draws(gen, 1, interval_length_max, p_choices, 1e-3)
-        try:
-            return normalize(
-                SinAffineDensity(
-                    phase=float(phase),
-                    power=float(power),
-                    interval=Interval(0.0, float(length)),
-                )
-            )
-        except ZeroMass:
-            continue
-    raise RetryExhausted(f"no valid affine needle after {_AFFINE_RETRIES} draws")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import Interval, TabulatedDensity, _needle_quantile, _require_mass, _tabulate
-from .errors import InvalidMass, _real_scalar, _require_count
+from .errors import InvalidMass, _real_array, _real_scalar, _require_count
 
 
 @dataclass(frozen=True)
@@ -106,9 +106,10 @@ def _density_gaps(density, k1, k2):
 
 
 def _as_masses(k1, k2):
-    """``k1`` and ``k2`` as float arrays broadcast against each other; an
-    entry outside (0, 1] raises InvalidMass."""
-    k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
+    """``k1`` and ``k2`` as float arrays broadcast against each other: an
+    array that is not ints or floats raises OutOfDomain, an entry outside
+    (0, 1] InvalidMass."""
+    k1, k2 = _real_array(k1, "k1"), _real_array(k2, "k2")
     for name, k in (("k1", k1), ("k2", k2)):
         bad = ~((k > 0.0) & (k <= 1.0))
         if bad.any():

@@ -14,8 +14,10 @@ from needle_iso import (
     Interval,
     OutOfDomain,
     RngSpec,
+    SinAffineDensity,
     TrigDensity,
     batch_trig_sep,
+    binomial_decompose,
     catalog,
     deterministic_map,
     is_sin_concave,
@@ -25,17 +27,15 @@ from needle_iso import (
     profile_cdf,
     profile_quantile,
     quadrature,
-    random_affine_needle,
     report_to_json,
     run_property_suite,
     sep_1d,
     sep_1d_bruteforce,
-    verify_unit_mass,
 )
 from needle_iso.concavity import _product_margin
 from needle_iso.densities import _checked_fold, _trig_pdf
 from needle_iso.oracles import _CHECKS, _Ctx, _suite_spaces, _trig_draw, suite_check_names
-from needle_iso.sampling import as_rng_spec
+from needle_iso.sampling import _affine_draws, as_rng_spec
 from needle_iso.separation import _extreme_gap
 
 SEED = 42
@@ -179,52 +179,56 @@ class TestMcCapMass:
                 assert np.array_equal(est["estimate"], hits / samples)
 
 
-class TestRandomAffineNeedle:
+def _affine_needle(gen, length_cap=math.pi, p_range=range(1, 7)):
+    """One :func:`_affine_draws` needle as a normalized density: the draw
+    verify and ``optimize_affine_family`` make."""
+    (length,), (power,), (phase,) = _affine_draws(gen, 1, length_cap, p_range, 1e-3)
+    return normalize(
+        SinAffineDensity(phase=float(phase), power=float(power), interval=Interval(0.0, float(length)))
+    )
+
+
+class TestAffineDraws:
     def test_draws_are_valid_needles(self):
         gen = RngSpec(3).generator()
         for _ in range(10):
-            needle = random_affine_needle(math.pi, range(1, 7), gen)
-            assert verify_unit_mass(needle, atol=1e-9)
-            interior = np.linspace(
-                needle.interval.lo + 1e-6, needle.interval.hi - 1e-6, 33
-            )
+            needle = _affine_needle(gen)
+            lo, hi = needle.interval.lo, needle.interval.hi
+            assert abs(quadrature.integrate(needle.pdf, lo, hi, atol=1e-12) - 1.0) <= 1e-9
+            interior = np.linspace(lo + 1e-6, hi - 1e-6, 33)
             assert np.all(needle.pdf(interior) > 0)
             assert is_sin_concave(needle, needle.power)
 
     def test_pure_cosine_boundary_member(self):
-        from needle_iso import Interval, SinAffineDensity, normalize
-
         d = normalize(SinAffineDensity(phase=0.0, power=3, interval=Interval(-0.5, 0.5)))
         assert d.c1 == 0.0 and d.c2 == 1.0
 
     def test_deterministic_given_spec(self):
-        a = random_affine_needle(math.pi, {1, 2}, RngSpec(9))
-        b = random_affine_needle(math.pi, {1, 2}, RngSpec(9))
+        a = _affine_needle(RngSpec(9).generator(), p_range={1, 2})
+        b = _affine_needle(RngSpec(9).generator(), p_range={1, 2})
         assert a.to_dict() == b.to_dict()
 
     def test_draw_stream_is_pinned(self):
-        # length, power index, then phase, from the spec's generator; the
-        # first draw is a valid needle, so no retry moves the stream.  The
+        # length, power index, then phase, from the spec's generator.  The
         # verify suite draws its needles this way.
         gen = np.random.Generator(np.random.PCG64(9))
         length = gen.uniform(1e-3, math.pi)
         power = [1.0, 2.0][gen.integers(0, 2)]
         phase = gen.uniform(length - math.pi / 2, math.pi / 2)
-        needle = random_affine_needle(math.pi, {1, 2}, RngSpec(9))
+        needle = _affine_needle(RngSpec(9).generator(), p_range={1, 2})
         assert needle.to_dict() == {
             "family": "affine", "phase": phase, "power": power, "lo": 0.0, "hi": length,
         }
-
 
     @pytest.mark.parametrize("cap", [0.0005, -1.0, math.nan])
     def test_length_cap_below_floor_rejected(self, cap):
         # a cap below the 1e-3 support floor once reached numpy as high < low
         with pytest.raises(OutOfDomain):
-            random_affine_needle(cap, {1, 2}, RngSpec(9))
+            _affine_draws(RngSpec(9).generator(), 1, cap, {1, 2}, 1e-3)
 
     def test_empty_power_range_rejected(self):
         with pytest.raises(OutOfDomain):
-            random_affine_needle(math.pi, [], 0)
+            _affine_draws(RngSpec(0).generator(), 1, math.pi, [], 1e-3)
 
 
 class TestDeterministicMap:
@@ -396,7 +400,8 @@ class TestSuiteRunner:
 
         for module, name in [
             (concavity, "binomial_decompose"),
-            (oracles, "binomial_decompose"),
+            (concavity, "_binomial_rows"),
+            (oracles, "_binomial_rows"),
             (quadrature, "integrate"),
         ]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
@@ -407,15 +412,20 @@ class TestSuiteRunner:
 
     @staticmethod
     def _count_builds_and_seps(monkeypatch):
-        """Record every TrigDensity built and every scalar sep called."""
+        """Record every density built, of any family, and every scalar sep
+        called."""
         import needle_iso.densities as densities
 
         builds, seps = [], []
-        post_init = densities.TrigDensity.__post_init__
 
-        def counting_build(self):
-            builds.append((self.m, self.k))
-            post_init(self)
+        def counting_build(cls):
+            post_init = cls.__post_init__
+
+            def build(self):
+                builds.append(cls.__name__)
+                post_init(self)
+
+            return build
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -424,7 +434,8 @@ class TestSuiteRunner:
 
             return wrapper
 
-        monkeypatch.setattr(densities.TrigDensity, "__post_init__", counting_build)
+        for cls in (densities.TrigDensity, densities.SinAffineDensity, densities.TabulatedDensity):
+            monkeypatch.setattr(cls, "__post_init__", counting_build(cls))
         for module in [m for name, m in sys.modules.items() if name.startswith("needle_iso")]:
             for name in ("sep_1d", "sep_1d_bruteforce"):
                 if hasattr(module, name):
@@ -440,14 +451,16 @@ class TestSuiteRunner:
         assert builds == [] and seps == []
         assert report["failures"] == []
 
-    def test_density_group_builds_only_for_density_methods(self, monkeypatch):
-        # normalization, round trip and Lipschitz read their needles as
-        # parameter rows too; only binomial reconstruction builds a density,
-        # a SinAffineDensity, since binomial_decompose takes one
+    def test_verify_epoch_builds_no_density(self, monkeypatch):
+        # no check of any group builds a TrigDensity, SinAffineDensity or
+        # TabulatedDensity: the density group's needles, binomial
+        # reconstruction's included, are parameter rows too
         builds, seps = self._count_builds_and_seps(monkeypatch)
-        report = run_property_suite("density", SEED)
+        report = run_property_suite("all", SEED)
         assert builds == [] and seps == []
-        assert report["failures"] == ["density.order_reduction"]
+        assert report["failures"] == [
+            "density.order_reduction", "needle.cross_dominance", "needle.component_bound",
+        ]
 
     def test_separation_group_scans_one_needle_at_a_time(self):
         # a brute-force block of all 50 needles' 4097-point grids is 1.6 MB
@@ -566,7 +579,7 @@ def _random_trig(gen, **draw):
 def _normalization_by_objects(ctx):
     gen = ctx.spec.generator(10)
     needles = [_random_trig(gen, integer_only=False) for _ in range(8)]
-    needles += [random_affine_needle(math.pi, range(1, 7), gen) for _ in range(4)]
+    needles += [_affine_needle(gen) for _ in range(4)]
     worst = 0.0
     for d in needles:
         total = quadrature.integrate(d.pdf, d.interval.lo, d.interval.hi, atol=1e-13)
@@ -599,6 +612,28 @@ def _lipschitz_by_objects(ctx):
         worst_slack = max(worst_slack, slack)
         ok = ok and not np.any(np.diff(f) < -1e-12) and slack <= 0
     return {"passed": ok, "details": {"max_lipschitz_slack": worst_slack}}
+
+
+def _binomial_by_objects(ctx):
+    gen = ctx.spec.generator(16)
+    worst_err = 0.0
+    worst_mass = 0.0
+    for p in range(0, 13):
+        length = gen.uniform(0.5, math.pi / 2)
+        lo = gen.uniform(0.0, math.pi / 2 - length)
+        iv = Interval(lo, lo + length)
+        phase = gen.uniform(0.0, math.pi / 2)  # nonnegative coefficients
+        d = normalize(SinAffineDensity(phase=float(phase), power=p, interval=iv))
+        dec = binomial_decompose(d)
+        worst_err = max(worst_err, dec.max_reconstruction_error(d.pdf))
+        worst_mass = max(worst_mass, abs(sum(dec.masses) - 1.0))
+    return {
+        "passed": worst_err < 1e-10 and worst_mass < 1e-9,
+        "details": {
+            "max_pointwise_error": worst_err,
+            "max_mass_defect": worst_mass,
+        },
+    }
 
 
 def _polar_duality_by_objects(ctx):
@@ -648,6 +683,7 @@ class TestRowRoutes:
             ("density.normalization_cross_check", _normalization_by_objects),
             ("density.quantile_cdf_round_trip", _round_trip_by_objects),
             ("density.cdf_monotone_lipschitz", _lipschitz_by_objects),
+            ("density.binomial_reconstruction", _binomial_by_objects),
             ("spaces.polar_duality_identity", _polar_duality_by_objects),
             ("spaces.profile_monotone_inverse", _monotone_inverse_by_objects),
         ],
@@ -661,10 +697,9 @@ class TestRowRoutes:
             states = [[g.bit_generator.state for g in spy.handed] for spy in (rows, objects)]
             assert states[0] == states[1], seed
 
-    def test_verify_epoch_makes_fifteen_checked_scalar_folds(self, monkeypatch):
-        # binomial_decompose takes a density, one per power, and the sphere
-        # bound of sphere_dominance is one needle per dimension; every other
-        # check folds its needles as rows
+    def test_verify_epoch_makes_two_checked_scalar_folds(self, monkeypatch):
+        # the sphere bound of sphere_dominance is one needle per dimension;
+        # every other check folds its needles as rows
         import needle_iso.densities as densities
 
         checks = {fn.__code__: name for name, fn in _CHECKS.items()}
@@ -682,4 +717,4 @@ class TestRowRoutes:
 
         monkeypatch.setattr(densities, "_fold", counted)
         run_property_suite("all", SEED)
-        assert counts == {"density.binomial_reconstruction": 13, "needle.sphere_dominance": 2}
+        assert counts == {"needle.sphere_dominance": 2}

@@ -18,9 +18,14 @@ from needle_iso import (
     batch_affine_sep,
     batch_sep,
     batch_trig_sep,
+    catalog,
+    enlarged_volume,
     normalize,
+    profile_cdf,
+    profile_quantile,
     sep_1d,
     sep_1d_bruteforce,
+    space_by_name,
     sphere_needle_bound,
 )
 from needle_iso.separation import _extreme_gap
@@ -29,6 +34,9 @@ HALF_PI = math.pi / 2
 COS = normalize(TrigDensity(m=1, k=0, interval=Interval(-HALF_PI, HALF_PI)))
 UNIFORM = normalize(TrigDensity(m=0, k=0, interval=Interval(0.0, 1.0)))
 SIN = normalize(TrigDensity(m=0, k=1, interval=Interval(0.0, HALF_PI)))
+SIN_GRID = SIN.interval.grid(257)
+RP3 = space_by_name("rp3")
+RP3_BALL = catalog(RP3)[0]
 
 
 class TestMassPair:
@@ -69,6 +77,41 @@ class TestScalarRule:
     def test_non_numbers_raise_out_of_domain(self, call):
         with pytest.raises(OutOfDomain):
             call()
+
+
+class TestArrayRule:
+    # mass, angle and exponent arrays take the scalar rule's numbers: each of
+    # these once parsed its string or read True as 1.0
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: profile_quantile(RP3_BALL, RP3, "0.3"),
+            lambda: batch_trig_sep(1, 0, -1.0, 1.0, "0.3", "0.6"),
+            lambda: enlarged_volume(RP3_BALL, RP3, "0.3", 0.1),
+            lambda: profile_quantile(RP3_BALL, RP3, True),
+            lambda: profile_quantile(RP3_BALL, RP3, np.array([0.3, 0.5]) > 0.4),
+            lambda: profile_cdf(RP3_BALL, RP3, "0.3"),
+            lambda: batch_sep(COS, [0.3, 0.4], None),
+            lambda: batch_trig_sep("1", 0, -1.0, 1.0, 0.3, 0.6),
+            lambda: batch_affine_sep(0.2, 2, 0.0, np.array(["1.0"]), 0.3, 0.6),
+            lambda: TrigDensity(m=True, k=0, interval=Interval(0.0, 1.0)),
+        ],
+        ids=["string-fraction", "string-masses", "string-volume", "bool-fraction",
+             "bool-array-fractions", "string-radius", "none-mass", "string-exponent",
+             "string-interval-end", "bool-exponent"],
+    )
+    def test_non_numbers_raise_out_of_domain(self, call):
+        with pytest.raises(OutOfDomain):
+            call()
+
+    def test_lists_numpy_ints_and_float32_keep_their_values(self):
+        q = profile_quantile(RP3_BALL, RP3, 0.3)
+        assert profile_quantile(RP3_BALL, RP3, [0.3]).tolist() == [q]
+        assert profile_quantile(RP3_BALL, RP3, np.int64(1)) == profile_quantile(RP3_BALL, RP3, 1.0)
+        assert profile_cdf(RP3_BALL, RP3, np.float32(0.5)) == profile_cdf(RP3_BALL, RP3, 0.5)
+        sep = batch_trig_sep(1, 0, -1.0, 1.0, 0.25, 0.5)
+        assert batch_trig_sep(np.int32(1), np.uint8(0), [-1], [1], [0.25], np.float32(0.5)) == [sep]
+        assert batch_sep(COS, [0.25], [0.5]).tolist() == batch_sep(COS, 0.25, 0.5).reshape(1).tolist()
 
 
 class TestSep1d:
@@ -243,7 +286,7 @@ class TestBatchSep:
             normalize(TrigDensity(m=2, k=3, interval=Interval(0.1, 1.4))),
             normalize(TrigDensity(m=2.5, k=0, interval=Interval(-1.4, 1.2))),
             normalize(SinAffineDensity(phase=0.3, power=2.5, interval=Interval(-1.0, 1.5))),
-            TabulatedDensity.from_density(SIN, n=257),
+            TabulatedDensity(grid=SIN_GRID, values=SIN.pdf(SIN_GRID)),
             # an interior zero plateau: right intervals start at its far end
             normalize(TabulatedDensity(grid=[0.0, 0.5, 1.0, 1.5, 2.0], values=[1, 1, 0, 0, 1])),
         ],
