@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln
 
-from .errors import OutOfDomain, ZeroMass, _real_array
+from .errors import OutOfDomain, ZeroMass, _real_array, _real_scalar
 
 HALF_PI = math.pi / 2.0
 
@@ -260,8 +260,9 @@ class _DensityBase:
 
     def cdf(self, t):
         """Normalized mass of ``[lo, t]``, in [0, 1]; raises OutOfDomain for
-        ``t`` more than 1e-9 outside the interval."""
-        t = np.asarray(t, dtype=float)
+        ``t`` more than 1e-9 outside the interval, or that is not ints or
+        floats."""
+        t = _real_array(t, "abscissae")
         if not self.interval.contains(t):
             raise OutOfDomain(
                 f"abscissa outside [{self.interval.lo:.6g}, {self.interval.hi:.6g}]"
@@ -333,7 +334,7 @@ class TrigDensity(_NeedleDensity):
         self._build(self.m, self.k, 0.0)
 
     def pdf(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _real_array(t, "abscissae")
         out = _trig_pdf(self.m, self.k, t, 1.0 if self.norm is None else self.norm)
         return out if out.shape else float(out)
 
@@ -368,7 +369,7 @@ class SinAffineDensity(_NeedleDensity):
         self._build(self.power, 0.0, self.phase)
 
     def pdf(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _real_array(t, "abscissae")
         out = _trig_pdf(self.power, 0.0, t - self.phase, 1.0 if self.norm is None else self.norm)
         return out if out.shape else float(out)
 
@@ -440,7 +441,7 @@ class TabulatedDensity(_DensityBase):
         return self.grid[idx] + np.minimum(s, h)
 
     def pdf(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _real_array(t, "abscissae")
         scale = 1.0 if self.norm is None else self.norm
         out = scale * np.interp(t, self.grid, self.values)
         return out if out.shape else float(out)
@@ -471,20 +472,19 @@ def normalize(density):
     return out
 
 
-def _field(rec, name, convert=float):
-    """``convert(rec[name])``, raising ``OutOfDomain`` that names the field
-    when it is missing or does not convert."""
+def _field(rec, name, convert=_real_scalar):
+    """``convert(rec[name])`` by the scalar rule, or the array rule for
+    ``convert=_real_array``; ``OutOfDomain`` names the field when it is
+    missing or is not ints or floats (a bool, a string or None never is)."""
     if name not in rec:
         raise OutOfDomain(f"density record has no {name!r} field")
-    try:
-        return convert(rec[name])
-    except (TypeError, ValueError):
-        raise OutOfDomain(f"density field {name!r} must be numeric, got {rec[name]!r}") from None
+    return convert(rec[name], f"density field {name!r}")
 
 
 def density_from_dict(rec):
-    """Rebuild a normalized density from its JSON record.  A missing or
-    non-numeric field raises ``OutOfDomain`` naming it."""
+    """Rebuild a normalized density from its JSON record.  A missing field,
+    or one that is not an int or a float (ints or floats for ``grid`` and
+    ``values``), raises ``OutOfDomain`` naming it."""
     fam = rec.get("family")
     interval = Interval(_field(rec, "lo"), _field(rec, "hi"))
     if fam == "trig":
@@ -494,9 +494,7 @@ def density_from_dict(rec):
             phase=_field(rec, "phase"), power=_field(rec, "power"), interval=interval
         )
     elif fam == "tabulated":
-        grid, values = (
-            _field(rec, name, lambda v: np.array(v, dtype=float)) for name in ("grid", "values")
-        )
+        grid, values = (_field(rec, name, _real_array) for name in ("grid", "values"))
         d = TabulatedDensity(grid=grid, values=values)
         if interval != d.interval:
             raise OutOfDomain(

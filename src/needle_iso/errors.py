@@ -63,8 +63,12 @@ def _real_scalar(value, name):
 def _real_array(value, name):
     """``value`` as a float64 array: ints or floats (Python or numpy, any
     shape; numeric dtype kinds ``i``, ``u`` and ``f``), else OutOfDomain --
-    so a bool, a string, None or an object array is never read as a number."""
-    arr = np.asarray(value)
+    so a bool, a string, None, a ragged sequence or an object array is never
+    read as a number."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        raise OutOfDomain(f"{name} must be ints or floats, got {value!r}") from None
     if arr.dtype.kind not in "iuf":
         raise OutOfDomain(f"{name} must be ints or floats, got dtype {arr.dtype}")
     return arr.astype(float, copy=False)

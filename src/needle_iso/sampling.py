@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import HALF_PI
-from .errors import OutOfDomain, _require_count
+from .errors import OutOfDomain, _real_array, _require_count
 
 _MC_CHUNK = 1 << 14
 
@@ -71,35 +71,58 @@ def mc_cap_mass(n, cap_radius, samples, rng, stream=0, threads=1):
     every radius, and ``estimate`` and ``stderr`` are arrays of its shape,
     each entry bit for bit that radius's own call.  Raises ``OutOfDomain``
     for a dimension, sample count or thread count that is not an integer >=
-    1, for a ``stream`` or seed that is not an integer >= 0, and for any
-    radius that is not finite or lies outside [0, pi].
+    1, for a ``stream`` or seed that is not an integer >= 0, for radii that
+    are not ints or floats (a bool or a string is not a radius), and for
+    any radius that is not finite or lies outside [0, pi].
     """
-    _require_count(n, "sphere dimension", 1)
+    radii = _real_array(cap_radius, "cap radii")
+    (est,) = _mc_cap_masses((n,), (radii,), samples, rng, stream, threads)
+    if radii.ndim == 0:
+        est["estimate"], est["stderr"] = float(est["estimate"]), float(est["stderr"])
+    return est
+
+
+def _mc_cap_masses(dims, radii, samples, rng, stream, threads):
+    """:func:`mc_cap_mass` on S^n for each ``n`` of ``dims`` at the float
+    radius array of the same place in ``radii``, as one result dict per
+    dimension, each bit for bit that dimension's own call: each chunk draws
+    its ``rows x (max n + 1)`` normals once, as one flat array, and S^n
+    reads its first ``rows x (n + 1)`` values as its ``(rows, n + 1)``
+    block.  The generator fills in order, so that prefix is the draw a
+    ``(rows, n + 1)`` call makes on the same substream."""
+    for n in dims:
+        _require_count(n, "sphere dimension", 1)
     _require_count(samples, "samples", 1)
     _require_count(threads, "threads", 1)
     _require_count(stream, "stream", 0)
-    radii = np.asarray(cap_radius, dtype=float)
-    if not np.all((radii >= 0.0) & (radii <= math.pi)):  # NaN compares false
-        raise OutOfDomain(f"cap radii must be finite and lie in [0, pi], got {cap_radius!r}")
+    for r in radii:
+        if not np.all((r >= 0.0) & (r <= math.pi)):  # NaN compares false
+            raise OutOfDomain(f"cap radii must be finite and lie in [0, pi], got {r!r}")
     spec = as_rng_spec(rng)
-    cos_r = np.array([math.cos(r) for r in radii.ravel()])[:, None]
+    cos_r = [np.array([math.cos(x) for x in r.ravel()])[:, None] for r in radii]
+    width = max(dims) + 1
     chunks = list(enumerate(range(0, samples, _MC_CHUNK)))
 
     def count_chunk(chunk):
         chunk_idx, start = chunk
-        gen = spec.generator(stream, chunk_idx)
-        x = gen.standard_normal((min(_MC_CHUNK, samples - start), n + 1))
-        sq = x[:, 0] * x[:, 0]
-        for j in range(1, n + 1):
-            sq += x[:, j] * x[:, j]
-        return np.count_nonzero(x[:, 0] >= cos_r * np.sqrt(sq), axis=1)
+        rows = min(_MC_CHUNK, samples - start)
+        flat = spec.generator(stream, chunk_idx).standard_normal(rows * width)
+        counts = []
+        for n, c in zip(dims, cos_r):
+            x = flat[: rows * (n + 1)].reshape(rows, n + 1)
+            sq = x[:, 0] * x[:, 0]
+            for j in range(1, n + 1):
+                sq += x[:, j] * x[:, j]
+            counts.append(np.count_nonzero(x[:, 0] >= c * np.sqrt(sq), axis=1))
+        return counts
 
-    hits = sum(deterministic_map(count_chunk, chunks, threads=threads)).reshape(radii.shape)
-    p = hits / samples
-    stderr = np.sqrt(np.maximum(p * (1.0 - p), 1e-300) / samples)
-    if radii.ndim == 0:
-        p, stderr = float(p), float(stderr)
-    return {"estimate": p, "stderr": stderr, "samples": samples}
+    per_chunk = deterministic_map(count_chunk, chunks, threads=threads)
+    out = []
+    for r, hits in zip(radii, map(sum, zip(*per_chunk))):
+        p = hits.reshape(r.shape) / samples
+        stderr = np.sqrt(np.maximum(p * (1.0 - p), 1e-300) / samples)
+        out.append({"estimate": p, "stderr": stderr, "samples": samples})
+    return out
 
 
 def _affine_draws(gen, count, length_cap, p_range, min_length):

@@ -26,7 +26,7 @@ from .cross_spaces import (
 )
 from .errors import NotApplicable, OutOfDomain, _real_scalar
 from .needle_bound import _csv, cross_needle_bound, sphere_needle_bound
-from .sampling import RngSpec, mc_cap_mass
+from .sampling import RngSpec, _mc_cap_masses
 from .separation import MassPair, as_mass_pair
 
 _TIE_TOL = 1e-10
@@ -261,24 +261,36 @@ def check_main_inequality(space, masses, mc_samples=100000, seed=0, threads=1):
     Carlo oracle re-estimates the cap masses from uniform sphere samples and
     must agree with the closed-form masses within three standard errors.
     """
-    return _check_main_inequalities(space, [masses], mc_samples, seed, threads)[0]
+    return _check_main_inequalities([space], [masses], mc_samples, seed, threads)[0][0]
 
 
-def _check_main_inequalities(space, mass_pairs, mc_samples, seed, threads):
-    """:func:`check_main_inequality` for each of ``mass_pairs``, each report
-    equal to the one-pair call: one quantile call gives every cap radius,
-    and the k1 caps of all pairs share the draws of stream 0 and the k2
-    caps those of stream 1, one :func:`mc_cap_mass` call each."""
-    if space.family != SPHERE or space.dim not in (2, 3):
-        raise NotApplicable("the antipodal-cap witness is implemented for S^2, S^3")
+def _check_main_inequalities(spaces, mass_pairs, mc_samples, seed, threads):
+    """:func:`check_main_inequality` for each of ``spaces`` at each of
+    ``mass_pairs``, as one list of reports per space, each report equal to
+    the one-pair call: one quantile call per space gives every cap radius,
+    and the k1 caps of all spaces and pairs share the draws of stream 0 and
+    the k2 caps those of stream 1, one :func:`sampling._mc_cap_masses` call
+    each, which draws each chunk once at the widest sphere's width."""
+    for space in spaces:
+        if space.family != SPHERE or space.dim not in (2, 3):
+            raise NotApplicable("the antipodal-cap witness is implemented for S^2, S^3")
     mps = [as_mass_pair(p) for p in mass_pairs]
-    n = space.dim
     targets = np.array([[mp.k1, mp.k2] for mp in mps]).reshape(-1, 2)
-    radii = profile_quantile(catalog(space)[0], space, targets)
+    radii = [profile_quantile(catalog(space)[0], space, targets) for space in spaces]
+    dims = [space.dim for space in spaces]
     ests = [
-        mc_cap_mass(n, radii[:, stream], mc_samples, RngSpec(seed), stream=stream, threads=threads)
+        _mc_cap_masses(dims, [r[:, stream] for r in radii], mc_samples, RngSpec(seed), stream, threads)
         for stream in (0, 1)
     ]
+    return [
+        _main_inequality_reports(n, mps, r, est, mc_samples)
+        for n, r, est in zip(dims, radii, zip(*ests))
+    ]
+
+
+def _main_inequality_reports(n, mps, radii, ests, mc_samples):
+    """The S^n report of each of ``mps``, from its cap ``radii`` (pair x
+    stream) and the Monte Carlo estimates ``ests`` of streams 0 and 1."""
     reports = []
     for i, mp in enumerate(mps):
         gap = max(0.0, math.pi - float(radii[i, 0]) - float(radii[i, 1]))

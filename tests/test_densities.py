@@ -90,6 +90,22 @@ class TestDomainValidation:
         d = normalize(SinAffineDensity(phase=3.0, power=0.0, interval=Interval(0.0, 1.0)))
         assert d.cdf(0.25) == pytest.approx(0.25, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "density",
+        [
+            normalize(TrigDensity(m=1, k=1, interval=Interval(0.0, 1.5))),
+            normalize(SinAffineDensity(phase=0.2, power=2, interval=Interval(0.0, 1.5))),
+            normalize(TabulatedDensity(grid=(0.0, 0.5, 1.5), values=(0.1, 1.0, 0.3))),
+        ],
+    )
+    @pytest.mark.parametrize("t", ["0.3", True, None, [0.3, "0.4"]])
+    def test_abscissae_must_be_ints_or_floats(self, density, t):
+        # the trig cdf used to read "0.3" as 0.3 (0.0878) and True as 1.0
+        # (0.7116), and its pdf "0.3" as 0.3
+        for method in (density.cdf, density.pdf):
+            with pytest.raises(OutOfDomain, match="abscissae must be ints or floats"):
+                method(t)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_exponents_must_be_finite_and_nonnegative(self, bad):
         # a NaN or infinite exponent used to raise ZeroMass
@@ -547,10 +563,14 @@ class TestSerialization:
             ({"family": "affine", "lo": 0, "hi": 1, "phase": None, "power": 2}, "phase"),
             ({"family": "trig", "lo": [0], "hi": 1, "m": 1, "k": 1}, "lo"),
             ({"family": "tabulated", "lo": 0, "hi": 1, "grid": [0, 1], "values": ["a", 1]}, "values"),
+            ({"family": "trig", "lo": 0, "hi": 1, "m": True, "k": 1}, "m"),
+            ({"family": "affine", "lo": 0, "hi": "1", "phase": 0.0, "power": 2}, "hi"),
+            ({"family": "tabulated", "lo": 0, "hi": 1, "grid": [0, [1]], "values": [1, 1]}, "grid"),
         ],
     )
     def test_non_numeric_field_is_named(self, rec, field):
-        # "x" used to raise a ValueError outside the library's error family
+        # "x" used to raise a ValueError outside the library's error family,
+        # and a bool (a JSON true) was read as 1.0
         with pytest.raises(OutOfDomain, match=f"'{field}'"):
             density_from_dict(rec)
 

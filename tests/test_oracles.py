@@ -16,6 +16,7 @@ from needle_iso import (
     RngSpec,
     SinAffineDensity,
     TrigDensity,
+    batch_affine_sep,
     batch_trig_sep,
     binomial_decompose,
     catalog,
@@ -35,8 +36,9 @@ from needle_iso import (
 from needle_iso.concavity import _product_margin
 from needle_iso.densities import _checked_fold, _trig_pdf
 from needle_iso.oracles import _CHECKS, _Ctx, _suite_spaces, _trig_draw, suite_check_names
-from needle_iso.sampling import _affine_draws, as_rng_spec
-from needle_iso.separation import _extreme_gap
+from needle_iso.needle_bound import _sphere_family
+from needle_iso.sampling import _affine_draws, _mc_cap_masses, as_rng_spec
+from needle_iso.separation import _extreme_gap, _needle_gaps
 
 SEED = 42
 
@@ -126,6 +128,26 @@ class TestMcCapMass:
             assert one["estimate"] == many["estimate"][i]  # bitwise
             assert one["stderr"] == many["stderr"][i]
         assert many["estimate"][0] == 0.0 and many["estimate"][-1] == 1.0
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("samples", [16384, 40000, 100000])
+    def test_shared_width_kernel_matches_each_dimension_alone(self, samples, threads):
+        # one flat draw per chunk at the S^20 width serves S^1 to S^20, each
+        # reading its prefix, bit for bit what a draw at its own width gives
+        dims = tuple(range(1, 21))
+        gen = RngSpec(3).generator(0)
+        radii = [np.concatenate([[0.0, math.pi], gen.uniform(0.0, math.pi, 4)]) for _ in dims]
+        shared = _mc_cap_masses(dims, radii, samples, RngSpec(7), 1, threads)
+        for n, r, est in zip(dims, radii, shared):
+            own = mc_cap_mass(n, r, samples, RngSpec(7), stream=1, threads=threads)
+            assert np.array_equal(est["estimate"], own["estimate"]), n
+            assert np.array_equal(est["stderr"], own["stderr"]), n
+
+    @pytest.mark.parametrize("radius", ["0.5", True, None, [1.0, "0.5"], [[1.0], [1.0, 2.0]]])
+    def test_radius_must_be_ints_or_floats(self, radius):
+        # "0.5" used to read as 0.5 and True as 1.0
+        with pytest.raises(OutOfDomain, match="cap radii must be ints or floats"):
+            mc_cap_mass(2, radius, 1000, RngSpec(1))
 
     @pytest.mark.parametrize("radius", [7.0, math.nan, math.inf, -1.0])
     def test_radius_outside_zero_to_pi_rejected(self, radius):
@@ -674,8 +696,8 @@ class _SpecSpy:
 class TestRowRoutes:
     """The density checks that read their needles as parameter rows, and
     the spaces checks that read the cached catalog records, against the
-    density objects and per-candidate profile calls they replaced; and the
-    checked scalar folds a verify epoch has left."""
+    density objects and per-candidate profile calls they replaced; and that
+    a verify epoch folds no scalar needle."""
 
     @pytest.mark.parametrize(
         "name, by_objects",
@@ -697,9 +719,19 @@ class TestRowRoutes:
             states = [[g.bit_generator.state for g in spy.handed] for spy in (rows, objects)]
             assert states[0] == states[1], seed
 
-    def test_verify_epoch_makes_two_checked_scalar_folds(self, monkeypatch):
-        # the sphere bound of sphere_dominance is one needle per dimension;
-        # every other check folds its needles as rows
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sphere_dominance_reads_the_cached_sphere_needle(self, n):
+        # the sphere bound's cached record gives the bits of the sphere
+        # needle folded afresh at each call
+        gen = RngSpec(SEED).generator(0)
+        k1 = gen.uniform(0.02, 0.5, 1000)
+        k2 = gen.uniform(0.5, 1.0 - k1)
+        cached = _needle_gaps(_sphere_family(n).needle, k1, k2)[2]
+        assert np.array_equal(cached, batch_affine_sep(0.0, float(n - 1), -math.pi / 2, math.pi / 2, k1, k2))
+
+    def test_verify_epoch_folds_no_scalar_needle(self, monkeypatch):
+        # every check folds its needles as rows, and sphere_dominance reads
+        # the sphere bound's cached needles
         import needle_iso.densities as densities
 
         checks = {fn.__code__: name for name, fn in _CHECKS.items()}
@@ -717,4 +749,4 @@ class TestRowRoutes:
 
         monkeypatch.setattr(densities, "_fold", counted)
         run_property_suite("all", SEED)
-        assert counts == {"needle.sphere_dominance": 2}
+        assert counts == {}

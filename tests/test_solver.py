@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -9,6 +10,7 @@ from needle_iso import (
     CrossSpace,
     NotApplicable,
     OutOfDomain,
+    RngSpec,
     SolveRequest,
     catalog,
     check_main_inequality,
@@ -23,14 +25,15 @@ from needle_iso import (
     solve_with_complement_reduction,
     space_by_name,
 )
-from needle_iso import solver
+from needle_iso import oracles, solver
 from needle_iso.cli import main
 from needle_iso.cross_spaces import _enlarged_difference
-from needle_iso.oracles import report_to_json, run_property_suite
+from needle_iso.oracles import _CHECKS, _Ctx, report_to_json, run_property_suite
 from mp_reference import _mp_crossover
 
 HALF_PI = math.pi / 2
 S2 = CrossSpace.sphere(2)
+S3 = CrossSpace.sphere(3)
 RP3 = CrossSpace.real_projective(3)
 CP2 = CrossSpace.complex_projective(2)
 
@@ -138,6 +141,24 @@ RP3_BALL = catalog(RP3)[0]
 def test_untyped_inputs_are_out_of_domain(call):
     with pytest.raises(OutOfDomain):
         call()
+
+
+def _record_fills(monkeypatch):
+    """Every Gaussian fill the generators of ``RngSpec`` make, as
+    ``(spawn key, count)`` in call order."""
+    fills = []
+    generator = RngSpec.generator
+
+    class Recording:
+        def __init__(self, gen, key):
+            self.gen, self.key = gen, key
+
+        def standard_normal(self, size):
+            fills.append((self.key, size))
+            return self.gen.standard_normal(size)
+
+    monkeypatch.setattr(RngSpec, "generator", lambda self, *key: Recording(generator(self, *key), key))
+    return fills
 
 
 def _count_needle_checks(monkeypatch):
@@ -416,28 +437,64 @@ class TestMainInequality:
         with pytest.raises(NotApplicable):
             check_main_inequality(RP3, (0.3, 0.5))
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("spaces", [[S2], [S3], [S2, S3]])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_many_pairs_share_draws_and_match_one_call_per_pair(self, n, threads):
-        space = CrossSpace.sphere(n)
+    def test_many_pairs_share_draws_and_match_one_call_per_pair(self, spaces, threads):
         pairs = [(0.3, 0.5), (0.25, 0.5), (0.5, 0.5), (0.1, 0.8), (0.6, 0.2)]
-        many = solver._check_main_inequalities(space, pairs, 20000, 11, threads)
-        assert len(many) == len(pairs)
-        for pair, rep in zip(pairs, many):
-            one = check_main_inequality(space, pair, mc_samples=20000, seed=11, threads=threads)
-            assert json.dumps(rep, sort_keys=True) == json.dumps(one, sort_keys=True)
+        many = solver._check_main_inequalities(spaces, pairs, 20000, 11, threads)
+        assert len(many) == len(spaces)
+        for space, reps in zip(spaces, many):
+            assert len(reps) == len(pairs)
+            for pair, rep in zip(pairs, reps):
+                one = check_main_inequality(space, pair, mc_samples=20000, seed=11, threads=threads)
+                assert json.dumps(rep, sort_keys=True) == json.dumps(one, sort_keys=True)
 
     def test_many_pairs_draw_once_per_stream(self, monkeypatch):
-        calls = []
-        original = solver.mc_cap_mass
+        # one fill per (stream, chunk) serves every pair, at the sphere's own width
+        fills = _record_fills(monkeypatch)
+        solver._check_main_inequalities([S2], [(0.3, 0.5), (0.25, 0.5), (0.2, 0.6)], 5000, 3, 1)
+        assert fills == [((0, 0), 5000 * 3), ((1, 0), 5000 * 3)]
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["stream"])
-            return original(*args, **kwargs)
+    def test_two_spheres_draw_once_per_stream_at_the_wider_width(self, monkeypatch):
+        fills = _record_fills(monkeypatch)
+        solver._check_main_inequalities([S2, S3], [(0.3, 0.5), (0.25, 0.5)], 40000, 3, 1)
+        rows = [16384, 16384, 40000 - 2 * 16384]
+        assert fills == [((stream, c), r * 4) for stream in (0, 1) for c, r in enumerate(rows)]
 
-        monkeypatch.setattr(solver, "mc_cap_mass", counting)
-        solver._check_main_inequalities(S2, [(0.3, 0.5), (0.25, 0.5), (0.2, 0.6)], 5000, 3, 1)
-        assert calls == [0, 1]
+    def test_seed_42_solver_group_makes_28_fills(self, monkeypatch):
+        # the S^2 + S^3 batch draws each of the 14 substreams once at width
+        # 4, and request_determinism's one-pair S^2 call once at width 3
+        fills = _record_fills(monkeypatch)
+        run_property_suite("solver", 42)
+        assert len(fills) == 28
+        assert collections.Counter(key for key, _ in fills) == {
+            (stream, c): 2 for stream in (0, 1) for c in range(7)
+        }
+        assert sum(size for _, size in fills) == 2 * 100000 * 4 + 2 * 100000 * 3
+
+    @pytest.mark.parametrize("perturb", ["substream", "ulp"])
+    def test_request_determinism_compares_two_routes(self, monkeypatch, perturb):
+        # the one-pair route drawing from other substreams, or one ulp off
+        # in one estimate, fails the check: it is not a call compared with itself
+        check = _CHECKS["solver.request_determinism"]
+        assert check(_Ctx(RngSpec(42), 1, 20000))["passed"]
+        if perturb == "substream":
+            kernel = solver._mc_cap_masses
+
+            def one_sphere_elsewhere(dims, radii, samples, rng, stream, threads):
+                return kernel(dims, radii, samples, rng, stream + 2 * (len(dims) == 1), threads)
+
+            monkeypatch.setattr(solver, "_mc_cap_masses", one_sphere_elsewhere)
+        else:
+            route = oracles.check_main_inequality
+
+            def nudged(*args, **kwargs):
+                rep = route(*args, **kwargs)
+                rep["mc"]["cap1"]["estimate"] = math.nextafter(rep["mc"]["cap1"]["estimate"], 1.0)
+                return rep
+
+            monkeypatch.setattr(oracles, "check_main_inequality", nudged)
+        assert not check(_Ctx(RngSpec(42), 1, 20000))["passed"]
 
 
 class TestRealization:
