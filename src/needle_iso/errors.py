@@ -64,11 +64,21 @@ def _real_array(value, name):
     """``value`` as a float64 array: ints or floats (Python or numpy, any
     shape; numeric dtype kinds ``i``, ``u`` and ``f``), else OutOfDomain --
     so a bool, a string, None, a ragged sequence or an object array is never
-    read as a number."""
+    read as a number, nor is a sequence holding one (numpy reads
+    ``[True, 1]`` as ints)."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged sequence
         raise OutOfDomain(f"{name} must be ints or floats, got {value!r}") from None
     if arr.dtype.kind not in "iuf":
         raise OutOfDomain(f"{name} must be ints or floats, got dtype {arr.dtype}")
+    if arr.ndim and not isinstance(value, np.ndarray) and _holds_bool(value):
+        raise OutOfDomain(f"{name} must be ints or floats, got {value!r}")
     return arr.astype(float, copy=False)
+
+
+def _holds_bool(seq):
+    """Whether a sequence (nested or not) holds a bool: a Python or numpy
+    bool, or a bool array."""
+    items = np.asarray(seq, dtype=object).flat
+    return any(isinstance(x, bool) or getattr(x, "dtype", None) == bool for x in items)

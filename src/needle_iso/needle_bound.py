@@ -19,12 +19,19 @@ from types import MappingProxyType
 import numpy as np
 
 from .cross_spaces import SPHERE, _integer
-from .densities import HALF_PI, Interval, SinAffineDensity, _checked_fold, _fold, normalize
+from .densities import HALF_PI, Interval, SinAffineDensity, _checked_fold, _fold, _needle_quantile, normalize
 from .errors import HypothesisViolated, NotApplicable, OutOfDomain, _require_count
 from .sampling import RngSpec, _affine_draws
 from .separation import _as_masses, _needle_gaps, as_mass_pair
 
 _TIE_TOL = 1e-12
+# A grid's quantile table holds each needle's quantile at the masses j / 128,
+# j = 0..128: exact in binary, so a target's bracket is the floor of 128 q.
+_STEPS = 128
+# How far a bracket's bounds are widened, in radians: a quantile inside its
+# bracket lies between the tabulated ends up to the kernel's rounding, about
+# 1e-14, so this slack is ample.
+_SLACK = 1e-10
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,8 +97,9 @@ def _params(**labels):
 
 # What every needle bound reads of its family: the sorted ``pairs``, the
 # ``needle`` record of the folded ones, each pair's ``column`` in that record,
-# and the ``ties`` tuples met so far, by the bytes of their indices into ``pairs``.
-_Family = namedtuple("_Family", "pairs needle column ties")
+# the ``ties`` tuples met so far, by the bytes of their indices into ``pairs``,
+# and the quantile ``table`` of the folded needles (None: evaluate them all).
+_Family = namedtuple("_Family", "pairs needle column ties table")
 
 
 def _family(pairs, folded, lo, hi):
@@ -104,7 +112,7 @@ def _family(pairs, folded, lo, hi):
     needle = _fold(*np.array(folded, dtype=float).T, lo, hi)
     for arr in (*needle, column):
         arr.flags.writeable = False
-    return _Family(pairs, needle, column, {})
+    return _Family(pairs, needle, column, {}, None)
 
 
 @functools.lru_cache(maxsize=64)
@@ -118,20 +126,60 @@ def _exponent_grid(low, top, diameter):
     """The grid of pairs ``(m, k)`` with ``low <= m + k <= top``, built once
     and read-only: one ``_fold`` of the ``m <= k`` half on ``[0, diameter]``
     serves every pair, since reflecting about pi/4 swaps ``m`` and ``k`` and
-    the two arrangements of the gap rule, so ``sep(m, k) == sep(k, m)``."""
+    the two arrangements of the gap rule, so ``sep(m, k) == sep(k, m)``.
+    Its ``table`` holds each folded needle's quantile at the masses
+    ``j / 128``, a (129 x needle) array from one quantile call."""
     pairs = tuple(sorted((total - k, k) for total in range(low, top + 1) for k in range(total + 1)))
-    return _family(pairs, tuple(p for p in pairs if p[0] <= p[1]), 0.0, diameter)
+    family = _family(pairs, tuple(p for p in pairs if p[0] <= p[1]), 0.0, diameter)
+    table = _needle_quantile(family.needle, np.arange(_STEPS + 1)[:, None] / _STEPS)
+    table.flags.writeable = False
+    return family._replace(table=table)
+
+
+def _candidates(table, k1, k2):
+    """Which needles of a quantile ``table`` can reach the maximum separation
+    at each mass pair ``(k1, k2)``, or tie with it: a (mass pair x needle)
+    mask.  Each of the gap rule's four targets lies between two adjacent
+    tabulated masses, so its quantile lies between their quantiles; that
+    bounds each needle's separation above and below, each widened by the
+    slack and clamped at 0.  A needle is dropped when its upper bound is
+    below the row's best lower bound less the tie tolerance, so it is
+    neither the maximum nor a tie.  The test is ``not (upper < threshold)``:
+    a NaN anywhere keeps the needles it touches."""
+    q = np.array([k1, 1.0 - k2, k2, 1.0 - k1])
+    j = np.minimum((q * _STEPS).astype(np.intp), _STEPS - 1)
+    below, above = table[j], table[j + 1]
+    upper = np.maximum(np.maximum(above[1] - below[0], above[3] - below[2]) + _SLACK, 0.0)
+    lower = np.maximum(np.maximum(below[1] - above[0], below[3] - above[2]) - _SLACK, 0.0)
+    return ~(upper < np.max(lower, axis=1, keepdims=True) - _TIE_TOL)
+
+
+def _family_seps(family, k1, k2):
+    """The (mass pair x folded needle) table of separations at the masses
+    ``k1``, ``k2`` (1-D): with a quantile table, only the :func:`_candidates`
+    go through the kernel, on a sub-record of the fold, and every other
+    entry is -inf; without one, every needle does.  Each entry has the bits
+    of the full pass, since the kernel is elementwise."""
+    if family.table is None:
+        return _needle_gaps(family.needle, k1[:, None], k2[:, None])[2]
+    rows, cols = np.nonzero(_candidates(family.table, k1, k2))
+    # a list, not a generator: a tuple built from a generator is resized, so
+    # the freed one never returns to the free list it would be reused from
+    sub = family.needle._make([f[cols] for f in family.needle])
+    seps = np.full((k1.size, family.table.shape[1]), -np.inf)
+    seps[rows, cols] = _needle_gaps(sub, k1[rows], k2[rows])[2]
+    return seps
 
 
 def _family_bounds(family, name, params, mps):
     """The bound over ``family`` for each of the mass pairs ``mps``, in that
-    order: one quantile pass gives the (mass pair x folded needle) table of
-    separations, one fancy index spreads it onto every pair, and a row's
+    order: :func:`_family_seps` gives the (mass pair x folded needle) table
+    of separations, one fancy index spreads it onto every pair, and a row's
     ties are its entries within 1e-12 of its maximum, in family order, as
     the family's one tuple for that tie set (``pairs`` when all tie)."""
-    k1 = np.array([mp.k1 for mp in mps])[:, None]
-    k2 = np.array([mp.k2 for mp in mps])[:, None]
-    seps = _needle_gaps(family.needle, k1, k2)[2][:, family.column]
+    k1 = np.array([mp.k1 for mp in mps])
+    k2 = np.array([mp.k2 for mp in mps])
+    seps = _family_seps(family, k1, k2)[:, family.column]
     best = np.max(seps, axis=1)
     results = []
     for row, b, mp in zip(seps, best, mps):
@@ -165,7 +213,10 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
 
     Each grid's ``m <= k`` half is folded once per process and cached
     (:func:`_exponent_grid`), and mirrored onto the whole grid, so twins
-    ``(m, k)`` and ``(k, m)`` carry the same bits.
+    ``(m, k)`` and ``(k, m)`` carry the same bits.  The grid's cached
+    quantile table brackets every needle's separation, and only the needles
+    that can reach a pair's maximum or tie with it are evaluated
+    (:func:`_candidates`): the bound and ties are those of the whole grid.
     """
     if space.family == SPHERE:
         raise NotApplicable("use sphere_needle_bound for spheres")

@@ -12,6 +12,7 @@ from needle_iso import (
     Interval,
     OutOfDomain,
     SinAffineDensity,
+    SolveRequest,
     TabulatedDensity,
     TrigDensity,
     ZeroMass,
@@ -20,6 +21,7 @@ from needle_iso import (
     densities,
     integrate,
     normalize,
+    solve_isoperimetric,
     trig_mass,
 )
 from needle_iso.needle_bound import _exponent_grid
@@ -387,22 +389,39 @@ class TestQuantileBatch:
 
     def test_cross_bound_work_count(self, monkeypatch):
         space = CrossSpace.cayley_plane()
-        _exponent_grid.cache_clear()  # so the first call folds its grid
+        _exponent_grid.cache_clear()  # so the first call folds its grid and fills its table
         inversions = _record_where(monkeypatch, "betaincinv")
         tails = _record_where(monkeypatch, "betainc")
+
+        def count(masks):
+            return sum(int(w.sum()) for w in masks)
+
         cross_needle_bound(space, (0.3, 0.6))
-        # only the m <= k half is evaluated; its mirror twins share its columns
+        # only the m <= k half is folded; its mirror twins share its columns
         n = sum(m <= k for m, k in self.PAIRS)
         assert n == 92
-        assert sum(int(w.sum()) for w in inversions) == 4 * n  # one per target
+        # the table takes one inversion per needle at each of its 129 masses;
+        # then only the 53 needles whose brackets can reach the maximum are
+        # evaluated, one inversion per target
+        assert count(inversions) == 129 * n + 4 * 53
         # the two tails at lo and hi, and the mass of [0, pi/4], per needle
-        assert sum(int(w.sum()) for w in tails) <= 2 * 3 * n
+        assert count(tails) <= 2 * 3 * n
+        inversions.clear()
         tails.clear()
-        cross_needle_bound(space, (0.2, 0.7))
+        cross_needle_bound(space, (0.3, 0.6))
+        assert count(inversions) == 4 * 53  # the table is cached with the fold
         assert not tails  # the grid's fold is cached
+        # a solve's closing check at (v, 1 - enlarged) evaluates 21 needles
+        res = solve_isoperimetric(SolveRequest(space, 0.3, 0.1))
+        inversions.clear()
+        tails.clear()
+        assert res.needle_bound_check["w"] == 1.0 - res.enlarged
+        assert count(inversions) == 4 * 21
+        assert not tails
         grid = _exponent_grid(15, 23, space.diameter)
         assert len(grid.pairs) == len(self.PAIRS)
-        assert not any(arr.flags.writeable for arr in (*grid.needle, grid.column))
+        assert grid.table.shape == (129, n)
+        assert not any(arr.flags.writeable for arr in (*grid.needle, grid.column, grid.table))
 
 
 class TestSinAffine:
@@ -566,6 +585,7 @@ class TestSerialization:
             ({"family": "trig", "lo": 0, "hi": 1, "m": True, "k": 1}, "m"),
             ({"family": "affine", "lo": 0, "hi": "1", "phase": 0.0, "power": 2}, "hi"),
             ({"family": "tabulated", "lo": 0, "hi": 1, "grid": [0, [1]], "values": [1, 1]}, "grid"),
+            ({"family": "tabulated", "lo": 0, "hi": 1, "grid": [0, 1], "values": [True, 1]}, "values"),
         ],
     )
     def test_non_numeric_field_is_named(self, rec, field):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import tracemalloc
@@ -34,7 +35,8 @@ from needle_iso import (
     sphere_needle_bound,
 )
 from needle_iso import needle_bound
-from needle_iso.needle_bound import _csv, _csv_row, _exponent_grid
+from needle_iso.needle_bound import _candidates, _csv, _csv_row, _exponent_grid, _family_bounds, _params
+from needle_iso.separation import _needle_gaps
 
 HALF_PI = math.pi / 2
 CP1 = CrossSpace.complex_projective(1)
@@ -203,6 +205,109 @@ class TestCrossBoundMirror:
         res = cross_needle_bound(CrossSpace.real_projective(3), (0.2, 0.5), max_total_power=10)
         assert res.ties == ((0, 2), (2, 0))
         assert res.bound == float(batch_trig_sep(0, 2, 0.0, HALF_PI, 0.2, 0.5))
+
+
+# every grid the library builds by default, and cp1's capped grid of the
+# cross-dominance check
+DEFAULT_GRIDS = (
+    [(f"rp{n}", None) for n in range(2, 11)]
+    + [(f"cp{n}", None) for n in range(1, 6)]
+    + [(f"hp{n}", None) for n in range(1, 4)]
+    + [("cap2", None), ("cp1", 8)]
+)
+
+
+def _pruning_masses(seed):
+    """Over 1000 mass pairs: straddling ones in both orders, complementary
+    ones exact and one ulp off each way, forced non-straddling ones, and
+    pairs at the masses 1e-12 and 1.0."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    a, b = np.maximum(gen.uniform(0.0, 0.5, 400), 1e-12), gen.uniform(0.5, 1.0, 400)
+    swap = gen.random(400) < 0.5
+    c = gen.uniform(0.001, 0.999, 100)
+    d = 1.0 - c
+    below = gen.uniform(1e-6, 0.5, (2, 100))
+    above = gen.uniform(np.nextafter(0.5, 1.0), 1.0, (2, 100))
+    u = gen.uniform(1e-6, 1.0, 50)
+    edge = np.array([1e-12, 0.5, 1.0])
+    k1 = [np.where(swap, b, a), c, c, c, *below[:1], *above[:1], np.full(50, 1e-12), u, np.repeat(edge, 3)]
+    k2 = [np.where(swap, a, b), d, np.nextafter(d, 0.0), np.nextafter(d, 1.0), *below[1:], *above[1:], u,
+          np.ones(50), np.tile(edge, 3)]
+    return np.concatenate(k1), np.concatenate(k2)
+
+
+class TestCrossBoundPruning:
+    """A cross bound evaluates only the needles its grid's quantile table
+    cannot rule out, and gets the bits and ties of the full pass over the
+    whole fold."""
+
+    @pytest.mark.parametrize("name, top", DEFAULT_GRIDS, ids=[f"{n}-{t}" for n, t in DEFAULT_GRIDS])
+    def test_equals_the_full_pass(self, name, top):
+        space = space_by_name(name)
+        k1, k2 = _pruning_masses(29)
+        assert k1.size >= 1000
+        results = cross_needle_bounds(space, zip(k1, k2), max_total_power=top, force=True)
+        grid = _exponent_grid(max(space.dim - 1, 1), results[0].params["max_total_power"], space.diameter)
+        full = _needle_gaps(grid.needle, k1[:, None], k2[:, None])[2][:, grid.column]
+        for res, row in zip(results, full):
+            best = row.max()
+            assert res.bound == best  # bitwise
+            assert res.ties == tuple(grid.pairs[j] for j in np.flatnonzero(row >= best - 1e-12))
+        # the straddling pairs drop needles: the table is not idle
+        kept = _candidates(grid.table, k1[:400], k2[:400])
+        assert kept.sum() < 0.9 * kept.size
+
+    @pytest.mark.parametrize("low, top", sorted({(1, 8)} | {(max(d - 1, 1), d + 7) for d in range(2, 17)}))
+    def test_each_quantile_lies_in_its_bracket(self, low, top):
+        # the premise of the 1e-10 rad slack: a target's quantile lies between
+        # its bracket's tabulated ends to about 1e-14 (the kernel is monotone
+        # only to ulps), here at a few ulps about each table mass and at random
+        grid = _exponent_grid(low, top, HALF_PI)
+        node = np.arange(129)[:, None] / 128
+        q = (node + np.arange(-6, 7) * np.spacing(node)).ravel()
+        q = np.concatenate([q, np.random.default_rng(3).uniform(0.0, 1.0, 2000), [1e-12, 1.0 - 1e-12]])
+        q = q[(q >= 1e-12) & (q <= 1.0)]
+        t = needle_bound._needle_quantile(grid.needle, q[:, None])
+        j = np.minimum((q * 128).astype(int), 127)
+        assert (grid.table[j] - t).max() <= 1e-13
+        assert (t - grid.table[j + 1]).max() <= 1e-13
+
+    def test_a_nan_keeps_the_needles_it_touches(self):
+        cap2 = CrossSpace.cayley_plane()
+        grid = _exponent_grid(15, 23, cap2.diameter)
+        k1, k2 = np.array([0.3]), np.array([0.6])
+        expected = cross_needle_bounds(cap2, [(0.3, 0.6)])
+        dropped = int(np.flatnonzero(~_candidates(grid.table, k1, k2)[0])[0])
+        # the brackets of the targets k1, 1 - k2, k2 and 1 - k1
+        brackets = (np.array([0.3, 1.0 - 0.6, 0.6, 1.0 - 0.3]) * 128).astype(int)
+        for target, j in enumerate(brackets):
+            for side in (0, 1):
+                table = grid.table.copy()
+                table[j + side, dropped] = np.nan
+                keep = _candidates(table, k1, k2)[0]
+                # an end the lower bound reads makes the threshold NaN
+                assert keep.all() if (side == 0) == (target % 2 == 1) else keep[dropped]
+                nan_grid = grid._replace(table=table)
+                params = _params(space="cap2", max_total_power=23)
+                assert _family_bounds(nan_grid, "trig", params, [MassPair(0.3, 0.6)]) == expected
+        assert _candidates(np.full_like(grid.table, np.nan), k1, k2).all()
+
+    def test_calls_leave_no_cyclic_garbage(self):
+        cap2 = CrossSpace.cayley_plane()
+        cross_needle_bounds(cap2, [(0.3, 0.6), (0.2, 0.7)])  # fills the caches
+        sphere_needle_bound(5, (0.3, 0.6))
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for mp in [(0.3, 0.6), (0.2, 0.7)] * 20:
+                cross_needle_bound(cap2, mp)
+                sphere_needle_bound(5, mp)
+            cross_needle_bounds(cap2, [(0.3, 0.6), (0.2, 0.7)])
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _retained_bytes(make, args):

@@ -95,10 +95,15 @@ class TestArrayRule:
             lambda: batch_trig_sep("1", 0, -1.0, 1.0, 0.3, 0.6),
             lambda: batch_affine_sep(0.2, 2, 0.0, np.array(["1.0"]), 0.3, 0.6),
             lambda: TrigDensity(m=True, k=0, interval=Interval(0.0, 1.0)),
+            lambda: COS.cdf([True, 0.5]),
+            lambda: batch_trig_sep(1, 0, -1.0, 1.0, [True, 0.5], 0.6),
+            lambda: batch_trig_sep(1, 0, -1.0, 1.0, 0.3, [[0.6], [np.True_]]),
+            lambda: batch_trig_sep(1, 0, -1.0, 1.0, [np.array(True), 0.3], 0.6),
         ],
         ids=["string-fraction", "string-masses", "string-volume", "bool-fraction",
              "bool-array-fractions", "string-radius", "none-mass", "string-exponent",
-             "string-interval-end", "bool-exponent"],
+             "string-interval-end", "bool-exponent", "bool-mixed-abscissae",
+             "bool-mixed-masses", "numpy-bool-mixed-nested-masses", "bool-array-mixed-masses"],
     )
     def test_non_numbers_raise_out_of_domain(self, call):
         with pytest.raises(OutOfDomain):
@@ -112,6 +117,9 @@ class TestArrayRule:
         sep = batch_trig_sep(1, 0, -1.0, 1.0, 0.25, 0.5)
         assert batch_trig_sep(np.int32(1), np.uint8(0), [-1], [1], [0.25], np.float32(0.5)) == [sep]
         assert batch_sep(COS, [0.25], [0.5]).tolist() == batch_sep(COS, 0.25, 0.5).reshape(1).tolist()
+        # a sequence of numbers passes the bool check: numpy scalars of any kind
+        assert batch_trig_sep(1, 0, -1.0, 1.0, [np.float64(0.25), 1], (np.int8(1), 0.5)).tolist() == [
+            batch_trig_sep(1, 0, -1.0, 1.0, 0.25, 1.0), batch_trig_sep(1, 0, -1.0, 1.0, 1.0, 0.5)]
 
 
 class TestSep1d:
