@@ -80,14 +80,12 @@ def _fold_points(shift, mirrored, t):
     return far, np.where(far, math.pi - t, t)
 
 
-def _position(far, folded, low, up):
+def _position(far, folded, tail):
     """Mass of ``[0, t]`` in quarter masses, as ``whole + part``: ``part`` is
-    the one tail whose argument carries the digits (``sin^2`` below pi/4
-    within the quarter, ``cos^2`` above it), signed, and ``whole`` the
-    count of quarter masses it is measured from."""
-    upper = folded > math.pi / 4.0
-    flip = upper != far  # the tail is taken off the end of a quarter
-    tail = np.where(upper, up, low)
+    ``tail``, the one tail whose argument carries the digits (``sin^2``
+    below pi/4 within the quarter, ``cos^2`` above it), signed, and
+    ``whole`` the count of quarter masses it is measured from."""
+    flip = (folded > math.pi / 4.0) != far  # the tail is taken off the end of a quarter
     return np.add(far, flip, dtype=float), np.where(flip, -tail, tail)
 
 
@@ -123,7 +121,7 @@ def _fold(m, k, lo, hi):
     # the constant needle folds to nothing: it is measured in radians instead
     start = np.where(flat, lo, left[0])
     total = np.where(flat, hi - lo, total)
-    whole, part = _position(far[0], folded[0], low[0], up[0])
+    whole, part = _position(far[0], folded[0], np.where(folded[0] > math.pi / 4.0, up[0], low[0]))
     mass = np.where(flat, 1.0, 0.5 * np.exp(betaln(a, b))) * total
     # sin^2 = cos^2 = 1/2 exactly at pi/4, where the quantile's two forms meet
     quarter = betainc(a, b, 0.5)
@@ -163,9 +161,13 @@ def _needle_cdf(n, t):
     """Normalized mass of ``[lo, t]`` under needle ``n``, for ``t`` in
     ``[lo, hi]``: in [0, 1], exactly 0 up to ``lo`` and exactly 1 from ``hi``.
     Whole quarters and tails are differenced apart, so no tail loses digits
-    to a whole quarter."""
+    to a whole quarter.  Only the tail :func:`_position` reads is computed:
+    one ``betainc`` call, on ``(a, b, sin^2)`` below pi/4 and ``(b, a,
+    cos^2)`` above, the bits of the matching :func:`_tails` entry."""
     far, folded = _fold_points(n.shift, n.mirrored, t)
-    whole, part = _position(far, folded, *_tails(n.a, n.b, np.sin(folded) ** 2, np.cos(folded) ** 2))
+    upper = folded > math.pi / 4.0
+    x = np.where(upper, np.cos(folded), np.sin(folded)) ** 2
+    whole, part = _position(far, folded, betainc(np.where(upper, n.b, n.a), np.where(upper, n.a, n.b), x))
     mass = (whole - n.whole) + (part - n.part)
     # one clamp to [0, 1] whose bounds pin 1 from hi on and 0 up to lo
     return np.minimum(np.maximum(np.where(n.flat, t - n.lo, mass) / n.total, t >= n.hi), t > n.lo)
@@ -221,12 +223,13 @@ def _trig_pdf(m, k, t, scale):
 
 def _tabulate(grid, values):
     """The tabulated domain check, written once: ``grid`` and ``values`` as
-    float64 copies (no caller's array is aliased), 1-D of equal length >= 2,
+    float64 copies (no caller's array is aliased) of ints or floats, by the
+    array rule of ``errors._real_array``, 1-D of equal length >= 2,
     finite, the grid strictly increasing and the samples >= -1e-12 with
     rounding below 0 set to 0; any other input raises OutOfDomain.  Returns
     them with the cumulative trapezoid mass at each grid point."""
-    g = np.array(grid, dtype=float)
-    v = np.array(values, dtype=float)
+    g = np.array(_real_array(grid, "grid"))
+    v = np.array(_real_array(values, "values"))
     if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
         raise OutOfDomain("grid and values must be 1-D arrays of equal length >= 2")
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):

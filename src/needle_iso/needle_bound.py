@@ -12,6 +12,7 @@ case the result is flagged as heuristic.
 """
 
 import functools
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -22,12 +23,18 @@ from .cross_spaces import SPHERE, _integer
 from .densities import HALF_PI, Interval, SinAffineDensity, _checked_fold, _fold, _needle_quantile, normalize
 from .errors import HypothesisViolated, NotApplicable, OutOfDomain, _require_count
 from .sampling import RngSpec, _affine_draws
-from .separation import _as_masses, _needle_gaps, as_mass_pair
+from .separation import _as_masses, _finite_seps, _nan_sep, _needle_gaps, as_mass_pair
 
 _TIE_TOL = 1e-12
-# A grid's quantile table holds each needle's quantile at the masses j / 128,
-# j = 0..128: exact in binary, so a target's bracket is the floor of 128 q.
-_STEPS = 128
+# The masses of a grid's quantile table, strictly increasing and all exact in
+# binary: 0, the powers 2^-40 ... 2^-10, j / 512 for j = 1..511, their mirrors
+# 1 - 2^-10 ... 1 - 2^-40, and 1.  The powers bracket the small targets of
+# complement-reduced and forced mass pairs, and their mirrors the targets next
+# to 1, which a uniform grid leaves in its first and last cells.
+_MASSES = np.concatenate(
+    [[0.0], 2.0 ** np.arange(-40, -9), np.arange(1, 512) / 512, 1.0 - 2.0 ** np.arange(-10, -41, -1), [1.0]]
+)
+_MASSES.flags.writeable = False
 # How far a bracket's bounds are widened, in radians: a quantile inside its
 # bracket lies between the tabulated ends up to the kernel's rounding, about
 # 1e-14, so this slack is ample.
@@ -98,8 +105,9 @@ def _params(**labels):
 # What every needle bound reads of its family: the sorted ``pairs``, the
 # ``needle`` record of the folded ones, each pair's ``column`` in that record,
 # the ``ties`` tuples met so far, by the bytes of their indices into ``pairs``,
-# and the quantile ``table`` of the folded needles (None: evaluate them all).
-_Family = namedtuple("_Family", "pairs needle column ties table")
+# the quantile ``table`` of the folded needles (None: evaluate them all) and
+# which of its rows are ``filled``.
+_Family = namedtuple("_Family", "pairs needle column ties table filled")
 
 
 def _family(pairs, folded, lo, hi):
@@ -112,7 +120,7 @@ def _family(pairs, folded, lo, hi):
     needle = _fold(*np.array(folded, dtype=float).T, lo, hi)
     for arr in (*needle, column):
         arr.flags.writeable = False
-    return _Family(pairs, needle, column, {}, None)
+    return _Family(pairs, needle, column, {}, None, None)
 
 
 @functools.lru_cache(maxsize=64)
@@ -123,32 +131,41 @@ def _sphere_family(n):
 
 @functools.lru_cache(maxsize=32)
 def _exponent_grid(low, top, diameter):
-    """The grid of pairs ``(m, k)`` with ``low <= m + k <= top``, built once
-    and read-only: one ``_fold`` of the ``m <= k`` half on ``[0, diameter]``
+    """The grid of pairs ``(m, k)`` with ``low <= m + k <= top``, built once:
+    one read-only ``_fold`` of the ``m <= k`` half on ``[0, diameter]``
     serves every pair, since reflecting about pi/4 swaps ``m`` and ``k`` and
     the two arrangements of the gap rule, so ``sep(m, k) == sep(k, m)``.
-    Its ``table`` holds each folded needle's quantile at the masses
-    ``j / 128``, a (129 x needle) array from one quantile call."""
+    Its ``table`` will hold each folded needle's quantile at the masses
+    ``_MASSES``, a (575 x needle) array left empty here: :func:`_candidates`
+    fills the rows it reads, on first use, and flags each in ``filled``."""
     pairs = tuple(sorted((total - k, k) for total in range(low, top + 1) for k in range(total + 1)))
     family = _family(pairs, tuple(p for p in pairs if p[0] <= p[1]), 0.0, diameter)
-    table = _needle_quantile(family.needle, np.arange(_STEPS + 1)[:, None] / _STEPS)
-    table.flags.writeable = False
-    return family._replace(table=table)
+    table = np.empty((_MASSES.size, family.needle.a.size))
+    return family._replace(table=table, filled=np.zeros(_MASSES.size, dtype=bool))
 
 
-def _candidates(table, k1, k2):
-    """Which needles of a quantile ``table`` can reach the maximum separation
-    at each mass pair ``(k1, k2)``, or tie with it: a (mass pair x needle)
-    mask.  Each of the gap rule's four targets lies between two adjacent
-    tabulated masses, so its quantile lies between their quantiles; that
-    bounds each needle's separation above and below, each widened by the
-    slack and clamped at 0.  A needle is dropped when its upper bound is
-    below the row's best lower bound less the tie tolerance, so it is
-    neither the maximum nor a tie.  The test is ``not (upper < threshold)``:
-    a NaN anywhere keeps the needles it touches."""
+def _candidates(family, k1, k2):
+    """Which needles of ``family``'s quantile table can reach the maximum
+    separation at each mass pair ``(k1, k2)``, or tie with it: a (mass pair
+    x needle) mask.  Each of the gap rule's four targets lies between two
+    adjacent masses of ``_MASSES`` (one ``searchsorted``), so its quantile
+    lies between their quantiles; that bounds each needle's separation above
+    and below, each widened by the slack and clamped at 0.  A needle is
+    dropped when its upper bound is below the row's best lower bound less
+    the tie tolerance, so it is neither the maximum nor a tie.  The test is
+    ``not (upper < threshold)``: a NaN anywhere keeps the needles it touches.
+
+    The rows the brackets read that are not yet filled come from one
+    quantile call; each is written before it is flagged, and only flagged
+    rows are read.  Threads that fill a row at once write the same bits."""
     q = np.array([k1, 1.0 - k2, k2, 1.0 - k1])
-    j = np.minimum((q * _STEPS).astype(np.intp), _STEPS - 1)
-    below, above = table[j], table[j + 1]
+    j = np.searchsorted(_MASSES[:-1], q, side="right") - 1  # a target of 1 takes the last bracket
+    ends = np.concatenate([j, j + 1], axis=None)
+    if not family.filled[ends].all():
+        missing = np.unique(ends[~family.filled[ends]])
+        family.table[missing] = _needle_quantile(family.needle, _MASSES[missing, None])
+        family.filled[missing] = True
+    below, above = family.table[j], family.table[j + 1]
     upper = np.maximum(np.maximum(above[1] - below[0], above[3] - below[2]) + _SLACK, 0.0)
     lower = np.maximum(np.maximum(below[1] - above[0], below[3] - above[2]) - _SLACK, 0.0)
     return ~(upper < np.max(lower, axis=1, keepdims=True) - _TIE_TOL)
@@ -162,7 +179,7 @@ def _family_seps(family, k1, k2):
     of the full pass, since the kernel is elementwise."""
     if family.table is None:
         return _needle_gaps(family.needle, k1[:, None], k2[:, None])[2]
-    rows, cols = np.nonzero(_candidates(family.table, k1, k2))
+    rows, cols = np.nonzero(_candidates(family, k1, k2))
     # a list, not a generator: a tuple built from a generator is resized, so
     # the freed one never returns to the free list it would be reused from
     sub = family.needle._make([f[cols] for f in family.needle])
@@ -176,13 +193,16 @@ def _family_bounds(family, name, params, mps):
     order: :func:`_family_seps` gives the (mass pair x folded needle) table
     of separations, one fancy index spreads it onto every pair, and a row's
     ties are its entries within 1e-12 of its maximum, in family order, as
-    the family's one tuple for that tie set (``pairs`` when all tie)."""
+    the family's one tuple for that tie set (``pairs`` when all tie).  A NaN
+    bound raises OutOfDomain naming its masses."""
     k1 = np.array([mp.k1 for mp in mps])
     k2 = np.array([mp.k2 for mp in mps])
     seps = _family_seps(family, k1, k2)[:, family.column]
     best = np.max(seps, axis=1)
     results = []
     for row, b, mp in zip(seps, best, mps):
+        if math.isnan(b):
+            raise _nan_sep(mp.k1, mp.k2)
         hit = np.flatnonzero(row >= b - _TIE_TOL)
         ties = family.ties.get(key := hit.tobytes())
         if ties is None:  # setdefault is atomic: threads that race keep one tuple
@@ -251,9 +271,11 @@ def batch_trig_sep(m, k, lo, hi, k1, k2):
     ``sep_1d`` on the equivalent :class:`TrigDensity`, vectorized over
     needles; all arguments broadcast.  Every needle must lie in the
     constructor's domain (an invalid one raises ``OutOfDomain``, as
-    ``TrigDensity`` does), and every mass in (0, 1].
+    ``TrigDensity`` does), and every mass in (0, 1]; a NaN separation
+    raises OutOfDomain, as in ``sep_1d``.
     """
-    return _needle_gaps(_checked_fold(m, k, lo, hi), *_as_masses(k1, k2))[2]
+    k1, k2 = _as_masses(k1, k2)
+    return _finite_seps(_needle_gaps(_checked_fold(m, k, lo, hi), k1, k2)[2], k1, k2)
 
 
 def batch_affine_sep(phase, power, lo, hi, k1, k2):
@@ -262,9 +284,11 @@ def batch_affine_sep(phase, power, lo, hi, k1, k2):
     All arguments broadcast elementwise, and every mass must lie in (0, 1].
     ``sep_1d(SinAffineDensity(...), (k1, k2))`` vectorized over the batch:
     the needle is ``cos^power`` on the interval shifted by ``-phase``, and
-    an invalid one raises ``OutOfDomain``, as ``SinAffineDensity`` does.
+    an invalid one raises ``OutOfDomain``, as ``SinAffineDensity`` does, and
+    so does a NaN separation.
     """
-    return _needle_gaps(_checked_fold(power, 0.0, lo, hi, phase), *_as_masses(k1, k2))[2]
+    k1, k2 = _as_masses(k1, k2)
+    return _finite_seps(_needle_gaps(_checked_fold(power, 0.0, lo, hi, phase), k1, k2)[2], k1, k2)
 
 
 def optimize_affine_family(interval_length_max, p_range, masses, samples, seed):

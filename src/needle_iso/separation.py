@@ -8,12 +8,13 @@ right); the separation is the larger of the two gaps, which also makes the
 value symmetric under swapping the masses.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import Interval, TabulatedDensity, _needle_quantile, _require_mass, _tabulate
-from .errors import InvalidMass, _real_array, _real_scalar, _require_count
+from .errors import InvalidMass, OutOfDomain, _real_array, _real_scalar, _require_count
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,25 @@ def _density_gaps(density, k1, k2):
     return _gap_rule(lambda q: density._quantile(q, right=right), k1, k2)
 
 
+def _nan_sep(k1, k2):
+    """The error of a separation that is NaN at the masses ``(k1, k2)``: the
+    quantile kernel has no answer at one of its targets (scipy's
+    ``betaincinv`` returns NaN for some targets below about 1e-100)."""
+    return OutOfDomain(
+        f"no finite separation at masses ({float(k1)!r}, {float(k2)!r}): "
+        "a quantile target is too small for the quantile kernel"
+    )
+
+
+def _finite_seps(seps, k1, k2):
+    """``seps`` as they are when none is NaN, else :func:`_nan_sep` of the
+    first NaN's masses; ``k1`` and ``k2`` broadcast against ``seps``."""
+    bad = np.isnan(seps)
+    if bad.any():
+        raise _nan_sep(*(np.broadcast_to(k, bad.shape)[bad][0] for k in (k1, k2)))
+    return seps
+
+
 def _as_masses(k1, k2):
     """``k1`` and ``k2`` as float arrays broadcast against each other: an
     array that is not ints or floats raises OutOfDomain, an entry outside
@@ -124,7 +144,9 @@ def sep_1d(density, masses):
     the right runs from the least ``t`` with ``F(t) >= a`` to the largest
     ``t`` with ``F(t) <= 1 - b``; the result is the larger of the two
     arrangements, clamped at zero (the intervals are still reported at
-    exact masses when they overlap, and always inside the interval).
+    exact masses when they overlap, and always inside the interval).  A
+    separation the quantile kernel has no answer for raises OutOfDomain
+    naming the masses.
     """
     mp = as_mass_pair(masses)
     # quantile-based extremality assumes the supremum is reached by extreme
@@ -132,11 +154,14 @@ def sep_1d(density, masses):
     # tabulated shapes need the brute-force route
     lo, hi = density.interval.lo, density.interval.hi
     t, k1_left, sep = _density_gaps(density, mp.k1, mp.k2)
+    sep = float(sep)
+    if math.isnan(sep):
+        raise _nan_sep(mp.k1, mp.k2)
     i = 0 if k1_left else 2  # the winning arrangement's two end points
     return SeparationResult(
-        sep=float(sep),
-        left_interval=Interval(lo, min(max(float(t[i]) + density._offset, np.nextafter(lo, hi)), hi)),
-        right_interval=Interval(max(min(float(t[i + 1]) + density._offset, np.nextafter(hi, lo)), lo), hi),
+        sep=sep,
+        left_interval=Interval(lo, min(max(float(t[i]) + density._offset, math.nextafter(lo, hi)), hi)),
+        right_interval=Interval(max(min(float(t[i + 1]) + density._offset, math.nextafter(hi, lo)), lo), hi),
         left_mass=mp.k1 if k1_left else mp.k2,
         right_mass=mp.k2 if k1_left else mp.k1,
     )
@@ -146,8 +171,9 @@ def batch_sep(density, k1, k2):
     """``sep_1d(density, (k1, k2)).sep`` over a batch of mass pairs of one
     needle: ``k1`` and ``k2`` broadcast, each in (0, 1], and the batch takes
     one quantile call.  Returns a float array of the broadcast shape, bit
-    for bit the scalar seps."""
-    return _density_gaps(density, *_as_masses(k1, k2))[2]
+    for bit the scalar seps; a NaN raises OutOfDomain, as in ``sep_1d``."""
+    k1, k2 = _as_masses(k1, k2)
+    return _finite_seps(_density_gaps(density, k1, k2)[2], k1, k2)
 
 
 def _extreme_gap(grid, values, k1, k2):

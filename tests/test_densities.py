@@ -22,6 +22,7 @@ from needle_iso import (
     integrate,
     normalize,
     solve_isoperimetric,
+    solve_with_complement_reduction,
     trig_mass,
 )
 from needle_iso.needle_bound import _exponent_grid
@@ -389,7 +390,7 @@ class TestQuantileBatch:
 
     def test_cross_bound_work_count(self, monkeypatch):
         space = CrossSpace.cayley_plane()
-        _exponent_grid.cache_clear()  # so the first call folds its grid and fills its table
+        _exponent_grid.cache_clear()  # so the first call folds its grid and its table is empty
         inversions = _record_where(monkeypatch, "betaincinv")
         tails = _record_where(monkeypatch, "betainc")
 
@@ -400,28 +401,44 @@ class TestQuantileBatch:
         # only the m <= k half is folded; its mirror twins share its columns
         n = sum(m <= k for m, k in self.PAIRS)
         assert n == 92
-        # the table takes one inversion per needle at each of its 129 masses;
-        # then only the 53 needles whose brackets can reach the maximum are
-        # evaluated, one inversion per target
-        assert count(inversions) == 129 * n + 4 * 53
+        grid = _exponent_grid(15, 23, space.diameter)
+        # the table fills only the rows the four targets' brackets read, one
+        # inversion per needle each; then only the 11 needles whose brackets
+        # can reach the maximum are evaluated, one inversion per target
+        rows = int(grid.filled.sum())
+        assert rows <= 8
+        assert count(inversions) == n * rows + 4 * 11
         # the two tails at lo and hi, and the mass of [0, pi/4], per needle
         assert count(tails) <= 2 * 3 * n
         inversions.clear()
         tails.clear()
         cross_needle_bound(space, (0.3, 0.6))
-        assert count(inversions) == 4 * 53  # the table is cached with the fold
+        assert count(inversions) == 4 * 11  # the filled rows are cached with the fold
         assert not tails  # the grid's fold is cached
-        # a solve's closing check at (v, 1 - enlarged) evaluates 21 needles
+
+        def evaluated(check):
+            """How many needles ``check()`` evaluates, past the inversions of
+            the table rows it fills; it folds nothing."""
+            inversions.clear()
+            tails.clear()
+            rows = int(grid.filled.sum())
+            check()
+            evaluated, rem = divmod(count(inversions) - n * (int(grid.filled.sum()) - rows), 4)
+            assert rem == 0 and not tails
+            return evaluated
+
+        # a solve's closing check at (v, 1 - enlarged)
         res = solve_isoperimetric(SolveRequest(space, 0.3, 0.1))
-        inversions.clear()
-        tails.clear()
+        assert evaluated(lambda: res.needle_bound_check) == 7
         assert res.needle_bound_check["w"] == 1.0 - res.enlarged
-        assert count(inversions) == 4 * 21
-        assert not tails
-        grid = _exponent_grid(15, 23, space.diameter)
+        # complement reduction leaves w = 2.6e-4, whose targets a uniform
+        # grid of 129 masses could not bracket: it evaluated all 92 needles
+        res = solve_with_complement_reduction(space, 0.907472, 0.30114)
+        assert evaluated(lambda: res.needle_bound_check) <= 8
+        assert res.needle_bound_check["w"] == 0.0002593510477524319
         assert len(grid.pairs) == len(self.PAIRS)
-        assert grid.table.shape == (129, n)
-        assert not any(arr.flags.writeable for arr in (*grid.needle, grid.column, grid.table))
+        assert grid.table.shape == (575, n)
+        assert not any(arr.flags.writeable for arr in (*grid.needle, grid.column))
 
 
 class TestSinAffine:

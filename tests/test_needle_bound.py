@@ -3,7 +3,9 @@ import dataclasses
 import gc
 import math
 import pickle
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from needle_iso import (
     SinAffineDensity,
     TrigDensity,
     batch_affine_sep,
+    batch_sep,
     batch_trig_sep,
     binomial_decompose,
     bound_profile,
@@ -219,8 +222,10 @@ DEFAULT_GRIDS = (
 
 def _pruning_masses(seed):
     """Over 1000 mass pairs: straddling ones in both orders, complementary
-    ones exact and one ulp off each way, forced non-straddling ones, and
-    pairs at the masses 1e-12 and 1.0."""
+    ones exact and one ulp off each way, forced non-straddling ones, pairs
+    at the masses 1e-12 and 1.0, and pairs whose targets lie in the table's
+    fine tails or on its masses: two closing checks of catalog solves after
+    complement reduction, (2^-40, 0.7) and (1/512, 0.6)."""
     gen = np.random.Generator(np.random.PCG64(seed))
     a, b = np.maximum(gen.uniform(0.0, 0.5, 400), 1e-12), gen.uniform(0.5, 1.0, 400)
     swap = gen.random(400) < 0.5
@@ -230,16 +235,38 @@ def _pruning_masses(seed):
     above = gen.uniform(np.nextafter(0.5, 1.0), 1.0, (2, 100))
     u = gen.uniform(1e-6, 1.0, 50)
     edge = np.array([1e-12, 0.5, 1.0])
-    k1 = [np.where(swap, b, a), c, c, c, *below[:1], *above[:1], np.full(50, 1e-12), u, np.repeat(edge, 3)]
+    tail = np.array([(0.907472, 0.0002593510477524319), (0.036984, 0.9531846193906083), (2.0**-40, 0.7),
+                     (1 / 512, 0.6)]).T
+    k1 = [np.where(swap, b, a), c, c, c, *below[:1], *above[:1], np.full(50, 1e-12), u, np.repeat(edge, 3),
+          tail[0]]
     k2 = [np.where(swap, a, b), d, np.nextafter(d, 0.0), np.nextafter(d, 1.0), *below[1:], *above[1:], u,
-          np.ones(50), np.tile(edge, 3)]
+          np.ones(50), np.tile(edge, 3), tail[1]]
     return np.concatenate(k1), np.concatenate(k2)
+
+
+def _table(grid):
+    """``grid``'s whole quantile table from one quantile call: the bits the
+    lazy fill writes, row by row, since the kernel is elementwise."""
+    return needle_bound._needle_quantile(grid.needle, needle_bound._MASSES[:, None])
 
 
 class TestCrossBoundPruning:
     """A cross bound evaluates only the needles its grid's quantile table
     cannot rule out, and gets the bits and ties of the full pass over the
     whole fold."""
+
+    def test_masses_rise_strictly_from_0_to_1(self):
+        masses = needle_bound._MASSES
+        assert masses.size == 575 and masses[0] == 0.0 and masses[-1] == 1.0
+        assert (np.diff(masses) > 0.0).all() and not masses.flags.writeable
+        # exact in binary: every mass is a whole multiple of 2^-40
+        assert (masses * 2.0**40 == np.round(masses * 2.0**40)).all()
+
+    @pytest.mark.parametrize("name, top", DEFAULT_GRIDS, ids=[f"{n}-{t}" for n, t in DEFAULT_GRIDS])
+    def test_every_table_entry_is_finite(self, name, top):
+        space = space_by_name(name)
+        top = space.dim + 7 if top is None else top
+        assert np.isfinite(_table(_exponent_grid(max(space.dim - 1, 1), top, space.diameter))).all()
 
     @pytest.mark.parametrize("name, top", DEFAULT_GRIDS, ids=[f"{n}-{t}" for n, t in DEFAULT_GRIDS])
     def test_equals_the_full_pass(self, name, top):
@@ -254,43 +281,74 @@ class TestCrossBoundPruning:
             assert res.bound == best  # bitwise
             assert res.ties == tuple(grid.pairs[j] for j in np.flatnonzero(row >= best - 1e-12))
         # the straddling pairs drop needles: the table is not idle
-        kept = _candidates(grid.table, k1[:400], k2[:400])
+        kept = _candidates(grid, k1[:400], k2[:400])
         assert kept.sum() < 0.9 * kept.size
+        # every filled row holds the bits of one whole-table call
+        assert grid.filled.any()
+        assert np.array_equal(grid.table[grid.filled], _table(grid)[grid.filled])
 
     @pytest.mark.parametrize("low, top", sorted({(1, 8)} | {(max(d - 1, 1), d + 7) for d in range(2, 17)}))
     def test_each_quantile_lies_in_its_bracket(self, low, top):
         # the premise of the 1e-10 rad slack: a target's quantile lies between
         # its bracket's tabulated ends to about 1e-14 (the kernel is monotone
-        # only to ulps), here at a few ulps about each table mass and at random
+        # only to ulps), here at a few ulps about each table mass, at random
+        # and at the tiny and near-1 targets the fine tails are for
         grid = _exponent_grid(low, top, HALF_PI)
-        node = np.arange(129)[:, None] / 128
+        masses = needle_bound._MASSES
+        node = masses[:, None]
         q = (node + np.arange(-6, 7) * np.spacing(node)).ravel()
-        q = np.concatenate([q, np.random.default_rng(3).uniform(0.0, 1.0, 2000), [1e-12, 1.0 - 1e-12]])
-        q = q[(q >= 1e-12) & (q <= 1.0)]
+        q = np.concatenate([q, np.random.default_rng(3).uniform(0.0, 1.0, 2000), [1e-300, 1e-12, 1.0 - 1e-12]])
+        q = q[(q >= 0.0) & (q <= 1.0)]
         t = needle_bound._needle_quantile(grid.needle, q[:, None])
-        j = np.minimum((q * 128).astype(int), 127)
-        assert (grid.table[j] - t).max() <= 1e-13
-        assert (t - grid.table[j + 1]).max() <= 1e-13
+        j = np.minimum(np.searchsorted(masses, q, side="right") - 1, masses.size - 2)
+        table = _table(grid)
+        # betaincinv has no answer at some targets below about 1e-100; such a
+        # NaN raises where it would leave the library (TestNanSeparations)
+        lost = np.isnan(t)
+        assert not lost[q >= 1e-100].any()
+        assert np.nanmax(table[j] - t) <= 1e-13
+        assert np.nanmax(t - table[j + 1]) <= 1e-13
 
     def test_a_nan_keeps_the_needles_it_touches(self):
         cap2 = CrossSpace.cayley_plane()
         grid = _exponent_grid(15, 23, cap2.diameter)
+        full = grid._replace(table=_table(grid), filled=np.ones(needle_bound._MASSES.size, dtype=bool))
         k1, k2 = np.array([0.3]), np.array([0.6])
         expected = cross_needle_bounds(cap2, [(0.3, 0.6)])
-        dropped = int(np.flatnonzero(~_candidates(grid.table, k1, k2)[0])[0])
+        dropped = int(np.flatnonzero(~_candidates(full, k1, k2)[0])[0])
         # the brackets of the targets k1, 1 - k2, k2 and 1 - k1
-        brackets = (np.array([0.3, 1.0 - 0.6, 0.6, 1.0 - 0.3]) * 128).astype(int)
+        q = np.array([0.3, 1.0 - 0.6, 0.6, 1.0 - 0.3])
+        brackets = np.searchsorted(needle_bound._MASSES, q, side="right") - 1
+        assert (needle_bound._MASSES[brackets] < q).all()
         for target, j in enumerate(brackets):
             for side in (0, 1):
-                table = grid.table.copy()
+                table = full.table.copy()
                 table[j + side, dropped] = np.nan
-                keep = _candidates(table, k1, k2)[0]
+                nan_grid = full._replace(table=table)
+                keep = _candidates(nan_grid, k1, k2)[0]
                 # an end the lower bound reads makes the threshold NaN
                 assert keep.all() if (side == 0) == (target % 2 == 1) else keep[dropped]
-                nan_grid = grid._replace(table=table)
                 params = _params(space="cap2", max_total_power=23)
                 assert _family_bounds(nan_grid, "trig", params, [MassPair(0.3, 0.6)]) == expected
-        assert _candidates(np.full_like(grid.table, np.nan), k1, k2).all()
+        assert _candidates(full._replace(table=np.full_like(full.table, np.nan)), k1, k2).all()
+
+    @pytest.mark.parametrize("name", ["rp3", "cap2"])
+    def test_threads_filling_one_table_give_the_serial_bits(self, name):
+        space = space_by_name(name)
+        k1, k2 = _pruning_masses(29)
+        serial = cross_needle_bounds(space, zip(k1, k2), force=True)
+        _exponent_grid.cache_clear()  # so the threads fill one empty table at once
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the fills
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(cross_needle_bound, space, (a, b), force=True) for a, b in zip(k1, k2)]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(r.bound, r.ties) for r in threaded] == [(r.bound, r.ties) for r in serial]
+        grid = _exponent_grid(max(space.dim - 1, 1), space.dim + 7, space.diameter)
+        assert np.array_equal(grid.table[grid.filled], _table(grid)[grid.filled])
 
     def test_calls_leave_no_cyclic_garbage(self):
         cap2 = CrossSpace.cayley_plane()
@@ -308,6 +366,58 @@ class TestCrossBoundPruning:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestNanSeparations:
+    """scipy's betaincinv answers NaN at some targets below about 1e-100; a
+    NaN separation raises OutOfDomain naming its masses where it would leave
+    the library, and never comes back as a bound or a sep."""
+
+    def test_rp3_bound_prunes_its_nan_needles(self):
+        rp3 = space_by_name("rp3")
+        res = cross_needle_bound(rp3, (1e-150, 0.6))
+        # seven needles have no quantile at 1e-150, and their brackets
+        # [0, 2^-40] rule them out; the bound is the 40-digit one of
+        # bench/reference.py's cross_bound(3, 1e-150, 0.6)
+        assert abs(res.bound - 1.3127018311813880535) <= 1e-13
+        assert res.ties == ((0, 10), (10, 0))
+        # evaluated over the whole grid, those needles raise
+        grid = _exponent_grid(2, 10, HALF_PI)
+        params = _params(space="rp3", max_total_power=10)
+        with pytest.raises(OutOfDomain, match=r"masses \(1e-150, 0\.6\)"):
+            _family_bounds(grid._replace(table=None), "trig", params, [MassPair(1e-150, 0.6)])
+
+    @pytest.mark.parametrize("name, top", DEFAULT_GRIDS, ids=[f"{n}-{t}" for n, t in DEFAULT_GRIDS])
+    def test_default_grids_at_1e_300(self, name, top):
+        space = space_by_name(name)
+        k1, k2 = np.array([1e-300]), np.array([0.5])
+        grid = _exponent_grid(max(space.dim - 1, 1), space.dim + 7 if top is None else top, space.diameter)
+        full = _needle_gaps(grid.needle, k1[:, None], k2[:, None])[2][0]
+        # every uncapped default grid has needles without a quantile there
+        assert np.isnan(full).any() or top is not None
+        try:
+            res = cross_needle_bound(space, (1e-300, 0.5), max_total_power=top)
+        except OutOfDomain as err:
+            assert "(1e-300, 0.5)" in str(err)
+            assert name == "cap2"  # a needle the table keeps has no quantile
+            return
+        # the table rules out every needle without a quantile: the bound is
+        # the maximum over the others, bit for bit
+        assert not _candidates(grid, k1, k2)[0][np.isnan(full)].any()
+        assert res.bound == np.nanmax(full)
+
+    def test_seps_raise(self):
+        d = normalize(TrigDensity(4, 5, Interval(0.0, HALF_PI)))
+        with pytest.raises(OutOfDomain, match=r"masses \(1e-100, 0\.6\)"):
+            sep_1d(d, (1e-100, 0.6))
+        with pytest.raises(OutOfDomain, match=r"masses \(1e-100, 0\.6\)"):
+            batch_trig_sep(4, 5, 0.0, HALF_PI, [0.3, 1e-100], 0.6)
+        with pytest.raises(OutOfDomain, match=r"masses \(0\.6, 1e-100\)"):
+            batch_sep(d, [0.3, 0.6], [0.6, 1e-100])
+        assert batch_trig_sep(4, 5, 0.0, HALF_PI, [0.3, 1e-90], 0.6).shape == (2,)
+
+    def test_sphere_bound_stays_finite(self):
+        assert math.isfinite(sphere_needle_bound(4, (1e-300, 0.6)).bound)
 
 
 def _retained_bytes(make, args):

@@ -99,11 +99,14 @@ class TestArrayRule:
             lambda: batch_trig_sep(1, 0, -1.0, 1.0, [True, 0.5], 0.6),
             lambda: batch_trig_sep(1, 0, -1.0, 1.0, 0.3, [[0.6], [np.True_]]),
             lambda: batch_trig_sep(1, 0, -1.0, 1.0, [np.array(True), 0.3], 0.6),
+            lambda: TabulatedDensity(grid=["0", "1"], values=[True, 1]),
+            lambda: TabulatedDensity(grid=[0, 1], values=[True, 1]),
         ],
         ids=["string-fraction", "string-masses", "string-volume", "bool-fraction",
              "bool-array-fractions", "string-radius", "none-mass", "string-exponent",
              "string-interval-end", "bool-exponent", "bool-mixed-abscissae",
-             "bool-mixed-masses", "numpy-bool-mixed-nested-masses", "bool-array-mixed-masses"],
+             "bool-mixed-masses", "numpy-bool-mixed-nested-masses", "bool-array-mixed-masses",
+             "tabulated-string-grid", "tabulated-bool-mixed-values"],
     )
     def test_non_numbers_raise_out_of_domain(self, call):
         with pytest.raises(OutOfDomain):
@@ -123,6 +126,21 @@ class TestArrayRule:
 
 
 class TestSep1d:
+    @pytest.mark.parametrize(
+        "density, masses",
+        [
+            (normalize(TrigDensity(3, 2, Interval(0.2, 1.4))), (0.3, 1e-17)),  # clamped below hi
+            (normalize(TrigDensity(3, 2, Interval(0.2, 1.4))), (1e-17, 0.3)),  # clamped above lo
+            (COS, (0.25, 0.4)),
+            (normalize(SinAffineDensity(phase=0.3, power=2.5, interval=Interval(0.0, 1.2))), (1.0, 0.2)),
+            (normalize(TabulatedDensity(grid=SIN_GRID, values=np.sin(SIN_GRID))), (0.2, 0.7)),
+        ],
+    )
+    def test_interval_ends_are_python_floats(self, density, masses):
+        res = sep_1d(density, masses)
+        ends = (res.left_interval.lo, res.left_interval.hi, res.right_interval.lo, res.right_interval.hi)
+        assert all(type(t) is float for t in (res.sep, *ends))
+
     def test_uniform_quarters(self):
         res = sep_1d(UNIFORM, (0.25, 0.25))
         assert res.sep == pytest.approx(0.5, abs=1e-12)
