@@ -305,8 +305,9 @@ class BinomialDecomposition:
     def reconstruct(self, t):
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
+        cos, sin = np.cos(t), np.sin(t)
         for coef, (m, k) in self.components:
-            out += coef * np.cos(t) ** m * np.sin(t) ** k
+            out += coef * cos ** m * sin ** k
         return out
 
     def max_reconstruction_error(self, pdf, n=1025):

@@ -39,6 +39,10 @@ _MASSES.flags.writeable = False
 # bracket lies between the tabulated ends up to the kernel's rounding, about
 # 1e-14, so this slack is ample.
 _SLACK = 1e-10
+# The most needles a cross grid's folded ``m <= k`` half may hold, about 2^18
+# on the whole grid: ``max_total_power`` up to 722 on spaces of dimension at
+# most 16.  A larger grid raises OutOfDomain before it is built.
+_MAX_FOLDED = 1 << 17
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,6 +146,17 @@ def _exponent_grid(low, top, diameter):
     family = _family(pairs, tuple(p for p in pairs if p[0] <= p[1]), 0.0, diameter)
     table = np.empty((_MASSES.size, family.needle.a.size))
     return family._replace(table=table, filled=np.zeros(_MASSES.size, dtype=bool))
+
+
+def _folded_count(low, top):
+    """How many pairs ``m <= k`` have ``low <= m + k <= top``: a total ``t``
+    has ``t // 2 + 1`` of them, and those of totals ``0 .. n`` sum to
+    ``(n // 2) * ((n + 1) // 2) + n + 1``."""
+
+    def upto(n):
+        return (n // 2) * ((n + 1) // 2) + n + 1
+
+    return upto(top) - upto(low - 1)
 
 
 def _candidates(family, k1, k2):
@@ -249,6 +264,11 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
         raise OutOfDomain(
             f"max_total_power={mtp} is below the admissibility floor {low}"
         )
+    if (folded := _folded_count(low, mtp)) > _MAX_FOLDED:
+        raise OutOfDomain(
+            f"max_total_power={mtp} folds {folded} needles on {space.name}, "
+            f"over the grid limit of {_MAX_FOLDED}"
+        )
     grid = _exponent_grid(low, mtp, space.diameter)
     return _family_bounds(grid, "trig", _params(space=space.name, max_total_power=mtp), mps)
 
@@ -260,7 +280,10 @@ def cross_needle_bound(space, masses, max_total_power=None, force=False):
     ``dim - 1 <= m + k <= max_total_power`` (default ``dim + 7``).  All
     maximizing pairs within 1e-12 are reported as ties, sorted.  A
     ``max_total_power`` that is not a finite integer (integer-valued floats
-    pass) or is below ``max(dim - 1, 1)`` raises ``OutOfDomain``.
+    pass) or is below ``max(dim - 1, 1)`` raises ``OutOfDomain``, and so
+    does a grid whose folded ``m <= k`` half would hold more than 2^17
+    needles (about 2^18 on the whole grid, so ``max_total_power`` at most
+    722 on spaces of dimension up to 16), before anything is built.
     """
     return cross_needle_bounds(space, [masses], max_total_power, force)[0]
 

@@ -644,9 +644,10 @@ _MC_PAIRS = ((0.3, 0.5), (0.25, 0.5))
 
 def _check_request_determinism(ctx):
     """Each request solved twice gives the same JSON, and the public S^2
-    call at (0.3, 0.5) on one thread, drawing each chunk at its own width,
-    reports what the shared S^2 + S^3 batch of ``ctx`` does for that pair
-    from its own draws at the S^3 width on ``ctx.threads`` threads."""
+    call at (0.3, 0.5) on one thread, drawing each chunk of stream 0 at its
+    own width for both caps, reports what the shared S^2 + S^3 batch of
+    ``ctx`` does for that pair from its own draws of stream 0 at the S^3
+    width on ``ctx.threads`` threads."""
     reqs = [
         (CrossSpace.real_projective(3), 0.3, 0.05),
         (CrossSpace.sphere(2), 0.25, 0.2),
@@ -700,8 +701,8 @@ class _Ctx:
     @functools.cached_property
     def sphere_caps(self):
         """``{2: reports, 3: reports}``: the antipodal-cap reports of S^2 and
-        S^3 at each of ``_MC_PAIRS``, from one batch on first read, whose
-        two streams each draw every chunk once for both spheres."""
+        S^3 at each of ``_MC_PAIRS``, from one batch on first read, which
+        draws every chunk of stream 0 once for both caps of both spheres."""
         spheres = [CrossSpace.sphere(2), CrossSpace.sphere(3)]
         reports = _check_main_inequalities(spheres, _MC_PAIRS, self.mc_samples, self.spec.seed, self.threads)
         return dict(zip((2, 3), reports))

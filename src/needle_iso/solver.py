@@ -258,8 +258,9 @@ def check_main_inequality(space, masses, mc_samples=100000, seed=0, threads=1):
 
     The witness pair is two caps of masses (k1, k2) at opposite centers;
     their geodesic gap is ``pi - r1 - r2`` from the cap quantiles.  A Monte
-    Carlo oracle re-estimates the cap masses from uniform sphere samples and
-    must agree with the closed-form masses within three standard errors.
+    Carlo oracle re-estimates both cap masses from one set of uniform sphere
+    samples (stream 0 of ``seed``); each estimate must agree with its
+    closed-form mass within three standard errors.
     """
     return _check_main_inequalities([space], [masses], mc_samples, seed, threads)[0][0]
 
@@ -268,9 +269,9 @@ def _check_main_inequalities(spaces, mass_pairs, mc_samples, seed, threads):
     """:func:`check_main_inequality` for each of ``spaces`` at each of
     ``mass_pairs``, as one list of reports per space, each report equal to
     the one-pair call: one quantile call per space gives every cap radius,
-    and the k1 caps of all spaces and pairs share the draws of stream 0 and
-    the k2 caps those of stream 1, one :func:`sampling._mc_cap_masses` call
-    each, which draws each chunk once at the widest sphere's width."""
+    and both caps of every space and pair share the draws of stream 0, one
+    :func:`sampling._mc_cap_masses` call, which draws each chunk once at the
+    widest sphere's width."""
     for space in spaces:
         if space.family != SPHERE or space.dim not in (2, 3):
             raise NotApplicable("the antipodal-cap witness is implemented for S^2, S^3")
@@ -278,34 +279,31 @@ def _check_main_inequalities(spaces, mass_pairs, mc_samples, seed, threads):
     targets = np.array([[mp.k1, mp.k2] for mp in mps]).reshape(-1, 2)
     radii = [profile_quantile(catalog(space)[0], space, targets) for space in spaces]
     dims = [space.dim for space in spaces]
-    ests = [
-        _mc_cap_masses(dims, [r[:, stream] for r in radii], mc_samples, RngSpec(seed), stream, threads)
-        for stream in (0, 1)
-    ]
+    ests = _mc_cap_masses(dims, radii, mc_samples, RngSpec(seed), 0, threads)
     return [
         _main_inequality_reports(n, mps, r, est, mc_samples)
-        for n, r, est in zip(dims, radii, zip(*ests))
+        for n, r, est in zip(dims, radii, ests)
     ]
 
 
-def _main_inequality_reports(n, mps, radii, ests, mc_samples):
+def _main_inequality_reports(n, mps, radii, est, mc_samples):
     """The S^n report of each of ``mps``, from its cap ``radii`` (pair x
-    stream) and the Monte Carlo estimates ``ests`` of streams 0 and 1."""
+    cap) and the Monte Carlo estimate ``est`` of each, of the same shape."""
     reports = []
     for i, mp in enumerate(mps):
         gap = max(0.0, math.pi - float(radii[i, 0]) - float(radii[i, 1]))
         bound = sphere_needle_bound(n, mp, force=True).bound
         mc = {}
         within = True
-        for stream, (tag, target) in enumerate([("cap1", mp.k1), ("cap2", mp.k2)]):
-            estimate = float(ests[stream]["estimate"][i])
+        for cap, (tag, target) in enumerate([("cap1", mp.k1), ("cap2", mp.k2)]):
+            estimate = float(est["estimate"][i, cap])
             dev = abs(estimate - target)
             band = 3.0 * math.sqrt(target * (1.0 - target) / mc_samples)
             mc[tag] = {
-                "radius": float(radii[i, stream]),
+                "radius": float(radii[i, cap]),
                 "closed_form": target,
                 "estimate": estimate,
-                "stderr": float(ests[stream]["stderr"][i]),
+                "stderr": float(est["stderr"][i, cap]),
                 "within_3_sigma": bool(dev <= band),
             }
             within = within and dev <= band

@@ -160,6 +160,17 @@ class TestBound:
         assert code == 1
         assert "straddle" in err
 
+    def test_power_cap_over_the_grid_limit_is_a_domain_error(self, capsys, monkeypatch):
+        from needle_iso import needle_bound
+
+        monkeypatch.setattr(needle_bound, "_exponent_grid", None)  # never built
+        code, out, err = run_cli(
+            capsys, "bound", "--space", "rp3", "--k1", "0.3", "--k2", "0.6", "--max-power", "10000"
+        )
+        assert code == 1
+        assert out == ""
+        assert "grid limit" in err
+
     def test_csv_header(self, capsys):
         code, out, _ = run_cli(
             capsys,

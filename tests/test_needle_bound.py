@@ -141,6 +141,40 @@ class TestCrossBound:
         assert a == cross_needle_bound(CP1, (0.3, 0.5), max_total_power=8)
         assert type(a.params["max_total_power"]) is int
 
+    def test_folded_count_is_the_folded_half(self):
+        for low in (1, 2, 3, 7, 15):
+            for top in range(low, low + 30):
+                folded = [(m, k) for m, k in _exponent_grid(low, top, HALF_PI).pairs if m <= k]
+                assert needle_bound._folded_count(low, top) == len(folded)
+
+    @pytest.mark.parametrize(
+        "space, top, builds",
+        [
+            ("rp3", 10**4, False),
+            ("rp3", 723, False),
+            ("cap2", 723, False),
+            ("rp30000", None, False),
+            ("rp3", 722, True),
+            ("cap2", 722, True),
+            ("rp29122", None, True),
+        ],
+    )
+    def test_grid_over_the_limit_raises_before_it_is_built(self, monkeypatch, space, top, builds):
+        # rp3 at max_total_power 10**4 folds 25M needles: it must never reach the build
+        class Built(Exception):
+            pass
+
+        def build(*args):
+            raise Built
+
+        monkeypatch.setattr(needle_bound, "_exponent_grid", build)
+        space = space_by_name(space)
+        low = max(space.dim - 1, 1)
+        folded = needle_bound._folded_count(low, space.dim + 7 if top is None else top)
+        assert (folded <= needle_bound._MAX_FOLDED) is builds
+        with pytest.raises(Built if builds else OutOfDomain, match=None if builds else "grid limit of 131072"):
+            cross_needle_bound(space, (0.3, 0.6), max_total_power=top)
+
 
 class TestCrossBoundPairAxis:
     @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from needle_iso import (
     check_realization,
     enlarged_volume,
     isoperimetric_profile_curve,
+    mc_cap_mass,
     polar_of,
     profile_cdf,
     profile_curve_csv,
@@ -25,7 +26,7 @@ from needle_iso import (
     solve_with_complement_reduction,
     space_by_name,
 )
-from needle_iso import oracles, solver
+from needle_iso import needle_bound, oracles, solver
 from needle_iso.cli import main
 from needle_iso.cross_spaces import _enlarged_difference
 from needle_iso.oracles import _CHECKS, _Ctx, report_to_json, run_property_suite
@@ -73,6 +74,12 @@ class TestSolve:
     def test_needle_check_reports_epsilon_for_realizing_winner(self):
         res = solve_isoperimetric(SolveRequest(RP3, 0.5, 0.1))
         assert res.needle_bound_check["residual"] < 1e-9
+
+    def test_needle_check_over_the_grid_limit_raises(self, monkeypatch):
+        # rp30000's default grid folds more needles than the limit allows
+        monkeypatch.setattr(needle_bound, "_exponent_grid", None)  # never built
+        with pytest.raises(OutOfDomain, match="grid limit"):
+            solver._needle_check(space_by_name("rp30000"), 0.3, 0.6, 0.1)
 
     def test_sphere_needle_check_always_matches_epsilon(self):
         for n in (2, 3, 7):
@@ -156,6 +163,9 @@ def _record_fills(monkeypatch):
         def standard_normal(self, size):
             fills.append((self.key, size))
             return self.gen.standard_normal(size)
+
+        def __getattr__(self, name):  # every other draw passes through
+            return getattr(self.gen, name)
 
     monkeypatch.setattr(RngSpec, "generator", lambda self, *key: Recording(generator(self, *key), key))
     return fills
@@ -449,28 +459,53 @@ class TestMainInequality:
                 one = check_main_inequality(space, pair, mc_samples=20000, seed=11, threads=threads)
                 assert json.dumps(rep, sort_keys=True) == json.dumps(one, sort_keys=True)
 
-    def test_many_pairs_draw_once_per_stream(self, monkeypatch):
-        # one fill per (stream, chunk) serves every pair, at the sphere's own width
+    def test_many_pairs_draw_once(self, monkeypatch):
+        # one fill per chunk of stream 0 serves both caps of every pair, at
+        # the sphere's own width
         fills = _record_fills(monkeypatch)
         solver._check_main_inequalities([S2], [(0.3, 0.5), (0.25, 0.5), (0.2, 0.6)], 5000, 3, 1)
-        assert fills == [((0, 0), 5000 * 3), ((1, 0), 5000 * 3)]
+        assert fills == [((0, 0), 5000 * 3)]
 
-    def test_two_spheres_draw_once_per_stream_at_the_wider_width(self, monkeypatch):
+    def test_two_spheres_draw_once_at_the_wider_width(self, monkeypatch):
         fills = _record_fills(monkeypatch)
         solver._check_main_inequalities([S2, S3], [(0.3, 0.5), (0.25, 0.5)], 40000, 3, 1)
         rows = [16384, 16384, 40000 - 2 * 16384]
-        assert fills == [((stream, c), r * 4) for stream in (0, 1) for c, r in enumerate(rows)]
+        assert fills == [((0, c), r * 4) for c, r in enumerate(rows)]
 
-    def test_seed_42_solver_group_makes_28_fills(self, monkeypatch):
-        # the S^2 + S^3 batch draws each of the 14 substreams once at width
-        # 4, and request_determinism's one-pair S^2 call once at width 3
+    @pytest.mark.parametrize("suite", ["solver", "all"])
+    def test_seed_42_makes_14_fills(self, monkeypatch, suite):
+        # the S^2 + S^3 batch draws each of the 7 chunks of stream 0 once at
+        # width 4, and request_determinism's one-pair S^2 call once at width
+        # 3; no other check of the suite draws Gaussians
         fills = _record_fills(monkeypatch)
-        run_property_suite("solver", 42)
-        assert len(fills) == 28
-        assert collections.Counter(key for key, _ in fills) == {
-            (stream, c): 2 for stream in (0, 1) for c in range(7)
+        run_property_suite(suite, 42)
+        assert len(fills) == 14
+        assert collections.Counter(key for key, _ in fills) == {(0, c): 2 for c in range(7)}
+        assert sum(size for _, size in fills) == 100000 * 4 + 100000 * 3
+
+    @pytest.mark.parametrize("spaces", [[S2], [S3], [S2, S3]])
+    def test_both_caps_are_stream_0_estimates_at_their_own_radius(self, spaces):
+        pairs = [(0.3, 0.5), (0.25, 0.5), (0.1, 0.8)]
+        for space, reps in zip(spaces, solver._check_main_inequalities(spaces, pairs, 30000, 5, 1)):
+            for rep in reps:
+                for cap in rep["mc"].values():
+                    own = mc_cap_mass(space.dim, cap["radius"], 30000, RngSpec(5), stream=0)
+                    assert (cap["estimate"], cap["stderr"]) == (own["estimate"], own["stderr"])
+
+    def test_seed_42_cap1_estimates_keep_their_bits(self):
+        # frozen before both caps shared stream 0, when the k1 caps already
+        # read it: sharing moved only the k2 caps
+        frozen = {
+            (2, 0.3): (1.1592794807274087, 0.2958, 0.0014432683742118095),
+            (2, 0.25): (1.0471975511965976, 0.2465, 0.001362856375411584),
+            (3, 0.3): (1.245392433274154, 0.29902, 0.0014477811975571447),
+            (3, 0.25): (1.1549407300050283, 0.24863, 0.0013667959727040463),
         }
-        assert sum(size for _, size in fills) == 2 * 100000 * 4 + 2 * 100000 * 3
+        pairs = [(0.3, 0.5), (0.25, 0.5)]
+        for space, reps in zip([S2, S3], solver._check_main_inequalities([S2, S3], pairs, 100000, 42, 1)):
+            for (k1, _), rep in zip(pairs, reps):
+                cap = rep["mc"]["cap1"]
+                assert (cap["radius"], cap["estimate"], cap["stderr"]) == frozen[space.dim, k1]
 
     @pytest.mark.parametrize("perturb", ["substream", "ulp"])
     def test_request_determinism_compares_two_routes(self, monkeypatch, perturb):
