@@ -18,8 +18,11 @@ the CD(N-1, N) needle condition.  Two routes decide it:
         = (sum_i w_i s_i P_i)^2 - sum_i w_i s_i^2 P_i^2 + (1 - W) prod_j c_j^2,
 
   a trigonometric polynomial of degree 2K, largest at an end or at a root
-  of its derivative; ``_product_margin`` finds it for a batch of rows.  A
-  needle passes when its margin is at most ``MARGIN_TOL``.
+  of its derivative.  ``_product_margin`` finds it for a batch of rows: in
+  ``z = tan(t - mid)``, ``mid`` the interval's midpoint, ``(1 + z^2)^K h'``
+  is a real polynomial of degree 2K, whose roots are the eigenvalues of
+  one real companion matrix per row.  A needle passes when its margin is
+  at most ``MARGIN_TOL``.
 * ``is_sin_concave`` is a sound-but-sampled verifier of the midpoint
   inequality on every midpoint-aligned pair of a uniform grid: it rejects
   with certainty but accepts only up to the grid resolution.  It stays the
@@ -27,11 +30,13 @@ the CD(N-1, N) needle condition.  Two routes decide it:
   ``check_comparison_lemma``.
 """
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from . import quadrature
 from .densities import HALF_PI, Interval, SinAffineDensity, TrigDensity, trig_mass
@@ -152,35 +157,59 @@ def _product_h(weights, phases, t):
     return wsp.sum(axis=-1) ** 2 - (wsp * sp).sum(axis=-1) + rest * (c * c).prod(axis=-1)
 
 
+@functools.cache
+def _derivative_matrix(k):
+    """The read-only real (2K + 1) x (2K + 1) matrix that maps ``h`` at
+    ``mid + j pi/(2K + 1)``, j = 0..2K, to the ascending coefficients of
+    ``(1 + z^2)^K h'`` in ``z = tan(t - mid)``, up to one constant: with
+    ``h = sum_n b_n e^(2in(t - mid))``, the DFT gives ``b_n`` and ``(1 +
+    z^2)^K e^(2in(t - mid)) = (1 + iz)^(K + n) (1 - iz)^(K - n)``, so it is
+    ``Im(DFT . diag(n) . B)``, row n of B those coefficients.  It is scaled
+    so each coefficient rounds by about an ulp of the largest sample at most."""
+    n = np.arange(-k, k + 1)
+    dft = np.exp(-2j * np.pi * np.outer(n + k, n) / (2 * k + 1))
+    rows = [P.polymul(P.polypow([1, 1j], k + m), P.polypow([1, -1j], k - m)) for m in n]
+    mat = ((dft * n) @ np.array(rows)).imag
+    mat /= np.abs(mat).sum(axis=0).max()
+    mat.flags.writeable = False
+    return mat
+
+
 def _product_margin(weights, phases, lo, hi):
     """The margins of rows of shifted-cosine factors, each on its ``[lo,
     hi]``: the largest ``h`` (module docstring) and an angle attaining it.
 
     ``weights`` and ``phases`` broadcast to ``(rows, K)``; ``lo`` and ``hi``
-    hold one end per row.  ``h`` has period pi and degree ``K`` in ``u =
-    e^(2it)``: ``2K + 1`` samples give its coefficients ``a_n``, and its
-    critical points are angles of roots of ``sum_n n a_n u^(n + K)``,
-    eigenvalues of one companion matrix per row.  The top coefficient, ``|1
-    - W^2| / 4^K``, vanishes at ``W = 1``; it is never divided by, since
-    coefficients below rounding are rolled from the top to the bottom,
-    adding roots near 0.  Each root's angle, moved into ``[lo, lo + pi)``
-    and clipped to ``hi``, is a candidate beside the ends: a root off the
-    unit circle only adds a point of the interval, and a constant ``h`` is
-    decided at its ends."""
+    hold one end per row.  ``h`` has period pi and degree ``2K`` in ``t``:
+    its ``2K + 1`` samples from ``mid = (lo + hi)/2`` give, through one
+    fixed real matrix (:func:`_derivative_matrix`), the coefficients of the
+    real polynomial ``(1 + z^2)^K h'`` in ``z = tan(t - mid)``, and its
+    roots, eigenvalues of one real companion matrix per row, are the
+    critical points ``mid + arctan z``.  The top coefficient is ``h'`` at
+    ``mid + pi/2``, outside the interval or at an end, and is never divided
+    by when it vanishes: coefficients below rounding are rolled from the top
+    to the bottom, adding roots at ``t = mid``.  Each root's ``mid +
+    arctan(Re z)``, clipped into ``[lo, hi]``, is a candidate beside the
+    ends: a complex root only adds a point of the interval, a root at
+    infinity is an end or outside, and a constant ``h`` is decided at its
+    ends.  Every step works row by row, so a row's margin and angle have
+    the same bits in any batch."""
     weights, phases = np.asarray(weights, dtype=float), np.asarray(phases, dtype=float)
     rows, k = np.arange(weights.shape[0])[:, None], weights.shape[1]
     lo, hi = (np.asarray(x, dtype=float)[:, None] for x in (lo, hi))
-    n = np.arange(-k, k + 1)
-    samples = _product_h(weights, phases, np.arange(2 * k + 1) * (np.pi / (2 * k + 1)))
-    coef = n * np.fft.fftshift(np.fft.fft(samples), axes=-1) / (2 * k + 1)
+    mid = 0.5 * (lo + hi)
+    n = np.arange(2 * k + 1)
+    samples = _product_h(weights, phases, mid + n * (np.pi / (2 * k + 1)))
+    # einsum, not matmul: BLAS rounds a row differently by batch size
+    coef = np.einsum("rj,jn->rn", samples, _derivative_matrix(k))
     # h's terms are at most (1 + W)^2, so rounding leaves coefficients below this
     live = np.abs(coef) > 64 * np.finfo(float).eps * (1.0 + weights.sum(axis=-1, keepdims=True)) ** 2
-    poly = coef[rows, (n + k - np.argmax(live[:, ::-1], axis=-1)[:, None]) % (2 * k + 1)]
+    poly = coef[rows, (n - np.argmax(live[:, ::-1], axis=-1)[:, None]) % (2 * k + 1)]
     poly[~live.any(axis=-1), -1] = 1.0
-    companion = np.broadcast_to(np.eye(2 * k, k=-1), (rows.size, 2 * k, 2 * k)).astype(complex)
+    companion = np.broadcast_to(np.eye(2 * k, k=-1), (rows.size, 2 * k, 2 * k)).copy()
     companion[:, 0, :] = -poly[:, -2::-1] / poly[:, -1:]
-    inner = lo + np.mod(0.5 * np.angle(np.linalg.eigvals(companion)) - lo, np.pi)
-    t = np.concatenate((lo, hi, np.minimum(inner, hi)), axis=-1)
+    inner = np.clip(mid + np.arctan(np.linalg.eigvals(companion).real), lo, hi)
+    t = np.concatenate((lo, hi, inner), axis=-1)
     h = _product_h(weights, phases, t)
     best = np.argmax(h, axis=-1)[:, None]
     return h[rows, best][:, 0], t[rows, best][:, 0]

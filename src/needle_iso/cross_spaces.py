@@ -119,6 +119,12 @@ class CrossSpace:
         return f"{_FAMILIES[self.family][0]}{self.index}"
 
 
+def _require_space(space):
+    """OutOfDomain unless ``space`` is a :class:`CrossSpace`."""
+    if not isinstance(space, CrossSpace):
+        raise OutOfDomain(f"expected a CrossSpace, got {space!r}; parse names with space_by_name")
+
+
 def space_by_name(name):
     """Parse names like ``s2``, ``rp3``, ``cp2``, ``hp1``, ``cap2``."""
     if not isinstance(name, str):
@@ -139,8 +145,11 @@ def catalog(space):
     KP^j, with exponents ``(s(n-j)-1, s(j+1)-1)``; its polar dual is
     candidate ``n-1-j``, with the exponents swapped.  The rule covers RP^n,
     CP^n, HP^n and CaP^2 (ball (15, 7), tube around CaP^1 (7, 15)).  Spheres
-    have only the ball.
+    have only the ball.  A ``space`` that is not a :class:`CrossSpace`
+    raises OutOfDomain; so, through this, does every entry point that reads
+    the space's catalog record.
     """
+    _require_space(space)
     _, symbol, s, _, _ = _FAMILIES[space.family]
     n = space.index
     if space.family == SPHERE:
@@ -187,12 +196,14 @@ def _row(candidate, space):
 
 def radial_density(candidate, space):
     """A fresh normalized radial profile sin^a cos^b on [0, diameter]."""
+    _require_space(space)
     return normalize(TrigDensity(m=candidate.b, k=candidate.a, interval=Interval(0.0, space.diameter)))
 
 
 def profile_cdf(candidate, space, r):
     """Fraction of the space's volume within distance ``r`` of the core;
     exactly 0 at ``r = 0`` and exactly 1 at the diameter."""
+    _require_space(space)
     r_arr = _real_array(r, "radius")
     if not np.all((r_arr >= -1e-12) & (r_arr <= space.diameter + 1e-12)):
         raise OutOfDomain(f"radius outside [0, {space.diameter:.6g}]")
@@ -277,6 +288,7 @@ def _enlarged_difference(space, i, j, epsilon):
 
 def polar_of(candidate, space):
     """The catalog candidate with swapped exponents (t -> diameter - t)."""
+    _require_space(space)
     if space.family == SPHERE:
         raise NotApplicable("polar duality is defined for diameter pi/2 spaces only")
     swapped = (candidate.b, candidate.a)
@@ -289,9 +301,10 @@ def polar_of(candidate, space):
 
 
 def catalog_to_dict(space):
+    cands = catalog(space)
     return {
         "space": space.name,
         "dim": space.dim,
         "diameter": space.diameter,
-        "candidates": [c.to_dict() for c in catalog(space)],
+        "candidates": [c.to_dict() for c in cands],
     }

@@ -13,13 +13,14 @@ case the result is flagged as heuristic.
 
 import functools
 import math
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .cross_spaces import SPHERE, _integer
+from .cross_spaces import SPHERE, _integer, _require_space
 from .densities import HALF_PI, Interval, SinAffineDensity, _checked_fold, _fold, _needle_quantile, normalize
 from .errors import HypothesisViolated, NotApplicable, OutOfDomain, _require_count
 from .sampling import RngSpec, _affine_draws
@@ -43,6 +44,12 @@ _SLACK = 1e-10
 # on the whole grid: ``max_total_power`` up to 722 on spaces of dimension at
 # most 16.  A larger grid raises OutOfDomain before it is built.
 _MAX_FOLDED = 1 << 17
+# The most folded needles the cached exponent grids hold together: two grids
+# at the limit.  ``_grids`` maps ``(low, top, diameter)`` to its grid, least
+# recently used first.
+_CACHED_FOLDED = 1 << 18
+_grids = {}
+_grids_lock = threading.Lock()
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +140,6 @@ def _sphere_family(n):
     return _family(((n - 1, 0),), ((n - 1, 0),), -HALF_PI, HALF_PI)
 
 
-@functools.lru_cache(maxsize=32)
 def _exponent_grid(low, top, diameter):
     """The grid of pairs ``(m, k)`` with ``low <= m + k <= top``, built once:
     one read-only ``_fold`` of the ``m <= k`` half on ``[0, diameter]``
@@ -141,11 +147,29 @@ def _exponent_grid(low, top, diameter):
     the two arrangements of the gap rule, so ``sep(m, k) == sep(k, m)``.
     Its ``table`` will hold each folded needle's quantile at the masses
     ``_MASSES``, a (575 x needle) array left empty here: :func:`_candidates`
-    fills the rows it reads, on first use, and flags each in ``filled``."""
-    pairs = tuple(sorted((total - k, k) for total in range(low, top + 1) for k in range(total + 1)))
-    family = _family(pairs, tuple(p for p in pairs if p[0] <= p[1]), 0.0, diameter)
-    table = np.empty((_MASSES.size, family.needle.a.size))
-    return family._replace(table=table, filled=np.zeros(_MASSES.size, dtype=bool))
+    fills the rows it reads, on first use, and flags each in ``filled``.
+
+    Grids are cached by folded needle count, not by entry count: a miss
+    first drops the least recently used grids until the new grid's folded
+    needles fit with theirs in ``_CACHED_FOLDED`` (or none is left), then
+    builds it.  Lookups and builds hold one lock, so no grid is built twice
+    at once."""
+    key = (low, top, diameter)
+    with _grids_lock:
+        grid = _grids.pop(key, None)
+        if grid is None:
+            need = _folded_count(low, top)
+            while _grids and need + sum(g.needle.a.size for g in _grids.values()) > _CACHED_FOLDED:
+                del _grids[next(iter(_grids))]
+            pairs = tuple(sorted((total - k, k) for total in range(low, top + 1) for k in range(total + 1)))
+            family = _family(pairs, tuple(p for p in pairs if p[0] <= p[1]), 0.0, diameter)
+            table = np.empty((_MASSES.size, family.needle.a.size))
+            grid = family._replace(table=table, filled=np.zeros(_MASSES.size, dtype=bool))
+        _grids[key] = grid  # the most recently used grid comes last
+        return grid
+
+
+_exponent_grid.cache_clear = _grids.clear
 
 
 def _folded_count(low, top):
@@ -253,6 +277,7 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
     that can reach a pair's maximum or tie with it are evaluated
     (:func:`_candidates`): the bound and ties are those of the whole grid.
     """
+    _require_space(space)
     if space.family == SPHERE:
         raise NotApplicable("use sphere_needle_bound for spheres")
     if abs(space.diameter - HALF_PI) > 1e-12:
@@ -283,7 +308,8 @@ def cross_needle_bound(space, masses, max_total_power=None, force=False):
     pass) or is below ``max(dim - 1, 1)`` raises ``OutOfDomain``, and so
     does a grid whose folded ``m <= k`` half would hold more than 2^17
     needles (about 2^18 on the whole grid, so ``max_total_power`` at most
-    722 on spaces of dimension up to 16), before anything is built.
+    722 on spaces of dimension up to 16), before anything is built.  A
+    ``space`` that is not a ``CrossSpace`` raises ``OutOfDomain``.
     """
     return cross_needle_bounds(space, [masses], max_total_power, force)[0]
 

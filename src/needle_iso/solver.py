@@ -20,6 +20,7 @@ from .cross_spaces import (
     _catalog_enlarged,
     _enlarged_difference,
     _epsilon,
+    _require_space,
     catalog,
     polar_of,
     profile_quantile,
@@ -37,14 +38,16 @@ _RESOLUTION = 4.0 * np.finfo(float).eps
 @dataclass(frozen=True)
 class SolveRequest:
     """A solve's inputs; ``v`` and ``epsilon`` are stored as Python floats.
-    Each must be an int or a float (Python or numpy, not a bool), ``v`` in
-    (0, 1) and ``epsilon`` positive and finite, else OutOfDomain."""
+    ``space`` must be a ``CrossSpace``, and ``v`` and ``epsilon`` each an int
+    or a float (Python or numpy, not a bool), ``v`` in (0, 1) and
+    ``epsilon`` positive and finite, else OutOfDomain."""
 
     space: object
     v: float
     epsilon: float
 
     def __post_init__(self):
+        _require_space(self.space)
         v = _real_scalar(self.v, "volume fraction")
         if not (0.0 < v < 1.0):
             raise OutOfDomain(f"volume fraction must be in (0,1), got {self.v}")
@@ -206,8 +209,9 @@ def isoperimetric_profile_curve(space, epsilon, v_grid):
     one pass over the two candidates.  A cell whose upper-end values tie
     exactly (both enlargements saturated) has no sign change and reports no
     crossover.  An ``epsilon`` that is not a positive, finite scalar, a grid
-    that is not 1-D, or a volume outside (0, 1/2], NaN included, raises
-    ``OutOfDomain`` before any evaluation.
+    that is not 1-D, a volume outside (0, 1/2], NaN included, or a space
+    that is not a ``CrossSpace`` raises ``OutOfDomain`` before any
+    evaluation.
     """
     v_grid, epsilon = _as_volumes(v_grid, epsilon)
     if v_grid.ndim != 1:
@@ -273,6 +277,7 @@ def _check_main_inequalities(spaces, mass_pairs, mc_samples, seed, threads):
     :func:`sampling._mc_cap_masses` call, which draws each chunk once at the
     widest sphere's width."""
     for space in spaces:
+        _require_space(space)
         if space.family != SPHERE or space.dim not in (2, 3):
             raise NotApplicable("the antipodal-cap witness is implemented for S^2, S^3")
     mps = [as_mass_pair(p) for p in mass_pairs]
@@ -326,6 +331,7 @@ def check_realization(space, candidate, masses):
     ``realizes`` records whether that distance matches the grid needle bound
     to 1e-8 (reported per case; no global claim).
     """
+    _require_space(space)
     if space.family == SPHERE:
         raise NotApplicable("use check_main_inequality for spheres")
     mp = as_mass_pair(masses)

@@ -510,6 +510,155 @@ class TestExactMargin:
             sin_concavity_margin(d, order)
 
 
+def _mp_row_h(weights, phases, t):
+    """``h`` of one row of shifted-cosine factors at ``t`` in mpmath, from
+    the module docstring's formula: ``(sum w_i s_i P_i)^2 - sum w_i s_i^2
+    P_i^2 + (1 - W) prod c_j^2``."""
+    c = [mpmath.cos(t - ph) for ph in phases]
+    sp = [mpmath.sin(t - ph) * mpmath.fprod(c[:i] + c[i + 1 :]) for i, ph in enumerate(phases)]
+    return (
+        mpmath.fsum(w * x for w, x in zip(weights, sp)) ** 2
+        - mpmath.fsum(w * x * x for w, x in zip(weights, sp))
+        + (1 - mpmath.fsum(weights)) * mpmath.fprod(x * x for x in c)
+    )
+
+
+def _mp_row_max(weights, phases, lo, hi, cells=96):
+    """The 40-digit maximum of ``h`` on ``[lo, hi]``, with no polynomial
+    root finder: the largest of ``h`` at ``cells + 1`` uniform points (the
+    ends among them) and at every root of ``h'`` where it falls from + to -
+    between two of them, a bracketed root.  A slope within 1e-30 of 0 is
+    the numerical derivative's noise, not a sign."""
+    with mpmath.workdps(40):
+        w, ph = [mpmath.mpf(float(x)) for x in weights], [mpmath.mpf(float(x)) for x in phases]
+
+        def h(t):
+            return _mp_row_h(w, ph, t)
+
+        def slope(t):
+            return mpmath.diff(h, t)
+
+        grid = mpmath.linspace(mpmath.mpf(float(lo)), mpmath.mpf(float(hi)), cells + 1)
+        slopes = [slope(t) for t in grid]
+        best = max(h(t) for t in grid)
+        noise = mpmath.mpf(10) ** -30
+        for a, b, sa, sb in zip(grid, grid[1:], slopes, slopes[1:]):
+            if sa > noise and sb < -noise:
+                best = max(best, h(mpmath.findroot(slope, (a, b), solver="illinois")))
+        return best
+
+
+def _assert_row_margin(weights, phases, lo, hi):
+    """The kernel's margin of one row is the 40-digit maximum of ``h``, and
+    its angle lies in ``[lo, hi]`` and attains it; returns the angle."""
+    margin, argmax = _product_margin(np.array([weights], dtype=float), [phases], [lo], [hi])
+    assert lo <= argmax[0] <= hi
+    assert margin[0] == pytest.approx(float(_mp_row_max(weights, phases, lo, hi)), abs=1e-12)
+    with mpmath.workdps(40):
+        w, ph = [mpmath.mpf(float(x)) for x in weights], [mpmath.mpf(float(x)) for x in phases]
+        at = _mp_row_h(w, ph, mpmath.mpf(float(argmax[0])))
+    assert margin[0] == pytest.approx(float(at), abs=1e-12)
+    return argmax[0]
+
+
+class TestMarginKernel:
+    """``_product_margin`` against a 40-digit maximum of ``h`` found without
+    its companion matrix."""
+
+    @given(case=_shifted_cosines())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_rows_match_the_forty_digit_maximum(self, case):
+        powers, phases, iv, order = case
+        _assert_row_margin(np.array(powers) / order, phases, iv.lo, iv.hi)
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize(
+        "powers, phases, order",
+        [
+            ((3.0,), (0.4,), 1.0),
+            ((3.0,), (0.4,), 5.0),
+            ((2.0, 1.5), (0.3, 0.3005), 1.2),
+            ((1.0, 2.0, 0.5), (-0.2, -0.2, -0.1995), 3.5),
+            ((1.0, 2.0, 0.5), (-0.2, -0.2, -0.1995), 0.8),
+        ],
+    )
+    def test_intervals_close_to_pi(self, powers, phases, order, gap):
+        # the window where every factor is nonnegative, less ``gap`` at each
+        # end: the roots at z = infinity, mid +- pi/2, lie within ``gap`` of it
+        lo, hi = max(phases) - HALF_PI + gap, min(phases) + HALF_PI - gap
+        assert hi - lo > math.pi - 1e-3 - 2 * gap
+        _assert_row_margin(np.array(powers) / order, phases, lo, hi)
+
+    @pytest.mark.parametrize("w", [0.25, 0.5, 0.9, 1.0, 1.5, 3.0])
+    def test_pure_sine_on_zero_to_pi(self, w):
+        # h = (w^2 - w) cos^2 t + (1 - w) sin^2 t: its largest value is
+        # 1 - w at pi/2 for w < 1 and w^2 - w at the ends for w > 1
+        argmax = _assert_row_margin([w], [HALF_PI], 0.0, math.pi)
+        d = TrigDensity(m=0, k=2 * w, interval=Interval(0.0, math.pi))
+        margin = sin_concavity_margin(d, 2)
+        if w < 1:
+            assert argmax == pytest.approx(HALF_PI, abs=1e-12)
+            assert margin.argmax == pytest.approx(HALF_PI, abs=1e-12)
+            assert margin.margin == pytest.approx(1 - w, abs=1e-14)
+        elif w > 1:
+            assert argmax == 0.0 and margin.argmax == 0.0
+            assert margin.margin == pytest.approx(w * w - w, abs=1e-14)
+        else:
+            assert margin.margin == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "weights, phases, lo, hi, where",
+        [
+            # cos t sin^3 t at order 1 falls from lo, and its mirror
+            # cos^3 t sin t rises to hi
+            ((1.0, 3.0), (0.0, HALF_PI), 0.3, 1.0, "lo"),
+            ((3.0, 1.0), (0.0, HALF_PI), HALF_PI - 1.0, HALF_PI - 0.3, "hi"),
+            # cos^3(t - 0.2) at order 1 is largest farthest from its phase
+            ((3.0,), (0.2,), -0.5, 1.3, "hi"),
+            # sine factors of summed weight below 1 peak at pi/2 together
+            ((0.3, 0.4), (HALF_PI, HALF_PI), 0.3, 2.5, "pi/2"),
+            ((0.2, 0.1, 0.3), (HALF_PI, HALF_PI, HALF_PI), 0.05, 2.0, "pi/2"),
+            ((0.6,), (HALF_PI,), 1.2, 2.9, "pi/2"),
+        ],
+    )
+    def test_maximum_at_an_end_or_at_half_pi(self, weights, phases, lo, hi, where):
+        argmax = _assert_row_margin(weights, phases, lo, hi)
+        if where == "pi/2":
+            assert argmax == pytest.approx(HALF_PI, abs=1e-9)
+        else:
+            assert argmax == {"lo": lo, "hi": hi}[where]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_batch_rows_keep_their_bits(self, k):
+        # each row's margin and angle have the bits of its own one-row call
+        gen = np.random.default_rng(k)
+        phases = gen.uniform(-1.0, 1.0, (40, k))
+        lo = phases.max(axis=1) - HALF_PI + gen.uniform(0.0, 1.0, 40)
+        hi = phases.min(axis=1) + HALF_PI - gen.uniform(0.0, 1.0, 40)
+        weights = gen.uniform(0.0, 2.0, (40, k))
+        weights[::7, 0] = 0.0  # absent factors
+        margin, argmax = _product_margin(weights, phases, lo, hi)
+        for i in range(40):
+            one = _product_margin(weights[i : i + 1], phases[i : i + 1], lo[i : i + 1], hi[i : i + 1])
+            assert (margin[i], argmax[i]) == (one[0][0], one[1][0])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_margin_work_count(self, monkeypatch, k):
+        # one eigensolver call per kernel call, on the real companion
+        # matrices of every row at once: float64, 2K x 2K
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append((a.dtype, a.shape))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        gen = np.random.default_rng(k)
+        _product_margin(gen.uniform(0.1, 2.0, (9, k)), np.zeros((1, k)), np.full(9, -0.5), np.full(9, 1.0))
+        assert calls == [(np.dtype(np.float64), (9, 2 * k, 2 * k))]
+
+
 class TestComparisonLemma:
     def test_self_comparison_is_equality(self):
         n = 3

@@ -9,15 +9,23 @@ from needle_iso import (
     Interval,
     NotApplicable,
     OutOfDomain,
+    SolveRequest,
     TrigDensity,
     catalog,
     catalog_to_dict,
+    check_main_inequality,
+    check_realization,
+    cross_needle_bound,
+    cross_needle_bounds,
     enlarged_volume,
+    isoperimetric_profile_curve,
     normalize,
     polar_of,
     profile_cdf,
     profile_quantile,
     radial_density,
+    solve_isoperimetric,
+    solve_with_complement_reduction,
     space_by_name,
 )
 from needle_iso.cross_spaces import _catalog_enlarged, _enlarge, _record, _row
@@ -447,3 +455,48 @@ class TestNamesAndSerialization:
             rec = catalog_to_dict(space_by_name(name))
             assert rec["space"] == name
             assert [(c["label"], c["a"], c["b"], c["polar"]) for c in rec["candidates"]] == chain
+
+
+_CP2 = CrossSpace.complex_projective(2)
+_BALL = catalog(_CP2)[0]
+# every public entry that takes a space, with valid other arguments
+_SPACE_ENTRIES = {
+    "SolveRequest": lambda s: SolveRequest(s, 0.3, 0.1),
+    "solve_isoperimetric": lambda s: solve_isoperimetric(SolveRequest(s, 0.3, 0.1)),
+    "solve_with_complement_reduction": lambda s: solve_with_complement_reduction(s, 0.7, 0.1),
+    "isoperimetric_profile_curve": lambda s: isoperimetric_profile_curve(s, 0.1, [0.1, 0.3]),
+    "cross_needle_bound": lambda s: cross_needle_bound(s, (0.3, 0.6)),
+    "cross_needle_bounds": lambda s: cross_needle_bounds(s, [(0.3, 0.6)]),
+    "check_main_inequality": lambda s: check_main_inequality(s, (0.3, 0.5), mc_samples=10),
+    "check_realization": lambda s: check_realization(s, _BALL, (0.3, 0.6)),
+    "catalog": catalog,
+    "catalog_to_dict": catalog_to_dict,
+    "enlarged_volume": lambda s: enlarged_volume(_BALL, s, 0.3, 0.1),
+    "polar_of": lambda s: polar_of(_BALL, s),
+    "profile_cdf": lambda s: profile_cdf(_BALL, s, 0.3),
+    "profile_quantile": lambda s: profile_quantile(_BALL, s, 0.3),
+    "radial_density": lambda s: radial_density(_BALL, s),
+}
+
+
+class TestNotASpace:
+    @pytest.mark.parametrize("space", ["cp2", None, 3], ids=["name", "none", "int"])
+    @pytest.mark.parametrize("entry", sorted(_SPACE_ENTRIES))
+    def test_raises_out_of_domain(self, entry, space):
+        # a name string once raised AttributeError from deep inside the call
+        with pytest.raises(OutOfDomain, match="space_by_name"):
+            _SPACE_ENTRIES[entry](space)
+
+    def test_cached_record_reads_skip_the_check(self, monkeypatch):
+        # the check runs when a space's catalog record is built, not on
+        # each read of a cached one
+        import needle_iso.cross_spaces as cross_spaces
+
+        enlarged_volume(_BALL, _CP2, 0.3, 0.1)
+        calls = []
+        check = cross_spaces._require_space
+        monkeypatch.setattr(cross_spaces, "_require_space", lambda s: calls.append(s) or check(s))
+        enlarged_volume(_BALL, _CP2, 0.3, 0.1)
+        profile_quantile(_BALL, _CP2, 0.3)
+        _catalog_enlarged(_CP2, np.array([0.1, 0.3]), 0.1)
+        assert calls == []

@@ -175,6 +175,57 @@ class TestCrossBound:
         with pytest.raises(Built if builds else OutOfDomain, match=None if builds else "grid limit of 131072"):
             cross_needle_bound(space, (0.3, 0.6), max_total_power=top)
 
+    def test_grid_cache_keeps_every_default_grid(self):
+        _exponent_grid.cache_clear()
+        names = [f"rp{n}" for n in range(2, 11)] + [f"cp{n}" for n in range(1, 6)] + ["hp2", "hp3", "cap2"]
+        keys = [(max(s.dim - 1, 1), s.dim + 7, s.diameter) for s in map(space_by_name, names)]
+        grids = [_exponent_grid(*key) for key in keys]
+        assert grids[-1].needle.a.size == 92  # cap2
+        assert sum(g.needle.a.size for g in grids) <= needle_bound._CACHED_FOLDED
+        assert all(_exponent_grid(*key) is g for key, g in zip(keys, grids))
+
+    def test_grid_cache_drops_the_least_recently_used_past_its_budget(self, monkeypatch):
+        # the budget counts folded needles: grids a and b fit, and a new grid
+        # c makes room by dropping b, the least recently used
+        a, b, c = (2, 20, HALF_PI), (3, 20, HALF_PI), (4, 20, HALF_PI)
+        size = {key: needle_bound._folded_count(*key[:2]) for key in (a, b, c)}
+        assert (size[a], size[b], size[c]) == (119, 117, 115)
+        monkeypatch.setattr(needle_bound, "_CACHED_FOLDED", size[a] + size[b])
+        _exponent_grid.cache_clear()
+        ga, gb = _exponent_grid(*a), _exponent_grid(*b)
+        assert _exponent_grid(*a) is ga  # now b is the least recently used
+        gc_ = _exponent_grid(*c)
+        assert _exponent_grid(*a) is ga and _exponent_grid(*c) is gc_
+        assert _exponent_grid(*b) is not gb  # rebuilt, which drops a, now the least recent
+        assert list(needle_bound._grids) == [c, b]
+
+    @pytest.mark.parametrize("budget", [1 << 18, 300])
+    def test_grid_cache_is_thread_safe(self, monkeypatch, budget):
+        # threads looking grids up in clashing orders get the right grid each
+        # time and never hold more than the budget; under the default budget,
+        # nothing is dropped and every thread gets the one grid per key
+        keys = [(low, 20, HALF_PI) for low in range(2, 8)]
+        monkeypatch.setattr(needle_bound, "_CACHED_FOLDED", budget)
+        _exponent_grid.cache_clear()
+
+        def look(i):
+            order = keys[i % len(keys) :] + keys[: i % len(keys)]
+            return [(key, _exponent_grid(*key)) for key in order * 5]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(look, i) for i in range(8)]
+                seen = [pair for f in futures for pair in f.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        for (low, top, _), grid in seen:
+            assert min(map(sum, grid.pairs)) == low and max(map(sum, grid.pairs)) == top
+        assert sum(g.needle.a.size for g in needle_bound._grids.values()) <= budget
+        if budget == 1 << 18:
+            assert all(grid is needle_bound._grids[key] for key, grid in seen)
+
 
 class TestCrossBoundPairAxis:
     @pytest.mark.parametrize(

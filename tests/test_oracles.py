@@ -403,6 +403,26 @@ class TestSuiteRunner:
             "_check_product_closure",
         ]
 
+    def test_density_group_eigensolver_work_count(self, monkeypatch):
+        # one eigensolver call per margin check, on real float64 companion
+        # matrices of size 2K: K = 2 for the trig monomials, 3 for the products
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append((a.dtype, a.shape[1:]))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        run_property_suite("density", SEED)
+        assert calls == [(np.dtype(np.float64), (4, 4))] * 2 + [(np.dtype(np.float64), (6, 6))]
+
+    def test_density_reports_at_seeds_0_to_49_keep_their_bytes(self):
+        # every margin verdict of the group, over 50 seeds, as one digest
+        text = "".join(report_to_json(run_property_suite("density", s)) for s in range(50))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "07f1432f1aa19ed5e3dd0be8f18d9d8d96d2af012b826133313d1ace239a4bb8"
+
     def test_needle_group_builds_no_decomposition(self, monkeypatch):
         # needle.component_bound takes its component seps from the batch
         # kernel: no binomial expansion, whose quadratures weigh component
