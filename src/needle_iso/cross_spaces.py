@@ -169,11 +169,21 @@ def catalog(space):
 _Record = namedtuple("_Record", "candidates needle rows")
 
 
-@functools.lru_cache(maxsize=32)
 def _record(space):
     """The space's catalog record, built once and read-only: one ``_fold`` of
     all candidates' ``(b, a)`` on ``[0, diameter]``, whose (candidate x 1)
-    fields broadcast against a row of volumes, and each candidate's row."""
+    fields broadcast against a row of volumes, and each candidate's row.
+    An unhashable ``space`` (a list, a dict) raises OutOfDomain, not the
+    cache's TypeError."""
+    try:
+        return _cached_record(space)
+    except TypeError:
+        _require_space(space)
+        raise
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_record(space):
     cands = tuple(catalog(space))
     needle = _fold(*_exponent_columns(cands), 0.0, space.diameter)
     for arr in needle:

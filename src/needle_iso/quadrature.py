@@ -3,49 +3,62 @@
 This is the generic integration engine of the package.  Trigonometric
 monomial masses also have closed forms via the incomplete beta function
 (see :mod:`needle_iso.densities`); this module is the independent route used
-for arbitrary integrands and for cross-checking the closed forms.
+for arbitrary integrands and for cross-checking the closed forms.  One
+integrand call per panel serves both rules: ``f`` is evaluated once on the
+10-point and the 21-point nodes together, and each rule reads its slice.
 """
+
+import functools
+import math
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import OutOfDomain, QuadratureError, _real_scalar
 
-_NODE_CACHE: dict = {}
 _MAX_PANELS = 4000
 
 
-def _nodes(order):
-    if order not in _NODE_CACHE:
-        _NODE_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _NODE_CACHE[order]
-
-
-def _panel(f, a, b, order):
-    x, w = _nodes(order)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(w, f(0.5 * (a + b) + half * x)))
+@functools.cache
+def _rule():
+    """The 10-point then the 21-point Gauss-Legendre nodes on [-1, 1] as one
+    array, and the weights of each rule."""
+    x10, w10 = np.polynomial.legendre.leggauss(10)
+    x21, w21 = np.polynomial.legendre.leggauss(21)
+    return np.concatenate([x10, x21]), w10, w21
 
 
 def integrate(f, a, b, atol=1e-12):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``atol``.
 
-    ``f`` must accept numpy arrays.  Panels are bisected until the
-    difference between a 10-point and a 21-point Gauss-Legendre rule falls
-    under the panel's share of the tolerance; the recursion grades the mesh
-    automatically near endpoint singularities of the derivatives.  Raises
-    :class:`QuadratureError` after 4000 panel splits.
+    ``f`` must accept numpy arrays and act elementwise.  Panels are bisected
+    until the difference between a 10-point and a 21-point Gauss-Legendre
+    rule falls under the panel's share of the tolerance; the recursion
+    grades the mesh automatically near endpoint singularities of the
+    derivatives.  Raises ``OutOfDomain``, before any panel, for a bound
+    that is not a finite int or float (a bool, a string or an array is not
+    a bound) and for an ``atol`` that is not a finite int or float above 0;
+    raises :class:`QuadratureError` after 4000 panel splits.
     """
-    if a == b:
+    lo, hi = _real_scalar(a, "lower bound"), _real_scalar(b, "upper bound")
+    tol = _real_scalar(atol, "atol")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise OutOfDomain(f"integration bounds must be finite, got {a!r} and {b!r}")
+    if not 0.0 < tol < math.inf:  # NaN compares false
+        raise OutOfDomain(f"atol must be finite and above 0, got {atol!r}")
+    if lo == hi:
         return 0.0
-    if b < a:
-        return -integrate(f, b, a, atol=atol)
-    stack = [(float(a), float(b), float(atol))]
+    if hi < lo:
+        return -integrate(f, hi, lo, atol=tol)
+    x, w10, w21 = _rule()
+    stack = [(lo, hi, tol)]
     total = 0.0
     panels = 0
     while stack:
         a0, b0, tol0 = stack.pop()
-        coarse = _panel(f, a0, b0, 10)
-        fine = _panel(f, a0, b0, 21)
+        half = 0.5 * (b0 - a0)
+        fx = f(0.5 * (a0 + b0) + half * x)
+        coarse = half * float(np.dot(w10, fx[:10]))
+        fine = half * float(np.dot(w21, fx[10:]))
         if abs(fine - coarse) <= max(tol0, 1e-16 * abs(fine)) or (b0 - a0) < 1e-14:
             total += fine
             continue

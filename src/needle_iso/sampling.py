@@ -99,21 +99,31 @@ def _mc_cap_masses(dims, radii, samples, rng, stream, threads):
         if not np.all((r >= 0.0) & (r <= math.pi)):  # NaN compares false
             raise OutOfDomain(f"cap radii must be finite and lie in [0, pi], got {r!r}")
     spec = as_rng_spec(rng)
-    cos_r = [np.array([math.cos(x) for x in r.ravel()])[:, None] for r in radii]
+    cos_r = [[math.cos(x) for x in r.ravel()] for r in radii]
     width = max(dims) + 1
     chunks = list(enumerate(range(0, samples, _MC_CHUNK)))
 
     def count_chunk(chunk):
+        # each sphere's hit test x_0 >= cos(r) * sqrt(x_0^2 + ... + x_n^2)
+        # runs in place, radius by radius, on four buffers of one value per row
         chunk_idx, start = chunk
         rows = min(_MC_CHUNK, samples - start)
         flat = spec.generator(stream, chunk_idx).standard_normal(rows * width)
+        x0, root, term = np.empty(rows), np.empty(rows), np.empty(rows)
+        hit = np.empty(rows, dtype=bool)
         counts = []
         for n, c in zip(dims, cos_r):
             x = flat[: rows * (n + 1)].reshape(rows, n + 1)
-            sq = x[:, 0] * x[:, 0]
+            np.copyto(x0, x[:, 0])
+            np.multiply(x0, x0, out=root)
             for j in range(1, n + 1):
-                sq += x[:, j] * x[:, j]
-            counts.append(np.count_nonzero(x[:, 0] >= c * np.sqrt(sq), axis=1))
+                np.multiply(x[:, j], x[:, j], out=term)
+                np.add(root, term, out=root)
+            np.sqrt(root, out=root)
+            counts.append(np.array([
+                np.count_nonzero(np.greater_equal(x0, np.multiply(cr, root, out=term), out=hit))
+                for cr in c
+            ]))
         return counts
 
     per_chunk = deterministic_map(count_chunk, chunks, threads=threads)

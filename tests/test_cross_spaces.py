@@ -480,10 +480,13 @@ _SPACE_ENTRIES = {
 
 
 class TestNotASpace:
-    @pytest.mark.parametrize("space", ["cp2", None, 3], ids=["name", "none", "int"])
+    @pytest.mark.parametrize(
+        "space", ["cp2", None, 3, ["cp2"], {"space": "cp2"}], ids=["name", "none", "int", "list", "dict"]
+    )
     @pytest.mark.parametrize("entry", sorted(_SPACE_ENTRIES))
     def test_raises_out_of_domain(self, entry, space):
-        # a name string once raised AttributeError from deep inside the call
+        # a name string once raised AttributeError from deep inside the call,
+        # and a list or a dict the catalog cache's bare TypeError (unhashable)
         with pytest.raises(OutOfDomain, match="space_by_name"):
             _SPACE_ENTRIES[entry](space)
 

@@ -200,6 +200,43 @@ class TestMcCapMass:
                 est = mc_cap_mass(n, radii, samples, RngSpec(seed), stream=stream)
                 assert np.array_equal(est["estimate"], hits / samples)
 
+    @staticmethod
+    def _product_reference(dims, radii, samples, seed, stream):
+        """The hit test as one (radii x rows) product and mask per sphere and
+        chunk: ``x0 >= cos(r) * sqrt(x0^2 + ... + xn^2)``, summed left to
+        right on the chunk's ``(rows, n + 1)`` prefix block.  Kept as the
+        reference the in-place kernel must agree with, bit for bit."""
+        width = max(dims) + 1
+        hits = [np.zeros(r.size, dtype=int) for r in radii]
+        for chunk, start in enumerate(range(0, samples, 1 << 14)):
+            rows = min(1 << 14, samples - start)
+            flat = RngSpec(seed).generator(stream, chunk).standard_normal(rows * width)
+            for n, r, h in zip(dims, radii, hits):
+                x = flat[: rows * (n + 1)].reshape(rows, n + 1)
+                sq = x[:, 0] * x[:, 0]
+                for j in range(1, n + 1):
+                    sq += x[:, j] * x[:, j]
+                c = np.array([math.cos(v) for v in r.ravel()])[:, None]
+                h += np.count_nonzero(x[:, 0] >= c * np.sqrt(sq), axis=1)
+        out = []
+        for r, h in zip(radii, hits):
+            p = h.reshape(r.shape) / samples
+            out.append((p, np.sqrt(np.maximum(p * (1.0 - p), 1e-300) / samples)))
+        return out
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("samples", [1, 999, 16384, 16385, 40000])
+    def test_in_place_kernel_matches_the_product_reference(self, samples, threads):
+        dims = (3, 1, 7, 2, 6, 4, 5, 2)
+        gen = RngSpec(11).generator(0)
+        edges = np.array([[0.0, math.pi / 2], [math.pi, 0.0], [math.pi / 2, math.pi]])
+        radii = [np.concatenate([edges, gen.uniform(0.0, math.pi, (3, 2))]) for _ in dims]
+        got = _mc_cap_masses(dims, radii, samples, RngSpec(5), 0, threads)
+        for n, est, (p, stderr) in zip(dims, got, self._product_reference(dims, radii, samples, 5, 0)):
+            assert est["estimate"].shape == (6, 2)
+            assert np.array_equal(est["estimate"], p), n
+            assert np.array_equal(est["stderr"], stderr), n
+
 
 def _affine_needle(gen, length_cap=math.pi, p_range=range(1, 7)):
     """One :func:`_affine_draws` needle as a normalized density: the draw
