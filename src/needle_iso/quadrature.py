@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import OutOfDomain, QuadratureError, _real_scalar
+from .errors import OutOfDomain, QuadratureError, _real_array, _real_scalar
 
 _MAX_PANELS = 4000
 
@@ -27,6 +27,15 @@ def _rule():
     return np.concatenate([x10, x21]), w10, w21
 
 
+def _require_values(fx, shape):
+    """Raise OutOfDomain unless ``fx``, an integrand's result on nodes of
+    ``shape``, is ints or floats by the array rule of
+    ``errors._real_array``, of that shape."""
+    got = _real_array(fx, "integrand values").shape
+    if got != shape:
+        raise OutOfDomain(f"the integrand must return an array shaped like its argument, {shape}, got {got}")
+
+
 def integrate(f, a, b, atol=1e-12):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``atol``.
 
@@ -36,8 +45,11 @@ def integrate(f, a, b, atol=1e-12):
     grades the mesh automatically near endpoint singularities of the
     derivatives.  Raises ``OutOfDomain``, before any panel, for a bound
     that is not a finite int or float (a bool, a string or an array is not
-    a bound) and for an ``atol`` that is not a finite int or float above 0;
-    raises :class:`QuadratureError` after 4000 panel splits.
+    a bound) and for an ``atol`` that is not a finite int or float above 0,
+    and at the first panel for an ``f`` whose result is not an array of
+    ints or floats shaped like its argument; raises
+    :class:`QuadratureError` at a panel whose rule sum is not finite (a NaN
+    or an infinity at a node), and after 4000 panel splits.
     """
     lo, hi = _real_scalar(a, "lower bound"), _real_scalar(b, "upper bound")
     tol = _real_scalar(atol, "atol")
@@ -53,12 +65,18 @@ def integrate(f, a, b, atol=1e-12):
     stack = [(lo, hi, tol)]
     total = 0.0
     panels = 0
+    checked = False
     while stack:
         a0, b0, tol0 = stack.pop()
         half = 0.5 * (b0 - a0)
         fx = f(0.5 * (a0 + b0) + half * x)
+        if not checked:
+            _require_values(fx, x.shape)
+            checked = True
         coarse = half * float(np.dot(w10, fx[:10]))
         fine = half * float(np.dot(w21, fx[10:]))
+        if not (math.isfinite(coarse) and math.isfinite(fine)):
+            raise QuadratureError(f"the integrand is not finite at a node of [{a0!r}, {b0!r}]")
         if abs(fine - coarse) <= max(tol0, 1e-16 * abs(fine)) or (b0 - a0) < 1e-14:
             total += fine
             continue

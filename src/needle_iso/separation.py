@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Interval, TabulatedDensity, _needle_quantile, _require_mass, _tabulate
+from .densities import Interval, TabulatedDensity, _DensityBase, _needle_quantile, _require_mass, _tabulate
 from .errors import InvalidMass, OutOfDomain, _real_array, _real_scalar, _require_count
 
 
@@ -39,10 +39,24 @@ class MassPair:
 
 
 def as_mass_pair(masses):
+    """``masses`` as a :class:`MassPair`: one as is, or a pair ``(k1, k2)``
+    by its rule; anything that does not unpack to two values raises
+    OutOfDomain."""
     if isinstance(masses, MassPair):
         return masses
-    k1, k2 = masses
+    try:
+        k1, k2 = masses
+    except (TypeError, ValueError):  # not iterable, or not two values
+        raise OutOfDomain(f"masses must be a MassPair or a pair (k1, k2), got {masses!r}") from None
     return MassPair(k1, k2)
+
+
+def _require_density(density):
+    """Raise OutOfDomain unless ``density`` is one of the library's densities."""
+    if not isinstance(density, _DensityBase):
+        raise OutOfDomain(
+            f"density must be a TrigDensity, SinAffineDensity or TabulatedDensity, got {type(density).__name__}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,9 +87,10 @@ class SeparationResult:
 def _gap_rule(ends, k1, k2):
     """The gap rule of every separation: ``ends`` maps the masses
     ``(k1, 1-k2, k2, 1-k1)``, stacked on a leading axis of length 4 (any
-    trailing shape), to where the left intervals end (entries 0, 2) and the
-    right ones start (1, 3).  Returns those points, whether ``k1`` sits on
-    the left of the wider arrangement, and its gap clamped at zero."""
+    trailing shape; Python floats stack to four floats), to where the left
+    intervals end (entries 0, 2) and the right ones start (1, 3).  Returns
+    those points, whether ``k1`` sits on the left of the wider arrangement,
+    and its gap clamped at zero."""
     t = ends(np.array([k1, 1.0 - k2, k2, 1.0 - k1]))
     gap_12, gap_21 = t[1] - t[0], t[3] - t[2]
     return t, gap_12 >= gap_21, np.maximum(np.maximum(gap_12, gap_21), 0.0)
@@ -85,13 +100,21 @@ def _needle_gaps(needle, k1, k2):
     """:func:`_gap_rule` on a needle record's closed-form quantiles, in its own
     frame (strictly increasing CDFs need no plateau correction).  The masses
     broadcast against the record's fields: ``(P, 1)`` masses over an ``(N,)``
-    record give a ``(P, N)`` table from one quantile call."""
-    k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
-    shape = np.broadcast(needle.a, k1, k2).shape
-    # only when needed: np.broadcast_to's Python overhead rivals a whole scalar bound
-    if k1.shape != shape or k2.shape != shape:
-        k1, k2 = np.broadcast_to(k1, shape), np.broadcast_to(k2, shape)
+    record give a ``(P, N)`` table from one quantile call.  Float masses on
+    one needle (``sep_1d``'s path) stay floats: no 0-d array is made."""
+    if not (isinstance(k1, float) and isinstance(k2, float) and needle.a.ndim == 0):
+        k1, k2 = np.asarray(k1, dtype=float), np.asarray(k2, dtype=float)
+        shape = np.broadcast(needle.a, k1, k2).shape
+        # only when needed: np.broadcast_to's Python overhead rivals a whole scalar bound
+        if k1.shape != shape or k2.shape != shape:
+            k1, k2 = np.broadcast_to(k1, shape), np.broadcast_to(k2, shape)
     return _gap_rule(lambda q: _needle_quantile(needle, q), k1, k2)
+
+
+# which of the gap rule's four targets start a right interval; read-only, so
+# every scalar tabulated separation shares it
+_RIGHT = np.array([False, True, False, True])
+_RIGHT.flags.writeable = False
 
 
 def _density_gaps(density, k1, k2):
@@ -102,7 +125,7 @@ def _density_gaps(density, k1, k2):
         return _needle_gaps(density._needle, k1, k2)
     # only a tabulated CDF can be flat inside its interval: across a zero
     # plateau a right interval (entries 1, 3) starts at the plateau's end
-    right = np.array([False, True, False, True]).reshape((4,) + (1,) * np.ndim(k1))
+    right = _RIGHT if isinstance(k1, float) else _RIGHT.reshape((4,) + (1,) * np.ndim(k1))
     return _gap_rule(lambda q: density._quantile(q, right=right), k1, k2)
 
 
@@ -146,9 +169,11 @@ def sep_1d(density, masses):
     arrangements, clamped at zero (the intervals are still reported at
     exact masses when they overlap, and always inside the interval).  A
     separation the quantile kernel has no answer for raises OutOfDomain
-    naming the masses.
+    naming the masses, and so do a density that is not one of the
+    library's and masses that are not a pair.
     """
     mp = as_mass_pair(masses)
+    _require_density(density)
     # quantile-based extremality assumes the supremum is reached by extreme
     # intervals, which holds for the library's unimodal families; other
     # tabulated shapes need the brute-force route
@@ -171,7 +196,9 @@ def batch_sep(density, k1, k2):
     """``sep_1d(density, (k1, k2)).sep`` over a batch of mass pairs of one
     needle: ``k1`` and ``k2`` broadcast, each in (0, 1], and the batch takes
     one quantile call.  Returns a float array of the broadcast shape, bit
-    for bit the scalar seps; a NaN raises OutOfDomain, as in ``sep_1d``."""
+    for bit the scalar seps; a NaN raises OutOfDomain, as in ``sep_1d``,
+    and so does a density that is not one of the library's."""
+    _require_density(density)
     k1, k2 = _as_masses(k1, k2)
     return _finite_seps(_density_gaps(density, k1, k2)[2], k1, k2)
 
@@ -207,10 +234,13 @@ def sep_1d_bruteforce(density, masses, grid_size=4096):
     :func:`sep_1d`, that extreme intervals attain the supremum, and checks
     the quantile arithmetic rather than that reduction.  Agrees with the
     quantile route to within ``2 * length / grid_size``.  A ``grid_size``
-    that is not an integer >= 64 raises ``OutOfDomain``.
+    that is not an integer >= 64 raises ``OutOfDomain``, and so do a
+    density that is not one of the library's and masses that are not a
+    pair.
     """
     _require_count(grid_size, "grid_size", 64)
     mp = as_mass_pair(masses)
+    _require_density(density)
     if isinstance(density, TabulatedDensity) and len(density.grid) == grid_size + 1:
         t, v = density.grid, density.values
     else:

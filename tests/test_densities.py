@@ -548,6 +548,76 @@ class TestTabulated:
         assert json.dumps(rec["values"]) == "[1.0, -0.0, 0.0, 1.0]"
 
 
+# TabulatedDensity cdf and quantile bits, as float.hex (so -0.0 counts),
+# recorded before the tabulated kernel's np.clip calls became
+# np.maximum/np.minimum: t at and past both grid ends and on -0.0, q at
+# 0 and 1 and just past them, and zero plateaus (interior, and of -0.0
+# samples) where the least t with F(t) >= q is the plateau's left end
+_PIN_Q = (
+    -1e-13, -0.0, 0.0, 1e-300, 0.1, 0.25, 0.5, 0.75, 0.9, 0.9999999999999999, 1.0, 1.0000000000001,
+)
+_PINS = {
+    'plateau': (
+        (0.0, 0.5, 1.0, 1.5, 2.0),
+        (1.0, 1.0, 0.0, 0.0, 1.0),
+        (-1e-10, -0.0, 0.0, 0.25, 1.0, 1.2, 1.5, 1.75, 2.0, 2.0000000001),
+        [
+            '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p-2', '0x1.8000000000000p-1',
+            '0x1.8000000000000p-1', '0x1.8000000000000p-1', '0x1.a000000000000p-1',
+            '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        ],
+        [
+            '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.56e1fc2f8f359p-997', '0x1.999999999999ap-4',
+            '0x1.0000000000000p-2', '0x1.0000000000000p-1', '0x1.0000000000000p+0',
+            '0x1.e325fbd0fdc92p+0', '0x1.0000000000000p+1', '0x1.0000000000000p+1',
+            '0x1.0000000000000p+1',
+        ],
+    ),
+    'signed-lo': (
+        (-0.0, 0.3, 0.7, 1.0),
+        (0.0, 2.0, 1.0, 0.5),
+        (-5e-10, -0.0, 0.0, 0.3, 0.5, 1.0, 1.0000000005),
+        [
+            '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.1111111111111p-2', '0x1.27d27d27d27d2p-1',
+            '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        ],
+        [
+            '-0x0.0p+0', '-0x0.0p+0', '-0x0.0p+0', '0x1.e6d3b86a52a23p-500', '0x1.783ddb1a48e39p-3',
+            '0x1.2971f372f95b6p-2', '0x1.c6eb15636fdccp-2', '0x1.4b61d3f519fe3p-1',
+            '0x1.a6bcb0fe362cep-1', '0x1.ffffffffffffdp-1', '0x1.0000000000000p+0',
+            '0x1.0000000000000p+0',
+        ],
+    ),
+    'negative-zero-samples': (
+        (-1.0, 0.0, 1.0, 2.0),
+        (-0.0, -0.0, 1.0, 0.5),
+        (-1.0000000001, -1.0, -0.5, -0.0, 0.0, 0.5, 2.0, 2.0000000001),
+        [
+            '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.999999999999ap-4',
+            '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+        ],
+        [
+            '-0x1.0000000000000p+0', '-0x1.0000000000000p+0', '-0x1.0000000000000p+0',
+            '0x1.4b3e6c483ebafp-498', '0x1.0000000000000p-1', '0x1.94c583ada5b52p-1',
+            '0x1.21115ee97c0b7p+0', '0x1.8000000000000p+0', '0x1.c6771ebf6ded2p+0',
+            '0x1.ffffffffffffep+0', '0x1.0000000000000p+1', '0x1.0000000000000p+1',
+        ],
+    ),
+}
+
+
+class TestTabulatedBits:
+    @pytest.mark.parametrize("case", sorted(_PINS))
+    def test_cdf_and_quantile_keep_their_bits(self, case):
+        grid, values, ts, cdf_bits, quantile_bits = _PINS[case]
+        d = TabulatedDensity(grid=grid, values=values)
+        assert [d.cdf(t).hex() for t in ts] == cdf_bits
+        assert [d.quantile(q).hex() for q in _PIN_Q] == quantile_bits
+        # the array call gives each scalar's bits
+        assert [x.hex() for x in d.cdf(np.array(ts)).tolist()] == cdf_bits
+        assert [x.hex() for x in d.quantile(np.array(_PIN_Q)).tolist()] == quantile_bits
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "density",

@@ -133,3 +133,28 @@ class TestInputRule:
         f, _, b, atol = _CASES["cos2_sin3"]
         assert integrate(f, 0, np.float64(b), atol=np.float64(atol)) == integrate(f, 0.0, b, atol=atol)
         assert integrate(f, np.int64(1), 1) == 0.0
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda t: 1.0, lambda t: np.ones(3), lambda t: np.ones((31, 1)), lambda t: None,
+         lambda t: np.full(t.shape, "1"), lambda t: t > 0.5, lambda t: t + 0j, lambda t: [t, t]],
+        ids=["scalar", "short", "column", "none", "strings", "bools", "complex", "two-rows"],
+    )
+    def test_integrand_must_return_ints_or_floats_shaped_like_its_argument(self, f):
+        # the scalar once raised a bare TypeError and the short array a bare ValueError
+        counted, calls = _counted(f)
+        with pytest.raises(OutOfDomain, match="integrand"):
+            integrate(counted, 0.0, 1.0)
+        assert calls == [31]
+
+    def test_int_and_list_results_pass(self):
+        assert integrate(lambda t: np.ones(t.shape, dtype=int), 0.0, 2.0) == integrate(np.ones_like, 0.0, 2.0)
+        assert integrate(lambda t: list(2.0 * t), 0.0, 1.0) == integrate(lambda t: 2.0 * t, 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_panel_raises_at_once(self, bad):
+        # a NaN integrand once ran 4000 panel splits before its QuadratureError
+        counted, calls = _counted(lambda t: np.where(t > 0.7, bad, t))
+        with pytest.raises(QuadratureError, match="not finite"):
+            integrate(counted, 0.0, 1.0)
+        assert calls == [31]
