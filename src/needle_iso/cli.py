@@ -17,9 +17,9 @@ import sys
 
 import numpy as np
 
-from .cross_spaces import space_by_name
+from .cross_spaces import SPHERE, space_by_name
 from .densities import density_from_dict
-from .errors import NeedleIsoError, OutOfDomain
+from .errors import NeedleIsoError, NotApplicable, OutOfDomain
 from .needle_bound import _csv, bound_profile_csv, cross_needle_bound, sphere_needle_bound
 from .oracles import SUITE_NAMES, report_to_json, run_property_suite
 from .separation import MassPair, sep_1d
@@ -67,16 +67,13 @@ def _cmd_sep(args):
 
 def _cmd_bound(args):
     masses = MassPair(args.k1, args.k2)
-    if args.sphere_dim is not None:
-        res = sphere_needle_bound(args.sphere_dim, masses, force=args.force)
+    space = None if args.space is None else space_by_name(args.space)
+    if space is None or space.family == SPHERE:
+        if args.max_power is not None:
+            raise NotApplicable("--max-power caps the cross grid; a sphere bound has one needle")
+        res = sphere_needle_bound(args.sphere_dim if space is None else space.dim, masses, force=args.force)
     else:
-        space = space_by_name(args.space)
-        if space.family == "sphere":
-            res = sphere_needle_bound(space.dim, masses, force=args.force)
-        else:
-            res = cross_needle_bound(
-                space, masses, max_total_power=args.max_power, force=args.force
-            )
+        res = cross_needle_bound(space, masses, max_total_power=args.max_power, force=args.force)
     rec = res.to_dict()
     rec.update({"k1": masses.k1, "k2": masses.k2})
     if args.format == "json":

@@ -46,6 +46,7 @@ from .errors import (
     NotApplicable,
     OutOfDomain,
     PreconditionFailed,
+    _real_scalar,
     _require_count,
 )
 
@@ -53,13 +54,15 @@ from .errors import (
 def _as_callable(f, interval):
     if hasattr(f, "pdf") and hasattr(f, "interval"):
         return f.pdf, f.interval
-    if interval is None:
-        raise OutOfDomain("an explicit interval is required for bare callables")
+    if not isinstance(interval, Interval):
+        raise OutOfDomain(f"a bare callable needs an explicit interval (an Interval), got {interval!r}")
     return f, interval
 
 
 def _require_order(order):
-    if not (math.isfinite(order) and order > 0):
+    """OutOfDomain unless ``order`` is an int or a float (the scalar rule),
+    InvalidOrder unless it is finite and positive."""
+    if not (math.isfinite(x := _real_scalar(order, "concavity order")) and x > 0):
         raise InvalidOrder(f"concavity order must be finite and positive, got {order}")
 
 
@@ -79,13 +82,15 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     holding a violated pair rejects.
 
     Raises ``InvalidOrder`` for an order that is not finite and positive,
-    and ``OutOfDomain`` for a ``grid_size`` that is not an integer >= 3, a
-    ``tol`` that is not finite and nonnegative, or samples that are not
-    finite (they have no scale) or not one per grid point.
+    and ``OutOfDomain`` for an order or ``tol`` that is not an int or a
+    float, a ``grid_size`` that is not an integer >= 3, a ``tol`` that is
+    not finite and nonnegative, a callable without an ``Interval``, or
+    samples that are not finite (they have no scale) or not one per grid
+    point.
     """
     _require_order(order)
     _require_count(grid_size, "grid_size", 3)
-    if not (math.isfinite(tol) and tol >= 0):
+    if not (math.isfinite(_real_scalar(tol, "tol")) and tol >= 0):
         raise OutOfDomain(f"tol must be finite and nonnegative, got {tol}")
     func, iv = _as_callable(f, interval)
     x = iv.grid(grid_size)
@@ -126,8 +131,9 @@ def sin_concavity_margin(density, order):
     sin^order-concave exactly when the margin is ``<= 0``; callers pass it
     when ``margin <= MARGIN_TOL``.
 
-    Raises ``NotApplicable`` for any other density or a callable, and
-    ``InvalidOrder`` for an order that is not finite and positive.
+    Raises ``NotApplicable`` for any other density or a callable,
+    ``OutOfDomain`` for an order that is not an int or a float, and
+    ``InvalidOrder`` for one that is not finite and positive.
     """
     if not isinstance(density, (TrigDensity, SinAffineDensity)):
         raise NotApplicable(
@@ -248,15 +254,18 @@ def check_comparison_lemma(f, order, epsilon, k, interval=None, grid_size=512):
     sine exponent raised by ``k`` for a ``TrigDensity``; otherwise both
     integrals are adaptive quadrature at 1e-13 times the largest sample.
     Raises ``InvalidOrder`` for an order that is not finite and positive,
-    ``OutOfDomain`` for a negative ``k`` or a bare callable without
-    ``interval``, and ``PreconditionFailed`` when ``f`` is not
-    sin^order-concave with its maximum at 0, or when the domain does not
-    start at 0, ``epsilon`` is outside (0, pi/2) or not below ``tau``, or
-    ``f(epsilon)`` is not positive.
+    ``OutOfDomain`` for an order, ``k`` or ``epsilon`` that is not an int or
+    a float, a negative ``k``, a ``grid_size`` that is not an integer >= 3
+    or a bare callable without an ``Interval``, and ``PreconditionFailed``
+    when ``f`` is not sin^order-concave with its maximum at 0, or when the
+    domain does not start at 0, ``epsilon`` is outside (0, pi/2) or not
+    below ``tau``, or ``f(epsilon)`` is not positive.
     """
     _require_order(order)
-    if k < 0:
+    _require_count(grid_size, "grid_size", 3)
+    if _real_scalar(k, "sine weight exponent k") < 0:
         raise OutOfDomain("sine weight exponent k must be nonnegative")
+    _real_scalar(epsilon, "epsilon")
     func, iv = _as_callable(f, interval)
     if abs(iv.lo) > 1e-12:
         raise PreconditionFailed("the comparison domain must start at 0")
@@ -377,7 +386,10 @@ def _binomial_rows(phase, power, lo, hi, scale):
 def binomial_decompose(affine):
     """Expand ``C (C1 sin t + C2 cos t)^p`` for integer ``p >= 0``: the one
     row of a ``SinAffineDensity`` through :func:`_binomial_rows`, ``C`` its
-    norm (1 when unnormalized)."""
+    norm (1 when unnormalized).  Anything but a ``SinAffineDensity`` raises
+    ``OutOfDomain``."""
+    if not isinstance(affine, SinAffineDensity):
+        raise OutOfDomain(f"binomial_decompose expands a SinAffineDensity, got {type(affine).__name__}")
     iv = affine.interval
     scale = 1.0 if affine.norm is None else affine.norm
     return _binomial_rows([affine.phase], [affine.power], [iv.lo], [iv.hi], [scale])[0]

@@ -25,9 +25,9 @@ from .densities import (
     _as_fractions,
     _checked_fold,
     _fold,
-    _Needle,
     _needle_cdf,
     _needle_quantile,
+    _take,
     _trig_pdf,
     normalize,
 )
@@ -125,6 +125,12 @@ def _require_space(space):
         raise OutOfDomain(f"expected a CrossSpace, got {space!r}; parse names with space_by_name")
 
 
+def _require_candidate(candidate):
+    """OutOfDomain unless ``candidate`` is a :class:`Candidate`."""
+    if not isinstance(candidate, Candidate):
+        raise OutOfDomain(f"expected a Candidate, got {candidate!r}; take candidates from catalog")
+
+
 def space_by_name(name):
     """Parse names like ``s2``, ``rp3``, ``cp2``, ``hp1``, ``cap2``."""
     if not isinstance(name, str):
@@ -186,10 +192,7 @@ def _record(space):
 def _cached_record(space):
     cands = tuple(catalog(space))
     needle = _fold(*_exponent_columns(cands), 0.0, space.diameter)
-    for arr in needle:
-        arr.flags.writeable = False
-    rows = {c: _Needle(*(f[i, 0] for f in needle)) for i, c in enumerate(cands)}
-    return _Record(cands, needle, rows)
+    return _Record(cands, needle, {c: _take(needle, (i, 0)) for i, c in enumerate(cands)})
 
 
 def _exponent_columns(cands):
@@ -199,14 +202,23 @@ def _exponent_columns(cands):
 
 def _row(candidate, space):
     """The candidate's needle record: its row of the space's catalog record,
-    or, for a candidate outside the catalog, its own checked fold."""
-    row = _record(space).rows.get(candidate)
-    return _checked_fold(candidate.b, candidate.a, 0.0, space.diameter) if row is None else row
+    or, for a candidate outside the catalog, its own checked fold; anything
+    outside the catalog that is not a :class:`Candidate` raises OutOfDomain."""
+    rows = _record(space).rows
+    try:
+        row = rows.get(candidate)
+    except TypeError:  # unhashable, so not a Candidate
+        row = None
+    if row is None:
+        _require_candidate(candidate)
+        return _checked_fold(candidate.b, candidate.a, 0.0, space.diameter)
+    return row
 
 
 def radial_density(candidate, space):
     """A fresh normalized radial profile sin^a cos^b on [0, diameter]."""
     _require_space(space)
+    _require_candidate(candidate)
     return normalize(TrigDensity(m=candidate.b, k=candidate.a, interval=Interval(0.0, space.diameter)))
 
 
@@ -283,9 +295,8 @@ def _enlarged_difference(space, i, j, epsilon):
     diameter)``, with ``f_c`` the radial density (its normalization
     cancels), and 0 once the enlargement saturates."""
     rec = _record(space)
-    rows = [i, j]
-    needle = _Needle(*(f[rows] for f in rec.needle))
-    cosine, sine = _exponent_columns([rec.candidates[k] for k in rows])
+    needle = _take(rec.needle, [i, j])
+    cosine, sine = _exponent_columns([rec.candidates[i], rec.candidates[j]])
 
     def diff(v):
         e, t, r = _enlarge(needle, v, epsilon)
@@ -299,6 +310,7 @@ def _enlarged_difference(space, i, j, epsilon):
 def polar_of(candidate, space):
     """The catalog candidate with swapped exponents (t -> diameter - t)."""
     _require_space(space)
+    _require_candidate(candidate)
     if space.family == SPHERE:
         raise NotApplicable("polar duality is defined for diameter pi/2 spaces only")
     swapped = (candidate.b, candidate.a)

@@ -23,6 +23,7 @@ is elementwise, so results are deterministic under any parallel schedule.
 import copy
 import math
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +108,9 @@ def _frame(m, k):
 
 
 def _fold(m, k, lo, hi):
-    """The needle record of ``cos^m sin^k`` on ``[lo, hi]``, vectorized: the
-    tails at both ends from one ``_tails`` call at the needles' broadcast
-    shape, the interval's mass as a difference of the smaller tails."""
+    """The read-only needle record of ``cos^m sin^k`` on ``[lo, hi]``: both
+    ends' tails from one ``_tails`` call at the needles' broadcast shape,
+    the interval's mass as a difference of the smaller tails."""
     m, k, lo, hi = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (m, k, lo, hi)))
     swap, shift, mirrored, flat = _frame(m, k)
     a, b = 0.5 * (np.where(swap, m, k) + 1.0), 0.5 * (np.where(swap, 0.0, m) + 1.0)
@@ -125,7 +126,18 @@ def _fold(m, k, lo, hi):
     mass = np.where(flat, 1.0, 0.5 * np.exp(betaln(a, b))) * total
     # sin^2 = cos^2 = 1/2 exactly at pi/4, where the quantile's two forms meet
     quarter = betainc(a, b, 0.5)
-    return _Needle(a, b, lo, hi, shift, mirrored, flat, start, right[1], whole, part, total, quarter, mass)
+    needle = _Needle(a, b, lo, hi, shift, mirrored, flat, start, right[1], whole, part, total, quarter, mass)
+    for f in needle:
+        if isinstance(f, np.ndarray):  # a numpy scalar is read-only already
+            f.flags.writeable = False
+    return needle
+
+
+def _take(needle, index):
+    """The sub-record of ``needle`` at ``index``, one index into every field."""
+    # a list, not a generator: a tuple built from a generator is resized, so
+    # the freed one never returns to the free list it would be reused from
+    return needle._make([f[index] for f in needle])
 
 
 def _checked_fold(m, k, lo, hi, offset=0.0):
@@ -213,8 +225,8 @@ def trig_mass(m, k, lo, hi):
 
 def _trig_pdf(m, k, t, scale):
     """``scale cos^m(t) sin^k(t)`` with both factors clamped at 0: the one
-    pdf formula of the trig family, behind :meth:`TrigDensity.pdf`,
-    :meth:`SinAffineDensity.pdf` (``k = 0``, ``t`` shifted by the phase) and
+    pdf formula of the trig family, behind both closed densities' ``pdf``
+    (a ``SinAffineDensity`` is ``k = 0`` at ``t`` shifted by the phase) and
     the profile crossover slopes."""
     c = np.maximum(np.cos(t), 0.0)
     s = np.maximum(np.sin(t), 0.0)
@@ -300,13 +312,17 @@ def _finalize(density, total):
 
 
 class _NeedleDensity(_DensityBase):
-    """The closed families: CDF and quantile read one needle record, built
-    once by ``__post_init__`` on the interval moved back by ``offset``,
-    through the closed-family domain check of :func:`_checked_fold`."""
+    """The closed families: ``__post_init__`` folds the exponents once, on
+    the interval moved back by ``offset``, through the domain check of
+    :func:`_checked_fold`; CDF, quantile and pdf read that fold, and
+    ``to_dict`` and :func:`density_from_dict` the parameters in ``_fields``."""
 
     def _build(self, m, k, offset):
+        if not isinstance(self.interval, Interval):
+            raise OutOfDomain(f"interval must be an Interval, got {self.interval!r}")
         needle = _checked_fold(m, k, self.interval.lo, self.interval.hi, offset)
         object.__setattr__(self, "_needle", needle)
+        object.__setattr__(self, "_exponents", (m, k))
         object.__setattr__(self, "_offset", offset)
         _finalize(self, needle.mass)
 
@@ -315,6 +331,15 @@ class _NeedleDensity(_DensityBase):
 
     def _quantile(self, q):
         return self._offset + _needle_quantile(self._needle, q)
+
+    def pdf(self, t):
+        t = _real_array(t, "abscissae")
+        out = _trig_pdf(*self._exponents, t - self._offset, 1.0 if self.norm is None else self.norm)
+        return out if out.shape else float(out)
+
+    def to_dict(self):
+        params = {name: getattr(self, name) for name in self._fields}
+        return {"family": self.family, **params, "lo": self.interval.lo, "hi": self.interval.hi}
 
 
 @dataclass(frozen=True)
@@ -332,23 +357,10 @@ class TrigDensity(_NeedleDensity):
     norm: float | None = None
 
     family = "trig"
+    _fields = ("m", "k")
 
     def __post_init__(self):
         self._build(self.m, self.k, 0.0)
-
-    def pdf(self, t):
-        t = _real_array(t, "abscissae")
-        out = _trig_pdf(self.m, self.k, t, 1.0 if self.norm is None else self.norm)
-        return out if out.shape else float(out)
-
-    def to_dict(self):
-        return {
-            "family": "trig",
-            "m": self.m,
-            "k": self.k,
-            "lo": self.interval.lo,
-            "hi": self.interval.hi,
-        }
 
 
 @dataclass(frozen=True)
@@ -367,14 +379,10 @@ class SinAffineDensity(_NeedleDensity):
     norm: float | None = None
 
     family = "affine"
+    _fields = ("phase", "power")
 
     def __post_init__(self):
         self._build(self.power, 0.0, self.phase)
-
-    def pdf(self, t):
-        t = _real_array(t, "abscissae")
-        out = _trig_pdf(self.power, 0.0, t - self.phase, 1.0 if self.norm is None else self.norm)
-        return out if out.shape else float(out)
 
     @property
     def c1(self):
@@ -383,15 +391,6 @@ class SinAffineDensity(_NeedleDensity):
     @property
     def c2(self):
         return math.cos(self.phase)
-
-    def to_dict(self):
-        return {
-            "family": "affine",
-            "phase": self.phase,
-            "power": self.power,
-            "lo": self.interval.lo,
-            "hi": self.interval.hi,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,9 +433,12 @@ class TabulatedDensity(_DensityBase):
         # the first segment whose right end reaches the target mass (so a zero
         # plateau starting there is never entered; where ``right`` holds, the
         # last one starting at or below it, so F(t) <= q and t ends the
-        # plateau), then the stable root of f0 s + (f1 - f0) s^2 / (2 h) = r
+        # plateau), then the stable root of f0 s + (f1 - f0) s^2 / (2 h) = r;
+        # the public quantile (``right`` False) makes only the left search
         y = q * self._raw_total
-        idx = np.where(right, np.searchsorted(self._cum, y, side="right"), np.searchsorted(self._cum, y))
+        idx = np.searchsorted(self._cum, y)
+        if right is not False:
+            idx = np.where(right, np.searchsorted(self._cum, y, side="right"), idx)
         idx = np.minimum(np.maximum(idx - 1, 0), self.grid.size - 2)
         h = self.grid[idx + 1] - self.grid[idx]
         f0 = self.values[idx]
@@ -487,17 +489,17 @@ def _field(rec, name, convert=_real_scalar):
 
 
 def density_from_dict(rec):
-    """Rebuild a normalized density from its JSON record.  A missing field,
-    or one that is not an int or a float (ints or floats for ``grid`` and
-    ``values``), raises ``OutOfDomain`` naming it."""
+    """Rebuild a normalized density from its JSON record.  A record that is
+    not a mapping, a missing field, or one that is not an int or a float
+    (ints or floats for ``grid`` and ``values``), raises ``OutOfDomain``
+    naming it."""
+    if not isinstance(rec, Mapping):
+        raise OutOfDomain(f"a density record must be a mapping, got {rec!r}")
     fam = rec.get("family")
     interval = Interval(_field(rec, "lo"), _field(rec, "hi"))
-    if fam == "trig":
-        d = TrigDensity(m=_field(rec, "m"), k=_field(rec, "k"), interval=interval)
-    elif fam == "affine":
-        d = SinAffineDensity(
-            phase=_field(rec, "phase"), power=_field(rec, "power"), interval=interval
-        )
+    if fam in ("trig", "affine"):
+        cls = TrigDensity if fam == "trig" else SinAffineDensity
+        d = cls(**{name: _field(rec, name) for name in cls._fields}, interval=interval)
     elif fam == "tabulated":
         grid, values = (_field(rec, name, _real_array) for name in ("grid", "values"))
         d = TabulatedDensity(grid=grid, values=values)

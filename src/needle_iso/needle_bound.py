@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .cross_spaces import SPHERE, _integer, _require_space
-from .densities import HALF_PI, Interval, SinAffineDensity, _checked_fold, _fold, _needle_quantile, normalize
+from .densities import HALF_PI, Interval, SinAffineDensity, _checked_fold, _fold, _needle_quantile, _take, normalize
 from .errors import HypothesisViolated, NotApplicable, OutOfDomain, _require_count
 from .sampling import RngSpec, _affine_draws
 from .separation import _as_masses, _finite_seps, _nan_sep, _needle_gaps, as_mass_pair
@@ -113,31 +113,20 @@ def _params(**labels):
     return MappingProxyType(labels)
 
 
-# What every needle bound reads of its family: the sorted ``pairs``, the
+# What the cross bound reads of an exponent grid: the sorted ``pairs``, the
 # ``needle`` record of the folded ones, each pair's ``column`` in that record,
 # the ``ties`` tuples met so far, by the bytes of their indices into ``pairs``,
-# the quantile ``table`` of the folded needles (None: evaluate them all) and
-# which of its rows are ``filled``.
-_Family = namedtuple("_Family", "pairs needle column ties table filled")
-
-
-def _family(pairs, folded, lo, hi):
-    """The read-only family of needles ``cos^m sin^k`` on ``[lo, hi]`` for
-    ``(m, k)`` in ``pairs``: one ``_fold`` of the ``folded`` pairs, and each
-    pair reads its own column or, when only its mirror twin ``(k, m)`` is
-    folded, the twin's."""
-    where = {p: j for j, p in enumerate(folded)}
-    column = np.array([where[p] if p in where else where[p[::-1]] for p in pairs])
-    needle = _fold(*np.array(folded, dtype=float).T, lo, hi)
-    for arr in (*needle, column):
-        arr.flags.writeable = False
-    return _Family(pairs, needle, column, {}, None, None)
+# the quantile ``table`` of the folded needles and which of its rows are
+# ``filled``.
+_Grid = namedtuple("_Grid", "pairs needle column ties table filled")
 
 
 @functools.lru_cache(maxsize=64)
-def _sphere_family(n):
-    """The n-sphere's one model needle ``cos^(n-1)`` on ``[-pi/2, pi/2]``."""
-    return _family(((n - 1, 0),), ((n - 1, 0),), -HALF_PI, HALF_PI)
+def _sphere_needle(n):
+    """The n-sphere's one model needle ``cos^(n-1)`` on ``[-pi/2, pi/2]``,
+    folded once, with the ``params`` and the one-pair ``ties`` that every
+    result of that dimension shares."""
+    return _fold(n - 1.0, 0.0, -HALF_PI, HALF_PI), _params(n=n, m=n - 1), ((n - 1, 0),)
 
 
 def _exponent_grid(low, top, diameter):
@@ -162,9 +151,13 @@ def _exponent_grid(low, top, diameter):
             while _grids and need + sum(g.needle.a.size for g in _grids.values()) > _CACHED_FOLDED:
                 del _grids[next(iter(_grids))]
             pairs = tuple(sorted((total - k, k) for total in range(low, top + 1) for k in range(total + 1)))
-            family = _family(pairs, tuple(p for p in pairs if p[0] <= p[1]), 0.0, diameter)
-            table = np.empty((_MASSES.size, family.needle.a.size))
-            grid = family._replace(table=table, filled=np.zeros(_MASSES.size, dtype=bool))
+            folded = [p for p in pairs if p[0] <= p[1]]
+            where = {p: j for j, p in enumerate(folded)}
+            column = np.array([where[min(p, p[::-1])] for p in pairs])  # the m <= k twin's
+            column.flags.writeable = False
+            needle = _fold(*np.array(folded, dtype=float).T, 0.0, diameter)
+            table = np.empty((_MASSES.size, len(folded)))
+            grid = _Grid(pairs, needle, column, {}, table, np.zeros(_MASSES.size, dtype=bool))
         _grids[key] = grid  # the most recently used grid comes last
         return grid
 
@@ -183,8 +176,8 @@ def _folded_count(low, top):
     return upto(top) - upto(low - 1)
 
 
-def _candidates(family, k1, k2):
-    """Which needles of ``family``'s quantile table can reach the maximum
+def _candidates(grid, k1, k2):
+    """Which needles of ``grid``'s quantile table can reach the maximum
     separation at each mass pair ``(k1, k2)``, or tie with it: a (mass pair
     x needle) mask.  Each of the gap rule's four targets lies between two
     adjacent masses of ``_MASSES`` (one ``searchsorted``), so its quantile
@@ -200,54 +193,49 @@ def _candidates(family, k1, k2):
     q = np.array([k1, 1.0 - k2, k2, 1.0 - k1])
     j = np.searchsorted(_MASSES[:-1], q, side="right") - 1  # a target of 1 takes the last bracket
     ends = np.concatenate([j, j + 1], axis=None)
-    if not family.filled[ends].all():
-        missing = np.unique(ends[~family.filled[ends]])
-        family.table[missing] = _needle_quantile(family.needle, _MASSES[missing, None])
-        family.filled[missing] = True
-    below, above = family.table[j], family.table[j + 1]
+    if not grid.filled[ends].all():
+        missing = np.unique(ends[~grid.filled[ends]])
+        grid.table[missing] = _needle_quantile(grid.needle, _MASSES[missing, None])
+        grid.filled[missing] = True
+    below, above = grid.table[j], grid.table[j + 1]
     upper = np.maximum(np.maximum(above[1] - below[0], above[3] - below[2]) + _SLACK, 0.0)
     lower = np.maximum(np.maximum(below[1] - above[0], below[3] - above[2]) - _SLACK, 0.0)
     return ~(upper < np.max(lower, axis=1, keepdims=True) - _TIE_TOL)
 
 
-def _family_seps(family, k1, k2):
+def _family_seps(grid, k1, k2):
     """The (mass pair x folded needle) table of separations at the masses
-    ``k1``, ``k2`` (1-D): with a quantile table, only the :func:`_candidates`
-    go through the kernel, on a sub-record of the fold, and every other
-    entry is -inf; without one, every needle does.  Each entry has the bits
-    of the full pass, since the kernel is elementwise."""
-    if family.table is None:
-        return _needle_gaps(family.needle, k1[:, None], k2[:, None])[2]
-    rows, cols = np.nonzero(_candidates(family, k1, k2))
-    # a list, not a generator: a tuple built from a generator is resized, so
-    # the freed one never returns to the free list it would be reused from
-    sub = family.needle._make([f[cols] for f in family.needle])
-    seps = np.full((k1.size, family.table.shape[1]), -np.inf)
-    seps[rows, cols] = _needle_gaps(sub, k1[rows], k2[rows])[2]
+    ``k1``, ``k2`` (1-D): only the :func:`_candidates` go through the
+    kernel, on a sub-record of the fold, and every other entry is -inf.
+    Each entry has the bits of the full pass, since the kernel is
+    elementwise."""
+    rows, cols = np.nonzero(_candidates(grid, k1, k2))
+    seps = np.full((k1.size, grid.table.shape[1]), -np.inf)
+    seps[rows, cols] = _needle_gaps(_take(grid.needle, cols), k1[rows], k2[rows])[2]
     return seps
 
 
-def _family_bounds(family, name, params, mps):
-    """The bound over ``family`` for each of the mass pairs ``mps``, in that
-    order: :func:`_family_seps` gives the (mass pair x folded needle) table
-    of separations, one fancy index spreads it onto every pair, and a row's
-    ties are its entries within 1e-12 of its maximum, in family order, as
-    the family's one tuple for that tie set (``pairs`` when all tie).  A NaN
-    bound raises OutOfDomain naming its masses."""
+def _family_bounds(grid, params, mps):
+    """The cross bound over ``grid`` for each of the mass pairs ``mps``, in
+    that order: :func:`_family_seps` gives the (mass pair x folded needle)
+    table of separations, one fancy index spreads it onto every pair, and a
+    row's ties are its entries within 1e-12 of its maximum, in grid order,
+    as the grid's one tuple for that tie set (``pairs`` when all tie).  A
+    NaN bound raises OutOfDomain naming its masses."""
     k1 = np.array([mp.k1 for mp in mps])
     k2 = np.array([mp.k2 for mp in mps])
-    seps = _family_seps(family, k1, k2)[:, family.column]
+    seps = _family_seps(grid, k1, k2)[:, grid.column]
     best = np.max(seps, axis=1)
     results = []
     for row, b, mp in zip(seps, best, mps):
         if math.isnan(b):
             raise _nan_sep(mp.k1, mp.k2)
         hit = np.flatnonzero(row >= b - _TIE_TOL)
-        ties = family.ties.get(key := hit.tobytes())
+        ties = grid.ties.get(key := hit.tobytes())
         if ties is None:  # setdefault is atomic: threads that race keep one tuple
-            ties = family.pairs if hit.size == len(family.pairs) else tuple(family.pairs[j] for j in hit)
-            ties = family.ties.setdefault(key, ties)
-        results.append(NeedleBoundResult(float(b), name, params, ties, mp.straddles_half))
+            ties = grid.pairs if hit.size == len(grid.pairs) else tuple(grid.pairs[j] for j in hit)
+            ties = grid.ties.setdefault(key, ties)
+        results.append(NeedleBoundResult(float(b), "trig", params, ties, mp.straddles_half))
     return tuple(results)
 
 
@@ -257,13 +245,18 @@ def sphere_needle_bound(n, masses, force=False):
     Exact for straddling mass pairs; with ``force=True`` the same formula is
     evaluated for non-straddling pairs and flagged as heuristic.  An ``n``
     below 2 or not a finite integer (integer-valued floats pass) raises
-    ``OutOfDomain``.  The needle is folded once per dimension and cached.
+    ``OutOfDomain``.  The needle is folded once per dimension and cached;
+    the bound takes ``sep_1d``'s one-needle path through the kernel.
     """
     n = _integer(n, "sphere dimension")
     if n < 2:
         raise OutOfDomain(f"sphere dimension must be >= 2, got {n}")
-    mps = _straddling([masses], force, "sphere needle bound")
-    return _family_bounds(_sphere_family(n), "sphere-cos", _params(n=n, m=n - 1), mps)[0]
+    (mp,) = _straddling([masses], force, "sphere needle bound")
+    needle, params, ties = _sphere_needle(n)
+    bound = float(_needle_gaps(needle, mp.k1, mp.k2)[2])
+    if math.isnan(bound):
+        raise _nan_sep(mp.k1, mp.k2)
+    return NeedleBoundResult(bound, "sphere-cos", params, ties, mp.straddles_half)
 
 
 def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
@@ -295,7 +288,7 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
             f"over the grid limit of {_MAX_FOLDED}"
         )
     grid = _exponent_grid(low, mtp, space.diameter)
-    return _family_bounds(grid, "trig", _params(space=space.name, max_total_power=mtp), mps)
+    return _family_bounds(grid, _params(space=space.name, max_total_power=mtp), mps)
 
 
 def cross_needle_bound(space, masses, max_total_power=None, force=False):
@@ -348,9 +341,10 @@ def optimize_affine_family(interval_length_max, p_range, masses, samples, seed):
     returns the best separation found.  Deterministic for a fixed seed: the
     supports ``[0, L]``, the power indices and the phases are drawn in that
     order, one array each, from ``RngSpec(seed).generator()``, the stream
-    of ``Generator(PCG64(seed))``.  A length cap below 1e-3 or NaN, a
-    ``samples`` that is not an integer >= 1, or a seed that is not an
-    integer >= 0 raises ``OutOfDomain``.
+    of ``Generator(PCG64(seed))``.  A length cap that is not an int or a
+    float, or is below 1e-3 or NaN, a ``p_range`` that is empty, nested or
+    not ints or floats, a ``samples`` that is not an integer >= 1, or a seed that is
+    not an integer >= 0 raises ``OutOfDomain``.
     """
     _require_count(samples, "samples", 1)
     mp = as_mass_pair(masses)

@@ -46,7 +46,7 @@ from .densities import (
 )
 from .errors import OutOfDomain, _require_count
 from .needle_bound import (
-    _sphere_family,
+    _sphere_needle,
     batch_affine_sep,
     batch_trig_sep,
     cross_needle_bounds,
@@ -364,7 +364,7 @@ def _check_sphere_dominance(ctx):
         k1 = gen.uniform(0.02, 0.5, count)
         k2 = gen.uniform(0.5, 1.0 - k1)  # k1 + k2 < 1: both sides separate
         needle_seps = batch_affine_sep(phases, powers, 0.0, lengths, k1, k2)
-        bound_seps = _needle_gaps(_sphere_family(n).needle, k1, k2)[2]
+        bound_seps = _needle_gaps(_sphere_needle(n)[0], k1, k2)[2]
         margin = needle_seps - bound_seps
         violations += _violations(margin)[0]
         details[f"max_margin_n{n}"] = float(np.max(margin))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import HALF_PI
-from .errors import OutOfDomain, _real_array, _require_count
+from .errors import OutOfDomain, _real_array, _real_scalar, _require_count
 
 _MC_CHUNK = 1 << 14
 
@@ -141,13 +141,17 @@ def _affine_draws(gen, count, length_cap, p_range, min_length):
     power indices uniform over ``sorted(p_range)``, and phases uniform in
     ``[L - pi/2, pi/2]``, the window keeping ``cos(t - phase)`` positive on
     ``(0, L)``.  Returns ``(lengths, powers, phases)``, powers as floats.
-    Raises ``OutOfDomain`` for an empty ``p_range`` or a length cap below
-    ``min_length`` or NaN."""
-    choices = np.asarray(sorted(p_range), dtype=float)
-    if choices.size == 0:
-        raise OutOfDomain("p_range must be nonempty")
-    if not float(length_cap) >= min_length:
+    Raises ``OutOfDomain`` for a ``p_range`` that is empty, nested or not
+    ints or floats (the array rule), and for a length cap that is not an int or a
+    float (the scalar rule), below ``min_length`` or NaN."""
+    try:
+        choices = _real_array(sorted(p_range), "p_range")
+    except TypeError:  # not iterable, or items that do not compare
+        raise OutOfDomain(f"p_range must be ints or floats, got {p_range!r}") from None
+    if choices.ndim != 1 or choices.size == 0:
+        raise OutOfDomain(f"p_range must be a nonempty flat sequence, got {p_range!r}")
+    if not (cap := _real_scalar(length_cap, "length cap")) >= min_length:
         raise OutOfDomain(f"length cap must be at least {min_length}, got {length_cap}")
-    lengths = gen.uniform(min_length, min(float(length_cap), math.pi), count)
+    lengths = gen.uniform(min_length, min(cap, math.pi), count)
     powers = choices[gen.integers(0, choices.size, count)]
     return lengths, powers, gen.uniform(lengths - HALF_PI, HALF_PI)

@@ -171,6 +171,17 @@ class TestBound:
         assert out == ""
         assert "grid limit" in err
 
+    @pytest.mark.parametrize("where", [("--space", "s3"), ("--sphere-dim", "3")], ids=["space", "sphere-dim"])
+    def test_max_power_on_a_sphere_is_a_domain_error(self, capsys, where):
+        # the flag was ignored and the sphere bound printed with exit 0
+        code, out, err = run_cli(capsys, "bound", *where, "--k1", "0.3", "--k2", "0.6", "--max-power", "5")
+        assert code == 1
+        assert out == ""
+        assert "--max-power" in err
+        code, out, _ = run_cli(capsys, "bound", *where, "--k1", "0.3", "--k2", "0.6")
+        assert code == 0
+        assert json.loads(out)["n"] == 3
+
     def test_csv_header(self, capsys):
         code, out, _ = run_cli(
             capsys,

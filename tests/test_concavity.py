@@ -61,15 +61,13 @@ def _loop_reference(f, order, interval=None, grid_size=1024, tol=1e-9):
     return True
 
 
-class _Span:
-    """A bare interval longer than pi, which ``Interval`` refuses; the
-    concavity check only needs its ``grid``."""
+class _Span(Interval):
+    """An ``Interval`` longer than pi, which ``Interval`` itself refuses; the
+    sampled check takes a callable's span only as an ``Interval``, and then
+    needs only its ``grid``."""
 
-    def __init__(self, lo, hi):
-        self.lo, self.hi = lo, hi
-
-    def grid(self, n):
-        return np.linspace(self.lo, self.hi, n)
+    def __post_init__(self):
+        pass
 
 
 _unit = st.floats(min_value=0.0, max_value=1.0)
@@ -301,7 +299,18 @@ class TestSampledCheck:
         with pytest.raises(OutOfDomain):
             is_sin_concave(d, 1, grid_size=grid_size)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    @pytest.mark.parametrize("order", [True, False, "2", None, np.array(2.0)])
+    def test_order_must_be_an_int_or_a_float(self, order):
+        # a bool was read as order 1 and a string or None raised a bare TypeError
+        d = normalize(TrigDensity(m=1, k=0, interval=FULL))
+        with pytest.raises(OutOfDomain, match="concavity order"):
+            is_sin_concave(d, order)
+
+    def test_callable_interval_must_be_an_interval(self):
+        with pytest.raises(OutOfDomain, match="explicit interval"):
+            is_sin_concave(np.cos, 2, interval=(0.0, 1.0))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9, "x", None, True])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
         # a NaN or infinite tol once made every pair vacuous and passed sin^3
         with pytest.raises(OutOfDomain):
@@ -509,6 +518,12 @@ class TestExactMargin:
         with pytest.raises(InvalidOrder):
             sin_concavity_margin(d, order)
 
+    @pytest.mark.parametrize("order", [True, "2", None])
+    def test_order_must_be_an_int_or_a_float(self, order):
+        d = TrigDensity(m=1, k=2, interval=Interval(0.2, 1.0))
+        with pytest.raises(OutOfDomain, match="concavity order"):
+            sin_concavity_margin(d, order)
+
 
 def _mp_row_h(weights, phases, t):
     """``h`` of one row of shifted-cosine factors at ``t`` in mpmath, from
@@ -704,8 +719,16 @@ class TestComparisonLemma:
             (np.cos, 0.3, 0, Interval(0.0, 0.3), PreconditionFailed, "tau must exceed"),
             (lambda t: np.where(t < 0.5, 1.0, 0.5), 0.3, 0, Interval(0.0, 1.0), PreconditionFailed, "concave"),
             (lambda t: np.maximum(np.cos(2 * t), 0.0), 0.9, 0, Interval(0.0, 1.0), PreconditionFailed, "positive"),
+            (np.cos, 0.3, 0, (0.0, 1.0), OutOfDomain, "explicit interval"),
+            (np.cos, 0.3, "1", Interval(0.0, 1.0), OutOfDomain, "exponent k"),
+            (np.cos, 0.3, None, Interval(0.0, 1.0), OutOfDomain, "exponent k"),
+            (np.cos, "0.3", 0, Interval(0.0, 1.0), OutOfDomain, "epsilon"),
+            (np.cos, None, 0, Interval(0.0, 1.0), OutOfDomain, "epsilon"),
         ],
-        ids=["no-interval", "negative-k", "domain-not-at-0", "tau-at-eps", "not-concave", "zero-at-eps"],
+        ids=[
+            "no-interval", "negative-k", "domain-not-at-0", "tau-at-eps", "not-concave", "zero-at-eps",
+            "tuple-interval", "string-k", "none-k", "string-epsilon", "none-epsilon",
+        ],
     )
     def test_rejects_inputs_outside_the_lemma(self, f, epsilon, k, interval, error, match):
         with pytest.raises(error, match=match):
@@ -757,6 +780,18 @@ class TestComparisonLemma:
             check_comparison_lemma(
                 lambda t: np.sin(t + 0.2), order, epsilon=0.3, k=0, interval=Interval(0.0, 1.4)
             )
+
+    @pytest.mark.parametrize("order", [True, "1", None])
+    def test_order_must_be_an_int_or_a_float(self, order):
+        aff = normalize(SinAffineDensity(phase=0.0, power=2, interval=Interval(0.0, 1.0)))
+        with pytest.raises(OutOfDomain, match="concavity order"):
+            check_comparison_lemma(aff, order, 0.3, 1)
+
+    @pytest.mark.parametrize("grid_size", [2.5, 2, 0, True, "512", None])
+    def test_grid_size_must_be_an_integer_of_at_least_three(self, grid_size):
+        aff = normalize(SinAffineDensity(phase=0.0, power=2, interval=Interval(0.0, 1.0)))
+        with pytest.raises(OutOfDomain, match="grid_size"):
+            check_comparison_lemma(aff, 2, 0.3, 1, grid_size=grid_size)
 
 
 class TestBinomialDecompose:
@@ -810,6 +845,14 @@ class TestBinomialDecompose:
     def test_non_integer_power_rejected(self):
         d = SinAffineDensity(phase=0.0, power=2.5, interval=Interval(0.0, 1.0))
         with pytest.raises(NonIntegerPower):
+            binomial_decompose(d)
+
+    @pytest.mark.parametrize(
+        "d", [TrigDensity(m=2, k=0, interval=Interval(0.0, 1.0)), FULL, None], ids=["trig", "interval", "none"]
+    )
+    def test_only_an_affine_density_is_expanded(self, d):
+        # a TrigDensity raised AttributeError on its missing phase
+        with pytest.raises(OutOfDomain, match="SinAffineDensity"):
             binomial_decompose(d)
 
 

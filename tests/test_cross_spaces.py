@@ -503,3 +503,40 @@ class TestNotASpace:
         profile_quantile(_BALL, _CP2, 0.3)
         _catalog_enlarged(_CP2, np.array([0.1, 0.3]), 0.1)
         assert calls == []
+
+
+# every public entry that takes a candidate, with valid other arguments
+_CANDIDATE_ENTRIES = {
+    "check_realization": lambda c: check_realization(_CP2, c, (0.3, 0.6)),
+    "enlarged_volume": lambda c: enlarged_volume(c, _CP2, 0.3, 0.1),
+    "polar_of": lambda c: polar_of(c, _CP2),
+    "profile_cdf": lambda c: profile_cdf(c, _CP2, 0.3),
+    "profile_quantile": lambda c: profile_quantile(c, _CP2, 0.3),
+    "radial_density": lambda c: radial_density(c, _CP2),
+}
+
+
+class TestNotACandidate:
+    @pytest.mark.parametrize(
+        "candidate", ["ball", None, 3, ["ball"], (3.0, 1.0)], ids=["label", "none", "int", "list", "exponents"]
+    )
+    @pytest.mark.parametrize("entry", sorted(_CANDIDATE_ENTRIES))
+    def test_raises_out_of_domain(self, entry, candidate):
+        # each once raised AttributeError reading the candidate's exponents,
+        # and a list the catalog lookup's bare TypeError (unhashable)
+        with pytest.raises(OutOfDomain, match="expected a Candidate"):
+            _CANDIDATE_ENTRIES[entry](candidate)
+
+    def test_catalog_hits_skip_the_check(self, monkeypatch):
+        import needle_iso.cross_spaces as cross_spaces
+
+        calls = []
+        check = cross_spaces._require_candidate
+        monkeypatch.setattr(cross_spaces, "_require_candidate", lambda c: calls.append(c) or check(c))
+        enlarged_volume(_BALL, _CP2, 0.3, 0.1)
+        profile_cdf(_BALL, _CP2, 0.3)
+        profile_quantile(_BALL, _CP2, 0.3)
+        assert calls == []
+        odd = Candidate("custom", 3.0, 1.0, "custom")
+        profile_quantile(odd, _CP2, 0.3)
+        assert calls == [odd]

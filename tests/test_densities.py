@@ -682,6 +682,115 @@ class TestSerialization:
             density_from_dict(rec)
 
 
+class TestOneClosedBody:
+    """Both closed classes take ``pdf`` and ``to_dict`` from one body and
+    rebuild through one path; the pinned bits were recorded while each
+    class still had its own copy."""
+
+    # (density, to_dict, pdf at -0.0, 0.0, 0.25, 0.7 as float.hex, the same
+    # for density_from_dict of the record, and the rebuilt norm)
+    CASES = [
+        (
+            TrigDensity(2, 3, Interval(0, 1)),
+            {"family": "trig", "m": 2, "k": 3, "lo": 0, "hi": 1},
+            ["0x0.0p+0", "0x0.0p+0", "0x1.d1d7a0c9f60f2p-7", "0x1.404f8f47535dfp-3"],
+            ["0x0.0p+0", "0x0.0p+0", "0x1.439f8daf62f4dp-3", "0x1.bd0b1b9328225p+0"],
+            "0x1.63b0740a2521dp+3",
+        ),
+        (
+            SinAffineDensity(0, 3, Interval(-1, 1)),
+            {"family": "affine", "phase": 0, "power": 3, "lo": -1, "hi": 1},
+            ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.d1b7f2933bb3fp-1", "0x1.ca287f9a31cf9p-2"],
+            ["0x1.8e37ec102fb5bp-1", "0x1.8e37ec102fb5bp-1", "0x1.6a38db8c852eep-1", "0x1.645785c7b88f1p-2"],
+            "0x1.8e37ec102fb5bp-1",
+        ),
+        (
+            normalize(SinAffineDensity(0.4, 2, Interval(0, 1))),
+            {"family": "affine", "phase": 0.4, "power": 2, "lo": 0, "hi": 1},
+            ["0x1.dc1622f39392dp-1", "0x1.dc1622f39392dp-1", "0x1.125409ceec7dbp+0", "0x1.0016ea58a946ep+0"],
+            ["0x1.dc1622f39392dp-1", "0x1.dc1622f39392dp-1", "0x1.125409ceec7dbp+0", "0x1.0016ea58a946ep+0"],
+            "0x1.18982d4ab4e1ep+0",
+        ),
+        (
+            SinAffineDensity(-0.0, 2, Interval(0, 1)),
+            {"family": "affine", "phase": -0.0, "power": 2, "lo": 0, "hi": 1},
+            ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.e0a94032dbea7p-1", "0x1.2b82f77826ae2p-1"],
+            ["0x1.5ff99a75d998ep+0", "0x1.5ff99a75d998ep+0", "0x1.4a6e5ad421c2ep+0", "0x1.9bcc98671b34ap-1"],
+            "0x1.5ff99a75d998ep+0",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "d, rec, pdf, rebuilt_pdf, rebuilt_norm", CASES, ids=["trig", "affine", "normalized", "phase-0"]
+    )
+    def test_pdf_and_record_keep_their_bits(self, d, rec, pdf, rebuilt_pdf, rebuilt_norm):
+        t = [-0.0, 0.0, 0.25, 0.7]
+        assert [float(x).hex() for x in d.pdf(t)] == pdf
+        assert float(d.pdf(-0.0)).hex() == pdf[0] and type(d.pdf(-0.0)) is float
+        out = d.to_dict()
+        assert out == rec and list(out) == list(rec)
+        # int parameters come back as given, and -0.0 keeps its sign
+        assert [type(v) for v in out.values()] == [type(v) for v in rec.values()]
+        assert all(math.copysign(1.0, out[k]) == math.copysign(1.0, v) for k, v in rec.items() if k != "family")
+        again = density_from_dict(out)
+        assert type(again) is type(d)
+        assert [float(x).hex() for x in again.pdf(t)] == rebuilt_pdf
+        assert again.norm.hex() == rebuilt_norm
+        assert again.to_dict() == {k: v if k == "family" else float(v) for k, v in rec.items()}
+
+    def test_neither_class_defines_its_own_pdf_or_record(self):
+        for cls in (TrigDensity, SinAffineDensity):
+            assert "pdf" not in vars(cls) and "to_dict" not in vars(cls)
+
+    @pytest.mark.parametrize("cls, params", [(TrigDensity, (1.0, 1.0)), (SinAffineDensity, (0.0, 2.0))])
+    def test_interval_must_be_an_interval(self, cls, params):
+        # a tuple raised AttributeError reading its lo
+        with pytest.raises(OutOfDomain, match="Interval"):
+            cls(*params, (0.0, 1.0))
+
+    @pytest.mark.parametrize("rec", [[1], None, "trig", 3], ids=["list", "none", "string", "int"])
+    def test_record_must_be_a_mapping(self, rec):
+        # a list or None raised AttributeError on its missing get
+        with pytest.raises(OutOfDomain, match="mapping"):
+            density_from_dict(rec)
+
+
+class TestReadOnlyRecord:
+    """A folded needle record is read-only: every ndarray field refuses a
+    write, whoever holds it."""
+
+    @staticmethod
+    def _assert_read_only(needle):
+        arrays = [f for f in needle if isinstance(f, np.ndarray)]
+        assert arrays
+        for f in arrays:
+            assert not f.flags.writeable
+            with pytest.raises(ValueError):
+                f[...] = 0.0
+
+    @pytest.mark.parametrize(
+        "args",
+        [(2.0, 3.0, 0.1, 1.2), (np.arange(4.0), 1.0, 0.0, 1.0), (4.0, 0.0, -1.0, 1.0)],
+        ids=["one", "batch", "cosine"],
+    )
+    def test_fold(self, args):
+        self._assert_read_only(densities._fold(*args))
+
+    def test_closed_densities(self):
+        for d in (
+            TrigDensity(2, 3, Interval(0.1, 1.2)),
+            normalize(SinAffineDensity(0.4, 2.5, Interval(0.0, 1.2))),
+        ):
+            self._assert_read_only(d._needle)
+
+    def test_take_slices_every_field(self):
+        needle = densities._fold(np.arange(4.0)[:, None], 1.0, 0.0, 1.0)
+        row = densities._take(needle, (2, 0))
+        assert [float(f) for f in row] == [float(f[2, 0]) for f in needle]
+        pair = densities._take(needle, [1, 3])
+        assert all(np.array_equal(p, f[[1, 3]]) for p, f in zip(pair, needle))
+
+
 def test_trig_mass_closed_forms():
     # oracle values by hand: int_0^{pi/2} cos = 1, int sin cos = 1/2,
     # int_{-pi/2}^{pi/2} cos^2 = pi/2

@@ -1,5 +1,7 @@
-"""Each library module uses every name it imports, and the package exports
-exactly its public names.
+"""Each library module uses every name it imports, every private
+module-level name is read by some library module, the needle record's
+format stays inside ``densities``, and the package exports exactly its
+public names.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name an import binds must be read somewhere in the module, unless its
@@ -68,3 +70,65 @@ def test_all_is_the_public_surface():
     }
     assert sorted(needle_iso.__all__) == sorted(public)
     assert len(set(needle_iso.__all__)) == len(needle_iso.__all__)
+
+
+def _private_definitions(tree):
+    """The private module-level functions, classes and constants a module
+    defines (one leading underscore: dunders are Python's)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _reads(tree):
+    """Every name a module reads: bare names loaded, and attributes."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    }
+
+
+def _dead_private_names(sources):
+    """The private module-level names of ``sources`` (module name -> source)
+    that no module reads."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = set().union(*map(_reads, trees.values()))
+    return {f"{name}.{d}" for name, tree in trees.items() for d in _private_definitions(tree) - read}
+
+
+def test_finds_a_dead_private_helper():
+    sources = {
+        "a": "_LIMIT = 3\n_TABLE: dict = {}\n\ndef _used():\n    return _LIMIT\n\ndef _dead():\n    pass\n",
+        "b": "from a import _used\n\nclass _Old:\n    pass\n\nprint(_used(), a._TABLE)\n__all__ = []\n",
+    }
+    assert _dead_private_names(sources) == {"a._dead", "b._Old"}
+
+
+def test_every_private_name_is_read():
+    # a refactor leaves no dead helper behind
+    sources = {p.stem: p.read_text() for p in _MODULES + [Path(needle_iso.__file__)]}
+    assert _dead_private_names(sources) == set()
+
+
+def _names_in(tree):
+    """Every identifier a module binds or reads: names, attributes, imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+            yield node.name
+
+
+@pytest.mark.parametrize("path", [p for p in _MODULES if p.stem != "densities"], ids=lambda p: p.stem)
+def test_needle_record_stays_in_densities(path):
+    # only densities builds or slices a _Needle (through _fold and _take)
+    assert "_Needle" not in set(_names_in(ast.parse(path.read_text())))

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import math
 import pickle
 import sys
@@ -414,7 +415,7 @@ class TestCrossBoundPruning:
                 # an end the lower bound reads makes the threshold NaN
                 assert keep.all() if (side == 0) == (target % 2 == 1) else keep[dropped]
                 params = _params(space="cap2", max_total_power=23)
-                assert _family_bounds(nan_grid, "trig", params, [MassPair(0.3, 0.6)]) == expected
+                assert _family_bounds(nan_grid, params, [MassPair(0.3, 0.6)]) == expected
         assert _candidates(full._replace(table=np.full_like(full.table, np.nan)), k1, k2).all()
 
     @pytest.mark.parametrize("name", ["rp3", "cap2"])
@@ -466,11 +467,13 @@ class TestNanSeparations:
         # bench/reference.py's cross_bound(3, 1e-150, 0.6)
         assert abs(res.bound - 1.3127018311813880535) <= 1e-13
         assert res.ties == ((0, 10), (10, 0))
-        # evaluated over the whole grid, those needles raise
+        # evaluated over the whole grid, those needles raise: an all-NaN
+        # table prunes nothing (test_a_nan_keeps_the_needles_it_touches)
         grid = _exponent_grid(2, 10, HALF_PI)
+        full = grid._replace(table=np.full_like(grid.table, np.nan), filled=np.ones_like(grid.filled))
         params = _params(space="rp3", max_total_power=10)
         with pytest.raises(OutOfDomain, match=r"masses \(1e-150, 0\.6\)"):
-            _family_bounds(grid._replace(table=None), "trig", params, [MassPair(1e-150, 0.6)])
+            _family_bounds(full, params, [MassPair(1e-150, 0.6)])
 
     @pytest.mark.parametrize("name, top", DEFAULT_GRIDS, ids=[f"{n}-{t}" for n, t in DEFAULT_GRIDS])
     def test_default_grids_at_1e_300(self, name, top):
@@ -570,7 +573,8 @@ class TestSharedLabels:
 
 
 class TestFamilyTable:
-    """Both needle bounds are the row maxima of one cached family record."""
+    """The cross bound is the row maxima of one cached grid record, and the
+    sphere bound the separation of one cached needle."""
 
     def test_sphere_bound_is_its_needles_batch_sep(self):
         rng = np.random.default_rng(2017)
@@ -592,7 +596,7 @@ class TestFamilyTable:
             return real(*args)
 
         monkeypatch.setattr(needle_bound, "_fold", counting)
-        needle_bound._sphere_family.cache_clear()  # so the first call per n folds
+        needle_bound._sphere_needle.cache_clear()  # so the first call per n folds
         for mp in [(0.3, 0.6), (0.2, 0.7), (0.5, 0.5)]:
             for n in (2, 5, 11):
                 sphere_needle_bound(n, mp)
@@ -615,6 +619,81 @@ class TestFamilyTable:
             rec = res.to_dict()
             assert (rec["m"], rec["k"]) == res.ties[0] == res.argmax
         assert sphere_needle_bound(5, (0.3, 0.6)).ties == ((4, 0),)
+
+
+class TestSphereOneNeedle:
+    """The sphere bound is ``sep_1d``'s one-needle path on a cached record;
+    the pinned bits were recorded while it still went through the grid
+    machinery."""
+
+    PAIRS = [(0.3, 0.6), (0.5, 0.5), (0.25, 0.5), (1.0, 0.5), (0.0625, 0.9375)]
+    FORCED = [(0.2, 0.25), (0.9, 0.7), (1e-9, 0.4), (1.0, 1.0)]
+
+    def test_bounds_keep_their_bits(self):
+        # every n from 2 to 40 at straddling and forced pairs, hashed in order
+        digest = hashlib.sha256()
+        for n in range(2, 41):
+            for mp in self.PAIRS:
+                digest.update(sphere_needle_bound(n, mp).bound.hex().encode())
+            for mp in self.FORCED:
+                res = sphere_needle_bound(n, mp, force=True)
+                assert not res.hypothesis_satisfied
+                digest.update(res.bound.hex().encode())
+        assert digest.hexdigest() == "9c3e8db49a2438b72f4b286f38ab1d94bfaae858c28b093a13fbb5085cc0dc92"
+
+    @pytest.mark.parametrize(
+        "n, mp, force, bound",
+        [
+            (2, (0.3, 0.6), False, "0x1.ae67cd7839228p-3"),
+            (3, (0.3, 0.6), False, "0x1.5607546aeb7e0p-3"),
+            (12, (0.3, 0.6), False, "0x1.4618465be0a90p-4"),
+            (40, (0.3, 0.6), False, "0x1.60ef1d9788d20p-5"),
+            (5, (0.2, 0.25), True, "0x1.68a31f875acfep-1"),
+            (40, (0.2, 0.25), True, "0x1.ed656b888ed60p-3"),
+            (4, (1e-300, 0.6), False, "0x1.6fae45ae3fe91p+0"),
+            (40, (5e-324, 0.5), False, "0x1.921fb54442d18p+0"),
+            (17, (1e-150, 1e-150), True, "0x1.921fb5408f186p+1"),
+        ],
+    )
+    def test_pinned_bounds(self, n, mp, force, bound):
+        res = sphere_needle_bound(n, mp, force=force)
+        assert res.bound.hex() == bound
+        assert res.ties == ((n - 1, 0),) and res.family == "sphere-cos"
+
+    def test_a_nan_raises_naming_the_masses(self, monkeypatch):
+        # betaincinv answers every sphere target today; a NaN it might give
+        # raises as in sep_1d, never coming back as a bound
+        def nan_gaps(needle, k1, k2):
+            return None, None, np.float64(math.nan)
+
+        monkeypatch.setattr(needle_bound, "_needle_gaps", nan_gaps)
+        with pytest.raises(OutOfDomain, match=r"masses \(1e-300, 0\.6\)"):
+            sphere_needle_bound(4, (1e-300, 0.6))
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 40])
+    def test_params_and_ties_are_shared_per_dimension(self, n):
+        a, b = sphere_needle_bound(n, (0.3, 0.6)), sphere_needle_bound(n, (0.1, 0.9))
+        needle, params, ties = needle_bound._sphere_needle(n)
+        assert a.params is b.params is params and a.ties is b.ties is ties
+        assert ties == ((n - 1, 0),) and params == {"n": n, "m": n - 1}
+        assert sphere_needle_bound(n + 1, (0.3, 0.6)).params is not params
+
+    def test_takes_the_one_needle_path(self):
+        needle = needle_bound._sphere_needle(7)[0]
+        assert needle.a.ndim == 0
+        assert sphere_needle_bound(7, (0.3, 0.6)).bound == float(_needle_gaps(needle, 0.3, 0.6)[2])
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_records_are_read_only(self, n):
+        grid = _exponent_grid(2, 10, HALF_PI)
+        for record in (needle_bound._sphere_needle(n)[0], grid.needle):
+            arrays = [f for f in record if isinstance(f, np.ndarray)]
+            assert arrays
+            for f in arrays:
+                with pytest.raises(ValueError):
+                    f[...] = 0.0
+        with pytest.raises(ValueError):
+            grid.column[0] = 1
 
 
 class TestBatchHelpers:
@@ -737,6 +816,28 @@ class TestOptimizer:
         # a cap below the 1e-3 support floor once reached numpy as high < low
         with pytest.raises(OutOfDomain):
             optimize_affine_family(cap, [1.0], (0.3, 0.5), 5, 1)
+
+    @pytest.mark.parametrize("cap", ["1", None, True, np.array(1.0)], ids=["string", "none", "bool", "array"])
+    def test_length_cap_takes_the_scalar_rule(self, cap):
+        # a string cap was parsed by float() and searched with
+        with pytest.raises(OutOfDomain, match="length cap"):
+            optimize_affine_family(cap, [1.0], (0.3, 0.5), 5, 1)
+
+    @pytest.mark.parametrize(
+        "p_range",
+        [None, ["a"], [1, "a"], [True, 2], 3, "12", [], [[1, 2]]],
+        ids=["none", "string", "mixed", "bool", "int", "text", "empty", "nested"],
+    )
+    def test_p_range_takes_the_array_rule(self, p_range):
+        # None raised TypeError, ["a"] ValueError and [[1, 2]] IndexError,
+        # outside the library's errors
+        with pytest.raises(OutOfDomain, match="p_range"):
+            optimize_affine_family(HALF_PI, p_range, (0.3, 0.5), 5, 1)
+
+    def test_p_range_of_numpy_values_draws_as_a_list(self):
+        a = optimize_affine_family(HALF_PI, np.array([3, 1, 2]), (0.3, 0.5), 50, 4)
+        b = optimize_affine_family(HALF_PI, [1.0, 2.0, 3.0], (0.3, 0.5), 50, 4)
+        assert np.array_equal(a["all_samples"]["power"], b["all_samples"]["power"])
 
     def test_length_cap_at_floor_accepted(self):
         out = optimize_affine_family(1e-3, [1.0], (0.3, 0.5), 5, 1)

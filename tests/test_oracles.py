@@ -36,7 +36,7 @@ from needle_iso import (
 from needle_iso.concavity import _product_margin
 from needle_iso.densities import _checked_fold, _trig_pdf
 from needle_iso.oracles import _CHECKS, _Ctx, _suite_spaces, _trig_draw, suite_check_names
-from needle_iso.needle_bound import _sphere_family
+from needle_iso.needle_bound import _sphere_needle
 from needle_iso.sampling import _affine_draws, _mc_cap_masses, as_rng_spec
 from needle_iso.separation import _extreme_gap, _needle_gaps
 
@@ -783,7 +783,7 @@ class TestRowRoutes:
         gen = RngSpec(SEED).generator(0)
         k1 = gen.uniform(0.02, 0.5, 1000)
         k2 = gen.uniform(0.5, 1.0 - k1)
-        cached = _needle_gaps(_sphere_family(n).needle, k1, k2)[2]
+        cached = _needle_gaps(_sphere_needle(n)[0], k1, k2)[2]
         assert np.array_equal(cached, batch_affine_sep(0.0, float(n - 1), -math.pi / 2, math.pi / 2, k1, k2))
 
     def test_verify_epoch_folds_no_scalar_needle(self, monkeypatch):
