@@ -203,14 +203,10 @@ def _exponent_columns(cands):
 def _row(candidate, space):
     """The candidate's needle record: its row of the space's catalog record,
     or, for a candidate outside the catalog, its own checked fold; anything
-    outside the catalog that is not a :class:`Candidate` raises OutOfDomain."""
-    rows = _record(space).rows
-    try:
-        row = rows.get(candidate)
-    except TypeError:  # unhashable, so not a Candidate
-        row = None
+    that is not a :class:`Candidate` raises OutOfDomain."""
+    _require_candidate(candidate)
+    row = _record(space).rows.get(candidate)
     if row is None:
-        _require_candidate(candidate)
         return _checked_fold(candidate.b, candidate.a, 0.0, space.diameter)
     return row
 

@@ -433,12 +433,9 @@ class TabulatedDensity(_DensityBase):
         # the first segment whose right end reaches the target mass (so a zero
         # plateau starting there is never entered; where ``right`` holds, the
         # last one starting at or below it, so F(t) <= q and t ends the
-        # plateau), then the stable root of f0 s + (f1 - f0) s^2 / (2 h) = r;
-        # the public quantile (``right`` False) makes only the left search
+        # plateau), then the stable root of f0 s + (f1 - f0) s^2 / (2 h) = r
         y = q * self._raw_total
-        idx = np.searchsorted(self._cum, y)
-        if right is not False:
-            idx = np.where(right, np.searchsorted(self._cum, y, side="right"), idx)
+        idx = np.where(right, np.searchsorted(self._cum, y, side="right"), np.searchsorted(self._cum, y))
         idx = np.minimum(np.maximum(idx - 1, 0), self.grid.size - 2)
         h = self.grid[idx + 1] - self.grid[idx]
         f0 = self.values[idx]

@@ -146,7 +146,7 @@ def _affine_draws(gen, count, length_cap, p_range, min_length):
     float (the scalar rule), below ``min_length`` or NaN."""
     try:
         choices = _real_array(sorted(p_range), "p_range")
-    except TypeError:  # not iterable, or items that do not compare
+    except (TypeError, ValueError):  # not iterable, or items that do not compare
         raise OutOfDomain(f"p_range must be ints or floats, got {p_range!r}") from None
     if choices.ndim != 1 or choices.size == 0:
         raise OutOfDomain(f"p_range must be a nonempty flat sequence, got {p_range!r}")

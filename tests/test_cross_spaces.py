@@ -526,17 +526,3 @@ class TestNotACandidate:
         # and a list the catalog lookup's bare TypeError (unhashable)
         with pytest.raises(OutOfDomain, match="expected a Candidate"):
             _CANDIDATE_ENTRIES[entry](candidate)
-
-    def test_catalog_hits_skip_the_check(self, monkeypatch):
-        import needle_iso.cross_spaces as cross_spaces
-
-        calls = []
-        check = cross_spaces._require_candidate
-        monkeypatch.setattr(cross_spaces, "_require_candidate", lambda c: calls.append(c) or check(c))
-        enlarged_volume(_BALL, _CP2, 0.3, 0.1)
-        profile_cdf(_BALL, _CP2, 0.3)
-        profile_quantile(_BALL, _CP2, 0.3)
-        assert calls == []
-        odd = Candidate("custom", 3.0, 1.0, "custom")
-        profile_quantile(odd, _CP2, 0.3)
-        assert calls == [odd]

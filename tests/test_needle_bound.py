@@ -825,8 +825,8 @@ class TestOptimizer:
 
     @pytest.mark.parametrize(
         "p_range",
-        [None, ["a"], [1, "a"], [True, 2], 3, "12", [], [[1, 2]]],
-        ids=["none", "string", "mixed", "bool", "int", "text", "empty", "nested"],
+        [None, ["a"], [1, "a"], [True, 2], 3, "12", [], [[1, 2]], np.array([[1.0, 2.0], [3.0, 4.0]])],
+        ids=["none", "string", "mixed", "bool", "int", "text", "empty", "nested", "matrix"],
     )
     def test_p_range_takes_the_array_rule(self, p_range):
         # None raised TypeError, ["a"] ValueError and [[1, 2]] IndexError,
