@@ -53,6 +53,8 @@ from .errors import (
 
 def _as_callable(f, interval):
     if hasattr(f, "pdf") and hasattr(f, "interval"):
+        if interval is not None:
+            raise OutOfDomain(f"a density brings its own interval; got interval={interval!r} as well")
         return f.pdf, f.interval
     if not isinstance(interval, Interval):
         raise OutOfDomain(f"a bare callable needs an explicit interval (an Interval), got {interval!r}")
@@ -84,9 +86,9 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     Raises ``InvalidOrder`` for an order that is not finite and positive,
     and ``OutOfDomain`` for an order or ``tol`` that is not an int or a
     float, a ``grid_size`` that is not an integer >= 3, a ``tol`` that is
-    not finite and nonnegative, a callable without an ``Interval``, or
-    samples that are not finite (they have no scale) or not one per grid
-    point.
+    not finite and nonnegative, a callable without an ``Interval``, a
+    density with an ``interval`` as well, or samples that are not finite
+    (they have no scale) or not one per grid point.
     """
     _require_order(order)
     _require_count(grid_size, "grid_size", 3)
@@ -256,10 +258,11 @@ def check_comparison_lemma(f, order, epsilon, k, interval=None, grid_size=512):
     Raises ``InvalidOrder`` for an order that is not finite and positive,
     ``OutOfDomain`` for an order, ``k`` or ``epsilon`` that is not an int or
     a float, a negative ``k``, a ``grid_size`` that is not an integer >= 3
-    or a bare callable without an ``Interval``, and ``PreconditionFailed``
-    when ``f`` is not sin^order-concave with its maximum at 0, or when the
-    domain does not start at 0, ``epsilon`` is outside (0, pi/2) or not
-    below ``tau``, or ``f(epsilon)`` is not positive.
+    or a bare callable without an ``Interval`` or a density with one, and
+    ``PreconditionFailed`` when ``f`` is not sin^order-concave with its
+    maximum at 0, or when the domain does not start at 0, ``epsilon`` is
+    outside (0, pi/2) or not below ``tau``, or ``f(epsilon)`` is not
+    positive.
     """
     _require_order(order)
     _require_count(grid_size, "grid_size", 3)

@@ -45,8 +45,8 @@ _SLACK = 1e-10
 # most 16.  A larger grid raises OutOfDomain before it is built.
 _MAX_FOLDED = 1 << 17
 # The most folded needles the cached exponent grids hold together: two grids
-# at the limit.  ``_grids`` maps ``(low, top, diameter)`` to its grid, least
-# recently used first.
+# at the limit.  ``_grids`` maps ``(low, top)`` to its grid, least recently
+# used first.
 _CACHED_FOLDED = 1 << 18
 _grids = {}
 _grids_lock = threading.Lock()
@@ -113,12 +113,10 @@ def _params(**labels):
     return MappingProxyType(labels)
 
 
-# What the cross bound reads of an exponent grid: the sorted ``pairs``, the
-# ``needle`` record of the folded ones, each pair's ``column`` in that record,
-# the ``ties`` tuples met so far, by the bytes of their indices into ``pairs``,
-# the quantile ``table`` of the folded needles and which of its rows are
-# ``filled``.
-_Grid = namedtuple("_Grid", "pairs needle column ties table filled")
+# What the cross bound reads of an exponent grid: its sorted ``m <= k`` ``pairs``
+# and their ``needle`` record, the ``ties`` met so far, by the bytes of their
+# indices into ``pairs``, the quantile ``table`` and which rows are ``filled``.
+_Grid = namedtuple("_Grid", "pairs needle ties table filled")
 
 
 @functools.lru_cache(maxsize=64)
@@ -129,35 +127,32 @@ def _sphere_needle(n):
     return _fold(n - 1.0, 0.0, -HALF_PI, HALF_PI), _params(n=n, m=n - 1), ((n - 1, 0),)
 
 
-def _exponent_grid(low, top, diameter):
-    """The grid of pairs ``(m, k)`` with ``low <= m + k <= top``, built once:
-    one read-only ``_fold`` of the ``m <= k`` half on ``[0, diameter]``
-    serves every pair, since reflecting about pi/4 swaps ``m`` and ``k`` and
-    the two arrangements of the gap rule, so ``sep(m, k) == sep(k, m)``.
-    Its ``table`` will hold each folded needle's quantile at the masses
-    ``_MASSES``, a (575 x needle) array left empty here: :func:`_candidates`
-    fills the rows it reads, on first use, and flags each in ``filled``.
+def _exponent_grid(low, top):
+    """The grid of pairs ``(m, k)`` with ``low <= m + k <= top``, built once
+    as one read-only ``_fold`` of its ``m <= k`` half on ``[0, pi/2]``:
+    reflecting about pi/4 swaps ``m``, ``k`` and the gap rule's two
+    arrangements, so ``sep(m, k) == sep(k, m)`` and the half fixes every
+    bound and tie.  Its ``table`` will hold each needle's quantile at the
+    masses ``_MASSES``, a (575 x needle) array left empty here:
+    :func:`_candidates` fills the rows it reads, on first use, and flags
+    each in ``filled``.
 
     Grids are cached by folded needle count, not by entry count: a miss
     first drops the least recently used grids until the new grid's folded
     needles fit with theirs in ``_CACHED_FOLDED`` (or none is left), then
     builds it.  Lookups and builds hold one lock, so no grid is built twice
     at once."""
-    key = (low, top, diameter)
+    key = (low, top)
     with _grids_lock:
         grid = _grids.pop(key, None)
         if grid is None:
             need = _folded_count(low, top)
             while _grids and need + sum(g.needle.a.size for g in _grids.values()) > _CACHED_FOLDED:
                 del _grids[next(iter(_grids))]
-            pairs = tuple(sorted((total - k, k) for total in range(low, top + 1) for k in range(total + 1)))
-            folded = [p for p in pairs if p[0] <= p[1]]
-            where = {p: j for j, p in enumerate(folded)}
-            column = np.array([where[min(p, p[::-1])] for p in pairs])  # the m <= k twin's
-            column.flags.writeable = False
-            needle = _fold(*np.array(folded, dtype=float).T, 0.0, diameter)
-            table = np.empty((_MASSES.size, len(folded)))
-            grid = _Grid(pairs, needle, column, {}, table, np.zeros(_MASSES.size, dtype=bool))
+            pairs = tuple(sorted((m, t - m) for t in range(low, top + 1) for m in range(t // 2 + 1)))
+            needle = _fold(*np.array(pairs, dtype=float).T, 0.0, HALF_PI)
+            table = np.empty((_MASSES.size, len(pairs)))
+            grid = _Grid(pairs, needle, {}, table, np.zeros(_MASSES.size, dtype=bool))
         _grids[key] = grid  # the most recently used grid comes last
         return grid
 
@@ -217,14 +212,13 @@ def _family_seps(grid, k1, k2):
 
 def _family_bounds(grid, params, mps):
     """The cross bound over ``grid`` for each of the mass pairs ``mps``, in
-    that order: :func:`_family_seps` gives the (mass pair x folded needle)
-    table of separations, one fancy index spreads it onto every pair, and a
-    row's ties are its entries within 1e-12 of its maximum, in grid order,
-    as the grid's one tuple for that tie set (``pairs`` when all tie).  A
-    NaN bound raises OutOfDomain naming its masses."""
+    that order: the row maxima of the :func:`_family_seps` table.  A row's
+    ties are its needles within 1e-12 of its maximum and their mirror
+    twins, sorted, as the grid's one tuple for that tie set.  A NaN bound
+    raises OutOfDomain naming its masses."""
     k1 = np.array([mp.k1 for mp in mps])
     k2 = np.array([mp.k2 for mp in mps])
-    seps = _family_seps(grid, k1, k2)[:, grid.column]
+    seps = _family_seps(grid, k1, k2)
     best = np.max(seps, axis=1)
     results = []
     for row, b, mp in zip(seps, best, mps):
@@ -233,7 +227,7 @@ def _family_bounds(grid, params, mps):
         hit = np.flatnonzero(row >= b - _TIE_TOL)
         ties = grid.ties.get(key := hit.tobytes())
         if ties is None:  # setdefault is atomic: threads that race keep one tuple
-            ties = grid.pairs if hit.size == len(grid.pairs) else tuple(grid.pairs[j] for j in hit)
+            ties = tuple(sorted({twin for j in hit for twin in (grid.pairs[j], grid.pairs[j][::-1])}))
             ties = grid.ties.setdefault(key, ties)
         results.append(NeedleBoundResult(float(b), "trig", params, ties, mp.straddles_half))
     return tuple(results)
@@ -264,8 +258,8 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
     results in that order; no result depends on the other pairs, bit for bit.
 
     Each grid's ``m <= k`` half is folded once per process and cached
-    (:func:`_exponent_grid`), and mirrored onto the whole grid, so twins
-    ``(m, k)`` and ``(k, m)`` carry the same bits.  The grid's cached
+    (:func:`_exponent_grid`), and its ties are mirrored onto the whole grid,
+    so twins ``(m, k)`` and ``(k, m)`` carry the same bits.  The grid's cached
     quantile table brackets every needle's separation, and only the needles
     that can reach a pair's maximum or tie with it are evaluated
     (:func:`_candidates`): the bound and ties are those of the whole grid.
@@ -287,7 +281,7 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
             f"max_total_power={mtp} folds {folded} needles on {space.name}, "
             f"over the grid limit of {_MAX_FOLDED}"
         )
-    grid = _exponent_grid(low, mtp, space.diameter)
+    grid = _exponent_grid(low, mtp)
     return _family_bounds(grid, _params(space=space.name, max_total_power=mtp), mps)
 
 

@@ -371,6 +371,18 @@ class TestVerify:
         text = path.read_text()
         assert text.startswith("<?xml") and "separation.mass_swap_symmetry" in text
 
+    def test_junit_reports_each_failing_check(self, capsys, tmp_path):
+        # the needle suite refutes two configured claims (README "Findings")
+        path = tmp_path / "report.xml"
+        code, _, _ = run_cli(capsys, "verify", "--suite", "needle", "--seed", "42", "--junit", str(path))
+        assert code == 1
+        lines = path.read_text().splitlines()
+        assert '<testsuite name="needle-iso needle" tests="5" failures="2">' in lines
+        for name in ("needle.cross_dominance", "needle.component_bound"):
+            at = lines.index(f'  <testcase name="{name}">')
+            assert lines[at + 1 : at + 3] == ['    <failure message="invariant violated"/>', "  </testcase>"]
+        assert '  <testcase name="needle.sphere_dominance"/>' in lines
+
     def test_thread_cap_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("NEEDLE_ISO_THREADS", "1")
         code_a, out_a, _ = run_cli(
@@ -404,6 +416,57 @@ class TestVerify:
         ]
         assert len(rec["checks"]) == 27
         assert (rec["pass_count"], rec["fail_count"]) == (24, 3)
+
+
+class TestHumanFormat:
+    """The human output is unstable by contract; these pin only the lines
+    each subcommand must carry."""
+
+    def test_sep(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sep", "--m", "1", "--lo", str(-HALF_PI), "--hi", str(HALF_PI),
+            "--k1", "0.25", "--k2", "0.25", "--format", "human",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"separation: {math.pi / 3:.12g}"
+        assert lines[1].startswith("left interval  [") and lines[1].endswith("(mass 0.25)")
+        assert lines[2].startswith("right interval [") and lines[2].endswith("(mass 0.25)")
+
+    def test_forced_bound_is_marked_heuristic(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bound", "--space", "cp1", "--k1", "0.25", "--k2", "0.25", "--force", "--format", "human"
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            f"needle bound: {math.asin(0.75) - math.asin(0.25):.12g}",
+            "family: trig; maximizers: [(0, 1), (1, 0)]",
+            "note: mass pair does not straddle 1/2 -- heuristic value",
+        ]
+
+    def test_straddling_bound_has_no_note(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bound", "--sphere-dim", "2", "--k1", "0.25", "--k2", "0.5", "--format", "human"
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 2 and "heuristic" not in out
+
+    def test_profile_marks_its_crossover(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "profile", "--space", "rp3", "--eps", "0.05", "--v-grid", "40", "--format", "human"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 41 and all(line.startswith("v=") for line in lines[:40])
+        assert lines[-1].startswith("-- crossover at v0=0.3952")
+        assert "(ball -> tube around RP^1, bracket" in lines[-1]
+
+    def test_verify(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "needle", "--seed", "42", "--format", "human")
+        assert code == 1
+        lines = out.splitlines()
+        assert "[FAIL] needle.cross_dominance" in lines and "[ok  ] needle.sphere_dominance" in lines
+        assert lines[-1] == "3 passed, 2 failed"
 
 
 class TestInProcessReuse:

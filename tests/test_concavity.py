@@ -310,6 +310,12 @@ class TestSampledCheck:
         with pytest.raises(OutOfDomain, match="explicit interval"):
             is_sin_concave(np.cos, 2, interval=(0.0, 1.0))
 
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), Interval(0.0, 1.0), Interval(0.0, 3.0)])
+    def test_density_brings_its_own_interval(self, interval):
+        # the interval was ignored: this call returned True
+        with pytest.raises(OutOfDomain, match="its own interval"):
+            is_sin_concave(TrigDensity(0, 3, Interval(0.0, 3.0)), 3, interval=interval)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9, "x", None, True])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
         # a NaN or infinite tol once made every pair vacuous and passed sin^3
@@ -793,11 +799,20 @@ class TestComparisonLemma:
         with pytest.raises(OutOfDomain, match="grid_size"):
             check_comparison_lemma(aff, 2, 0.3, 1, grid_size=grid_size)
 
+    @pytest.mark.parametrize("interval", [(5.0, 6.0), Interval(5.0, 6.0), Interval(0.0, 1.0)])
+    def test_density_brings_its_own_interval(self, interval):
+        # the interval was ignored: the lemma ran on [0, 1]
+        aff = normalize(SinAffineDensity(phase=0.0, power=2, interval=Interval(0.0, 1.0)))
+        assert check_comparison_lemma(aff, 2, 0.3, 1).pointwise_ok
+        with pytest.raises(OutOfDomain, match="its own interval"):
+            check_comparison_lemma(aff, 2, 0.3, 1, interval=interval)
+
 
 class TestBinomialDecompose:
     def test_pure_cosine_phase(self):
         d = normalize(SinAffineDensity(phase=0.0, power=3, interval=Interval(0.0, 1.0)))
         dec = binomial_decompose(d)
+        assert dec.power == 3 and len(dec.components) == 4
         nonzero = [(c, mk) for c, mk in dec.components if abs(c) > 1e-15]
         assert len(nonzero) == 1
         assert nonzero[0][1] == (3.0, 0.0)

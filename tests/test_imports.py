@@ -1,7 +1,7 @@
 """Each library module uses every name it imports, every private
 module-level name is read by some library module, the needle record's
-format stays inside ``densities``, and the package exports exactly its
-public names.
+format stays inside ``densities`` and the cross grid's inside
+``needle_bound``, and the package exports exactly its public names.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name an import binds must be read somewhere in the module, unless its
@@ -128,7 +128,16 @@ def _names_in(tree):
             yield node.name
 
 
-@pytest.mark.parametrize("path", [p for p in _MODULES if p.stem != "densities"], ids=lambda p: p.stem)
-def test_needle_record_stays_in_densities(path):
-    # only densities builds or slices a _Needle (through _fold and _take)
-    assert "_Needle" not in set(_names_in(ast.parse(path.read_text())))
+# Each record's format stays in the one module that owns it: only densities
+# builds or slices a _Needle (through _fold and _take), and only needle_bound
+# names the cross grid's _Grid.
+_OWNERS = {"_Needle": "densities", "_Grid": "needle_bound"}
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [(name, p) for name, owner in _OWNERS.items() for p in _MODULES if p.stem != owner],
+    ids=lambda x: x if isinstance(x, str) else x.stem,
+)
+def test_record_stays_in_its_module(name, path):
+    assert name not in set(_names_in(ast.parse(path.read_text())))

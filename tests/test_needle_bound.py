@@ -145,7 +145,9 @@ class TestCrossBound:
     def test_folded_count_is_the_folded_half(self):
         for low in (1, 2, 3, 7, 15):
             for top in range(low, low + 30):
-                folded = [(m, k) for m, k in _exponent_grid(low, top, HALF_PI).pairs if m <= k]
+                pairs = sorted((t - k, k) for t in range(low, top + 1) for k in range(t + 1))
+                folded = tuple(p for p in pairs if p[0] <= p[1])
+                assert _exponent_grid(low, top).pairs == folded
                 assert needle_bound._folded_count(low, top) == len(folded)
 
     @pytest.mark.parametrize(
@@ -179,7 +181,7 @@ class TestCrossBound:
     def test_grid_cache_keeps_every_default_grid(self):
         _exponent_grid.cache_clear()
         names = [f"rp{n}" for n in range(2, 11)] + [f"cp{n}" for n in range(1, 6)] + ["hp2", "hp3", "cap2"]
-        keys = [(max(s.dim - 1, 1), s.dim + 7, s.diameter) for s in map(space_by_name, names)]
+        keys = [(max(s.dim - 1, 1), s.dim + 7) for s in map(space_by_name, names)]
         grids = [_exponent_grid(*key) for key in keys]
         assert grids[-1].needle.a.size == 92  # cap2
         assert sum(g.needle.a.size for g in grids) <= needle_bound._CACHED_FOLDED
@@ -188,8 +190,8 @@ class TestCrossBound:
     def test_grid_cache_drops_the_least_recently_used_past_its_budget(self, monkeypatch):
         # the budget counts folded needles: grids a and b fit, and a new grid
         # c makes room by dropping b, the least recently used
-        a, b, c = (2, 20, HALF_PI), (3, 20, HALF_PI), (4, 20, HALF_PI)
-        size = {key: needle_bound._folded_count(*key[:2]) for key in (a, b, c)}
+        a, b, c = (2, 20), (3, 20), (4, 20)
+        size = {key: needle_bound._folded_count(*key) for key in (a, b, c)}
         assert (size[a], size[b], size[c]) == (119, 117, 115)
         monkeypatch.setattr(needle_bound, "_CACHED_FOLDED", size[a] + size[b])
         _exponent_grid.cache_clear()
@@ -205,7 +207,7 @@ class TestCrossBound:
         # threads looking grids up in clashing orders get the right grid each
         # time and never hold more than the budget; under the default budget,
         # nothing is dropped and every thread gets the one grid per key
-        keys = [(low, 20, HALF_PI) for low in range(2, 8)]
+        keys = [(low, 20) for low in range(2, 8)]
         monkeypatch.setattr(needle_bound, "_CACHED_FOLDED", budget)
         _exponent_grid.cache_clear()
 
@@ -221,7 +223,7 @@ class TestCrossBound:
                 seen = [pair for f in futures for pair in f.result(timeout=60)]
         finally:
             sys.setswitchinterval(interval)
-        for (low, top, _), grid in seen:
+        for (low, top), grid in seen:
             assert min(map(sum, grid.pairs)) == low and max(map(sum, grid.pairs)) == top
         assert sum(g.needle.a.size for g in needle_bound._grids.values()) <= budget
         if budget == 1 << 18:
@@ -352,7 +354,7 @@ class TestCrossBoundPruning:
     def test_every_table_entry_is_finite(self, name, top):
         space = space_by_name(name)
         top = space.dim + 7 if top is None else top
-        assert np.isfinite(_table(_exponent_grid(max(space.dim - 1, 1), top, space.diameter))).all()
+        assert np.isfinite(_table(_exponent_grid(max(space.dim - 1, 1), top))).all()
 
     @pytest.mark.parametrize("name, top", DEFAULT_GRIDS, ids=[f"{n}-{t}" for n, t in DEFAULT_GRIDS])
     def test_equals_the_full_pass(self, name, top):
@@ -360,12 +362,15 @@ class TestCrossBoundPruning:
         k1, k2 = _pruning_masses(29)
         assert k1.size >= 1000
         results = cross_needle_bounds(space, zip(k1, k2), max_total_power=top, force=True)
-        grid = _exponent_grid(max(space.dim - 1, 1), results[0].params["max_total_power"], space.diameter)
-        full = _needle_gaps(grid.needle, k1[:, None], k2[:, None])[2][:, grid.column]
+        grid = _exponent_grid(max(space.dim - 1, 1), results[0].params["max_total_power"])
+        full = _needle_gaps(grid.needle, k1[:, None], k2[:, None])[2]
         for res, row in zip(results, full):
             best = row.max()
             assert res.bound == best  # bitwise
-            assert res.ties == tuple(grid.pairs[j] for j in np.flatnonzero(row >= best - 1e-12))
+            # the whole grid, each pair at its m <= k twin's value
+            value = dict(zip(grid.pairs, row))
+            whole = {p: value[min(p, p[::-1])] for m, k in grid.pairs for p in ((m, k), (k, m))}
+            assert res.ties == tuple(p for p in sorted(whole) if whole[p] >= best - 1e-12)
         # the straddling pairs drop needles: the table is not idle
         kept = _candidates(grid, k1[:400], k2[:400])
         assert kept.sum() < 0.9 * kept.size
@@ -379,7 +384,7 @@ class TestCrossBoundPruning:
         # its bracket's tabulated ends to about 1e-14 (the kernel is monotone
         # only to ulps), here at a few ulps about each table mass, at random
         # and at the tiny and near-1 targets the fine tails are for
-        grid = _exponent_grid(low, top, HALF_PI)
+        grid = _exponent_grid(low, top)
         masses = needle_bound._MASSES
         node = masses[:, None]
         q = (node + np.arange(-6, 7) * np.spacing(node)).ravel()
@@ -397,7 +402,7 @@ class TestCrossBoundPruning:
 
     def test_a_nan_keeps_the_needles_it_touches(self):
         cap2 = CrossSpace.cayley_plane()
-        grid = _exponent_grid(15, 23, cap2.diameter)
+        grid = _exponent_grid(15, 23)
         full = grid._replace(table=_table(grid), filled=np.ones(needle_bound._MASSES.size, dtype=bool))
         k1, k2 = np.array([0.3]), np.array([0.6])
         expected = cross_needle_bounds(cap2, [(0.3, 0.6)])
@@ -433,7 +438,7 @@ class TestCrossBoundPruning:
         finally:
             sys.setswitchinterval(interval)
         assert [(r.bound, r.ties) for r in threaded] == [(r.bound, r.ties) for r in serial]
-        grid = _exponent_grid(max(space.dim - 1, 1), space.dim + 7, space.diameter)
+        grid = _exponent_grid(max(space.dim - 1, 1), space.dim + 7)
         assert np.array_equal(grid.table[grid.filled], _table(grid)[grid.filled])
 
     def test_calls_leave_no_cyclic_garbage(self):
@@ -469,7 +474,7 @@ class TestNanSeparations:
         assert res.ties == ((0, 10), (10, 0))
         # evaluated over the whole grid, those needles raise: an all-NaN
         # table prunes nothing (test_a_nan_keeps_the_needles_it_touches)
-        grid = _exponent_grid(2, 10, HALF_PI)
+        grid = _exponent_grid(2, 10)
         full = grid._replace(table=np.full_like(grid.table, np.nan), filled=np.ones_like(grid.filled))
         params = _params(space="rp3", max_total_power=10)
         with pytest.raises(OutOfDomain, match=r"masses \(1e-150, 0\.6\)"):
@@ -479,7 +484,7 @@ class TestNanSeparations:
     def test_default_grids_at_1e_300(self, name, top):
         space = space_by_name(name)
         k1, k2 = np.array([1e-300]), np.array([0.5])
-        grid = _exponent_grid(max(space.dim - 1, 1), space.dim + 7 if top is None else top, space.diameter)
+        grid = _exponent_grid(max(space.dim - 1, 1), space.dim + 7 if top is None else top)
         full = _needle_gaps(grid.needle, k1[:, None], k2[:, None])[2][0]
         # every uncapped default grid has needles without a quantile there
         assert np.isnan(full).any() or top is not None
@@ -566,10 +571,11 @@ class TestSharedLabels:
         a = cross_needle_bound(CP1, (0.25, 0.25), max_total_power=9, force=True)
         b = cross_needle_bound(CP1, (0.25, 0.25), max_total_power=9, force=True)
         assert a.ties is b.ties
-        # zero separation: every pair ties, and the tuple is the grid's own
+        # zero separation: every pair of the whole grid ties, in one tuple per grid
         zero = cross_needle_bound(CP1, (0.5, 0.5), max_total_power=9)
         assert zero.bound == 0.0
-        assert zero.ties is _exponent_grid(1, 9, CP1.diameter).pairs
+        assert zero.ties == tuple(sorted((t - k, k) for t in range(1, 10) for k in range(t + 1)))
+        assert cross_needle_bound(CP1, (0.25, 0.75), max_total_power=9).ties is zero.ties
 
 
 class TestFamilyTable:
@@ -685,15 +691,13 @@ class TestSphereOneNeedle:
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_records_are_read_only(self, n):
-        grid = _exponent_grid(2, 10, HALF_PI)
+        grid = _exponent_grid(2, 10)
         for record in (needle_bound._sphere_needle(n)[0], grid.needle):
             arrays = [f for f in record if isinstance(f, np.ndarray)]
             assert arrays
             for f in arrays:
                 with pytest.raises(ValueError):
                     f[...] = 0.0
-        with pytest.raises(ValueError):
-            grid.column[0] = 1
 
 
 class TestBatchHelpers:

@@ -418,6 +418,21 @@ class TestNewton:
         assert abs(root - math.sqrt(2.0)) <= 2 * np.spacing(math.sqrt(2.0))
         assert len(calls) <= 6
 
+    def test_stops_after_a_step_within_4_ulps(self):
+        # no float squares to exactly 2, so an ftol of 0 is never met and
+        # the search ends on its step rule: the point after the first step
+        # within 4 ulps of the bracket's scale, without evaluating it
+        values = []
+
+        def fg(x):
+            values.append(x * x - 2.0)
+            return values[-1], 2.0 * x
+
+        root = solver._newton(fg, 1.0, 2.0)
+        assert 0.0 not in values
+        assert abs(root - math.sqrt(2.0)) <= 2 * np.spacing(math.sqrt(2.0))
+        assert len(values) <= 8
+
 
 class TestMainInequality:
     def test_median_caps_touch(self):
