@@ -19,7 +19,7 @@ import numpy as np
 
 from .cross_spaces import SPHERE, space_by_name
 from .densities import density_from_dict
-from .errors import NeedleIsoError, NotApplicable, OutOfDomain
+from .errors import NeedleIsoError, NotApplicable, _check
 from .needle_bound import _csv, bound_profile_csv, cross_needle_bound, sphere_needle_bound
 from .oracles import SUITE_NAMES, report_to_json, run_property_suite
 from .separation import MassPair, sep_1d
@@ -159,10 +159,7 @@ def _cmd_verify(args):
     threads = args.threads
     cap = os.environ.get("NEEDLE_ISO_THREADS")
     if cap is not None:
-        try:
-            threads = min(threads, max(1, int(cap)))
-        except ValueError:
-            raise OutOfDomain(f"NEEDLE_ISO_THREADS must be an integer, got {cap!r}") from None
+        threads = min(threads, max(1, _check("integer text", cap, "NEEDLE_ISO_THREADS")))
     report = run_property_suite(
         args.suite, args.seed, threads=threads, mc_samples=args.samples
     )

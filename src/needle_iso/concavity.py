@@ -39,16 +39,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import quadrature
-from .densities import HALF_PI, Interval, SinAffineDensity, TrigDensity, trig_mass
-from .errors import (
-    InvalidOrder,
-    NonIntegerPower,
-    NotApplicable,
-    OutOfDomain,
-    PreconditionFailed,
-    _real_scalar,
-    _require_count,
-)
+from .densities import HALF_PI, Interval, SinAffineDensity, TrigDensity, _require_mass, trig_mass
+from .errors import InvalidOrder, NonIntegerPower, NotApplicable, OutOfDomain, PreconditionFailed, _check
 
 
 def _as_callable(f, interval):
@@ -59,13 +51,6 @@ def _as_callable(f, interval):
     if not isinstance(interval, Interval):
         raise OutOfDomain(f"a bare callable needs an explicit interval (an Interval), got {interval!r}")
     return f, interval
-
-
-def _require_order(order):
-    """OutOfDomain unless ``order`` is an int or a float (the scalar rule),
-    InvalidOrder unless it is finite and positive."""
-    if not (math.isfinite(x := _real_scalar(order, "concavity order")) and x > 0):
-        raise InvalidOrder(f"concavity order must be finite and positive, got {order}")
 
 
 def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
@@ -90,30 +75,27 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     density with an ``interval`` as well, or samples that are not finite
     (they have no scale) or not one per grid point.
     """
-    _require_order(order)
-    _require_count(grid_size, "grid_size", 3)
-    if not (math.isfinite(_real_scalar(tol, "tol")) and tol >= 0):
-        raise OutOfDomain(f"tol must be finite and nonnegative, got {tol}")
+    order = _check("order", order, "concavity order")
+    grid_size = _check("count", grid_size, "grid_size", bound=3)
+    tol = _check("tolerance", tol, "tol")
     func, iv = _as_callable(f, interval)
     x = iv.grid(grid_size)
-    v = np.asarray(func(x), dtype=float)
-    if v.shape != x.shape:
-        raise OutOfDomain(f"expected {x.shape[0]} samples, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise OutOfDomain("density samples must be finite")
+    v = _check("samples", func(x), "density samples", bound=x.shape)
     if np.any(v < -tol * np.max(np.abs(v))):
         return False
     v = np.maximum(v, 0.0)
-    u = np.power(v, 1.0 / order)
-    v_tol, u_tol = tol * np.max(v), tol * np.max(u)
-    ok = v > v_tol
+    ok = v > tol * np.max(v)
+    if not ok.any():  # no pair to check
+        return True
+    # f^(1/order) of the samples scaled to a peak of 1, which never overflows
+    u = np.power(v / np.max(v), 1.0 / order)
     step = x[1] - x[0]
     for d in range(1, (grid_size - 1) // 2 + 1):
         gap = 2 * d * step
         if gap >= math.pi - 1e-9:
             break
         rhs = (u[: -2 * d] + u[2 * d :]) / (2.0 * math.cos(0.5 * gap))
-        if np.any(ok[: -2 * d] & ok[2 * d :] & (u[d:-d] < rhs - u_tol)):
+        if np.any(ok[: -2 * d] & ok[2 * d :] & (u[d:-d] < rhs - tol)):
             return False
     return True
 
@@ -135,17 +117,21 @@ def sin_concavity_margin(density, order):
 
     Raises ``NotApplicable`` for any other density or a callable,
     ``OutOfDomain`` for an order that is not an int or a float, and
-    ``InvalidOrder`` for one that is not finite and positive.
+    ``InvalidOrder`` for one that is not finite and positive, or so small
+    that the weights ``power / order`` sum to 1e150 or more (``h`` would
+    overflow).
     """
     if not isinstance(density, (TrigDensity, SinAffineDensity)):
         raise NotApplicable(
             f"no closed-form concavity margin for {type(density).__name__}; use is_sin_concave"
         )
-    _require_order(order)
+    order = _check("order", order, "concavity order")
     if isinstance(density, SinAffineDensity):
         powers, phases = [density.power], [density.phase]
     else:
         powers, phases = [density.m, density.k], [0.0, HALF_PI]
+    if not math.fsum(powers) / order < 1e150:
+        raise InvalidOrder(f"concavity order {order!r} is too small for the powers {powers}: h overflows")
     iv = density.interval
     margin, argmax = _product_margin(np.array([powers]) / order, [phases], [iv.lo], [iv.hi])
     return SinConcavityMargin(float(margin[0]), float(argmax[0]))
@@ -256,19 +242,21 @@ def check_comparison_lemma(f, order, epsilon, k, interval=None, grid_size=512):
     sine exponent raised by ``k`` for a ``TrigDensity``; otherwise both
     integrals are adaptive quadrature at 1e-13 times the largest sample.
     Raises ``InvalidOrder`` for an order that is not finite and positive,
-    ``OutOfDomain`` for an order, ``k`` or ``epsilon`` that is not an int or
-    a float, a negative ``k``, a ``grid_size`` that is not an integer >= 3
-    or a bare callable without an ``Interval`` or a density with one, and
-    ``PreconditionFailed`` when ``f`` is not sin^order-concave with its
-    maximum at 0, or when the domain does not start at 0, ``epsilon`` is
-    outside (0, pi/2) or not below ``tau``, or ``f(epsilon)`` is not
-    positive.
+    ``OutOfDomain`` for an order or ``epsilon`` that is not an int or a
+    float, a ``k`` that is not a finite int or float >= 0, a ``grid_size``
+    that is not an integer >= 3, a bare callable without an ``Interval`` or
+    a density with one, or samples of ``f`` that are not finite ints or
+    floats, one per grid point, ``PreconditionFailed`` when ``f`` is not
+    sin^order-concave with its maximum at 0, or when the domain does not
+    start at 0, ``epsilon`` is outside (0, pi/2) or not below ``tau``, or
+    ``f(epsilon)`` is not positive, and ``ZeroMass`` when the mass of ``f
+    sin^k`` on ``[0, tau]`` (relative to its peak) or of ``cos^order sin^k``
+    on ``[0, pi/2]`` is not above the mass floor.
     """
-    _require_order(order)
-    _require_count(grid_size, "grid_size", 3)
-    if _real_scalar(k, "sine weight exponent k") < 0:
-        raise OutOfDomain("sine weight exponent k must be nonnegative")
-    _real_scalar(epsilon, "epsilon")
+    order = _check("order", order, "concavity order")
+    grid_size = _check("count", grid_size, "grid_size", bound=3)
+    k = _check("exponent", k, "sine weight exponent k")
+    epsilon = _check("real", epsilon, "epsilon")
     func, iv = _as_callable(f, interval)
     if abs(iv.lo) > 1e-12:
         raise PreconditionFailed("the comparison domain must start at 0")
@@ -279,7 +267,7 @@ def check_comparison_lemma(f, order, epsilon, k, interval=None, grid_size=512):
         raise PreconditionFailed("tau must exceed epsilon")
 
     x = iv.grid(grid_size)
-    fx = np.asarray(func(x), dtype=float)
+    fx = _check("samples", func(x), "density samples", bound=x.shape)
     peak = float(np.max(fx))
     tol = 1e-8 * peak
     if fx[0] + tol < peak:
@@ -302,17 +290,22 @@ def check_comparison_lemma(f, order, epsilon, k, interval=None, grid_size=512):
 
     if k == 0 and isinstance(f, (TrigDensity, SinAffineDensity)):
         lhs = f.cdf(epsilon)
-    elif isinstance(f, TrigDensity):
-        lhs = trig_mass(f.m, f.k + k, iv.lo, epsilon) / trig_mass(f.m, f.k + k, iv.lo, tau)
     else:
+        if isinstance(f, TrigDensity):
+            scale = 1.0  # the bare monomial is at most 1
+            head, total = (trig_mass(f.m, f.k + k, iv.lo, b) for b in (epsilon, tau))
+        else:
 
-        def weighted(t):
-            return func(t) * np.sin(t) ** k if k > 0 else func(t)
+            def weighted(t):
+                return func(t) * np.sin(t) ** k if k > 0 else func(t)
 
-        # f sin^k is at most the peak of f, which sets the integrals' scale
-        head = quadrature.integrate(weighted, 0.0, epsilon, atol=1e-13 * peak)
-        lhs = head / quadrature.integrate(weighted, 0.0, tau, atol=1e-13 * peak)
-    rhs = trig_mass(order, k, 0.0, epsilon) / trig_mass(order, k, 0.0, HALF_PI)
+            # f sin^k is at most the peak of f, which sets the integrals' scale
+            scale = peak
+            head, total = (quadrature.integrate(weighted, 0.0, b, atol=1e-13 * scale) for b in (epsilon, tau))
+        _require_mass(total / scale)  # an underflowed f sin^k has no head-mass ratio
+        lhs = head / total
+    _require_mass(model := trig_mass(order, k, 0.0, HALF_PI))
+    rhs = trig_mass(order, k, 0.0, epsilon) / model
     ratio_ok = bool(lhs >= rhs - 1e-9)
 
     return ComparisonReport(

@@ -22,7 +22,6 @@ from .densities import (
     HALF_PI,
     Interval,
     TrigDensity,
-    _as_fractions,
     _checked_fold,
     _fold,
     _needle_cdf,
@@ -31,7 +30,7 @@ from .densities import (
     _trig_pdf,
     normalize,
 )
-from .errors import NotApplicable, OutOfDomain, _real_array, _real_scalar
+from .errors import NotApplicable, OutOfDomain, _check
 
 SPHERE = "sphere"
 REAL_PROJECTIVE = "real-projective"
@@ -50,23 +49,20 @@ _FAMILIES = {
 }
 
 
-def _integer(value, name):
-    """``value`` as an int: an int or a finite integer-valued float (Python
-    or numpy, not a bool), else OutOfDomain."""
-    x = _real_scalar(value, name)
-    if not (math.isfinite(x) and x.is_integer()):
-        raise OutOfDomain(f"{name} must be an integer, got {value!r}")
-    return int(x)
-
-
 @dataclass(frozen=True)
 class Candidate:
-    """A radially symmetric candidate set identified by its radial exponents."""
+    """A radially symmetric candidate set identified by its radial
+    exponents, each an exponent (a finite int or float >= 0) stored as
+    given."""
 
     label: str
     a: float  # sine exponent
     b: float  # cosine exponent
     polar_label: str
+
+    def __post_init__(self):
+        _check("exponent", self.a, "a")
+        _check("exponent", self.b, "b")
 
     @property
     def exponents(self):
@@ -89,7 +85,7 @@ class CrossSpace:
     @classmethod
     def _of(cls, family, n):
         _, _, s, least, plural = _FAMILIES[family]
-        n = _integer(n, "n")
+        n = _check("integer", n, "n")
         if n < least:
             raise OutOfDomain(f"{plural} require n >= {least}")
         return cls(family, n, s * n, math.pi if family == SPHERE else HALF_PI, (s * n - 1, s - 1))
@@ -119,23 +115,9 @@ class CrossSpace:
         return f"{_FAMILIES[self.family][0]}{self.index}"
 
 
-def _require_space(space):
-    """OutOfDomain unless ``space`` is a :class:`CrossSpace`."""
-    if not isinstance(space, CrossSpace):
-        raise OutOfDomain(f"expected a CrossSpace, got {space!r}; parse names with space_by_name")
-
-
-def _require_candidate(candidate):
-    """OutOfDomain unless ``candidate`` is a :class:`Candidate`."""
-    if not isinstance(candidate, Candidate):
-        raise OutOfDomain(f"expected a Candidate, got {candidate!r}; take candidates from catalog")
-
-
 def space_by_name(name):
     """Parse names like ``s2``, ``rp3``, ``cp2``, ``hp1``, ``cap2``."""
-    if not isinstance(name, str):
-        raise OutOfDomain(f"space name must be a string, got {name!r}")
-    name = name.strip().lower()
+    name = _check("space name", name).lower()
     prefix = name.rstrip("0123456789")
     digits = name[len(prefix):]
     for family, row in _FAMILIES.items():
@@ -155,7 +137,7 @@ def catalog(space):
     raises OutOfDomain; so, through this, does every entry point that reads
     the space's catalog record.
     """
-    _require_space(space)
+    _check("space", space)
     _, symbol, s, _, _ = _FAMILIES[space.family]
     n = space.index
     if space.family == SPHERE:
@@ -184,7 +166,7 @@ def _record(space):
     try:
         return _cached_record(space)
     except TypeError:
-        _require_space(space)
+        _check("space", space)
         raise
 
 
@@ -204,7 +186,7 @@ def _row(candidate, space):
     """The candidate's needle record: its row of the space's catalog record,
     or, for a candidate outside the catalog, its own checked fold; anything
     that is not a :class:`Candidate` raises OutOfDomain."""
-    _require_candidate(candidate)
+    _check("candidate", candidate)
     row = _record(space).rows.get(candidate)
     if row is None:
         return _checked_fold(candidate.b, candidate.a, 0.0, space.diameter)
@@ -213,25 +195,22 @@ def _row(candidate, space):
 
 def radial_density(candidate, space):
     """A fresh normalized radial profile sin^a cos^b on [0, diameter]."""
-    _require_space(space)
-    _require_candidate(candidate)
+    _check("space", space)
+    _check("candidate", candidate)
     return normalize(TrigDensity(m=candidate.b, k=candidate.a, interval=Interval(0.0, space.diameter)))
 
 
 def profile_cdf(candidate, space, r):
     """Fraction of the space's volume within distance ``r`` of the core;
     exactly 0 at ``r = 0`` and exactly 1 at the diameter."""
-    _require_space(space)
-    r_arr = _real_array(r, "radius")
-    if not np.all((r_arr >= -1e-12) & (r_arr <= space.diameter + 1e-12)):
-        raise OutOfDomain(f"radius outside [0, {space.diameter:.6g}]")
-    out = _needle_cdf(_row(candidate, space), r_arr)
+    _check("space", space)
+    out = _needle_cdf(_row(candidate, space), _check("radii", r, "radius", bound=space.diameter))
     return out if out.shape else float(out)
 
 
 def profile_quantile(candidate, space, v):
     """Radius enclosing volume fraction ``v``: exactly 0 at 0, the diameter at 1."""
-    out = _needle_quantile(_row(candidate, space), _as_fractions(v))
+    out = _needle_quantile(_row(candidate, space), _check("fractions", v, "mass fractions"))
     return out if out.shape else float(out)
 
 
@@ -245,20 +224,6 @@ def _enlarge(needle, v, epsilon):
     return _needle_cdf(needle, r), t, r
 
 
-def _epsilon(epsilon):
-    """``epsilon`` as a Python float, positive and finite, else OutOfDomain."""
-    eps = _real_scalar(epsilon, "epsilon")
-    if not (0.0 < eps < math.inf):
-        raise OutOfDomain(f"epsilon must be positive and finite, got {epsilon}")
-    return eps
-
-
-def _as_volumes(v, epsilon):
-    """``v`` as mass fractions and ``epsilon`` by :func:`_epsilon`, checked first."""
-    eps = _epsilon(epsilon)
-    return _as_fractions(v), eps
-
-
 def enlarged_volume(candidate, space, v, epsilon):
     """Volume fraction of the epsilon-enlargement of the volume-v candidate.
 
@@ -269,8 +234,8 @@ def enlarged_volume(candidate, space, v, epsilon):
     batched catalog pass of ``solve`` and ``profile``.  A scalar ``v``
     gives a float.
     """
-    v, epsilon = _as_volumes(v, epsilon)
-    out = _enlarge(_row(candidate, space), v, epsilon)[0]
+    epsilon = _check("epsilon", epsilon)
+    out = _enlarge(_row(candidate, space), _check("fractions", v, "mass fractions"), epsilon)[0]
     return out if out.shape else float(out)
 
 
@@ -278,7 +243,8 @@ def _catalog_enlarged(space, v, epsilon):
     """Every catalog candidate's :func:`enlarged_volume` at ``v`` from one
     pass over the space's catalog record: the candidates, and their values
     as a (candidate x ``v``) array of shape ``(len(catalog),) + shape(v)``."""
-    v, epsilon = _as_volumes(v, epsilon)
+    epsilon = _check("epsilon", epsilon)
+    v = _check("fractions", v, "mass fractions")
     rec = _record(space)
     out = _enlarge(rec.needle, v.reshape(1, -1), epsilon)[0]
     return rec.candidates, out.reshape((-1,) + v.shape)
@@ -305,8 +271,8 @@ def _enlarged_difference(space, i, j, epsilon):
 
 def polar_of(candidate, space):
     """The catalog candidate with swapped exponents (t -> diameter - t)."""
-    _require_space(space)
-    _require_candidate(candidate)
+    _check("space", space)
+    _check("candidate", candidate)
     if space.family == SPHERE:
         raise NotApplicable("polar duality is defined for diameter pi/2 spaces only")
     swapped = (candidate.b, candidate.a)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln
 
-from .errors import OutOfDomain, ZeroMass, _real_array, _real_scalar
+from .errors import OutOfDomain, ZeroMass, _broadcast, _check
 
 HALF_PI = math.pi / 2.0
 
@@ -39,12 +39,15 @@ _MASS_FLOOR = 1e-14
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """A closed interval of angles, at most pi long."""
+    """A closed interval of angles, at most pi long; ``lo`` and ``hi`` are
+    angles, stored as given."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
+        _check("angle", self.lo, "lo")
+        _check("angle", self.hi, "hi")
         if not (self.lo < self.hi):
             raise OutOfDomain(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
         if self.hi - self.lo > math.pi + 1e-12:
@@ -55,11 +58,6 @@ class Interval:
     @property
     def length(self):
         return self.hi - self.lo
-
-    def contains(self, t):
-        """Whether every angle of ``t`` lies in the interval, to 1e-9."""
-        t = np.asarray(t, dtype=float)
-        return bool(np.all(t >= self.lo - _DOMAIN_TOL) and np.all(t <= self.hi + _DOMAIN_TOL))
 
     def grid(self, n):
         return np.linspace(self.lo, self.hi, n)
@@ -151,7 +149,9 @@ def _checked_fold(m, k, lo, hi, offset=0.0):
     needle is valid exactly where its fold is defined.  Vectorized; any
     invalid needle, or a parameter that is not ints or floats, raises
     OutOfDomain."""
-    m, k, lo, hi, offset = (_real_array(x, "needle parameters") for x in (m, k, lo, hi, offset))
+    m, k, lo, hi, offset = _broadcast(
+        "needle parameters", *(_check("reals", x, "needle parameters") for x in (m, k, lo, hi, offset))
+    )
     _, shift, mirrored, flat = _frame(m, k)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails lo < hi
         lo, hi = lo - offset, hi - offset
@@ -220,9 +220,11 @@ def _needle_quantile(n, q):
 def trig_mass(m, k, lo, hi):
     """Exact ``int_lo^hi cos^m sin^k dt`` on a valid needle: ``[lo, hi]`` at
     most pi long inside [0, pi/2], or [-pi/2, pi/2] for pure cosine, [0, pi]
-    for pure sine, anywhere for the constant; any other input raises
+    for pure sine, anywhere for the constant, with ``m`` and ``k``
+    exponents and ``lo`` and ``hi`` angles; any other input raises
     OutOfDomain."""
-    return float(_checked_fold(m, k, lo, hi).mass)
+    m, k = _check("exponent", m, "m"), _check("exponent", k, "k")
+    return float(_checked_fold(m, k, _check("angle", lo, "lo"), _check("angle", hi, "hi")).mass)
 
 
 def _trig_pdf(m, k, t, scale):
@@ -238,12 +240,12 @@ def _trig_pdf(m, k, t, scale):
 def _tabulate(grid, values):
     """The tabulated domain check, written once: ``grid`` and ``values`` as
     float64 copies (no caller's array is aliased) of ints or floats, by the
-    array rule of ``errors._real_array``, 1-D of equal length >= 2,
+    ``reals`` kind of ``errors._KINDS``, 1-D of equal length >= 2,
     finite, the grid strictly increasing and the samples >= -1e-12 with
     rounding below 0 set to 0; any other input raises OutOfDomain.  Returns
     them with the cumulative trapezoid mass at each grid point."""
-    g = np.array(_real_array(grid, "grid"))
-    v = np.array(_real_array(values, "values"))
+    g = np.array(_check("reals", grid, "grid"))
+    v = np.array(_check("reals", values, "values"))
     if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
         raise OutOfDomain("grid and values must be 1-D arrays of equal length >= 2")
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
@@ -257,17 +259,9 @@ def _tabulate(grid, values):
     return g, v, cum
 
 
-def _as_fractions(q):
-    """``q`` as a float array of mass fractions in [0, 1] (to 1e-12), else OutOfDomain."""
-    q = _real_array(q, "mass fractions")
-    if not np.all((q >= -1e-12) & (q <= 1.0 + 1e-12)):
-        raise OutOfDomain("mass fractions must lie in [0, 1]")
-    return q
-
-
 class _DensityBase:
-    """Shared CDF/quantile plumbing; subclasses provide ``_cdf`` and
-    ``_quantile`` on their own interval."""
+    """Shared CDF/quantile/pdf plumbing; subclasses provide ``_cdf``,
+    ``_quantile`` and ``_pdf`` on their own interval."""
 
     _offset = 0.0  # a closed family's needle record sits this far left of it
 
@@ -277,19 +271,20 @@ class _DensityBase:
 
     def cdf(self, t):
         """Normalized mass of ``[lo, t]``, in [0, 1]; raises OutOfDomain for
-        ``t`` more than 1e-9 outside the interval, or that is not ints or
+        ``t`` more than 1e-9 outside the interval, NaN, or not ints or
         floats."""
-        t = _real_array(t, "abscissae")
-        if not self.interval.contains(t):
-            raise OutOfDomain(
-                f"abscissa outside [{self.interval.lo:.6g}, {self.interval.hi:.6g}]"
-            )
-        out = self._cdf(t)
+        out = self._cdf(_check("abscissae", t, bound=self.interval))
+        return out if out.shape else float(out)
+
+    def pdf(self, t):
+        """The density at ``t`` (the bare monomial or samples when ``norm``
+        is None), by the abscissa rule of :meth:`cdf`."""
+        out = self._pdf(_check("abscissae", t, bound=self.interval), 1.0 if self.norm is None else self.norm)
         return out if out.shape else float(out)
 
     def quantile(self, q):
         """Inverse CDF: the least ``t`` with ``cdf(t) >= q``; endpoints for q in {0, 1}."""
-        q = _as_fractions(q)
+        q = _check("fractions", q, "mass fractions")
         t = np.minimum(np.maximum(self._quantile(q), self.interval.lo), self.interval.hi)
         t = np.where(q <= 0.0, self.interval.lo, np.where(q >= 1.0, self.interval.hi, t))
         return t if t.shape else float(t)
@@ -317,11 +312,13 @@ class _NeedleDensity(_DensityBase):
     """The closed families: ``__post_init__`` folds the exponents once, on
     the interval moved back by ``offset``, through the domain check of
     :func:`_checked_fold`; CDF, quantile and pdf read that fold, and
-    ``to_dict`` and :func:`density_from_dict` the parameters in ``_fields``."""
+    ``to_dict`` and :func:`density_from_dict` the parameters in ``_fields``,
+    each checked by its kind and stored as given."""
 
     def _build(self, m, k, offset):
-        if not isinstance(self.interval, Interval):
-            raise OutOfDomain(f"interval must be an Interval, got {self.interval!r}")
+        for name, kind in self._fields:
+            _check(kind, getattr(self, name), name)
+        _check("interval", self.interval)
         needle = _checked_fold(m, k, self.interval.lo, self.interval.hi, offset)
         object.__setattr__(self, "_needle", needle)
         object.__setattr__(self, "_exponents", (m, k))
@@ -334,13 +331,11 @@ class _NeedleDensity(_DensityBase):
     def _quantile(self, q):
         return self._offset + _needle_quantile(self._needle, q)
 
-    def pdf(self, t):
-        t = _real_array(t, "abscissae")
-        out = _trig_pdf(*self._exponents, t - self._offset, 1.0 if self.norm is None else self.norm)
-        return out if out.shape else float(out)
+    def _pdf(self, t, scale):
+        return _trig_pdf(*self._exponents, t - self._offset, scale)
 
     def to_dict(self):
-        params = {name: getattr(self, name) for name in self._fields}
+        params = {name: getattr(self, name) for name, _ in self._fields}
         return {"family": self.family, **params, "lo": self.interval.lo, "hi": self.interval.hi}
 
 
@@ -359,7 +354,7 @@ class TrigDensity(_NeedleDensity):
     norm: float | None = None
 
     family = "trig"
-    _fields = ("m", "k")
+    _fields = (("m", "exponent"), ("k", "exponent"))
 
     def __post_init__(self):
         self._build(self.m, self.k, 0.0)
@@ -381,7 +376,7 @@ class SinAffineDensity(_NeedleDensity):
     norm: float | None = None
 
     family = "affine"
-    _fields = ("phase", "power")
+    _fields = (("phase", "angle"), ("power", "exponent"))
 
     def __post_init__(self):
         self._build(self.power, 0.0, self.phase)
@@ -446,11 +441,8 @@ class TabulatedDensity(_DensityBase):
         s = np.divide(2.0 * r, denom, out=np.zeros_like(r), where=denom > 0.0)
         return self.grid[idx] + np.minimum(s, h)
 
-    def pdf(self, t):
-        t = _real_array(t, "abscissae")
-        scale = 1.0 if self.norm is None else self.norm
-        out = scale * np.interp(t, self.grid, self.values)
-        return out if out.shape else float(out)
+    def _pdf(self, t, scale):
+        return scale * np.interp(t, self.grid, self.values)
 
     def to_dict(self):
         return {
@@ -469,8 +461,9 @@ def normalize(density):
     form); tabulated masses use the trapezoid rule.  A mass below the
     numeric floor has already raised :class:`ZeroMass` at construction.  A
     closed family's copy keeps the needle record it was built with.
+    Anything but one of the library's densities raises OutOfDomain.
     """
-    total = density.raw_mass
+    total = _check("density", density).raw_mass
     if density.family == "tabulated":
         return TabulatedDensity(grid=density.grid, values=density.values / total, norm=1.0)
     out = copy.copy(density)
@@ -478,29 +471,27 @@ def normalize(density):
     return out
 
 
-def _field(rec, name, convert=_real_scalar):
-    """``convert(rec[name])`` by the scalar rule, or the array rule for
-    ``convert=_real_array``; ``OutOfDomain`` names the field when it is
-    missing or is not ints or floats (a bool, a string or None never is)."""
-    if name not in rec:
-        raise OutOfDomain(f"density record has no {name!r} field")
-    return convert(rec[name], f"density field {name!r}")
+def _field(rec, name, kind):
+    """``rec[name]`` by ``kind``, a missing field read as None; the error
+    of a field that breaks the kind's rule names it."""
+    return _check(kind, rec.get(name), f"density field {name!r}")
 
 
 def density_from_dict(rec):
     """Rebuild a normalized density from its JSON record.  A record that is
-    not a mapping, a missing field, or one that is not an int or a float
-    (ints or floats for ``grid`` and ``values``), raises ``OutOfDomain``
-    naming it."""
+    not a mapping, a missing field, or one that breaks its kind (``lo``,
+    ``hi`` and ``phase`` angles, ``m``, ``k`` and ``power`` exponents,
+    ``grid`` and ``values`` ints or floats), raises ``OutOfDomain`` naming
+    it."""
     if not isinstance(rec, Mapping):
         raise OutOfDomain(f"a density record must be a mapping, got {rec!r}")
     fam = rec.get("family")
-    interval = Interval(_field(rec, "lo"), _field(rec, "hi"))
+    interval = Interval(_field(rec, "lo", "angle"), _field(rec, "hi", "angle"))
     if fam in ("trig", "affine"):
         cls = TrigDensity if fam == "trig" else SinAffineDensity
-        d = cls(**{name: _field(rec, name) for name in cls._fields}, interval=interval)
+        d = cls(**{name: _field(rec, name, kind) for name, kind in cls._fields}, interval=interval)
     elif fam == "tabulated":
-        grid, values = (_field(rec, name, _real_array) for name in ("grid", "values"))
+        grid, values = (_field(rec, name, "reals") for name in ("grid", "values"))
         d = TabulatedDensity(grid=grid, values=values)
         if interval != d.interval:
             raise OutOfDomain(

@@ -20,11 +20,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .cross_spaces import SPHERE, _integer, _require_space
+from .cross_spaces import SPHERE
 from .densities import HALF_PI, Interval, SinAffineDensity, _checked_fold, _fold, _needle_quantile, _take, normalize
-from .errors import HypothesisViolated, NotApplicable, OutOfDomain, _require_count
+from .errors import HypothesisViolated, NotApplicable, OutOfDomain, _broadcast, _check
 from .sampling import RngSpec, _affine_draws
-from .separation import _as_masses, _finite_seps, _nan_sep, _needle_gaps, as_mass_pair
+from .separation import _finite_seps, _nan_sep, _needle_gaps, as_mass_pair
 
 _TIE_TOL = 1e-12
 # The masses of a grid's quantile table, strictly increasing and all exact in
@@ -242,9 +242,7 @@ def sphere_needle_bound(n, masses, force=False):
     ``OutOfDomain``.  The needle is folded once per dimension and cached;
     the bound takes ``sep_1d``'s one-needle path through the kernel.
     """
-    n = _integer(n, "sphere dimension")
-    if n < 2:
-        raise OutOfDomain(f"sphere dimension must be >= 2, got {n}")
+    n = _check("dimension", n, "sphere dimension")
     (mp,) = _straddling([masses], force, "sphere needle bound")
     needle, params, ties = _sphere_needle(n)
     bound = float(_needle_gaps(needle, mp.k1, mp.k2)[2])
@@ -264,14 +262,14 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
     that can reach a pair's maximum or tie with it are evaluated
     (:func:`_candidates`): the bound and ties are those of the whole grid.
     """
-    _require_space(space)
+    _check("space", space)
     if space.family == SPHERE:
         raise NotApplicable("use sphere_needle_bound for spheres")
     if abs(space.diameter - HALF_PI) > 1e-12:
         raise NotApplicable("the trig-monomial grid applies to diameter pi/2 spaces")
-    mps = _straddling(mass_pairs, force, "cross needle bound")
+    mps = _straddling(_check("mass pairs", mass_pairs, "mass_pairs"), force, "cross needle bound")
     low = max(space.dim - 1, 1)
-    mtp = _integer(space.dim + 7 if max_total_power is None else max_total_power, "max_total_power")
+    mtp = _check("integer", space.dim + 7 if max_total_power is None else max_total_power, "max_total_power")
     if mtp < low:
         raise OutOfDomain(
             f"max_total_power={mtp} is below the admissibility floor {low}"
@@ -310,8 +308,10 @@ def batch_trig_sep(m, k, lo, hi, k1, k2):
     ``TrigDensity`` does), and every mass in (0, 1]; a NaN separation
     raises OutOfDomain, as in ``sep_1d``.
     """
-    k1, k2 = _as_masses(k1, k2)
-    return _finite_seps(_needle_gaps(_checked_fold(m, k, lo, hi), k1, k2)[2], k1, k2)
+    k1, k2 = _check("masses", k1, "k1"), _check("masses", k2, "k2")
+    needle = _checked_fold(m, k, lo, hi)
+    _, k1, k2 = _broadcast("needles and masses", needle.a, k1, k2)
+    return _finite_seps(_needle_gaps(needle, k1, k2)[2], k1, k2)
 
 
 def batch_affine_sep(phase, power, lo, hi, k1, k2):
@@ -323,8 +323,10 @@ def batch_affine_sep(phase, power, lo, hi, k1, k2):
     an invalid one raises ``OutOfDomain``, as ``SinAffineDensity`` does, and
     so does a NaN separation.
     """
-    k1, k2 = _as_masses(k1, k2)
-    return _finite_seps(_needle_gaps(_checked_fold(power, 0.0, lo, hi, phase), k1, k2)[2], k1, k2)
+    k1, k2 = _check("masses", k1, "k1"), _check("masses", k2, "k2")
+    needle = _checked_fold(power, 0.0, lo, hi, phase)
+    _, k1, k2 = _broadcast("needles and masses", needle.a, k1, k2)
+    return _finite_seps(_needle_gaps(needle, k1, k2)[2], k1, k2)
 
 
 def optimize_affine_family(interval_length_max, p_range, masses, samples, seed):
@@ -335,12 +337,10 @@ def optimize_affine_family(interval_length_max, p_range, masses, samples, seed):
     returns the best separation found.  Deterministic for a fixed seed: the
     supports ``[0, L]``, the power indices and the phases are drawn in that
     order, one array each, from ``RngSpec(seed).generator()``, the stream
-    of ``Generator(PCG64(seed))``.  A length cap that is not an int or a
-    float, or is below 1e-3 or NaN, a ``p_range`` that is empty, nested or
-    not ints or floats, a ``samples`` that is not an integer >= 1, or a seed that is
-    not an integer >= 0 raises ``OutOfDomain``.
+    of ``Generator(PCG64(seed))``.  The inputs take the ``length`` (at
+    least 1e-3), ``powers``, ``mass pair``, ``count`` and ``seed`` kinds.
     """
-    _require_count(samples, "samples", 1)
+    samples = _check("count", samples, "samples", bound=1)
     mp = as_mass_pair(masses)
     rng = RngSpec(seed).generator()
     lengths, powers, phases = _affine_draws(rng, samples, interval_length_max, p_range, 1e-3)
@@ -372,9 +372,10 @@ def bound_profile(bound_fn, mass_pairs):
 
     ``bound_fn`` maps a :class:`MassPair` to a :class:`NeedleBoundResult`;
     each row records the bound and the (first) maximizing needle.
+    ``mass_pairs`` that is not iterable raises OutOfDomain.
     """
     rows = []
-    for pair in mass_pairs:
+    for pair in _check("mass pairs", mass_pairs, "mass_pairs"):
         mp = as_mass_pair(pair)
         rec = bound_fn(mp).to_dict()
         fields = {f: rec[f] for f in ("bound", "family", "m", "k")}

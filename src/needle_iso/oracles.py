@@ -44,7 +44,7 @@ from .densities import (
     _require_mass,
     _trig_pdf,
 )
-from .errors import OutOfDomain, _require_count
+from .errors import OutOfDomain, _check
 from .needle_bound import (
     _sphere_needle,
     batch_affine_sep,
@@ -785,8 +785,8 @@ def run_property_suite(suite, rng, threads=1, mc_samples=100000):
     numpy, not a bool), and a ``threads`` or ``mc_samples`` that is not an
     integer >= 1, raise ``OutOfDomain``.
     """
-    _require_count(threads, "threads", 1)
-    _require_count(mc_samples, "mc_samples", 1)
+    threads = _check("count", threads, "threads", bound=1)
+    mc_samples = _check("count", mc_samples, "mc_samples", bound=1)
     spec = as_rng_spec(rng)
     ctx = _Ctx(spec, threads, mc_samples)
     checks = []

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import OutOfDomain, QuadratureError, _real_array, _real_scalar
+from .errors import OutOfDomain, QuadratureError, _check
 
 _MAX_PANELS = 4000
 
@@ -27,15 +27,6 @@ def _rule():
     return np.concatenate([x10, x21]), w10, w21
 
 
-def _require_values(fx, shape):
-    """Raise OutOfDomain unless ``fx``, an integrand's result on nodes of
-    ``shape``, is ints or floats by the array rule of
-    ``errors._real_array``, of that shape."""
-    got = _real_array(fx, "integrand values").shape
-    if got != shape:
-        raise OutOfDomain(f"the integrand must return an array shaped like its argument, {shape}, got {got}")
-
-
 def integrate(f, a, b, atol=1e-12):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``atol``.
 
@@ -44,19 +35,16 @@ def integrate(f, a, b, atol=1e-12):
     rule falls under the panel's share of the tolerance; the recursion
     grades the mesh automatically near endpoint singularities of the
     derivatives.  Raises ``OutOfDomain``, before any panel, for a bound
-    that is not a finite int or float (a bool, a string or an array is not
-    a bound) and for an ``atol`` that is not a finite int or float above 0,
-    and at the first panel for an ``f`` whose result is not an array of
-    ints or floats shaped like its argument; raises
-    :class:`QuadratureError` at a panel whose rule sum is not finite (a NaN
-    or an infinity at a node), and after 4000 panel splits.
+    that breaks the ``angle`` kind (a finite int or float; a bool, a string
+    or an array is not a bound) and for an ``atol`` that breaks the
+    ``epsilon`` kind (a finite int or float above 0), and at the first
+    panel for an ``f`` whose result is not an array of ints or floats shaped
+    like its argument; raises :class:`QuadratureError` at a panel whose
+    nodes overflow (bounds near the float limit) or whose rule sum is not
+    finite (a NaN or an infinity at a node), and after 4000 panel splits.
     """
-    lo, hi = _real_scalar(a, "lower bound"), _real_scalar(b, "upper bound")
-    tol = _real_scalar(atol, "atol")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise OutOfDomain(f"integration bounds must be finite, got {a!r} and {b!r}")
-    if not 0.0 < tol < math.inf:  # NaN compares false
-        raise OutOfDomain(f"atol must be finite and above 0, got {atol!r}")
+    lo, hi = _check("angle", a, "lower bound"), _check("angle", b, "upper bound")
+    tol = _check("epsilon", atol, "atol")
     if lo == hi:
         return 0.0
     if hi < lo:
@@ -68,11 +56,14 @@ def integrate(f, a, b, atol=1e-12):
     checked = False
     while stack:
         a0, b0, tol0 = stack.pop()
-        half = 0.5 * (b0 - a0)
-        fx = f(0.5 * (a0 + b0) + half * x)
-        if not checked:
-            _require_values(fx, x.shape)
-            checked = True
+        half, mid = 0.5 * (b0 - a0), 0.5 * (a0 + b0)
+        if not math.isfinite(mid + half):
+            raise QuadratureError(f"the nodes of [{a0!r}, {b0!r}] overflow")
+        fx = f(mid + half * x)
+        # the first panel's values must be ints or floats shaped like the nodes
+        if not checked and (got := _check("reals", fx, "integrand values").shape) != x.shape:
+            raise OutOfDomain(f"the integrand must return an array shaped like its argument, {x.shape}, got {got}")
+        checked = True
         coarse = half * float(np.dot(w10, fx[:10]))
         fine = half * float(np.dot(w21, fx[10:]))
         if not (math.isfinite(coarse) and math.isfinite(fine)):
@@ -83,7 +74,6 @@ def integrate(f, a, b, atol=1e-12):
         panels += 1
         if panels > _MAX_PANELS:
             raise QuadratureError(f"failed to reach atol={atol} after {_MAX_PANELS} panel splits")
-        mid = 0.5 * (a0 + b0)
         stack.append((a0, mid, 0.5 * tol0))
         stack.append((mid, b0, 0.5 * tol0))
     return total

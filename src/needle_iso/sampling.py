@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import HALF_PI
-from .errors import OutOfDomain, _real_array, _real_scalar, _require_count
+from .errors import OutOfDomain, _check
 
 _MC_CHUNK = 1 << 14
 
@@ -30,8 +30,7 @@ class RngSpec:
     algorithm: str = "pcg64"
 
     def __post_init__(self):
-        _require_count(self.seed, "seed", 0)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check("seed", self.seed))
         if self.algorithm != "pcg64":
             raise OutOfDomain(f"unsupported rng algorithm {self.algorithm!r}")
 
@@ -47,8 +46,9 @@ def as_rng_spec(rng):
 
 
 def deterministic_map(fn, items, threads=1):
-    """Ordered map; thread pool only affects wall time, never results."""
-    if threads <= 1:
+    """Ordered map; thread pool only affects wall time, never results.  A
+    ``threads`` that is not an integer >= 1 raises OutOfDomain."""
+    if _check("count", threads, "threads", bound=1) == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
@@ -73,9 +73,9 @@ def mc_cap_mass(n, cap_radius, samples, rng, stream=0, threads=1):
     for a dimension, sample count or thread count that is not an integer >=
     1, for a ``stream`` or seed that is not an integer >= 0, for radii that
     are not ints or floats (a bool or a string is not a radius), and for
-    any radius that is not finite or lies outside [0, pi].
+    any radius that is not finite or lies outside [0, pi] by more than 1e-12.
     """
-    radii = _real_array(cap_radius, "cap radii")
+    radii = _check("radii", cap_radius, "cap radii", bound=math.pi)
     (est,) = _mc_cap_masses((n,), (radii,), samples, rng, stream, threads)
     if radii.ndim == 0:
         est["estimate"], est["stderr"] = float(est["estimate"]), float(est["stderr"])
@@ -90,14 +90,10 @@ def _mc_cap_masses(dims, radii, samples, rng, stream, threads):
     reads its first ``rows x (n + 1)`` values as its ``(rows, n + 1)``
     block.  The generator fills in order, so that prefix is the draw a
     ``(rows, n + 1)`` call makes on the same substream."""
-    for n in dims:
-        _require_count(n, "sphere dimension", 1)
-    _require_count(samples, "samples", 1)
-    _require_count(threads, "threads", 1)
-    _require_count(stream, "stream", 0)
-    for r in radii:
-        if not np.all((r >= 0.0) & (r <= math.pi)):  # NaN compares false
-            raise OutOfDomain(f"cap radii must be finite and lie in [0, pi], got {r!r}")
+    dims = [_check("count", n, "sphere dimension", bound=1) for n in dims]
+    samples = _check("count", samples, "samples", bound=1)
+    threads = _check("count", threads, "threads", bound=1)
+    stream = _check("seed", stream, "stream")
     spec = as_rng_spec(rng)
     cos_r = [[math.cos(x) for x in r.ravel()] for r in radii]
     width = max(dims) + 1
@@ -141,17 +137,12 @@ def _affine_draws(gen, count, length_cap, p_range, min_length):
     power indices uniform over ``sorted(p_range)``, and phases uniform in
     ``[L - pi/2, pi/2]``, the window keeping ``cos(t - phase)`` positive on
     ``(0, L)``.  Returns ``(lengths, powers, phases)``, powers as floats.
-    Raises ``OutOfDomain`` for a ``p_range`` that is empty, nested or not
-    ints or floats (the array rule), and for a length cap that is not an int or a
-    float (the scalar rule), below ``min_length`` or NaN."""
-    try:
-        choices = _real_array(sorted(p_range), "p_range")
-    except (TypeError, ValueError):  # not iterable, or items that do not compare
-        raise OutOfDomain(f"p_range must be ints or floats, got {p_range!r}") from None
-    if choices.ndim != 1 or choices.size == 0:
-        raise OutOfDomain(f"p_range must be a nonempty flat sequence, got {p_range!r}")
-    if not (cap := _real_scalar(length_cap, "length cap")) >= min_length:
-        raise OutOfDomain(f"length cap must be at least {min_length}, got {length_cap}")
+    Raises ``OutOfDomain`` for a ``p_range`` that breaks the ``powers``
+    kind (empty, nested, or not ints or floats) and a length cap that breaks
+    the ``length`` kind (not an int or a float, below ``min_length`` or
+    NaN)."""
+    choices = _check("powers", p_range, "p_range")
+    cap = _check("length", length_cap, "length cap", bound=min_length)
     lengths = gen.uniform(min_length, min(cap, math.pi), count)
     powers = choices[gen.integers(0, choices.size, count)]
     return lengths, powers, gen.uniform(lengths - HALF_PI, HALF_PI)

@@ -13,25 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import Interval, TabulatedDensity, _DensityBase, _needle_quantile, _require_mass, _tabulate
-from .errors import InvalidMass, OutOfDomain, _real_array, _real_scalar, _require_count
+from .densities import Interval, TabulatedDensity, _needle_quantile, _require_mass, _tabulate
+from .errors import OutOfDomain, _broadcast, _check
 
 
 @dataclass(frozen=True)
 class MassPair:
-    """Two mass thresholds in (0, 1], stored as Python floats.  Each must be
-    an int or a float (Python or numpy, not a bool, not an array), else
-    OutOfDomain; a number outside (0, 1] raises InvalidMass."""
+    """Two mass thresholds, each by the ``mass`` kind of ``errors._KINDS``
+    (an int or a float in (0, 1]), stored as Python floats."""
 
     k1: float
     k2: float
 
     def __post_init__(self):
-        for name in ("k1", "k2"):
-            v = _real_scalar(getattr(self, name), name)
-            if not (0.0 < v <= 1.0):
-                raise InvalidMass(f"mass must be in (0,1], got {name}={v}")
-            object.__setattr__(self, name, v)
+        object.__setattr__(self, "k1", _check("mass", self.k1, "k1"))
+        object.__setattr__(self, "k2", _check("mass", self.k2, "k2"))
 
     @property
     def straddles_half(self):
@@ -40,23 +36,9 @@ class MassPair:
 
 def as_mass_pair(masses):
     """``masses`` as a :class:`MassPair`: one as is, or a pair ``(k1, k2)``
-    by its rule; anything that does not unpack to two values raises
-    OutOfDomain."""
-    if isinstance(masses, MassPair):
-        return masses
-    try:
-        k1, k2 = masses
-    except (TypeError, ValueError):  # not iterable, or not two values
-        raise OutOfDomain(f"masses must be a MassPair or a pair (k1, k2), got {masses!r}") from None
-    return MassPair(k1, k2)
-
-
-def _require_density(density):
-    """Raise OutOfDomain unless ``density`` is one of the library's densities."""
-    if not isinstance(density, _DensityBase):
-        raise OutOfDomain(
-            f"density must be a TrigDensity, SinAffineDensity or TabulatedDensity, got {type(density).__name__}"
-        )
+    by the ``mass pair`` kind and then its rule; anything that does not
+    unpack to two values raises OutOfDomain."""
+    return masses if isinstance(masses, MassPair) else MassPair(*_check("mass pair", masses, "masses"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,18 +130,6 @@ def _finite_seps(seps, k1, k2):
     return seps
 
 
-def _as_masses(k1, k2):
-    """``k1`` and ``k2`` as float arrays broadcast against each other: an
-    array that is not ints or floats raises OutOfDomain, an entry outside
-    (0, 1] InvalidMass."""
-    k1, k2 = _real_array(k1, "k1"), _real_array(k2, "k2")
-    for name, k in (("k1", k1), ("k2", k2)):
-        bad = ~((k > 0.0) & (k <= 1.0))
-        if bad.any():
-            raise InvalidMass(f"mass must be in (0,1], got {name}={k[bad][0]}")
-    return np.broadcast_arrays(k1, k2)
-
-
 def sep_1d(density, masses):
     """Separation distance of a needle, with the realizing intervals.
 
@@ -173,7 +143,7 @@ def sep_1d(density, masses):
     library's and masses that are not a pair.
     """
     mp = as_mass_pair(masses)
-    _require_density(density)
+    _check("density", density)
     # quantile-based extremality assumes the supremum is reached by extreme
     # intervals, which holds for the library's unimodal families; other
     # tabulated shapes need the brute-force route
@@ -198,8 +168,8 @@ def batch_sep(density, k1, k2):
     one quantile call.  Returns a float array of the broadcast shape, bit
     for bit the scalar seps; a NaN raises OutOfDomain, as in ``sep_1d``,
     and so does a density that is not one of the library's."""
-    _require_density(density)
-    k1, k2 = _as_masses(k1, k2)
+    _check("density", density)
+    k1, k2 = _broadcast("k1 and k2", _check("masses", k1, "k1"), _check("masses", k2, "k2"))
     return _finite_seps(_density_gaps(density, k1, k2)[2], k1, k2)
 
 
@@ -238,9 +208,9 @@ def sep_1d_bruteforce(density, masses, grid_size=4096):
     density that is not one of the library's and masses that are not a
     pair.
     """
-    _require_count(grid_size, "grid_size", 64)
+    grid_size = _check("count", grid_size, "grid_size", bound=64)
     mp = as_mass_pair(masses)
-    _require_density(density)
+    _check("density", density)
     if isinstance(density, TabulatedDensity) and len(density.grid) == grid_size + 1:
         t, v = density.grid, density.values
     else:

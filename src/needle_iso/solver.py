@@ -14,18 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cross_spaces import (
-    SPHERE,
-    _as_volumes,
-    _catalog_enlarged,
-    _enlarged_difference,
-    _epsilon,
-    _require_space,
-    catalog,
-    polar_of,
-    profile_quantile,
-)
-from .errors import NotApplicable, OutOfDomain, _real_scalar
+from .cross_spaces import SPHERE, _catalog_enlarged, _enlarged_difference, catalog, polar_of, profile_quantile
+from .errors import NotApplicable, OutOfDomain, _check
 from .needle_bound import _csv, cross_needle_bound, sphere_needle_bound
 from .sampling import RngSpec, _mc_cap_masses
 from .separation import MassPair, as_mass_pair
@@ -37,22 +27,17 @@ _RESOLUTION = 4.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SolveRequest:
-    """A solve's inputs; ``v`` and ``epsilon`` are stored as Python floats.
-    ``space`` must be a ``CrossSpace``, and ``v`` and ``epsilon`` each an int
-    or a float (Python or numpy, not a bool), ``v`` in (0, 1) and
-    ``epsilon`` positive and finite, else OutOfDomain."""
+    """A solve's inputs, by the ``space``, ``volume`` and ``epsilon`` kinds
+    of ``errors._KINDS``; ``v`` and ``epsilon`` are stored as Python floats."""
 
     space: object
     v: float
     epsilon: float
 
     def __post_init__(self):
-        _require_space(self.space)
-        v = _real_scalar(self.v, "volume fraction")
-        if not (0.0 < v < 1.0):
-            raise OutOfDomain(f"volume fraction must be in (0,1), got {self.v}")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
+        _check("space", self.space)
+        object.__setattr__(self, "v", _check("volume", self.v, "volume fraction"))
+        object.__setattr__(self, "epsilon", _check("epsilon", self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -213,13 +198,8 @@ def isoperimetric_profile_curve(space, epsilon, v_grid):
     that is not a ``CrossSpace`` raises ``OutOfDomain`` before any
     evaluation.
     """
-    v_grid, epsilon = _as_volumes(v_grid, epsilon)
-    if v_grid.ndim != 1:
-        raise OutOfDomain("the volume grid must be a 1-D sequence")
-    v_grid = sorted(v_grid.tolist())
-    if not v_grid or v_grid[0] <= 0 or v_grid[-1] > 0.5 + 1e-12:
-        raise OutOfDomain("the volume grid must lie in (0, 1/2]")
-
+    epsilon = _check("epsilon", epsilon)
+    v_grid = sorted(_check("volume grid", v_grid).tolist())
     cands, table = _catalog_enlarged(space, np.array(v_grid), epsilon)
 
     # argmin keeps the first candidate on exact ties
@@ -277,7 +257,7 @@ def _check_main_inequalities(spaces, mass_pairs, mc_samples, seed, threads):
     :func:`sampling._mc_cap_masses` call, which draws each chunk once at the
     widest sphere's width."""
     for space in spaces:
-        _require_space(space)
+        _check("space", space)
         if space.family != SPHERE or space.dim not in (2, 3):
             raise NotApplicable("the antipodal-cap witness is implemented for S^2, S^3")
     mps = [as_mass_pair(p) for p in mass_pairs]
@@ -331,7 +311,7 @@ def check_realization(space, candidate, masses):
     ``realizes`` records whether that distance matches the grid needle bound
     to 1e-8 (reported per case; no global claim).
     """
-    _require_space(space)
+    _check("space", space)
     if space.family == SPHERE:
         raise NotApplicable("use check_main_inequality for spheres")
     mp = as_mass_pair(masses)

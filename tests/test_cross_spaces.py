@@ -496,13 +496,13 @@ class TestNotASpace:
         import needle_iso.cross_spaces as cross_spaces
 
         enlarged_volume(_BALL, _CP2, 0.3, 0.1)
-        calls = []
-        check = cross_spaces._require_space
-        monkeypatch.setattr(cross_spaces, "_require_space", lambda s: calls.append(s) or check(s))
+        kinds = []
+        check = cross_spaces._check
+        monkeypatch.setattr(cross_spaces, "_check", lambda kind, *a, **k: kinds.append(kind) or check(kind, *a, **k))
         enlarged_volume(_BALL, _CP2, 0.3, 0.1)
         profile_quantile(_BALL, _CP2, 0.3)
         _catalog_enlarged(_CP2, np.array([0.1, 0.3]), 0.1)
-        assert calls == []
+        assert kinds and "space" not in kinds
 
 
 # every public entry that takes a candidate, with valid other arguments
