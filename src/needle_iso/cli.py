@@ -116,6 +116,7 @@ def _cmd_profile(args):
     space = space_by_name(args.space)
     v_hi = args.v_max if args.v_max is not None else 0.5
     v_lo = args.v_min if args.v_min is not None else v_hi / args.v_grid
+    _check("volume grid", [v_lo, v_hi], "--v-min and --v-max")  # before linspace meets a NaN or an infinity
     grid = np.linspace(v_lo, v_hi, args.v_grid)
     result = isoperimetric_profile_curve(space, args.eps, grid)
     if args.format == "json":

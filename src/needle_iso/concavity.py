@@ -48,6 +48,7 @@ def _as_callable(f, interval):
         if interval is not None:
             raise OutOfDomain(f"a density brings its own interval; got interval={interval!r} as well")
         return f.pdf, f.interval
+    _check("callable", f, "f")
     if not isinstance(interval, Interval):
         raise OutOfDomain(f"a bare callable needs an explicit interval (an Interval), got {interval!r}")
     return f, interval
@@ -71,9 +72,10 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     Raises ``InvalidOrder`` for an order that is not finite and positive,
     and ``OutOfDomain`` for an order or ``tol`` that is not an int or a
     float, a ``grid_size`` that is not an integer >= 3, a ``tol`` that is
-    not finite and nonnegative, a callable without an ``Interval``, a
-    density with an ``interval`` as well, or samples that are not finite
-    (they have no scale) or not one per grid point.
+    not finite and nonnegative, an ``f`` that is neither a density nor a
+    callable, a callable without an ``Interval``, a density with an
+    ``interval`` as well, or samples that are not finite (they have no
+    scale) or not one per grid point.
     """
     order = _check("order", order, "concavity order")
     grid_size = _check("count", grid_size, "grid_size", bound=3)
@@ -244,9 +246,10 @@ def check_comparison_lemma(f, order, epsilon, k, interval=None, grid_size=512):
     Raises ``InvalidOrder`` for an order that is not finite and positive,
     ``OutOfDomain`` for an order or ``epsilon`` that is not an int or a
     float, a ``k`` that is not a finite int or float >= 0, a ``grid_size``
-    that is not an integer >= 3, a bare callable without an ``Interval`` or
-    a density with one, or samples of ``f`` that are not finite ints or
-    floats, one per grid point, ``PreconditionFailed`` when ``f`` is not
+    that is not an integer >= 3, an ``f`` that is neither a density nor a
+    callable, a bare callable without an ``Interval`` or a density with
+    one, or samples of ``f`` that are not finite ints or floats, one per
+    grid point, ``PreconditionFailed`` when ``f`` is not
     sin^order-concave with its maximum at 0, or when the domain does not
     start at 0, ``epsilon`` is outside (0, pi/2) or not below ``tau``, or
     ``f(epsilon)`` is not positive, and ``ZeroMass`` when the mass of ``f

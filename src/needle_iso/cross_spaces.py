@@ -14,7 +14,7 @@ projective family); spheres have curvature 1 and diameter pi.
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,41 +74,45 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CrossSpace:
-    """Descriptor of a compact rank one symmetric space."""
+    """A compact rank one symmetric space, fixed by its family (a key of
+    ``_FAMILIES``) and its index, from which its real dimension ``s n`` and
+    its diameter (pi for spheres, pi/2 otherwise) follow."""
 
     family: str
     index: int  # projective dimension over the base field; n for spheres
-    dim: int  # real dimension
-    diameter: float
-    ball_exponents: tuple
+    dim: int = field(init=False)  # real dimension
+    diameter: float = field(init=False)
 
-    @classmethod
-    def _of(cls, family, n):
-        _, _, s, least, plural = _FAMILIES[family]
-        n = _check("integer", n, "n")
-        if n < least:
-            raise OutOfDomain(f"{plural} require n >= {least}")
-        return cls(family, n, s * n, math.pi if family == SPHERE else HALF_PI, (s * n - 1, s - 1))
+    def __post_init__(self):
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
+            raise OutOfDomain(f"family must be one of {', '.join(_FAMILIES)}, got {self.family!r}")
+        _, _, s, least, plural = _FAMILIES[self.family]
+        n = _check("integer", self.index, "n")
+        if n < least or self.family == CAYLEY_PLANE and n != least:
+            raise OutOfDomain(f"{plural} require n {'=' if self.family == CAYLEY_PLANE else '>='} {least}, got {n}")
+        object.__setattr__(self, "index", n)
+        object.__setattr__(self, "dim", s * n)
+        object.__setattr__(self, "diameter", math.pi if self.family == SPHERE else HALF_PI)
 
     @classmethod
     def sphere(cls, n):
-        return cls._of(SPHERE, n)
+        return cls(SPHERE, n)
 
     @classmethod
     def real_projective(cls, n):
-        return cls._of(REAL_PROJECTIVE, n)
+        return cls(REAL_PROJECTIVE, n)
 
     @classmethod
     def complex_projective(cls, n):
-        return cls._of(COMPLEX_PROJECTIVE, n)
+        return cls(COMPLEX_PROJECTIVE, n)
 
     @classmethod
     def quaternionic_projective(cls, n):
-        return cls._of(QUATERNIONIC_PROJECTIVE, n)
+        return cls(QUATERNIONIC_PROJECTIVE, n)
 
     @classmethod
     def cayley_plane(cls):
-        return cls._of(CAYLEY_PLANE, 2)
+        return cls(CAYLEY_PLANE, 2)
 
     @property
     def name(self):
@@ -121,8 +125,8 @@ def space_by_name(name):
     prefix = name.rstrip("0123456789")
     digits = name[len(prefix):]
     for family, row in _FAMILIES.items():
-        if row[0] == prefix and digits and (family != CAYLEY_PLANE or digits == "2"):
-            return CrossSpace._of(family, int(digits))
+        if row[0] == prefix and digits:
+            return CrossSpace(family, int(digits))
     raise OutOfDomain(f"unknown space name: {name!r}")
 
 
@@ -132,24 +136,22 @@ def catalog(space):
     Candidate ``j = 0..n-1`` of KP^n is the ball (j = 0) or the tube around
     KP^j, with exponents ``(s(n-j)-1, s(j+1)-1)``; its polar dual is
     candidate ``n-1-j``, with the exponents swapped.  The rule covers RP^n,
-    CP^n, HP^n and CaP^2 (ball (15, 7), tube around CaP^1 (7, 15)).  Spheres
-    have only the ball.  A ``space`` that is not a :class:`CrossSpace`
-    raises OutOfDomain; so, through this, does every entry point that reads
-    the space's catalog record.
+    CP^n, HP^n and CaP^2 (ball (15, 7), tube around CaP^1 (7, 15)), and
+    S^n takes its row ``j = 0``, the ball.  A ``space`` that is not a
+    :class:`CrossSpace` raises OutOfDomain; so, through this, does every
+    entry point that reads the space's catalog record.
     """
     _check("space", space)
     _, symbol, s, _, _ = _FAMILIES[space.family]
     n = space.index
-    if space.family == SPHERE:
-        a, b = space.ball_exponents
-        return [Candidate("ball", float(a), float(b), "ball")]
+    rows = 1 if space.family == SPHERE else n
 
     def label(j):
         return "ball" if j == 0 else f"tube around {symbol}^{j}"
 
     return [
-        Candidate(label(j), float(s * (n - j) - 1), float(s * (j + 1) - 1), label(n - 1 - j))
-        for j in range(n)
+        Candidate(label(j), float(s * (n - j) - 1), float(s * (j + 1) - 1), label(rows - 1 - j))
+        for j in range(rows)
     ]
 
 

@@ -319,6 +319,7 @@ class _NeedleDensity(_DensityBase):
         for name, kind in self._fields:
             _check(kind, getattr(self, name), name)
         _check("interval", self.interval)
+        _check("norm", self.norm)
         needle = _checked_fold(m, k, self.interval.lo, self.interval.hi, offset)
         object.__setattr__(self, "_needle", needle)
         object.__setattr__(self, "_exponents", (m, k))
@@ -406,6 +407,7 @@ class TabulatedDensity(_DensityBase):
     family = "tabulated"
 
     def __post_init__(self):
+        _check("norm", self.norm)
         g, v, cum = _tabulate(self.grid, self.values)
         g.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "grid", g)

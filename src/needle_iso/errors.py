@@ -135,6 +135,8 @@ _KINDS = {
     "order": (_real_scalar, lambda x: 0.0 < x < math.inf and 1.0 / x < math.inf, InvalidOrder,
               "a finite, positive int or float with a finite reciprocal", None),
     "epsilon": (_real_scalar, lambda x: 0.0 < x < math.inf, OutOfDomain, "a positive, finite int or float", None),
+    "norm": (lambda x: x if x is None else _real_scalar(x), lambda x: x is None or 0.0 < x < math.inf, OutOfDomain,
+             "None or a positive, finite int or float", None),
     "length": (_real_scalar, lambda x, least: x >= least, OutOfDomain, "an int or a float >= {bound}", None),
     "mass": (_real_scalar, lambda x: 0.0 < x <= 1.0, InvalidMass, "an int or a float in (0, 1]", _MASS),
     "masses": (_real_array, lambda x: bool(np.all((x > 0.0) & (x <= 1.0))), InvalidMass,
@@ -167,6 +169,7 @@ _KINDS = {
     "interval": (_instance("densities", "Interval"), _any, OutOfDomain, "an Interval", None),
     "density": (_instance("densities", "_DensityBase"), _any, OutOfDomain,
                 "a TrigDensity, SinAffineDensity or TabulatedDensity", None),
+    "callable": (lambda f: f, callable, OutOfDomain, "a callable", None),
 }
 
 

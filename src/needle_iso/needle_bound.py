@@ -265,8 +265,6 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
     _check("space", space)
     if space.family == SPHERE:
         raise NotApplicable("use sphere_needle_bound for spheres")
-    if abs(space.diameter - HALF_PI) > 1e-12:
-        raise NotApplicable("the trig-monomial grid applies to diameter pi/2 spaces")
     mps = _straddling(_check("mass pairs", mass_pairs, "mass_pairs"), force, "cross needle bound")
     low = max(space.dim - 1, 1)
     mtp = _check("integer", space.dim + 7 if max_total_power is None else max_total_power, "max_total_power")
@@ -372,8 +370,10 @@ def bound_profile(bound_fn, mass_pairs):
 
     ``bound_fn`` maps a :class:`MassPair` to a :class:`NeedleBoundResult`;
     each row records the bound and the (first) maximizing needle.
-    ``mass_pairs`` that is not iterable raises OutOfDomain.
+    A ``bound_fn`` that is not callable or ``mass_pairs`` that is not
+    iterable raises OutOfDomain.
     """
+    _check("callable", bound_fn, "bound_fn")
     rows = []
     for pair in _check("mass pairs", mass_pairs, "mass_pairs"):
         mp = as_mass_pair(pair)

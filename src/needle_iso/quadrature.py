@@ -34,15 +34,17 @@ def integrate(f, a, b, atol=1e-12):
     until the difference between a 10-point and a 21-point Gauss-Legendre
     rule falls under the panel's share of the tolerance; the recursion
     grades the mesh automatically near endpoint singularities of the
-    derivatives.  Raises ``OutOfDomain``, before any panel, for a bound
-    that breaks the ``angle`` kind (a finite int or float; a bool, a string
-    or an array is not a bound) and for an ``atol`` that breaks the
-    ``epsilon`` kind (a finite int or float above 0), and at the first
+    derivatives.  Raises ``OutOfDomain``, before any panel, for an ``f``
+    that is not callable, for a bound that breaks the ``angle`` kind (a
+    finite int or float; a bool, a string or an array is not a bound) and
+    for an ``atol`` that breaks the ``epsilon`` kind (a finite int or float
+    above 0), and at the first
     panel for an ``f`` whose result is not an array of ints or floats shaped
     like its argument; raises :class:`QuadratureError` at a panel whose
     nodes overflow (bounds near the float limit) or whose rule sum is not
     finite (a NaN or an infinity at a node), and after 4000 panel splits.
     """
+    _check("callable", f, "integrand")
     lo, hi = _check("angle", a, "lower bound"), _check("angle", b, "upper bound")
     tol = _check("epsilon", atol, "atol")
     if lo == hi:

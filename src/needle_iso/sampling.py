@@ -46,8 +46,10 @@ def as_rng_spec(rng):
 
 
 def deterministic_map(fn, items, threads=1):
-    """Ordered map; thread pool only affects wall time, never results.  A
-    ``threads`` that is not an integer >= 1 raises OutOfDomain."""
+    """Ordered map; thread pool only affects wall time, never results.  An
+    ``fn`` that is not callable or a ``threads`` that is not an integer >= 1
+    raises OutOfDomain."""
+    _check("callable", fn, "fn")
     if _check("count", threads, "threads", bound=1) == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -81,30 +81,31 @@ _CONTRACT = {
     "BinomialDecomposition": {},
     "Candidate": {"a": "exponent", "b": "exponent"},
     "ComparisonReport": {},
-    "CrossSpace": {"n": "integer"},
+    "CrossSpace": {"n": "integer", "index": "integer"},
     "Interval": {"lo": "angle", "hi": "angle"},
     "MassPair": {"k1": "mass", "k2": "mass"},
     "NeedleBoundResult": {},
     "RngSpec": {"seed": "seed"},
     "SeparationResult": {},
-    "SinAffineDensity": {"phase": "angle", "power": "exponent", "interval": "interval"},
+    "SinAffineDensity": {"phase": "angle", "power": "exponent", "interval": "interval", "norm": "norm"},
     "SinConcavityMargin": {},
     "SolveRequest": {"space": "space", "v": "volume", "epsilon": "epsilon"},
     "SolveResult": {},
-    "TabulatedDensity": {"grid": "reals", "values": "reals"},
-    "TrigDensity": {"m": "exponent", "k": "exponent", "interval": "interval"},
+    "TabulatedDensity": {"grid": "reals", "values": "reals", "norm": "norm"},
+    "TrigDensity": {"m": "exponent", "k": "exponent", "interval": "interval", "norm": "norm"},
     "batch_affine_sep": {
         "phase": "reals", "power": "reals", "lo": "reals", "hi": "reals", "k1": "masses", "k2": "masses",
     },
     "batch_sep": {"density": "density", "k1": "masses", "k2": "masses"},
     "batch_trig_sep": {"m": "reals", "k": "reals", "lo": "reals", "hi": "reals", "k1": "masses", "k2": "masses"},
     "binomial_decompose": {"affine": "density"},
-    "bound_profile": {"mass_pairs": "mass pairs"},
+    "bound_profile": {"bound_fn": "callable", "mass_pairs": "mass pairs"},
     "bound_profile_csv": {},
     "catalog": {"space": "space"},
     "catalog_to_dict": {"space": "space"},
     "check_comparison_lemma": {
-        "order": "order", "epsilon": "real", "k": "exponent", "grid_size": "count", "interval": "interval",
+        "f": "callable", "order": "order", "epsilon": "real", "k": "exponent", "grid_size": "count",
+        "interval": "interval",
     },
     "check_main_inequality": {
         "space": "space", "masses": "mass pair", "mc_samples": "count", "seed": "seed", "threads": "count",
@@ -113,10 +114,12 @@ _CONTRACT = {
     "cross_needle_bound": {"space": "space", "masses": "mass pair", "max_total_power": "integer"},
     "cross_needle_bounds": {"space": "space", "mass_pairs": "mass pairs", "max_total_power": "integer"},
     "density_from_dict": {"lo": "angle", "hi": "angle", "m": "exponent", "k": "exponent"},
-    "deterministic_map": {"threads": "count"},
+    "deterministic_map": {"fn": "callable", "threads": "count"},
     "enlarged_volume": {"candidate": "candidate", "space": "space", "v": "fractions", "epsilon": "epsilon"},
-    "integrate": {"a": "angle", "b": "angle", "atol": "epsilon"},
-    "is_sin_concave": {"order": "order", "interval": "interval", "grid_size": "count", "tol": "tolerance"},
+    "integrate": {"f": "callable", "a": "angle", "b": "angle", "atol": "epsilon"},
+    "is_sin_concave": {
+        "f": "callable", "order": "order", "interval": "interval", "grid_size": "count", "tol": "tolerance",
+    },
     "isoperimetric_profile_curve": {"space": "space", "epsilon": "epsilon", "v_grid": "volume grid"},
     "mc_cap_mass": {
         "n": "count", "cap_radius": "radii", "samples": "count", "rng": "seed", "stream": "seed", "threads": "count",
@@ -148,14 +151,21 @@ _CONTRACT = {
 # test_cross_spaces instead.
 _CALLS = {
     "Candidate": lambda a=1.0, b=2.0: Candidate("off-catalog", a, b, "off-catalog"),
-    "CrossSpace": lambda n=3: (CrossSpace.sphere(n), CrossSpace.real_projective(n), CrossSpace.complex_projective(n)),
+    "CrossSpace": lambda n=3, index=2: (
+        CrossSpace.sphere(n), CrossSpace.real_projective(n), CrossSpace.complex_projective(n),
+        CrossSpace("complex-projective", index),
+    ),
     "Interval": lambda lo=0.2, hi=1.3: Interval(lo, hi),
     "MassPair": lambda k1=0.3, k2=0.6: MassPair(k1, k2),
     "RngSpec": lambda seed=7: RngSpec(seed).generator().random(),
-    "SinAffineDensity": lambda phase=0.3, power=2.0, interval=IV: SinAffineDensity(phase, power, interval).cdf(0.5),
+    "SinAffineDensity": lambda phase=0.3, power=2.0, interval=IV, norm=None: (
+        SinAffineDensity(phase, power, interval, norm).cdf(0.5)
+    ),
     "SolveRequest": lambda v=0.3, epsilon=0.1: SolveRequest(CP2, v, epsilon),
-    "TabulatedDensity": lambda grid=(0.0, 0.5, 1.0), values=(1.0, 2.0, 1.0): TabulatedDensity(grid, values).cdf(0.5),
-    "TrigDensity": lambda m=2.0, k=1.0, interval=IV: TrigDensity(m, k, interval).quantile(0.5),
+    "TabulatedDensity": lambda grid=(0.0, 0.5, 1.0), values=(1.0, 2.0, 1.0), norm=None: (
+        TabulatedDensity(grid, values, norm).cdf(0.5)
+    ),
+    "TrigDensity": lambda m=2.0, k=1.0, interval=IV, norm=None: TrigDensity(m, k, interval, norm).quantile(0.5),
     "batch_affine_sep": lambda phase=0.3, power=2.0, lo=0.0, hi=1.0, k1=0.3, k2=0.6: batch_affine_sep(
         phase, power, lo, hi, k1, k2
     ),
@@ -214,6 +224,19 @@ _CALLS = {
     "trig_mass": lambda m=2.0, k=1.0, lo=0.0, hi=1.0: trig_mass(m, k, lo, hi),
 }
 
+# Public name -> a call with valid arguments but its callable, and no item
+# for the callable to map: the library checks that a callable parameter is
+# callable, before any item, and what a callable does is the caller's.
+_CALLABLE_ENTRIES = {
+    "bound_profile": lambda f: bound_profile(f, ()),
+    "check_comparison_lemma": lambda f: check_comparison_lemma(
+        f, 2.0, 0.3, 1.0, interval=Interval(0.0, 1.2), grid_size=64
+    ),
+    "deterministic_map": lambda f: deterministic_map(f, ()),
+    "integrate": lambda f: integrate(f, 0.0, 1.0),
+    "is_sin_concave": lambda f: is_sin_concave(f, 2.0, interval=IV, grid_size=64),
+}
+
 # Values of the wrong sort for every kind: whatever the rule, none may leak
 # a bare Python error.
 _JUNK = [
@@ -243,6 +266,7 @@ _NUMBERS = {
     "mass pair": st.tuples(_SCALAR, _SCALAR) | st.lists(_SCALAR, max_size=3),
     "mass pairs": st.lists(st.tuples(_FLOAT, _FLOAT), max_size=3),
     "space name": st.text(max_size=6),
+    "norm": _SCALAR | st.none(),
 }
 # The valid values of each kind the rows draw besides their defaults.
 _VALID = {
@@ -252,16 +276,21 @@ _VALID = {
     "density": [TRIG, AFFINE, TABULATED, COS2, normalize(TrigDensity(0.0, 3.0, Interval(0.0, math.pi)))],
     "space name": ["s2", "rp3", " CP2 ", "hp1", "cap2", "cap3"],
     "mass pair": [(0.3, 0.6), MassPair(0.25, 0.5), np.array([0.5, 0.5]), (np.float32(0.1), 1)],
+    "norm": [None, 1.0, 2, 0.25, np.float64(3.0)],
+    "callable": [_cos2, np.cos, np.exp],
 }
 
 
 def _call(name, param, value):
     """The row's call with ``value`` for ``param``: a space or a candidate
-    through test_cross_spaces' entries, anything else through ``_CALLS``."""
+    through test_cross_spaces' entries, a callable through
+    ``_CALLABLE_ENTRIES``, anything else through ``_CALLS``."""
     if param == "space":
         return _SPACE_ENTRIES[name](value)
     if param == "candidate":
         return _CANDIDATE_ENTRIES[name](value)
+    if _CONTRACT[name][param] == "callable":
+        return _CALLABLE_ENTRIES[name](value)
     return _CALLS[name](**{param: value})
 
 
@@ -301,6 +330,10 @@ def test_rows_name_kinds_of_the_table_and_the_shared_entries():
     assert {name for name, row in _CONTRACT.items() if "candidate" in row} == set(_CANDIDATE_ENTRIES)
     for name, param in _CASES:
         assert param in ("space", "candidate") or name in _CALLS, (name, param)
+
+
+def test_every_callable_row_has_its_entry():
+    assert {name for name, row in _CONTRACT.items() if "callable" in row.values()} == set(_CALLABLE_ENTRIES)
 
 
 @pytest.mark.parametrize("name, param", _CASES, ids=[f"{n}-{p}" for n, p in _CASES])
@@ -353,6 +386,25 @@ _LEAKS = {
     "trig-pdf-outside": (lambda: normalize(TrigDensity(2, 1, Interval(0.0, 1.2))).pdf(1.5), OutOfDomain),
     "tabulated-pdf-outside": (lambda: TabulatedDensity([0.0, 1.0, 2.0], [1.0, 1.0, 1.0]).pdf(5.0), OutOfDomain),
     "pdf-nan": (lambda: TRIG.pdf(math.nan), OutOfDomain),
+    "norm-string": (lambda: TrigDensity(1, 1, IV, norm="x").pdf(0.5), OutOfDomain),
+    "norm-list": (lambda: TrigDensity(1, 1, IV, norm=[1.0]).pdf(0.5), OutOfDomain),
+    "norm-negative": (lambda: TrigDensity(1, 1, IV, norm=-2.0).pdf(0.5), OutOfDomain),
+    "norm-nan": (lambda: SinAffineDensity(0.3, 2.0, IV, norm=math.nan).pdf(0.5), OutOfDomain),
+    "tabulated-norm-zero": (lambda: TabulatedDensity([0.0, 1.0], [1.0, 1.0], norm=0.0).pdf(0.5), OutOfDomain),
+    "integrate-none": (lambda: integrate(None, 0, 1), OutOfDomain),
+    "is-sin-concave-none": (lambda: is_sin_concave(None, 2, interval=IV), OutOfDomain),
+    "lemma-none": (lambda: check_comparison_lemma(None, 2, 0.3, 0, interval=Interval(0.0, 1.2)), OutOfDomain),
+    "bound-profile-none-fn": (lambda: bound_profile(None, [(0.3, 0.6)]), OutOfDomain),
+    "bound-profile-none-fn-no-pairs": (lambda: bound_profile(None, []), OutOfDomain),
+    "deterministic-map-none": (lambda: deterministic_map(None, [1.0]), OutOfDomain),
+    "deterministic-map-none-no-items": (lambda: deterministic_map(None, []), OutOfDomain),
+    # hand-built spaces: a list in a field, an index under the family's
+    # least (an empty catalog), and a Cayley plane other than CaP^2
+    "space-list-family": (lambda: CrossSpace(["complex-projective"], 2), OutOfDomain),
+    "space-list-index": (lambda: CrossSpace("complex-projective", [2]), OutOfDomain),
+    "space-index-0": (lambda: CrossSpace("complex-projective", 0), OutOfDomain),
+    "space-cayley-3": (lambda: CrossSpace("cayley-plane", 3), OutOfDomain),
+    "space-name-cap3": (lambda: space_by_name("cap3"), OutOfDomain),
 }
 
 
@@ -373,3 +425,46 @@ def test_the_readme_input_rules_are_the_table():
         if len(cells) == 4 and cells[0].startswith("`"):
             rows[cells[0].strip("`")] = (cells[2], cells[3].strip("`"))
     assert rows == {kind: (rule, error.__name__) for kind, (_, _, error, rule, _) in _KINDS.items()}
+
+
+_BUILDERS = {
+    "sphere": CrossSpace.sphere,
+    "real-projective": CrossSpace.real_projective,
+    "complex-projective": CrossSpace.complex_projective,
+    "quaternionic-projective": CrossSpace.quaternionic_projective,
+    "cayley-plane": lambda n: CrossSpace.cayley_plane(),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_BUILDERS))
+def test_the_raw_constructor_builds_the_named_space(family):
+    space = CrossSpace(family, 2)
+    assert space == _BUILDERS[family](2) == space_by_name(space.name)
+
+
+@pytest.mark.parametrize(
+    "family", ["", "Sphere", "sphere ", "cp", "cayley", "x", None, ["sphere"], 3, 2.0, True, ("sphere",)]
+)
+def test_the_raw_constructor_refuses_another_family(family):
+    for index in (1, 2, 3):
+        with pytest.raises(OutOfDomain, match="family must be one of"):
+            CrossSpace(family, index)
+
+
+def test_a_space_is_its_family_and_index():
+    # the constructor once took these hand-set fields and answered with them:
+    # rp5's bound labelled rp3, and a cp2 of diameter 1 that solved to 0.437931
+    for fields in (("real-projective", 3, 5, HALF_PI, (2, 0)), ("complex-projective", 2, 4, 1.0, (3, 1))):
+        with pytest.raises(TypeError):
+            CrossSpace(*fields)
+    rp3 = CrossSpace("real-projective", 3)
+    assert (rp3.dim, rp3.diameter) == (3, HALF_PI)
+    assert cross_needle_bounds(rp3, [(0.3, 0.6)])[0].bound == pytest.approx(0.1108227, abs=1e-7)
+    assert solve_isoperimetric(SolveRequest(CP2, 0.3, 0.1)).enlarged == pytest.approx(0.416867, abs=1e-6)
+    # replace re-runs the rules and cannot set a derived value
+    for derived in ({"dim": 5}, {"diameter": 1.0}):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(rp3, **derived)
+    assert dataclasses.replace(rp3, index=5) == CrossSpace.real_projective(5)
+    with pytest.raises(OutOfDomain):
+        dataclasses.replace(rp3, index=1)

@@ -99,15 +99,15 @@ class TestCatalog:
 
     def test_descriptor_table(self):
         s = CrossSpace.sphere(4)
-        assert (s.dim, s.diameter, s.ball_exponents) == (4, math.pi, (3, 0))
+        assert (s.dim, s.diameter, catalog(s)[0].exponents) == (4, math.pi, (3, 0))
         rp = CrossSpace.real_projective(5)
-        assert (rp.dim, rp.diameter, rp.ball_exponents) == (5, HALF_PI, (4, 0))
+        assert (rp.dim, rp.diameter, catalog(rp)[0].exponents) == (5, HALF_PI, (4, 0))
         cp = CrossSpace.complex_projective(3)
-        assert (cp.dim, cp.diameter, cp.ball_exponents) == (6, HALF_PI, (5, 1))
+        assert (cp.dim, cp.diameter, catalog(cp)[0].exponents) == (6, HALF_PI, (5, 1))
         hp = CrossSpace.quaternionic_projective(2)
-        assert (hp.dim, hp.diameter, hp.ball_exponents) == (8, HALF_PI, (7, 3))
+        assert (hp.dim, hp.diameter, catalog(hp)[0].exponents) == (8, HALF_PI, (7, 3))
         cap = CrossSpace.cayley_plane()
-        assert (cap.dim, cap.diameter, cap.ball_exponents) == (16, HALF_PI, (15, 7))
+        assert (cap.dim, cap.diameter, catalog(cap)[0].exponents) == (16, HALF_PI, (15, 7))
 
 
 class TestProfiles:

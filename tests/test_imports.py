@@ -1,7 +1,8 @@
 """Each library module uses every name it imports, every private
 module-level name is read by some library module, the needle record's
-format stays inside ``densities`` and the cross grid's inside
-``needle_bound``, and the package exports exactly its public names.
+format stays inside ``densities``, the cross grid's inside ``needle_bound``
+and the catalog record's inside ``cross_spaces``, and the package exports
+exactly its public names.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name an import binds must be read somewhere in the module, unless its
@@ -129,9 +130,9 @@ def _names_in(tree):
 
 
 # Each record's format stays in the one module that owns it: only densities
-# builds or slices a _Needle (through _fold and _take), and only needle_bound
-# names the cross grid's _Grid.
-_OWNERS = {"_Needle": "densities", "_Grid": "needle_bound"}
+# builds or slices a _Needle (through _fold and _take), only needle_bound
+# names the cross grid's _Grid, and only cross_spaces a catalog's _Record.
+_OWNERS = {"_Needle": "densities", "_Grid": "needle_bound", "_Record": "cross_spaces"}
 
 
 @pytest.mark.parametrize(

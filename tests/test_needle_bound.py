@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import hashlib
 import math
@@ -122,10 +121,6 @@ class TestCrossBound:
     def test_sphere_routed_elsewhere(self):
         with pytest.raises(NotApplicable):
             cross_needle_bound(CrossSpace.sphere(2), (0.3, 0.5))
-
-    def test_diameter_other_than_quarter_period_not_applicable(self):
-        with pytest.raises(NotApplicable, match="diameter pi/2"):
-            cross_needle_bounds(dataclasses.replace(CP1, diameter=1.0), [(0.3, 0.5)])
 
     def test_power_cap_below_floor(self):
         with pytest.raises(OutOfDomain):
