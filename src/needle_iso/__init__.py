@@ -64,9 +64,9 @@ from .needle_bound import (
     optimize_affine_family,
     sphere_needle_bound,
 )
-from .oracles import INVARIANT_COVERAGE, SUITE_NAMES, report_to_json, run_property_suite
+from .oracles import SUITE_NAMES, report_to_json, run_property_suite
 from .quadrature import integrate
-from .sampling import RngSpec, deterministic_map, mc_cap_mass
+from .sampling import RngSpec, mc_cap_mass
 from .separation import MassPair, SeparationResult, batch_sep, sep_1d, sep_1d_bruteforce
 from .solver import (
     SolveRequest,
@@ -87,7 +87,6 @@ __all__ = [
     "ComparisonReport",
     "CrossSpace",
     "HypothesisViolated",
-    "INVARIANT_COVERAGE",
     "Interval",
     "InvalidMass",
     "InvalidOrder",
@@ -124,7 +123,6 @@ __all__ = [
     "cross_needle_bound",
     "cross_needle_bounds",
     "density_from_dict",
-    "deterministic_map",
     "enlarged_volume",
     "integrate",
     "is_sin_concave",

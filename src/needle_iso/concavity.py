@@ -79,7 +79,7 @@ def is_sin_concave(f, order, interval=None, grid_size=1024, tol=1e-9):
     """
     order = _check("order", order, "concavity order")
     grid_size = _check("count", grid_size, "grid_size", bound=3)
-    tol = _check("tolerance", tol, "tol")
+    tol = _check("exponent", tol, "tol")
     func, iv = _as_callable(f, interval)
     x = iv.grid(grid_size)
     v = _check("samples", func(x), "density samples", bound=x.shape)
@@ -334,10 +334,6 @@ class BinomialDecomposition:
     components: tuple
     masses: tuple
     interval: Interval
-
-    @property
-    def power(self):
-        return len(self.components) - 1
 
     def reconstruct(self, t):
         t = np.asarray(t, dtype=float)

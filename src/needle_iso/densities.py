@@ -55,10 +55,6 @@ class Interval:
                 f"interval length {self.hi - self.lo:.6g} exceeds pi"
             )
 
-    @property
-    def length(self):
-        return self.hi - self.lo
-
     def grid(self, n):
         return np.linspace(self.lo, self.hi, n)
 
@@ -289,9 +285,6 @@ class _DensityBase:
         t = np.where(q <= 0.0, self.interval.lo, np.where(q >= 1.0, self.interval.hi, t))
         return t if t.shape else float(t)
 
-    def mass(self, a, b):
-        return float(self.cdf(b) - self.cdf(a))
-
 
 def _require_mass(total):
     """The mass floor, written once: every raw mass in ``total`` must be
@@ -382,22 +375,15 @@ class SinAffineDensity(_NeedleDensity):
     def __post_init__(self):
         self._build(self.power, 0.0, self.phase)
 
-    @property
-    def c1(self):
-        return math.sin(self.phase)
-
-    @property
-    def c2(self):
-        return math.cos(self.phase)
-
 
 @dataclass(frozen=True, eq=False)
 class TabulatedDensity(_DensityBase):
     """Piecewise-linear density samples on a strictly increasing grid.
 
     ``grid`` and ``values`` hold the samples once, as read-only float64
-    copies of whatever array-like the caller passes.  Equality and hashing
-    go by identity.
+    copies of whatever array-like the caller passes.  A ``norm`` whose
+    product with the largest sample is not finite raises OutOfDomain, so
+    ``pdf`` never overflows.  Equality and hashing go by identity.
     """
 
     grid: np.ndarray
@@ -407,8 +393,10 @@ class TabulatedDensity(_DensityBase):
     family = "tabulated"
 
     def __post_init__(self):
-        _check("norm", self.norm)
+        norm = _check("norm", self.norm)
         g, v, cum = _tabulate(self.grid, self.values)
+        if norm is not None and not math.isfinite(norm * float(v.max())):
+            raise OutOfDomain(f"norm times the largest sample must be finite, got norm={self.norm!r}")
         g.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)

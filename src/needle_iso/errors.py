@@ -131,7 +131,6 @@ _KINDS = {
     "reals": (_real_array, _any, OutOfDomain, "ints or floats", None),
     "angle": (_real_scalar, math.isfinite, OutOfDomain, "a finite int or float", None),
     "exponent": (_real_scalar, lambda x: 0.0 <= x < math.inf, OutOfDomain, "a finite, nonnegative int or float", None),
-    "tolerance": (_real_scalar, lambda x: 0.0 <= x < math.inf, OutOfDomain, "a finite, nonnegative int or float", None),
     "order": (_real_scalar, lambda x: 0.0 < x < math.inf and 1.0 / x < math.inf, InvalidOrder,
               "a finite, positive int or float with a finite reciprocal", None),
     "epsilon": (_real_scalar, lambda x: 0.0 < x < math.inf, OutOfDomain, "a positive, finite int or float", None),
@@ -155,7 +154,6 @@ _KINDS = {
     "powers": (lambda x: _real_array(sorted(x)), lambda x: x.ndim == 1 and x.size > 0, OutOfDomain,
                "a nonempty flat sequence of ints or floats", None),
     "count": (_require_count, lambda x, least: x >= least, OutOfDomain, "an integer >= {bound}", None),
-    "seed": (_require_count, lambda x: x >= 0, OutOfDomain, "an integer >= 0", None),
     "integer": (_integer, _any, OutOfDomain, "an int or an integer-valued float", None),
     "dimension": (_integer, lambda x: x >= 2, OutOfDomain, "an int or an integer-valued float >= 2", None),
     "integer text": (int, _any, OutOfDomain, "an integer", None),

@@ -68,10 +68,6 @@ class NeedleBoundResult:
     ties: tuple
     hypothesis_satisfied: bool
 
-    @property
-    def argmax(self):
-        return self.ties[0]
-
     def __reduce__(self):
         # a mappingproxy does not pickle: send a dict, rewrapped on load
         return _unpickle_result, (self.bound, self.family, dict(self.params), self.ties, self.hypothesis_satisfied)

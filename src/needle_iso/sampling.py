@@ -1,6 +1,6 @@
 """Deterministic random generation: sphere sampling and random needle draws.
 
-The reproducibility contract: a :class:`RngSpec` names a 64-bit seed and the
+The reproducibility contract: a :class:`RngSpec` is a 64-bit seed for the
 ``pcg64`` generator; identical specs yield identical streams on every
 platform.  A seed is an integer >= 0 (Python or numpy, not a bool); any
 other raises ``OutOfDomain``.  Parallel work never shares a stream --
@@ -17,22 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import HALF_PI
-from .errors import OutOfDomain, _check
+from .errors import _check
 
 _MC_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
 class RngSpec:
-    """A named deterministic generator: same seed, same stream, anywhere."""
+    """A seed for PCG64: same seed, same stream, anywhere."""
 
     seed: int
-    algorithm: str = "pcg64"
+    algorithm = "pcg64"  # a class constant, not a field: the only generator
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _check("seed", self.seed))
-        if self.algorithm != "pcg64":
-            raise OutOfDomain(f"unsupported rng algorithm {self.algorithm!r}")
+        object.__setattr__(self, "seed", _check("count", self.seed, "seed", bound=0))
 
     def generator(self, *spawn_key):
         seq = np.random.SeedSequence(self.seed, spawn_key=tuple(spawn_key))
@@ -43,17 +41,6 @@ def as_rng_spec(rng):
     if isinstance(rng, RngSpec):
         return rng
     return RngSpec(rng)
-
-
-def deterministic_map(fn, items, threads=1):
-    """Ordered map; thread pool only affects wall time, never results.  An
-    ``fn`` that is not callable or a ``threads`` that is not an integer >= 1
-    raises OutOfDomain."""
-    _check("callable", fn, "fn")
-    if _check("count", threads, "threads", bound=1) == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def mc_cap_mass(n, cap_radius, samples, rng, stream=0, threads=1):
@@ -95,7 +82,7 @@ def _mc_cap_masses(dims, radii, samples, rng, stream, threads):
     dims = [_check("count", n, "sphere dimension", bound=1) for n in dims]
     samples = _check("count", samples, "samples", bound=1)
     threads = _check("count", threads, "threads", bound=1)
-    stream = _check("seed", stream, "stream")
+    stream = _check("count", stream, "stream", bound=0)
     spec = as_rng_spec(rng)
     cos_r = [[math.cos(x) for x in r.ravel()] for r in radii]
     width = max(dims) + 1
@@ -124,7 +111,11 @@ def _mc_cap_masses(dims, radii, samples, rng, stream, threads):
             ]))
         return counts
 
-    per_chunk = deterministic_map(count_chunk, chunks, threads=threads)
+    if threads == 1:
+        per_chunk = [count_chunk(c) for c in chunks]
+    else:  # the pool changes only the wall time: each chunk owns its substream
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            per_chunk = list(pool.map(count_chunk, chunks))
     out = []
     for r, hits in zip(radii, map(sum, zip(*per_chunk))):
         p = hits.reshape(r.shape) / samples

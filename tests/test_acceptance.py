@@ -364,7 +364,7 @@ def test_criterion_10_bruteforce_oracle_agreement():
         mp = (float(gen.uniform(0.1, 0.5)), float(gen.uniform(0.5, 0.9)))
         exact = sep_1d(d, mp).sep
         brute = sep_1d_bruteforce(d, mp, grid_size=grid_size)
-        tol = 2.0 * d.interval.length / grid_size
+        tol = 2.0 * (d.interval.hi - d.interval.lo) / grid_size
         worst_ratio = max(worst_ratio, abs(exact - brute) / tol)
         ok &= abs(exact - brute) <= tol
     assert _criterion(

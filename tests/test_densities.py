@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -40,7 +41,8 @@ class TestInterval:
             Interval(0.0, math.pi + 0.01)
 
     def test_full_period_allowed(self):
-        assert Interval(-HALF_PI, HALF_PI).length == pytest.approx(math.pi)
+        iv = Interval(-HALF_PI, HALF_PI)
+        assert iv.hi - iv.lo == pytest.approx(math.pi)
 
 
 class TestNormalize:
@@ -150,7 +152,7 @@ class TestCdf:
         # upper end once read 1 - 2^-53
         d = normalize(TrigDensity(m=0.0, k=2.0, interval=Interval(0.0, HALF_PI)))
         assert d.cdf(HALF_PI) == 1.0
-        assert d.mass(0.0, HALF_PI) == 1.0
+        assert d.cdf(HALF_PI) - d.cdf(0.0) == 1.0
 
     @given(
         m=st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.0]),
@@ -470,9 +472,12 @@ class TestSinAffine:
         assert np.allclose(d.pdf(t), expected, atol=1e-14)
 
     def test_coefficients_from_phase(self):
+        # C1 = sin(phase) and C2 = cos(phase): the unnormalized pdf is
+        # (C1 sin t + C2 cos t)^power
         d = SinAffineDensity(phase=0.3, power=2, interval=Interval(0.0, 1.0))
-        assert d.c1 == pytest.approx(math.sin(0.3))
-        assert d.c2 == pytest.approx(math.cos(0.3))
+        t = np.linspace(0.0, 1.0, 9)
+        c1, c2 = math.sin(d.phase), math.cos(d.phase)
+        assert np.allclose(d.pdf(t), (c1 * np.sin(t) + c2 * np.cos(t)) ** 2, rtol=1e-14, atol=0.0)
 
     def test_cdf_matches_quadrature(self):
         d = normalize(
@@ -578,6 +583,14 @@ class TestTabulated:
     def test_negative_zero_sample_survives(self):
         rec = TabulatedDensity(grid=(0.0, 0.5, 1.0, 1.5), values=(1.0, -0.0, -1e-13, 1.0)).to_dict()
         assert json.dumps(rec["values"]) == "[1.0, -0.0, 0.0, 1.0]"
+
+    def test_norm_that_overflows_the_pdf_is_rejected(self):
+        # this pdf once read inf with a RuntimeWarning; the largest norm whose
+        # product with the largest sample is finite still builds
+        with pytest.raises(OutOfDomain, match="norm times the largest sample must be finite"):
+            TabulatedDensity(grid=(0.0, 0.5, 1.0), values=(1, 2, 1), norm=1e308)
+        d = TabulatedDensity(grid=(0.0, 0.5, 1.0), values=(1, 2, 1), norm=sys.float_info.max / 2)
+        assert d.pdf(0.5) == sys.float_info.max
 
 
 # TabulatedDensity cdf and quantile bits, as float.hex (so -0.0 counts),

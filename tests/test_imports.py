@@ -1,8 +1,8 @@
 """Each library module uses every name it imports, every private
 module-level name is read by some library module, the needle record's
 format stays inside ``densities``, the cross grid's inside ``needle_bound``
-and the catalog record's inside ``cross_spaces``, and the package exports
-exactly its public names.
+and the catalog record's inside ``cross_spaces``, the package exports
+exactly its public names, and the README lists each under its module.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name an import binds must be read somewhere in the module, unless its
@@ -10,6 +10,8 @@ line is marked ``noqa``.
 """
 
 import ast
+import importlib
+import re
 import types
 from pathlib import Path
 
@@ -71,6 +73,21 @@ def test_all_is_the_public_surface():
     }
     assert sorted(needle_iso.__all__) == sorted(public)
     assert len(set(needle_iso.__all__)) == len(needle_iso.__all__)
+
+
+def test_readme_lists_every_public_name_under_its_module():
+    # the "Public names" list is __all__, each name once, on its module's line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    listed = []
+    for line in section.splitlines():
+        if line.startswith("* `"):
+            module, names = line[2:].split(":", 1)
+            owner = importlib.import_module(f"needle_iso.{module.strip('`')}")
+            listed += [(name, owner) for name in re.findall(r"`(\w+)`", names)]
+    assert sorted(name for name, _ in listed) == sorted(needle_iso.__all__)
+    for name, owner in listed:
+        assert getattr(owner, name) is getattr(needle_iso, name), name
 
 
 def _private_definitions(tree):

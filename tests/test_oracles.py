@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from needle_iso import (
-    INVARIANT_COVERAGE,
     CrossSpace,
     Interval,
     OutOfDomain,
@@ -20,7 +19,6 @@ from needle_iso import (
     batch_trig_sep,
     binomial_decompose,
     catalog,
-    deterministic_map,
     is_sin_concave,
     mc_cap_mass,
     normalize,
@@ -64,10 +62,6 @@ def full_report():
 
 
 class TestRngSpec:
-    def test_algorithm_contract(self):
-        with pytest.raises(OutOfDomain):
-            RngSpec(1, algorithm="mt19937")
-
     def test_same_seed_same_stream(self):
         a = RngSpec(123).generator(0).standard_normal(8)
         b = RngSpec(123).generator(0).standard_normal(8)
@@ -260,7 +254,7 @@ class TestAffineDraws:
 
     def test_pure_cosine_boundary_member(self):
         d = normalize(SinAffineDensity(phase=0.0, power=3, interval=Interval(-0.5, 0.5)))
-        assert d.c1 == 0.0 and d.c2 == 1.0
+        assert math.sin(d.phase) == 0.0 and math.cos(d.phase) == 1.0
 
     def test_deterministic_given_spec(self):
         a = _affine_needle(RngSpec(9).generator(), p_range={1, 2})
@@ -288,14 +282,6 @@ class TestAffineDraws:
     def test_empty_power_range_rejected(self):
         with pytest.raises(OutOfDomain):
             _affine_draws(RngSpec(0).generator(), 1, math.pi, [], 1e-3)
-
-
-class TestDeterministicMap:
-    def test_order_preserved_across_threads(self):
-        items = list(range(40))
-        assert deterministic_map(lambda x: x * x, items, threads=4) == [
-            x * x for x in items
-        ]
 
 
 class TestSuiteRunner:
@@ -377,21 +363,6 @@ class TestSuiteRunner:
         # seed 1 for 1.7; the density suite raised numpy's bare ValueError
         with pytest.raises(OutOfDomain, match="seed must be an integer >= 0"):
             run_property_suite(suite, seed)
-
-    def test_coverage_manifest_is_total(self):
-        all_names = set(suite_check_names("all"))
-        for invariant, check in INVARIANT_COVERAGE.items():
-            assert check in all_names, f"{invariant} maps to unknown check {check}"
-        by_module = {}
-        for invariant in INVARIANT_COVERAGE:
-            by_module.setdefault(invariant.split("/")[0], set()).add(invariant)
-        assert {k: len(v) for k, v in sorted(by_module.items())} == {
-            "cross_spaces": 4,
-            "density_core": 5,
-            "isoperimetry_solver": 5,
-            "needle_bound": 5,
-            "separation_1d": 5,
-        }
 
     def test_density_suite_is_clean(self, full_report):
         # Finding (README "Findings"): apart from the refuted order-reduction

@@ -546,6 +546,21 @@ class TestMainInequality:
             monkeypatch.setattr(oracles, "check_main_inequality", nudged)
         assert not check(_Ctx(RngSpec(42), 1, 20000))["passed"]
 
+    @pytest.mark.parametrize("threads, other", [(1, 2), (2, 1), (4, 1)])
+    def test_request_determinism_sides_run_on_different_thread_counts(self, monkeypatch, threads, other):
+        # at threads=1 both sides once ran on one thread, so the check never
+        # compared a serial estimate with a pooled one
+        seen = []
+        route = oracles.check_main_inequality
+
+        def recorded(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return route(*args, **kwargs)
+
+        monkeypatch.setattr(oracles, "check_main_inequality", recorded)
+        assert _CHECKS["solver.request_determinism"](_Ctx(RngSpec(42), threads, 20000))["passed"]
+        assert seen == [other]
+
 
 class TestRealization:
     def test_rp3_self_dual_tube_realizes(self):
