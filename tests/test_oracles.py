@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import json
 import math
@@ -62,6 +63,15 @@ def full_report():
 
 
 class TestRngSpec:
+    def test_algorithm_contract(self):
+        # pcg64 is the only generator: a class constant, not a field, so a
+        # spec cannot name another one and the seed is its only state
+        assert RngSpec.algorithm == RngSpec(1).algorithm == "pcg64"
+        assert [f.name for f in dataclasses.fields(RngSpec)] == ["seed"]
+        with pytest.raises(TypeError):
+            RngSpec(1, algorithm="mt19937")
+        assert isinstance(RngSpec(1).generator(0).bit_generator, np.random.PCG64)
+
     def test_same_seed_same_stream(self):
         a = RngSpec(123).generator(0).standard_normal(8)
         b = RngSpec(123).generator(0).standard_normal(8)
@@ -355,6 +365,11 @@ class TestSuiteRunner:
         a = run_property_suite(suite, 5, threads=1, mc_samples=40000)
         b = run_property_suite(suite, 5, threads=4, mc_samples=40000)
         assert report_to_json(a) == report_to_json(b)
+
+    def test_report_names_its_seed_and_generator(self, full_report):
+        # the two values that, with mc_samples, reproduce every draw
+        assert full_report["seed"] == SEED and full_report["algorithm"] == "pcg64"
+        assert json.loads(report_to_json(full_report))["algorithm"] == "pcg64"
 
     @pytest.mark.parametrize("suite", ["spaces", "density"])
     @pytest.mark.parametrize("seed", [-1, 1.7])
