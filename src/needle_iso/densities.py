@@ -191,7 +191,11 @@ def _needle_quantile(n, q):
     Exactly ``lo`` for ``q <= 0`` and exactly ``hi`` for ``q >= 1``.
     Monotone only to ulps: ``betaincinv`` rounds on its own, so one ulp more
     of ``q`` can give a lower ``t``: up to 4 ulps on most needles, about 20
-    on some (near 1e-15 rad); nothing corrects that."""
+    on some (near 1e-15 rad); nothing corrects that.
+
+    The one NaN rule of the library: ``betaincinv`` has no answer (NaN) at
+    some targets below about 1e-100, and then the first such target raises
+    OutOfDomain; no caller tests for NaN."""
     q = np.asarray(q, dtype=float)
     below = n.left + q * n.total
     above = n.right + (1.0 - q) * n.total
@@ -210,7 +214,14 @@ def _needle_quantile(n, q):
     t = np.where(arcsin, np.arcsin(root), np.arccos(root))
     t = np.where(past, math.pi - t, t) - n.shift
     t = np.minimum(np.maximum(np.where(n.flat, below, t), n.lo), n.hi)
-    return np.where(q <= 0.0, n.lo, np.where(q >= 1.0, n.hi, t))
+    t = np.where(q <= 0.0, n.lo, np.where(q >= 1.0, n.hi, t))
+    lost = np.isnan(t)
+    if np.count_nonzero(lost):  # about half the time of lost.any() on a few targets
+        raise OutOfDomain(
+            f"no finite quantile at mass fraction {float(np.broadcast_to(q, t.shape)[lost][0])!r}: "
+            "the target is too small for the quantile kernel"
+        )
+    return t
 
 
 def trig_mass(m, k, lo, hi):
@@ -251,7 +262,13 @@ def _tabulate(grid, values):
     if np.any(v < -1e-12):
         raise OutOfDomain("density samples must be nonnegative")
     v = np.where(v < 0.0, 0.0, v)  # not np.maximum, which turns -0.0 into 0.0
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
+    # halved before they are added, so samples up to the float max keep a
+    # finite mean; the cumulative mass never falls, so its last entry shows
+    # any overflow (an infinite step times a zero mean shows as NaN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cum = np.concatenate([[0.0], np.cumsum((0.5 * v[1:] + 0.5 * v[:-1]) * np.diff(g))])
+    if not cum[-1] < math.inf:
+        raise OutOfDomain("the trapezoid mass of the samples overflows the float range")
     return g, v, cum
 
 

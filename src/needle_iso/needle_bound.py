@@ -12,7 +12,6 @@ case the result is flagged as heuristic.
 """
 
 import functools
-import math
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .cross_spaces import SPHERE
 from .densities import HALF_PI, Interval, SinAffineDensity, _checked_fold, _fold, _needle_quantile, _take, normalize
 from .errors import HypothesisViolated, NotApplicable, OutOfDomain, _broadcast, _check
 from .sampling import RngSpec, _affine_draws
-from .separation import _finite_seps, _nan_sep, _needle_gaps, as_mass_pair
+from .separation import _needle_gaps, as_mass_pair
 
 _TIE_TOL = 1e-12
 # The masses of a grid's quantile table, strictly increasing and all exact in
@@ -210,16 +209,13 @@ def _family_bounds(grid, params, mps):
     """The cross bound over ``grid`` for each of the mass pairs ``mps``, in
     that order: the row maxima of the :func:`_family_seps` table.  A row's
     ties are its needles within 1e-12 of its maximum and their mirror
-    twins, sorted, as the grid's one tuple for that tie set.  A NaN bound
-    raises OutOfDomain naming its masses."""
+    twins, sorted, as the grid's one tuple for that tie set."""
     k1 = np.array([mp.k1 for mp in mps])
     k2 = np.array([mp.k2 for mp in mps])
     seps = _family_seps(grid, k1, k2)
     best = np.max(seps, axis=1)
     results = []
     for row, b, mp in zip(seps, best, mps):
-        if math.isnan(b):
-            raise _nan_sep(mp.k1, mp.k2)
         hit = np.flatnonzero(row >= b - _TIE_TOL)
         ties = grid.ties.get(key := hit.tobytes())
         if ties is None:  # setdefault is atomic: threads that race keep one tuple
@@ -242,8 +238,6 @@ def sphere_needle_bound(n, masses, force=False):
     (mp,) = _straddling([masses], force, "sphere needle bound")
     needle, params, ties = _sphere_needle(n)
     bound = float(_needle_gaps(needle, mp.k1, mp.k2)[2])
-    if math.isnan(bound):
-        raise _nan_sep(mp.k1, mp.k2)
     return NeedleBoundResult(bound, "sphere-cos", params, ties, mp.straddles_half)
 
 
@@ -293,19 +287,26 @@ def cross_needle_bound(space, masses, max_total_power=None, force=False):
     return cross_needle_bounds(space, [masses], max_total_power, force)[0]
 
 
+def _batch_sep(m, k, lo, hi, offset, k1, k2):
+    """The one body of both batch seps: the masses by the ``masses`` kind,
+    the needles through the checked fold, everything broadcast, and the gap
+    rule's separations from one quantile call, which raises OutOfDomain at
+    a target without a quantile, as in ``sep_1d``."""
+    k1, k2 = _check("masses", k1, "k1"), _check("masses", k2, "k2")
+    needle = _checked_fold(m, k, lo, hi, offset)
+    _, k1, k2 = _broadcast("needles and masses", needle.a, k1, k2)
+    return _needle_gaps(needle, k1, k2)[2]
+
+
 def batch_trig_sep(m, k, lo, hi, k1, k2):
     """Separations for a batch of trig-monomial needles.
 
     ``sep_1d`` on the equivalent :class:`TrigDensity`, vectorized over
     needles; all arguments broadcast.  Every needle must lie in the
     constructor's domain (an invalid one raises ``OutOfDomain``, as
-    ``TrigDensity`` does), and every mass in (0, 1]; a NaN separation
-    raises OutOfDomain, as in ``sep_1d``.
+    ``TrigDensity`` does), and every mass in (0, 1].
     """
-    k1, k2 = _check("masses", k1, "k1"), _check("masses", k2, "k2")
-    needle = _checked_fold(m, k, lo, hi)
-    _, k1, k2 = _broadcast("needles and masses", needle.a, k1, k2)
-    return _finite_seps(_needle_gaps(needle, k1, k2)[2], k1, k2)
+    return _batch_sep(m, k, lo, hi, 0.0, k1, k2)
 
 
 def batch_affine_sep(phase, power, lo, hi, k1, k2):
@@ -314,13 +315,9 @@ def batch_affine_sep(phase, power, lo, hi, k1, k2):
     All arguments broadcast elementwise, and every mass must lie in (0, 1].
     ``sep_1d(SinAffineDensity(...), (k1, k2))`` vectorized over the batch:
     the needle is ``cos^power`` on the interval shifted by ``-phase``, and
-    an invalid one raises ``OutOfDomain``, as ``SinAffineDensity`` does, and
-    so does a NaN separation.
+    an invalid one raises ``OutOfDomain``, as ``SinAffineDensity`` does.
     """
-    k1, k2 = _check("masses", k1, "k1"), _check("masses", k2, "k2")
-    needle = _checked_fold(power, 0.0, lo, hi, phase)
-    _, k1, k2 = _broadcast("needles and masses", needle.a, k1, k2)
-    return _finite_seps(_needle_gaps(needle, k1, k2)[2], k1, k2)
+    return _batch_sep(power, 0.0, lo, hi, phase, k1, k2)
 
 
 def optimize_affine_family(interval_length_max, p_range, masses, samples, seed):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import Interval, TabulatedDensity, _needle_quantile, _require_mass, _tabulate
-from .errors import OutOfDomain, _broadcast, _check
+from .errors import _broadcast, _check
 
 
 @dataclass(frozen=True)
@@ -111,25 +111,6 @@ def _density_gaps(density, k1, k2):
     return _gap_rule(lambda q: density._quantile(q, right=right), k1, k2)
 
 
-def _nan_sep(k1, k2):
-    """The error of a separation that is NaN at the masses ``(k1, k2)``: the
-    quantile kernel has no answer at one of its targets (scipy's
-    ``betaincinv`` returns NaN for some targets below about 1e-100)."""
-    return OutOfDomain(
-        f"no finite separation at masses ({float(k1)!r}, {float(k2)!r}): "
-        "a quantile target is too small for the quantile kernel"
-    )
-
-
-def _finite_seps(seps, k1, k2):
-    """``seps`` as they are when none is NaN, else :func:`_nan_sep` of the
-    first NaN's masses; ``k1`` and ``k2`` broadcast against ``seps``."""
-    bad = np.isnan(seps)
-    if bad.any():
-        raise _nan_sep(*(np.broadcast_to(k, bad.shape)[bad][0] for k in (k1, k2)))
-    return seps
-
-
 def sep_1d(density, masses):
     """Separation distance of a needle, with the realizing intervals.
 
@@ -138,9 +119,9 @@ def sep_1d(density, masses):
     ``t`` with ``F(t) <= 1 - b``; the result is the larger of the two
     arrangements, clamped at zero (the intervals are still reported at
     exact masses when they overlap, and always inside the interval).  A
-    separation the quantile kernel has no answer for raises OutOfDomain
-    naming the masses, and so do a density that is not one of the
-    library's and masses that are not a pair.
+    target the quantile kernel has no answer for raises OutOfDomain naming
+    it, and so do a density that is not one of the library's and masses
+    that are not a pair.
     """
     mp = as_mass_pair(masses)
     _check("density", density)
@@ -149,12 +130,9 @@ def sep_1d(density, masses):
     # tabulated shapes need the brute-force route
     lo, hi = density.interval.lo, density.interval.hi
     t, k1_left, sep = _density_gaps(density, mp.k1, mp.k2)
-    sep = float(sep)
-    if math.isnan(sep):
-        raise _nan_sep(mp.k1, mp.k2)
     i = 0 if k1_left else 2  # the winning arrangement's two end points
     return SeparationResult(
-        sep=sep,
+        sep=float(sep),
         left_interval=Interval(lo, min(max(float(t[i]) + density._offset, math.nextafter(lo, hi)), hi)),
         right_interval=Interval(max(min(float(t[i + 1]) + density._offset, math.nextafter(hi, lo)), lo), hi),
         left_mass=mp.k1 if k1_left else mp.k2,
@@ -166,11 +144,12 @@ def batch_sep(density, k1, k2):
     """``sep_1d(density, (k1, k2)).sep`` over a batch of mass pairs of one
     needle: ``k1`` and ``k2`` broadcast, each in (0, 1], and the batch takes
     one quantile call.  Returns a float array of the broadcast shape, bit
-    for bit the scalar seps; a NaN raises OutOfDomain, as in ``sep_1d``,
-    and so does a density that is not one of the library's."""
+    for bit the scalar seps; a target without a quantile raises
+    OutOfDomain, as in ``sep_1d``, and so does a density that is not one of
+    the library's."""
     _check("density", density)
     k1, k2 = _broadcast("k1 and k2", _check("masses", k1, "k1"), _check("masses", k2, "k2"))
-    return _finite_seps(_density_gaps(density, k1, k2)[2], k1, k2)
+    return _density_gaps(density, k1, k2)[2]
 
 
 def _extreme_gap(grid, values, k1, k2):

@@ -81,7 +81,7 @@ def _needle_check(space, v, w, epsilon):
     """Needle bound at masses (v, w) compared against epsilon."""
     if w <= _MASS_FLOOR:
         return {"w": float(w), "bound": None, "residual": None, "note": "saturated"}
-    masses = MassPair(min(v, 1.0), min(w, 1.0))
+    masses = MassPair(v, w)
     if space.family == SPHERE:
         res = sphere_needle_bound(space.dim, masses, force=True)
     else:
@@ -97,19 +97,20 @@ def _needle_check(space, v, w, epsilon):
 def _solve(req):
     """The candidate table at ``req.v``: every candidate's enlarged volume
     from one pass over the space's cached catalog record (the bits of
-    :func:`enlarged_volume`), the least value and its co-winners within
-    1e-10.  The needle check is left to the result's first read."""
+    :func:`enlarged_volume`), the winner by the profile's rule (the least
+    value, the first candidate on exact ties) with its own value, and the
+    co-winners within 1e-10 of it.  The needle check is left to the
+    result's first read."""
     cands, values = _catalog_enlarged(req.space, req.v, req.epsilon)
     rows = tuple(zip(cands, map(float, values)))
-    best = min(e for _, e in rows)
-    co = tuple(c for c, e in rows if e <= best + _TIE_TOL)
+    winner, best = min(rows, key=lambda row: row[1])  # the first least one, as np.argmin
     return SolveResult(
         space=req.space,
         v=req.v,
         epsilon=req.epsilon,
-        winner=co[0],
-        co_winners=co,
-        enlarged=float(best),
+        winner=winner,
+        co_winners=tuple(c for c, e in rows if e <= best + _TIE_TOL),
+        enlarged=best,
         per_candidate=rows,
     )
 

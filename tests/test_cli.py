@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -607,7 +608,7 @@ class TestGoldenOutput:
 # number.  Only small ``--max-power`` and ``--v-grid`` values are valid, so
 # no grid near the limit is built.
 _FUZZ_JUNK = ["0", "-1", "-0.5", "nan", "inf", "-inf", "1e-300", "x", ""]
-_FUZZ_SPACES = ["s2", "s3", "rp3", "cp1", "cp2", "hp1", "cap2", "cap3", "cp0", "s1", "CP2", "t2", "rp"]
+_FUZZ_SPACES = ["s2", "s3", "rp3", "cp1", "cp2", "hp1", "hp2", "cap2", "cap3", "cp0", "s1", "CP2", "t2", "rp"]
 _FUZZ_FORMATS = ["json", "csv", "human"]
 # subcommand -> flag -> (the chance it is given, its valid values); a flag
 # without values is a bare switch
@@ -649,26 +650,49 @@ def _fuzz_argvs(command, count):
         yield argv
 
 
-def _exit_and_stderr(argv):
-    """``main(argv)``'s exit code (argparse's too) and what it wrote to stderr."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _exit_and_streams(argv):
+    """``main(argv)``'s exit code (argparse's too) and what it wrote to
+    stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+# a NaN or an infinity as the JSON writer (JSON has neither), CSV or human
+# text spells it
+_NON_FINITE = re.compile(r"NaN|Infinity|\b(nan|inf)\b")
 
 
 @pytest.mark.parametrize("command", sorted(_FUZZ_FLAGS))
 def test_fuzzed_flags_exit_0_1_or_2_without_a_traceback(command):
     codes = set()
     for argv in _fuzz_argvs(command, 1000):
-        code, err = _exit_and_stderr(argv)
+        code, out, err = _exit_and_streams(argv)
         assert code in (0, 1, 2), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
+        assert not _NON_FINITE.search(out), (argv, out)
         codes.add(code)
     assert codes == {0, 1, 2}  # the draws reach every exit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--space", "hp2", "--v", "1e-300", "--eps", "0.1"],
+        ["profile", "--space", "hp2", "--eps", "0.1", "--v-min", "1e-300", "--v-max", "0.3", "--v-grid", "3"],
+    ],
+    ids=["solve", "profile"],
+)
+def test_a_volume_without_a_quantile_exits_1_naming_it(argv):
+    # solve once died on an IndexError here, and profile wrote "enlarged":NaN
+    code, out, err = _exit_and_streams(argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: no finite quantile at mass fraction 1e-300: the target is too small for the quantile kernel\n"
 
 
 @pytest.mark.parametrize("ends", [("--v-min", "inf"), ("--v-max", "nan"), ("--v-min=-inf", "--v-max", "0.2")])

@@ -22,6 +22,7 @@ from needle_iso import (
     densities,
     integrate,
     normalize,
+    sep_1d_bruteforce,
     solve_isoperimetric,
     solve_with_complement_reduction,
     trig_mass,
@@ -499,6 +500,15 @@ class TestTabulated:
         g = np.linspace(0.0, 1.0, 101)
         d = normalize(TabulatedDensity(grid=tuple(g), values=tuple(1.0 + g)))
         assert np.trapezoid(np.asarray(d.values) * d.norm, g) == pytest.approx(1.0, abs=1e-12)
+        # samples are halved before they are added, so two at 1e308 have a
+        # finite mean (this once warned, then raised ZeroMass naming inf), in
+        # the brute-force oracle's tabulation too; a mass past the float max
+        # raises naming the overflow
+        d = TabulatedDensity(grid=(0.0, 0.5), values=(1e308, 1e308))
+        assert d.raw_mass == 5e307
+        assert sep_1d_bruteforce(d, (0.3, 0.6), grid_size=64) == pytest.approx(0.05, abs=1 / 64)
+        with pytest.raises(OutOfDomain, match="trapezoid mass of the samples overflows"):
+            TabulatedDensity(grid=(0.0, 10.0), values=(1e308, 1e308))
 
     def test_cdf_quantile_round_trip(self):
         g = np.linspace(0.0, 1.0, 257)

@@ -27,17 +27,23 @@ from needle_iso import (
     binomial_decompose,
     bound_profile,
     bound_profile_csv,
+    catalog,
     cross_needle_bound,
     cross_needle_bounds,
+    enlarged_volume,
     is_sin_concave,
+    isoperimetric_profile_curve,
     normalize,
     optimize_affine_family,
+    profile_quantile,
     sep_1d,
     sep_1d_bruteforce,
+    solve_with_complement_reduction,
     space_by_name,
     sphere_needle_bound,
 )
-from needle_iso import needle_bound
+from needle_iso import densities, needle_bound
+from needle_iso.densities import _take
 from needle_iso.needle_bound import _candidates, _csv, _csv_row, _exponent_grid, _family_bounds, _params
 from needle_iso.separation import _needle_gaps
 
@@ -378,22 +384,21 @@ class TestCrossBoundPruning:
         # the premise of the 1e-10 rad slack: a target's quantile lies between
         # its bracket's tabulated ends to about 1e-14 (the kernel is monotone
         # only to ulps), here at a few ulps about each table mass, at random
-        # and at the tiny and near-1 targets the fine tails are for
+        # and at the small and near-1 targets the fine tails are for.  The
+        # premise is about targets with an answer: the kernel raises at some
+        # below about 1e-100 (TestNanSeparations), here the subnormal ones
+        # next to the mass 0, so those go and every target left has an answer
         grid = _exponent_grid(low, top)
         masses = needle_bound._MASSES
         node = masses[:, None]
         q = (node + np.arange(-6, 7) * np.spacing(node)).ravel()
-        q = np.concatenate([q, np.random.default_rng(3).uniform(0.0, 1.0, 2000), [1e-300, 1e-12, 1.0 - 1e-12]])
-        q = q[(q >= 0.0) & (q <= 1.0)]
+        q = np.concatenate([q, np.random.default_rng(3).uniform(0.0, 1.0, 2000), [1e-12, 1.0 - 1e-12]])
+        q = q[((q == 0.0) | (q >= 1e-100)) & (q <= 1.0)]
         t = needle_bound._needle_quantile(grid.needle, q[:, None])
         j = np.minimum(np.searchsorted(masses, q, side="right") - 1, masses.size - 2)
         table = _table(grid)
-        # betaincinv has no answer at some targets below about 1e-100; such a
-        # NaN raises where it would leave the library (TestNanSeparations)
-        lost = np.isnan(t)
-        assert not lost[q >= 1e-100].any()
-        assert np.nanmax(table[j] - t) <= 1e-13
-        assert np.nanmax(t - table[j + 1]) <= 1e-13
+        assert np.max(table[j] - t) <= 1e-13
+        assert np.max(t - table[j + 1]) <= 1e-13
 
     def test_a_nan_keeps_the_needles_it_touches(self):
         cap2 = CrossSpace.cayley_plane()
@@ -455,9 +460,9 @@ class TestCrossBoundPruning:
 
 
 class TestNanSeparations:
-    """scipy's betaincinv answers NaN at some targets below about 1e-100; a
-    NaN separation raises OutOfDomain naming its masses where it would leave
-    the library, and never comes back as a bound or a sep."""
+    """scipy's betaincinv answers NaN at some targets below about 1e-100; the
+    quantile kernel raises OutOfDomain naming the first such target, so no
+    exit of the library answers NaN."""
 
     def test_rp3_bound_prunes_its_nan_needles(self):
         rp3 = space_by_name("rp3")
@@ -472,7 +477,7 @@ class TestNanSeparations:
         grid = _exponent_grid(2, 10)
         full = grid._replace(table=np.full_like(grid.table, np.nan), filled=np.ones_like(grid.filled))
         params = _params(space="rp3", max_total_power=10)
-        with pytest.raises(OutOfDomain, match=r"masses \(1e-150, 0\.6\)"):
+        with pytest.raises(OutOfDomain, match=r"mass fraction 1e-150: the target is too small"):
             _family_bounds(full, params, [MassPair(1e-150, 0.6)])
 
     @pytest.mark.parametrize("name, top", DEFAULT_GRIDS, ids=[f"{n}-{t}" for n, t in DEFAULT_GRIDS])
@@ -480,28 +485,50 @@ class TestNanSeparations:
         space = space_by_name(name)
         k1, k2 = np.array([1e-300]), np.array([0.5])
         grid = _exponent_grid(max(space.dim - 1, 1), space.dim + 7 if top is None else top)
-        full = _needle_gaps(grid.needle, k1[:, None], k2[:, None])[2][0]
+        # each needle's separation there, or the raise of one without a quantile
+        full = np.full(len(grid.pairs), -np.inf)
+        lost = np.zeros(len(grid.pairs), dtype=bool)
+        for j in range(len(grid.pairs)):
+            try:
+                full[j] = _needle_gaps(_take(grid.needle, [j]), k1, k2)[2][0]
+            except OutOfDomain as err:
+                assert "mass fraction 1e-300:" in str(err)
+                lost[j] = True
         # every uncapped default grid has needles without a quantile there
-        assert np.isnan(full).any() or top is not None
+        assert lost.any() or top is not None
         try:
             res = cross_needle_bound(space, (1e-300, 0.5), max_total_power=top)
         except OutOfDomain as err:
-            assert "(1e-300, 0.5)" in str(err)
+            assert "mass fraction 1e-300:" in str(err)
             assert name == "cap2"  # a needle the table keeps has no quantile
             return
         # the table rules out every needle without a quantile: the bound is
         # the maximum over the others, bit for bit
-        assert not _candidates(grid, k1, k2)[0][np.isnan(full)].any()
-        assert res.bound == np.nanmax(full)
+        assert not _candidates(grid, k1, k2)[0][lost].any()
+        assert res.bound == np.max(full)
 
-    def test_seps_raise(self):
+    def test_every_exit_raises_naming_the_target(self):
         d = normalize(TrigDensity(4, 5, Interval(0.0, HALF_PI)))
-        with pytest.raises(OutOfDomain, match=r"masses \(1e-100, 0\.6\)"):
-            sep_1d(d, (1e-100, 0.6))
-        with pytest.raises(OutOfDomain, match=r"masses \(1e-100, 0\.6\)"):
-            batch_trig_sep(4, 5, 0.0, HALF_PI, [0.3, 1e-100], 0.6)
-        with pytest.raises(OutOfDomain, match=r"masses \(0\.6, 1e-100\)"):
-            batch_sep(d, [0.3, 0.6], [0.6, 1e-100])
+        hp2, cap2 = space_by_name("hp2"), space_by_name("cap2")
+        ball = catalog(hp2)[0]
+        exits = {
+            1e-100: [
+                lambda: sep_1d(d, (1e-100, 0.6)),
+                lambda: batch_trig_sep(4, 5, 0.0, HALF_PI, [0.3, 1e-100], 0.6),
+                lambda: batch_sep(d, [0.3, 0.6], [0.6, 1e-100]),
+                lambda: d.quantile(1e-100),
+            ],
+            1e-200: [lambda: profile_quantile(ball, hp2, 1e-200), lambda: enlarged_volume(ball, hp2, 1e-200, 0.1)],
+            1e-300: [
+                lambda: cross_needle_bound(cap2, (1e-300, 0.5)),
+                lambda: solve_with_complement_reduction(hp2, 1e-300, 0.1),
+                lambda: isoperimetric_profile_curve(hp2, 0.1, [1e-300, 0.3]),
+            ],
+        }
+        for target, calls in exits.items():
+            for call in calls:
+                with pytest.raises(OutOfDomain, match=rf"^no finite quantile at mass fraction {target!r}: "):
+                    call()
         assert batch_trig_sep(4, 5, 0.0, HALF_PI, [0.3, 1e-90], 0.6).shape == (2,)
 
     def test_sphere_bound_stays_finite(self):
@@ -661,14 +688,14 @@ class TestSphereOneNeedle:
         assert res.bound.hex() == bound
         assert res.ties == ((n - 1, 0),) and res.family == "sphere-cos"
 
-    def test_a_nan_raises_naming_the_masses(self, monkeypatch):
+    def test_a_nan_raises_naming_the_target(self, monkeypatch):
         # betaincinv answers every sphere target today; a NaN it might give
-        # raises as in sep_1d, never coming back as a bound
-        def nan_gaps(needle, k1, k2):
-            return None, None, np.float64(math.nan)
+        # raises in the quantile kernel, never coming back as a bound
+        def nan_betaincinv(a, b, y, out, where):
+            np.copyto(out, np.nan, where=where)
 
-        monkeypatch.setattr(needle_bound, "_needle_gaps", nan_gaps)
-        with pytest.raises(OutOfDomain, match=r"masses \(1e-300, 0\.6\)"):
+        monkeypatch.setattr(densities, "betaincinv", nan_betaincinv)
+        with pytest.raises(OutOfDomain, match=r"mass fraction 1e-300: the target is too small"):
             sphere_needle_bound(4, (1e-300, 0.6))
 
     @pytest.mark.parametrize("n", [2, 3, 11, 40])

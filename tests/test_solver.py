@@ -70,6 +70,14 @@ class TestSolve:
         res = solve_isoperimetric(SolveRequest(CP2, 0.3, 0.1))
         assert res.enlarged == min(e for _, e in res.per_candidate)
         assert res.winner.label in {c.label for c in catalog(CP2)}
+        # at rp3's crossover the ball and the RP^1 tube lie within 1e-10: the
+        # winner is the profile's, argmin, and the enlarged volume its own
+        v = 0.39521623879933754
+        res = solve_isoperimetric(SolveRequest(RP3, v, 0.05))
+        assert dict(res.per_candidate)[res.winner] == res.enlarged
+        assert len(res.co_winners) == 2
+        (row,) = isoperimetric_profile_curve(RP3, 0.05, [v])["rows"]
+        assert res.winner.label == row["winner"] == "tube around RP^1"
 
     def test_needle_check_reports_epsilon_for_realizing_winner(self):
         res = solve_isoperimetric(SolveRequest(RP3, 0.5, 0.1))
