@@ -246,7 +246,13 @@ def _catalog_enlarged(space, v, epsilon):
     pass over the space's catalog record: the candidates, and their values
     as a (candidate x ``v``) array of shape ``(len(catalog),) + shape(v)``."""
     epsilon = _check("epsilon", epsilon)
-    v = _check("fractions", v, "mass fractions")
+    return _catalog_table(space, _check("fractions", v, "mass fractions"), epsilon)
+
+
+def _catalog_table(space, v, epsilon):
+    """The body of :func:`_catalog_enlarged` for a float64 array ``v`` and a
+    float ``epsilon`` already checked; ``space`` is checked only when its
+    record is built."""
     rec = _record(space)
     out = _enlarge(rec.needle, v.reshape(1, -1), epsilon)[0]
     return rec.candidates, out.reshape((-1,) + v.shape)

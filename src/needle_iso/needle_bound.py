@@ -236,6 +236,12 @@ def sphere_needle_bound(n, masses, force=False):
     """
     n = _check("dimension", n, "sphere dimension")
     (mp,) = _straddling([masses], force, "sphere needle bound")
+    return _sphere_bound(n, mp)
+
+
+def _sphere_bound(n, mp):
+    """The core of :func:`sphere_needle_bound` for a checked dimension ``n``
+    and :class:`MassPair` ``mp``: the gap rule on the cached needle."""
     needle, params, ties = _sphere_needle(n)
     bound = float(_needle_gaps(needle, mp.k1, mp.k2)[2])
     return NeedleBoundResult(bound, "sphere-cos", params, ties, mp.straddles_half)
@@ -256,8 +262,17 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
     if space.family == SPHERE:
         raise NotApplicable("use sphere_needle_bound for spheres")
     mps = _straddling(_check("mass pairs", mass_pairs, "mass_pairs"), force, "cross needle bound")
+    mtp = None if max_total_power is None else _check("integer", max_total_power, "max_total_power")
+    return _cross_bounds(space, mps, mtp)
+
+
+def _cross_bounds(space, mps, mtp=None):
+    """The core of :func:`cross_needle_bounds` for a checked cross ``space``,
+    :class:`MassPair` records ``mps`` and an int power cap ``mtp`` (default
+    ``dim + 7``): a cap below the admissibility floor or over the grid
+    limit still raises OutOfDomain, before any grid is built."""
     low = max(space.dim - 1, 1)
-    mtp = _check("integer", space.dim + 7 if max_total_power is None else max_total_power, "max_total_power")
+    mtp = space.dim + 7 if mtp is None else mtp
     if mtp < low:
         raise OutOfDomain(
             f"max_total_power={mtp} is below the admissibility floor {low}"

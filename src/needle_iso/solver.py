@@ -10,13 +10,15 @@ separation distance.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cross_spaces import SPHERE, _catalog_enlarged, _enlarged_difference, catalog, polar_of, profile_quantile
+from .cross_spaces import (
+    SPHERE, _catalog_enlarged, _catalog_table, _enlarged_difference, catalog, polar_of, profile_quantile
+)
 from .errors import NotApplicable, OutOfDomain, _check
-from .needle_bound import _csv, cross_needle_bound, sphere_needle_bound
+from .needle_bound import _cross_bounds, _csv, _sphere_bound
 from .sampling import RngSpec, _mc_cap_masses
 from .separation import MassPair, as_mass_pair
 
@@ -78,14 +80,15 @@ class SolveResult:
 
 
 def _needle_check(space, v, w, epsilon):
-    """Needle bound at masses (v, w) compared against epsilon."""
+    """Needle bound at masses (v, w) compared against epsilon: the forced
+    bound's core on the checked space, with the public bound's bits."""
     if w <= _MASS_FLOOR:
         return {"w": float(w), "bound": None, "residual": None, "note": "saturated"}
-    masses = MassPair(v, w)
+    mp = MassPair(v, w)
     if space.family == SPHERE:
-        res = sphere_needle_bound(space.dim, masses, force=True)
+        res = _sphere_bound(space.dim, mp)
     else:
-        res = cross_needle_bound(space, masses, force=True)
+        (res,) = _cross_bounds(space, [mp])
     return {
         "w": float(w),
         "bound": float(res.bound),
@@ -99,11 +102,17 @@ def _solve(req):
     from one pass over the space's cached catalog record (the bits of
     :func:`enlarged_volume`), the winner by the profile's rule (the least
     value, the first candidate on exact ties) with its own value, and the
-    co-winners within 1e-10 of it.  The needle check is left to the
-    result's first read."""
-    cands, values = _catalog_enlarged(req.space, req.v, req.epsilon)
+    co-winners within 1e-10 of it.  Above 1/2 the result also records the
+    complementary construction.  The request's inputs are not checked
+    again, and the needle check is left to the result's first read."""
+    cands, values = _catalog_table(req.space, np.array(req.v), req.epsilon)
     rows = tuple(zip(cands, map(float, values)))
     winner, best = min(rows, key=lambda row: row[1])  # the first least one, as np.argmin
+    reduction = None
+    if req.v > 0.5:
+        w = 1.0 - best
+        construction = f"complement of the {req.epsilon}-enlargement of '{winner.polar_label}' at volume {w:.12g}"
+        reduction = {"applied": True, "w": w, "construction": construction}
     return SolveResult(
         space=req.space,
         v=req.v,
@@ -112,6 +121,7 @@ def _solve(req):
         co_winners=tuple(c for c, e in rows if e <= best + _TIE_TOL),
         enlarged=best,
         per_candidate=rows,
+        complement_reduction=reduction,
     )
 
 
@@ -140,18 +150,7 @@ def solve_with_complement_reduction(space, v, epsilon):
     complement of the epsilon-enlargement of the winner's polar candidate
     at volume ``w`` (the (k1, k2) symmetry of the separation distance).
     """
-    res = _solve(SolveRequest(space=space, v=v, epsilon=epsilon))
-    if res.v <= 0.5:
-        return res
-    w = 1.0 - res.enlarged
-    return replace(res, complement_reduction={
-        "applied": True,
-        "w": float(w),
-        "construction": (
-            f"complement of the {res.epsilon}-enlargement of '{res.winner.polar_label}' "
-            f"at volume {w:.12g}"
-        ),
-    })
+    return _solve(SolveRequest(space=space, v=v, epsilon=epsilon))
 
 
 def _newton(fg, a, b, x=None, ftol=0.0):
@@ -278,7 +277,7 @@ def _main_inequality_reports(n, mps, radii, est, mc_samples):
     reports = []
     for i, mp in enumerate(mps):
         gap = max(0.0, math.pi - float(radii[i, 0]) - float(radii[i, 1]))
-        bound = sphere_needle_bound(n, mp, force=True).bound
+        bound = _sphere_bound(n, mp).bound
         mc = {}
         within = True
         for cap, (tag, target) in enumerate([("cap1", mp.k1), ("cap2", mp.k2)]):
@@ -320,7 +319,7 @@ def check_realization(space, candidate, masses):
     q1 = float(profile_quantile(candidate, space, mp.k1))
     q2 = float(profile_quantile(polar, space, mp.k2))
     distance = space.diameter - q1 - q2
-    bound = cross_needle_bound(space, mp, force=True).bound
+    bound = _cross_bounds(space, [mp])[0].bound
     realizes = bool(distance >= 0 and abs(distance - bound) < 1e-8)
     return {
         "distance": float(distance),

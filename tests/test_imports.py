@@ -2,8 +2,9 @@
 module-level name is read by some library module, the needle record's
 format stays inside ``densities``, the cross grid's inside ``needle_bound``
 and the catalog record's inside ``cross_spaces``, only ``densities`` tests
-for NaN, the package exports exactly its public names, and the README
-lists each under its module.
+for NaN, ``solver`` reaches the needle bounds only through their cores, the
+package exports exactly its public names, and the README lists each under
+its module.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name an import binds must be read somewhere in the module, unless its
@@ -167,3 +168,14 @@ def test_record_stays_in_its_module(name, path):
 @pytest.mark.parametrize("path", [p for p in _MODULES if p.stem != "densities"], ids=lambda p: p.stem)
 def test_nan_rule_stays_in_densities(path):
     assert "isnan" not in set(_names_in(ast.parse(path.read_text())))
+
+
+# A solve checks its inputs once, in SolveRequest and the solver's public
+# entries: solver calls the needle bounds' cores, and the public bounds,
+# whose checks are for callers outside the solve path, stay out of it.
+_PUBLIC_BOUNDS = {"sphere_needle_bound", "cross_needle_bound", "cross_needle_bounds"}
+
+
+def test_solver_calls_only_the_bound_cores():
+    (path,) = [p for p in _MODULES if p.stem == "solver"]
+    assert _PUBLIC_BOUNDS.isdisjoint(_names_in(ast.parse(path.read_text())))

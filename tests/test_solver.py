@@ -15,6 +15,7 @@ from needle_iso import (
     catalog,
     check_main_inequality,
     check_realization,
+    cross_needle_bound,
     enlarged_volume,
     isoperimetric_profile_curve,
     mc_cap_mass,
@@ -25,10 +26,11 @@ from needle_iso import (
     solve_isoperimetric,
     solve_with_complement_reduction,
     space_by_name,
+    sphere_needle_bound,
 )
-from needle_iso import needle_bound, oracles, solver
+from needle_iso import cross_spaces, needle_bound, oracles, solver
 from needle_iso.cli import main
-from needle_iso.cross_spaces import _enlarged_difference
+from needle_iso.cross_spaces import SPHERE, _catalog_enlarged, _enlarged_difference
 from needle_iso.oracles import _CHECKS, _Ctx, report_to_json, run_property_suite
 from mp_reference import _mp_crossover
 
@@ -224,6 +226,61 @@ class TestNeedleCheckOnFirstRead:
             assert res.needle_bound_check == expect
 
 
+def _public_bound(space, masses):
+    """The public needle bound of ``space`` at ``masses``, forced."""
+    if space.family == SPHERE:
+        return sphere_needle_bound(space.dim, masses, force=True)
+    return cross_needle_bound(space, masses, force=True)
+
+
+class TestCheckOnce:
+    # the closing check and check_realization call the bounds' cores on the
+    # checked space and mass pair: the public entries' bits, no re-check
+    @pytest.mark.parametrize("name", ["s2", "s3", "s7", "rp3", "rp5", "cp2", "cp3", "hp2", "cap2"])
+    def test_closing_check_has_the_public_bound_bits(self, name):
+        space = space_by_name(name)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        volumes = np.concatenate([rng.uniform(0.03, 0.49, 4), rng.uniform(0.51, 0.97, 4)])
+        for v, eps in zip(volumes, rng.uniform(0.02, 0.4, 8)):
+            res = solve_with_complement_reduction(space, v, eps)
+            check, w = res.needle_bound_check, 1.0 - res.enlarged
+            assert check["w"] == w > 1e-12
+            public = _public_bound(space, (res.v, w))
+            assert float.hex(check["bound"]) == float.hex(public.bound)
+            assert float.hex(check["residual"]) == float.hex(abs(public.bound - res.epsilon))
+            assert check["hypothesis_satisfied"] is public.hypothesis_satisfied
+            for candidate in [] if space.family == SPHERE else catalog(space):
+                realization = check_realization(space, candidate, (res.v, w))
+                assert float.hex(realization["bound"]) == float.hex(public.bound)
+
+    def test_cp2_complement_witness(self):
+        res = solve_with_complement_reduction(CP2, 0.7, 0.1)
+        assert res.complement_reduction == {
+            "applied": True,
+            "w": 0.20060555185966966,
+            "construction": "complement of the 0.1-enlargement of 'ball' at volume 0.20060555186",
+        }
+        assert res.needle_bound_check["w"] == 0.20060555185966966
+        assert res.needle_bound_check["bound"] == 0.11666088939308106
+
+    @pytest.mark.parametrize("name", ["cp2", "s3"])
+    @pytest.mark.parametrize("v", [0.3, 0.7])
+    def test_a_warm_solve_checks_its_inputs_once(self, monkeypatch, name, v):
+        # SolveRequest checks the inputs; neither the candidate table nor
+        # the closing check runs a public entry's checks again
+        space = space_by_name(name)
+        solve_with_complement_reduction(space, v, 0.1).to_dict()  # builds the cached records
+        kinds = []
+        for module in (needle_bound, cross_spaces):
+            monkeypatch.setattr(
+                module, "_check", lambda kind, *a, check=module._check, **k: kinds.append(kind) or check(kind, *a, **k)
+            )
+        solve_with_complement_reduction(space, v, 0.1).to_dict()
+        assert kinds == []
+        _public_bound(space, (v, 0.5))  # the public entries keep their checks
+        assert {"dimension", "space"} & set(kinds)
+
+
 class TestComplementReduction:
     def test_small_volumes_pass_through(self):
         assert solve_with_complement_reduction(RP3, 0.3, 0.1).complement_reduction is None
@@ -315,6 +372,42 @@ class TestProfileCurve:
         lines = text.splitlines()
         assert lines[0] == "v,winner,enlarged"
         assert len(lines) == 3
+
+
+def _humps(space, eps, grid):
+    """The ``(cell, winner, rival)`` of ``grid`` where winner minus rival
+    rises at the cell's left end and falls at its right (the slopes of
+    :func:`_enlarged_difference`), the shape two crossings inside a cell
+    take; each with whether the cell's ends share their winner, and the
+    largest difference on a 257-point scan of the cell, > 0 where the
+    rival goes below."""
+    cands, table = _catalog_enlarged(space, grid, eps)
+    best = np.argmin(table, axis=0)
+    humps = []
+    for j, i in enumerate(best[:-1]):
+        for r in (r for r in range(len(cands)) if r != i):
+            slope = _enlarged_difference(space, i, r, eps)
+            if slope(grid[j])[1] > 0.0 > slope(grid[j + 1])[1]:
+                _, fine = _catalog_enlarged(space, np.linspace(grid[j], grid[j + 1], 257), eps)
+                humps.append((j, i, r, best[j + 1] == i, float(np.max(fine[i] - fine[r]))))
+    return humps
+
+
+class TestHiddenCrossings:
+    # the profile refines only where the winner changes between grid points
+    @pytest.mark.parametrize("name", ["s2", "s3", "s7", "rp3", "cp2", "hp2", "cap2"])
+    def test_no_same_winner_cell_hides_a_crossing(self, name):
+        space = space_by_name(name)
+        for eps in (0.03, 0.1, 0.3):
+            for n in (24, 32, 40):
+                humps = _humps(space, eps, np.linspace(0.5 / n, 0.5, n))  # the CLI's default grid
+                assert [h for h in humps if h[3] and h[4] > 0.0] == []
+
+    def test_a_hump_is_flagged(self):
+        # at eps 0.9 on an 8-point grid the rp3 ball's first cell holds its
+        # crossing with the tube around RP^1 inside a hump
+        (j, i, r, same, top), *_ = _humps(RP3, 0.9, np.linspace(0.5 / 8, 0.5, 8))
+        assert (j, i, r, same) == (0, 0, 1, False) and top > 0.0
 
 
 @pytest.fixture
