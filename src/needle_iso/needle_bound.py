@@ -193,35 +193,32 @@ def _candidates(grid, k1, k2):
     return ~(upper < np.max(lower, axis=1, keepdims=True) - _TIE_TOL)
 
 
-def _family_seps(grid, k1, k2):
-    """The (mass pair x folded needle) table of separations at the masses
-    ``k1``, ``k2`` (1-D): only the :func:`_candidates` go through the
-    kernel, on a sub-record of the fold, and every other entry is -inf.
-    Each entry has the bits of the full pass, since the kernel is
-    elementwise."""
-    rows, cols = np.nonzero(_candidates(grid, k1, k2))
-    seps = np.full((k1.size, grid.table.shape[1]), -np.inf)
-    seps[rows, cols] = _needle_gaps(_take(grid.needle, cols), k1[rows], k2[rows])[2]
-    return seps
-
-
 def _family_bounds(grid, params, mps):
     """The cross bound over ``grid`` for each of the mass pairs ``mps``, in
-    that order: the row maxima of the :func:`_family_seps` table.  A row's
-    ties are its needles within 1e-12 of its maximum and their mirror
-    twins, sorted, as the grid's one tuple for that tie set."""
+    that order, in passes of ``max(1, _MAX_FOLDED // folded)`` pairs: the
+    temporaries are those of one grid at the limit, whatever the batch.  A
+    pass sends its :func:`_candidates` through the kernel once; ``np.nonzero``
+    lists them pair by pair, in runs none of which is empty (the needle with
+    the pair's best lower bound stays).  A run's maximum is its pair's bound,
+    with the bits of the whole grid, and its entries within 1e-12 of it, with
+    their mirror twins, sorted, are the grid's one tuple for that tie set."""
     k1 = np.array([mp.k1 for mp in mps])
     k2 = np.array([mp.k2 for mp in mps])
-    seps = _family_seps(grid, k1, k2)
-    best = np.max(seps, axis=1)
+    step = max(1, _MAX_FOLDED // len(grid.pairs))
     results = []
-    for row, b, mp in zip(seps, best, mps):
-        hit = np.flatnonzero(row >= b - _TIE_TOL)
-        ties = grid.ties.get(key := hit.tobytes())
-        if ties is None:  # setdefault is atomic: threads that race keep one tuple
-            ties = tuple(sorted({twin for j in hit for twin in (grid.pairs[j], grid.pairs[j][::-1])}))
-            ties = grid.ties.setdefault(key, ties)
-        results.append(NeedleBoundResult(float(b), "trig", params, ties, mp.straddles_half))
+    for lo in range(0, len(mps), step):
+        a, b = k1[lo : lo + step], k2[lo : lo + step]
+        rows, cols = np.nonzero(_candidates(grid, a, b))
+        seps = _needle_gaps(_take(grid.needle, cols), a[rows], b[rows])[2]
+        runs = np.searchsorted(rows, np.arange(1, a.size))
+        for run, at, mp in zip(np.split(seps, runs), np.split(cols, runs), mps[lo : lo + step]):
+            best = np.max(run)
+            hit = at[run >= best - _TIE_TOL]
+            ties = grid.ties.get(key := hit.tobytes())
+            if ties is None:  # setdefault is atomic: threads that race keep one tuple
+                ties = tuple(sorted({twin for j in hit for twin in (grid.pairs[j], grid.pairs[j][::-1])}))
+                ties = grid.ties.setdefault(key, ties)
+            results.append(NeedleBoundResult(float(best), "trig", params, ties, mp.straddles_half))
     return tuple(results)
 
 
@@ -256,7 +253,9 @@ def cross_needle_bounds(space, mass_pairs, max_total_power=None, force=False):
     so twins ``(m, k)`` and ``(k, m)`` carry the same bits.  The grid's cached
     quantile table brackets every needle's separation, and only the needles
     that can reach a pair's maximum or tie with it are evaluated
-    (:func:`_candidates`): the bound and ties are those of the whole grid.
+    (:func:`_candidates`; always the needle with the pair's best lower bound):
+    the bound and ties are those of the whole grid.  Pairs go in passes of
+    ``max(1, 2^17 // folded needles)``, so memory stays flat in the batch.
     """
     _check("space", space)
     if space.family == SPHERE:

@@ -536,6 +536,12 @@ class TestTabulated:
         with pytest.raises(OutOfDomain):
             TabulatedDensity(grid=(0.0, 0.5, 0.4), values=(1.0, 1.0, 1.0))
 
+    def test_rejects_a_repeated_abscissa(self):
+        # a jump at 0.5 is no piecewise-linear density: a check that let equal
+        # abscissae through would build one, with cdf(0.5) = 1/3
+        with pytest.raises(OutOfDomain, match="grid must be strictly increasing"):
+            TabulatedDensity([0, 0.5, 0.5, 1], [1, 1, 3, 1])
+
     @pytest.mark.parametrize(
         "grid, values",
         [

@@ -233,27 +233,62 @@ class TestCrossBound:
 
 class TestCrossBoundPairAxis:
     @pytest.mark.parametrize(
-        "space, top",
+        "space, top, passes",
         [
-            (CP1, 8),
-            (CrossSpace.real_projective(3), None),
-            (CrossSpace.complex_projective(2), None),
-            (CrossSpace.quaternionic_projective(2), None),
-            (CrossSpace.cayley_plane(), None),
+            (CP1, 8, None),
+            (CrossSpace.real_projective(3), None, None),
+            (CrossSpace.complex_projective(2), None, None),
+            (CrossSpace.quaternionic_projective(2), None, None),
+            (CrossSpace.cayley_plane(), None, None),
+            (CrossSpace.real_projective(3), 40, 3),
         ],
-        ids=["cp1-8", "rp3", "cp2", "hp2", "cap2"],
+        ids=["cp1-8", "rp3", "cp2", "hp2", "cap2", "rp3-40-passes"],
     )
-    def test_matches_one_call_per_pair(self, space, top):
+    def test_matches_one_call_per_pair(self, space, top, passes):
+        # 27 pairs are one pass on every default grid; ``passes`` whole passes
+        # and one pair left over split a batch on rp3's 439 folded needles
+        n = 24
+        if passes is not None:
+            step = needle_bound._MAX_FOLDED // len(_exponent_grid(max(space.dim - 1, 1), top).pairs)
+            n = passes * step + 1 - 3
         gen = np.random.Generator(np.random.PCG64(13))
-        k1 = gen.uniform(0.02, 0.5, 24)
+        k1 = gen.uniform(0.02, 0.5, n)
         pairs = list(zip(k1, gen.uniform(0.5, 1.0 - k1))) + [(0.25, 0.75), (0.5, 0.5), (0.3, 0.5)]
         many = cross_needle_bounds(space, pairs, max_total_power=top)
         assert len(many) == len(pairs)
         for pair, res in zip(pairs, many):
             one = cross_needle_bound(space, pair, max_total_power=top)
-            assert res.bound == one.bound  # bitwise, not approx
+            assert res.bound.hex() == one.bound.hex()  # bitwise, not approx
             assert res.ties == one.ties
             assert res == one
+
+    def test_peak_memory_is_one_pass_whatever_the_batch(self):
+        # rp3's grid to power 40 folds 439 needles, so a pass takes 298 pairs.
+        # Pairs with k1 + k2 >= 1 separate by 0 at every needle and keep them
+        # all, so the pass of 298 such pairs bounds any pass; batches of two
+        # and four passes peak under it, and no higher for the longer batch
+        rp3 = space_by_name("rp3")
+        grid = _exponent_grid(2, 40)
+        step = needle_bound._MAX_FOLDED // len(grid.pairs)
+        assert step == 298
+        gen = np.random.Generator(np.random.PCG64(41))
+        k1, k2 = gen.uniform(0.0, 0.5, 4 * step), gen.uniform(0.5, 1.0, 4 * step)
+        assert 0.4 < np.mean(k1 + k2 >= 1.0) < 0.6
+        _candidates(grid, k1, k2)  # fills the quantile rows these pairs read
+
+        def peak(pairs):
+            tracemalloc.start()
+            try:
+                assert len(cross_needle_bounds(rp3, pairs, max_total_power=40)) == len(pairs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_pass = peak([(0.3, 0.8)] * step)
+        pairs = list(zip(k1, k2))
+        two, four = peak(pairs[: 2 * step]), peak(pairs)
+        assert max(two, four) <= 1.1 * one_pass
+        assert four <= 1.2 * two
 
     def test_hypothesis_flag_per_pair(self):
         many = cross_needle_bounds(CP1, [(0.3, 0.5), (0.2, 0.3)], force=True)
@@ -598,11 +633,22 @@ class TestSharedLabels:
         assert zero.bound == 0.0
         assert zero.ties == tuple(sorted((t - k, k) for t in range(1, 10) for k in range(t + 1)))
         assert cross_needle_bound(CP1, (0.25, 0.75), max_total_power=9).ties is zero.ties
+        # and so past k1 + k2 = 1, on the default grids too: a bound of exactly
+        # 0.0 and the whole mirrored grid as ties, in one tuple per grid
+        for name in ("rp3", "cap2"):
+            space = space_by_name(name)
+            low, top = max(space.dim - 1, 1), space.dim + 7
+            whole = tuple(sorted((t - k, k) for t in range(low, top + 1) for k in range(t + 1)))
+            results = cross_needle_bounds(space, [(0.3, 0.8), (0.45, 0.6), (0.02, 0.99), (0.5, 0.75)])
+            for res in results:
+                assert res.bound.hex() == (0.0).hex()
+                assert res.ties == whole
+                assert res.ties is results[0].ties
 
 
 class TestFamilyTable:
-    """The cross bound is the row maxima of one cached grid record, and the
-    sphere bound the separation of one cached needle."""
+    """The cross bound is the per-pair maxima over one cached grid record,
+    and the sphere bound the separation of one cached needle."""
 
     def test_sphere_bound_is_its_needles_batch_sep(self):
         rng = np.random.default_rng(2017)
