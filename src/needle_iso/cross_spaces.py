@@ -155,16 +155,19 @@ def catalog(space):
     ]
 
 
-# What every profile reads of a space: the catalog, its needle record and each row.
-_Record = namedtuple("_Record", "candidates needle rows")
+# What every profile reads of a space: the catalog, its needle record, each
+# row, and the cosine and sine exponents as (candidate x 1) columns.
+_Record = namedtuple("_Record", "candidates needle rows cosine sine")
 
 
 def _record(space):
     """The space's catalog record, built once and read-only: one ``_fold`` of
     all candidates' ``(b, a)`` on ``[0, diameter]``, whose (candidate x 1)
-    fields broadcast against a row of volumes, and each candidate's row.
-    An unhashable ``space`` (a list, a dict) raises OutOfDomain, not the
-    cache's TypeError."""
+    fields broadcast against a row of volumes, each candidate's row, and
+    the exponent columns.  The space is checked when its record is built,
+    so a reader of a cached record pays no space check; an unhashable
+    ``space`` (a list, a dict) raises OutOfDomain, not the cache's
+    TypeError."""
     try:
         return _cached_record(space)
     except TypeError:
@@ -175,13 +178,10 @@ def _record(space):
 @functools.lru_cache(maxsize=32)
 def _cached_record(space):
     cands = tuple(catalog(space))
-    needle = _fold(*_exponent_columns(cands), 0.0, space.diameter)
-    return _Record(cands, needle, {c: _take(needle, (i, 0)) for i, c in enumerate(cands)})
-
-
-def _exponent_columns(cands):
-    """The cosine and sine exponents ``(b, a)`` as (candidate x 1) columns."""
-    return np.array([[c.b] for c in cands]), np.array([[c.a] for c in cands])
+    exponents = np.array([[[c.b] for c in cands], [[c.a] for c in cands]])
+    exponents.flags.writeable = False
+    needle = _fold(*exponents, 0.0, space.diameter)
+    return _Record(cands, needle, {c: _take(needle, (i, 0)) for i, c in enumerate(cands)}, *exponents)
 
 
 def _row(candidate, space):
@@ -205,7 +205,6 @@ def radial_density(candidate, space):
 def profile_cdf(candidate, space, r):
     """Fraction of the space's volume within distance ``r`` of the core;
     exactly 0 at ``r = 0`` and exactly 1 at the diameter."""
-    _check("space", space)
     out = _needle_cdf(_row(candidate, space), _check("radii", r, "radius", bound=space.diameter))
     return out if out.shape else float(out)
 
@@ -241,18 +240,11 @@ def enlarged_volume(candidate, space, v, epsilon):
     return out if out.shape else float(out)
 
 
-def _catalog_enlarged(space, v, epsilon):
-    """Every catalog candidate's :func:`enlarged_volume` at ``v`` from one
-    pass over the space's catalog record: the candidates, and their values
-    as a (candidate x ``v``) array of shape ``(len(catalog),) + shape(v)``."""
-    epsilon = _check("epsilon", epsilon)
-    return _catalog_table(space, _check("fractions", v, "mass fractions"), epsilon)
-
-
 def _catalog_table(space, v, epsilon):
-    """The body of :func:`_catalog_enlarged` for a float64 array ``v`` and a
-    float ``epsilon`` already checked; ``space`` is checked only when its
-    record is built."""
+    """Every catalog candidate's :func:`enlarged_volume` at a checked
+    float64 array ``v`` and a checked float ``epsilon``, from one pass over
+    the space's catalog record: the candidates, and their values as a
+    (candidate x ``v``) array of shape ``(len(catalog),) + v.shape``."""
     rec = _record(space)
     out = _enlarge(rec.needle, v.reshape(1, -1), epsilon)[0]
     return rec.candidates, out.reshape((-1,) + v.shape)
@@ -265,8 +257,7 @@ def _enlarged_difference(space, i, j, epsilon):
     diameter)``, with ``f_c`` the radial density (its normalization
     cancels), and 0 once the enlargement saturates."""
     rec = _record(space)
-    needle = _take(rec.needle, [i, j])
-    cosine, sine = _exponent_columns([rec.candidates[i], rec.candidates[j]])
+    needle, cosine, sine = _take(rec.needle, [i, j]), rec.cosine[[i, j]], rec.sine[[i, j]]
 
     def diff(v):
         e, t, r = _enlarge(needle, v, epsilon)
@@ -279,12 +270,12 @@ def _enlarged_difference(space, i, j, epsilon):
 
 def polar_of(candidate, space):
     """The catalog candidate with swapped exponents (t -> diameter - t)."""
-    _check("space", space)
+    cands = _record(space).candidates
     _check("candidate", candidate)
     if space.family == SPHERE:
         raise NotApplicable("polar duality is defined for diameter pi/2 spaces only")
     swapped = (candidate.b, candidate.a)
-    for other in catalog(space):
+    for other in cands:
         if other.exponents == swapped:
             return other
     raise NotApplicable(

@@ -14,16 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cross_spaces import (
-    SPHERE, _catalog_enlarged, _catalog_table, _enlarged_difference, catalog, polar_of, profile_quantile
-)
+from .cross_spaces import SPHERE, _catalog_table, _enlarged_difference, catalog, polar_of, profile_quantile
 from .errors import NotApplicable, OutOfDomain, _check
 from .needle_bound import _cross_bounds, _csv, _sphere_bound
 from .sampling import RngSpec, _mc_cap_masses
 from .separation import MassPair, as_mass_pair
 
-_TIE_TOL = 1e-10
-_MASS_FLOOR = 1e-12
+_COWINNER_TOL = 1e-10
+_SATURATED_MASS = 1e-12
 _RESOLUTION = 4.0 * np.finfo(float).eps
 
 
@@ -56,8 +54,7 @@ class SolveResult:
     @functools.cached_property
     def needle_bound_check(self):
         """The needle check at the complement mass of the winner's
-        enlargement, computed on first read and kept; a ``replace()`` copy
-        derives its own."""
+        enlargement, computed on first read and kept."""
         return _needle_check(self.space, self.v, 1.0 - self.enlarged, self.epsilon)
 
     def to_dict(self):
@@ -82,7 +79,7 @@ class SolveResult:
 def _needle_check(space, v, w, epsilon):
     """Needle bound at masses (v, w) compared against epsilon: the forced
     bound's core on the checked space, with the public bound's bits."""
-    if w <= _MASS_FLOOR:
+    if w <= _SATURATED_MASS:
         return {"w": float(w), "bound": None, "residual": None, "note": "saturated"}
     mp = MassPair(v, w)
     if space.family == SPHERE:
@@ -107,7 +104,7 @@ def _solve(req):
     again, and the needle check is left to the result's first read."""
     cands, values = _catalog_table(req.space, np.array(req.v), req.epsilon)
     rows = tuple(zip(cands, map(float, values)))
-    winner, best = min(rows, key=lambda row: row[1])  # the first least one, as np.argmin
+    winner, best = rows[int(np.argmin(values))]  # the first least one, as the profile's winners
     reduction = None
     if req.v > 0.5:
         w = 1.0 - best
@@ -118,7 +115,7 @@ def _solve(req):
         v=req.v,
         epsilon=req.epsilon,
         winner=winner,
-        co_winners=tuple(c for c, e in rows if e <= best + _TIE_TOL),
+        co_winners=tuple(c for c, e in rows if e <= best + _COWINNER_TOL),
         enlarged=best,
         per_candidate=rows,
         complement_reduction=reduction,
@@ -200,7 +197,7 @@ def isoperimetric_profile_curve(space, epsilon, v_grid):
     """
     epsilon = _check("epsilon", epsilon)
     v_grid = sorted(_check("volume grid", v_grid).tolist())
-    cands, table = _catalog_enlarged(space, np.array(v_grid), epsilon)
+    cands, table = _catalog_table(space, np.array(v_grid), epsilon)
 
     # argmin keeps the first candidate on exact ties
     best = np.argmin(table, axis=0)

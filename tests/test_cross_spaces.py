@@ -28,7 +28,9 @@ from needle_iso import (
     solve_with_complement_reduction,
     space_by_name,
 )
-from needle_iso.cross_spaces import _catalog_enlarged, _enlarge, _record, _row
+import needle_iso.cross_spaces as cross_spaces
+import needle_iso.solver as solver
+from needle_iso.cross_spaces import _catalog_table, _enlarge, _record, _row
 
 HALF_PI = math.pi / 2
 
@@ -218,7 +220,7 @@ class TestCatalogPass:
         space = space_by_name(name)
         for eps in (0.05, 0.3, space.diameter):
             for v in [*VOLUMES, np.array(VOLUMES)]:
-                cands, table = _catalog_enlarged(space, v, eps)
+                cands, table = _catalog_table(space, np.array(v), eps)
                 assert cands == tuple(catalog(space))
                 assert table.shape == (len(cands),) + np.shape(v)
                 for cand, row in zip(cands, table):
@@ -246,9 +248,14 @@ class TestCatalogPass:
         assert arrays and not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
             rec.needle.total[0, 0] = 1.0
+        assert rec.cosine.tolist() == [[c.b] for c in rec.candidates]
+        assert rec.sine.tolist() == [[c.a] for c in rec.candidates]
+        for column in (rec.cosine, rec.sine):
+            with pytest.raises(ValueError):
+                column[0, 0] = 1.0
         v = np.array(VOLUMES)
-        first = _catalog_enlarged(cp2, v, 0.2)[1]
-        assert _catalog_enlarged(cp2, v, 0.2)[1].tolist() == first.tolist()
+        first = _catalog_table(cp2, v, 0.2)[1]
+        assert _catalog_table(cp2, v, 0.2)[1].tolist() == first.tolist()
         ball = catalog(cp2)[0]
         assert enlarged_volume(ball, cp2, v, 0.2).tolist() == enlarged_volume(ball, cp2, v, 0.2).tolist()
 
@@ -283,8 +290,6 @@ class TestCatalogPass:
     def test_volumes_outside_the_unit_interval_raise(self):
         rp3 = space_by_name("rp3")
         for v in (-0.1, 1.1, math.nan):
-            with pytest.raises(OutOfDomain):
-                _catalog_enlarged(rp3, v, 0.1)
             with pytest.raises(OutOfDomain):
                 enlarged_volume(catalog(rp3)[0], rp3, v, 0.1)
             with pytest.raises(OutOfDomain):
@@ -493,16 +498,41 @@ class TestNotASpace:
     def test_cached_record_reads_skip_the_check(self, monkeypatch):
         # the check runs when a space's catalog record is built, not on
         # each read of a cached one
-        import needle_iso.cross_spaces as cross_spaces
-
         enlarged_volume(_BALL, _CP2, 0.3, 0.1)
-        kinds = []
-        check = cross_spaces._check
-        monkeypatch.setattr(cross_spaces, "_check", lambda kind, *a, **k: kinds.append(kind) or check(kind, *a, **k))
+        kinds = _recorded_checks(monkeypatch, cross_spaces)
         enlarged_volume(_BALL, _CP2, 0.3, 0.1)
         profile_quantile(_BALL, _CP2, 0.3)
-        _catalog_enlarged(_CP2, np.array([0.1, 0.3]), 0.1)
-        assert kinds and "space" not in kinds
+        profile_cdf(_BALL, _CP2, 0.3)
+        _catalog_table(_CP2, np.array([0.1, 0.3]), 0.1)
+        assert kinds["cross_spaces"] and "space" not in kinds["cross_spaces"]
+
+    def test_a_warm_profile_checks_its_epsilon_and_grid_once(self, monkeypatch):
+        # the table and the crossover refinement read the record unchecked
+        rp3, grid = space_by_name("rp3"), np.linspace(0.5 / 40, 0.5, 40)
+        isoperimetric_profile_curve(rp3, 0.1, grid)
+        kinds = _recorded_checks(monkeypatch, cross_spaces, solver)
+        assert isoperimetric_profile_curve(rp3, 0.1, grid)["crossovers"]
+        assert kinds == {"cross_spaces": [], "solver": ["epsilon", "volume grid"]}
+
+    def test_a_warm_polar_of_checks_only_its_candidate(self, monkeypatch):
+        # the polar is found among the record's candidates, not a fresh catalog
+        tube = polar_of(_BALL, _CP2)
+        kinds = _recorded_checks(monkeypatch, cross_spaces)
+        assert polar_of(_BALL, _CP2) is tube
+        assert kinds == {"cross_spaces": ["candidate"]}
+
+
+def _recorded_checks(monkeypatch, *modules):
+    """The parameter kinds each of ``modules`` checks from now on, as lists
+    by module name, each check still run."""
+    kinds = {}
+    for module in modules:
+        seen = kinds.setdefault(module.__name__.rsplit(".", 1)[1], [])
+        check = module._check
+        monkeypatch.setattr(
+            module, "_check", lambda kind, *a, seen=seen, check=check, **k: seen.append(kind) or check(kind, *a, **k)
+        )
+    return kinds
 
 
 # every public entry that takes a candidate, with valid other arguments

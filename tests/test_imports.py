@@ -1,5 +1,6 @@
 """Each library module uses every name it imports, every private
-module-level name is read by some library module, the needle record's
+module-level name is read by some library module and no private
+module-level constant is bound in two of them, the needle record's
 format stays inside ``densities``, the cross grid's inside ``needle_bound``
 and the catalog record's inside ``cross_spaces``, only ``densities`` tests
 for NaN, ``solver`` reaches the needle bounds only through their cores, the
@@ -99,10 +100,16 @@ def _private_definitions(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        names |= _assigned(node)
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _assigned(node):
+    """The names a module-level statement binds by assignment."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
 
 
 def _reads(tree):
@@ -134,6 +141,34 @@ def test_every_private_name_is_read():
     # a refactor leaves no dead helper behind
     sources = {p.stem: p.read_text() for p in _MODULES + [Path(needle_iso.__file__)]}
     assert _dead_private_names(sources) == set()
+
+
+def _shared_private_constants(sources):
+    """The private names bound by a module-level assignment in more than one
+    of ``sources`` (module name -> source), each with its sorted modules;
+    an import shares a name's one binding and is not counted."""
+    owners = {}
+    for name, src in sources.items():
+        for node in ast.parse(src).body:
+            for const in _assigned(node):
+                if const.startswith("_") and not const.startswith("__"):
+                    owners.setdefault(const, set()).add(name)
+    return {const: sorted(mods) for const, mods in owners.items() if len(mods) > 1}
+
+
+def test_finds_a_shared_private_constant():
+    sources = {
+        "a": "_TOL = 1e-12\n_LIMIT = 3\n__all__ = []\n",
+        "b": "_TOL: float = 1e-10\n__all__ = ['x']\n",
+        "c": "from a import _LIMIT\n",
+    }
+    assert _shared_private_constants(sources) == {"_TOL": ["a", "b"]}
+
+
+def test_no_private_constant_is_bound_in_two_modules():
+    # one name, one value: a tolerance read in one module is not another's
+    sources = {p.stem: p.read_text() for p in _MODULES + [Path(needle_iso.__file__)]}
+    assert _shared_private_constants(sources) == {}
 
 
 def _names_in(tree):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from needle_iso import (
+    Candidate,
     CrossSpace,
     Interval,
     OutOfDomain,
@@ -793,3 +794,48 @@ class TestRowRoutes:
         monkeypatch.setattr(densities, "_fold", counted)
         run_property_suite("all", SEED)
         assert counts == {}
+
+
+class TestChecksCanFail:
+    """Each check below reports a failure when one name it reads in
+    ``oracles`` is made to give a wrong answer, and passes unpatched."""
+
+    @staticmethod
+    def _passed(name):
+        return _CHECKS[name](_Ctx(RngSpec(SEED), threads=1, mc_samples=1))["passed"]
+
+    def test_exponent_admissibility_fails_below_the_dimension(self, monkeypatch):
+        import needle_iso.oracles as oracles
+
+        assert self._passed("spaces.exponent_admissibility")
+        # a + b = 0 < dim - 1 on every space of the check
+        monkeypatch.setattr(oracles, "catalog", lambda space: [Candidate("ball", 0.0, 0.0, "ball")])
+        assert not self._passed("spaces.exponent_admissibility")
+
+    def test_winner_in_catalog_fails_without_the_winner(self, monkeypatch):
+        import needle_iso.oracles as oracles
+
+        assert self._passed("solver.winner_in_catalog")
+        # the ball wins at v = 0.1 on every space of the check
+        monkeypatch.setattr(oracles, "catalog", lambda space: [c for c in catalog(space) if c.label != "ball"])
+        assert not self._passed("solver.winner_in_catalog")
+
+    @pytest.mark.parametrize("name", ["_enlarge", "enlarged_volume"])
+    def test_enlargement_monotonicity_fails_on_flat_values(self, monkeypatch, name):
+        # the epsilon sweep reads _enlarge, the volume sweep enlarged_volume
+        import needle_iso.oracles as oracles
+
+        assert self._passed("solver.enlargement_monotonicity")
+        flat = {
+            "_enlarge": lambda needle, v, eps: (np.full(np.shape(eps), 0.5), None, None),
+            "enlarged_volume": lambda cand, space, v, eps: np.full(np.shape(v), 0.5),
+        }
+        monkeypatch.setattr(oracles, name, flat[name])
+        assert not self._passed("solver.enlargement_monotonicity")
+
+    def test_bruteforce_agreement_fails_on_a_shifted_scan(self, monkeypatch):
+        import needle_iso.oracles as oracles
+
+        assert self._passed("separation.bruteforce_agreement")
+        monkeypatch.setattr(oracles, "_extreme_gap", lambda *args: _extreme_gap(*args) + 1.0)
+        assert not self._passed("separation.bruteforce_agreement")

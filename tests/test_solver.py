@@ -30,7 +30,7 @@ from needle_iso import (
 )
 from needle_iso import cross_spaces, needle_bound, oracles, solver
 from needle_iso.cli import main
-from needle_iso.cross_spaces import SPHERE, _catalog_enlarged, _enlarged_difference
+from needle_iso.cross_spaces import SPHERE, _catalog_table, _enlarged_difference
 from needle_iso.oracles import _CHECKS, _Ctx, report_to_json, run_property_suite
 from mp_reference import _mp_crossover
 
@@ -381,14 +381,14 @@ def _humps(space, eps, grid):
     take; each with whether the cell's ends share their winner, and the
     largest difference on a 257-point scan of the cell, > 0 where the
     rival goes below."""
-    cands, table = _catalog_enlarged(space, grid, eps)
+    cands, table = _catalog_table(space, grid, eps)
     best = np.argmin(table, axis=0)
     humps = []
     for j, i in enumerate(best[:-1]):
         for r in (r for r in range(len(cands)) if r != i):
             slope = _enlarged_difference(space, i, r, eps)
             if slope(grid[j])[1] > 0.0 > slope(grid[j + 1])[1]:
-                _, fine = _catalog_enlarged(space, np.linspace(grid[j], grid[j + 1], 257), eps)
+                _, fine = _catalog_table(space, np.linspace(grid[j], grid[j + 1], 257), eps)
                 humps.append((j, i, r, best[j + 1] == i, float(np.max(fine[i] - fine[r]))))
     return humps
 
