@@ -137,22 +137,12 @@ def catalog(space):
     KP^j, with exponents ``(s(n-j)-1, s(j+1)-1)``; its polar dual is
     candidate ``n-1-j``, with the exponents swapped.  The rule covers RP^n,
     CP^n, HP^n and CaP^2 (ball (15, 7), tube around CaP^1 (7, 15)), and
-    S^n takes its row ``j = 0``, the ball.  A ``space`` that is not a
+    S^n takes its row ``j = 0``, the ball.  Each call is a fresh list of
+    the space's catalog record's candidates.  A ``space`` that is not a
     :class:`CrossSpace` raises OutOfDomain; so, through this, does every
     entry point that reads the space's catalog record.
     """
-    _check("space", space)
-    _, symbol, s, _, _ = _FAMILIES[space.family]
-    n = space.index
-    rows = 1 if space.family == SPHERE else n
-
-    def label(j):
-        return "ball" if j == 0 else f"tube around {symbol}^{j}"
-
-    return [
-        Candidate(label(j), float(s * (n - j) - 1), float(s * (j + 1) - 1), label(rows - 1 - j))
-        for j in range(rows)
-    ]
+    return list(_record(space).candidates)
 
 
 # What every profile reads of a space: the catalog, its needle record, each
@@ -165,9 +155,9 @@ def _record(space):
     all candidates' ``(b, a)`` on ``[0, diameter]``, whose (candidate x 1)
     fields broadcast against a row of volumes, each candidate's row, and
     the exponent columns.  The space is checked when its record is built,
-    so a reader of a cached record pays no space check; an unhashable
-    ``space`` (a list, a dict) raises OutOfDomain, not the cache's
-    TypeError."""
+    and the candidates made by the rule of :func:`catalog`, so a reader of
+    a cached record pays no check; an unhashable ``space`` (a list, a
+    dict) raises OutOfDomain, not the cache's TypeError."""
     try:
         return _cached_record(space)
     except TypeError:
@@ -177,7 +167,17 @@ def _record(space):
 
 @functools.lru_cache(maxsize=32)
 def _cached_record(space):
-    cands = tuple(catalog(space))
+    _check("space", space)
+    _, symbol, s, _, _ = _FAMILIES[space.family]
+    n = space.index
+    rows = 1 if space.family == SPHERE else n
+
+    def label(j):
+        return "ball" if j == 0 else f"tube around {symbol}^{j}"
+
+    cands = tuple(
+        Candidate(label(j), float(s * (n - j) - 1), float(s * (j + 1) - 1), label(rows - 1 - j)) for j in range(rows)
+    )
     exponents = np.array([[[c.b] for c in cands], [[c.a] for c in cands]])
     exponents.flags.writeable = False
     needle = _fold(*exponents, 0.0, space.diameter)
@@ -186,9 +186,8 @@ def _cached_record(space):
 
 def _row(candidate, space):
     """The candidate's needle record: its row of the space's catalog record,
-    or, for a candidate outside the catalog, its own checked fold; anything
-    that is not a :class:`Candidate` raises OutOfDomain."""
-    _check("candidate", candidate)
+    or, for a candidate outside the catalog, its own checked fold.  The
+    candidate is not checked here: a public reader checks its own."""
     row = _record(space).rows.get(candidate)
     if row is None:
         return _checked_fold(candidate.b, candidate.a, 0.0, space.diameter)
@@ -205,13 +204,13 @@ def radial_density(candidate, space):
 def profile_cdf(candidate, space, r):
     """Fraction of the space's volume within distance ``r`` of the core;
     exactly 0 at ``r = 0`` and exactly 1 at the diameter."""
-    out = _needle_cdf(_row(candidate, space), _check("radii", r, "radius", bound=space.diameter))
+    out = _needle_cdf(_row(_check("candidate", candidate), space), _check("radii", r, "radius", bound=space.diameter))
     return out if out.shape else float(out)
 
 
 def profile_quantile(candidate, space, v):
     """Radius enclosing volume fraction ``v``: exactly 0 at 0, the diameter at 1."""
-    out = _needle_quantile(_row(candidate, space), _check("fractions", v, "mass fractions"))
+    out = _needle_quantile(_row(_check("candidate", candidate), space), _check("fractions", v, "mass fractions"))
     return out if out.shape else float(out)
 
 
@@ -236,7 +235,7 @@ def enlarged_volume(candidate, space, v, epsilon):
     gives a float.
     """
     epsilon = _check("epsilon", epsilon)
-    out = _enlarge(_row(candidate, space), _check("fractions", v, "mass fractions"), epsilon)[0]
+    out = _enlarge(_row(_check("candidate", candidate), space), _check("fractions", v, "mass fractions"), epsilon)[0]
     return out if out.shape else float(out)
 
 

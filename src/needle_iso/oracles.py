@@ -685,7 +685,7 @@ def _check_main_inequality_mc(ctx):
 
 
 # ---------------------------------------------------------------------------
-# registry, coverage manifest, runner
+# registry, runner
 # ---------------------------------------------------------------------------
 
 

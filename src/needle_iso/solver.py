@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cross_spaces import SPHERE, _catalog_table, _enlarged_difference, catalog, polar_of, profile_quantile
+from .cross_spaces import SPHERE, _catalog_table, _enlarged_difference, _record, _row, polar_of
+from .densities import _needle_quantile
 from .errors import NotApplicable, OutOfDomain, _check
 from .needle_bound import _cross_bounds, _csv, _sphere_bound
 from .sampling import RngSpec, _mc_cap_masses
@@ -249,17 +250,17 @@ def check_main_inequality(space, masses, mc_samples=100000, seed=0, threads=1):
 def _check_main_inequalities(spaces, mass_pairs, mc_samples, seed, threads):
     """:func:`check_main_inequality` for each of ``spaces`` at each of
     ``mass_pairs``, as one list of reports per space, each report equal to
-    the one-pair call: one quantile call per space gives every cap radius,
-    and both caps of every space and pair share the draws of stream 0, one
-    :func:`sampling._mc_cap_masses` call, which draws each chunk once at the
-    widest sphere's width."""
+    the one-pair call: one quantile call on each sphere's catalog record
+    (one row, the ball) gives every cap radius, and both caps of every space
+    and pair share the draws of stream 0, one :func:`sampling._mc_cap_masses`
+    call, which draws each chunk once at the widest sphere's width."""
     for space in spaces:
         _check("space", space)
         if space.family != SPHERE or space.dim not in (2, 3):
             raise NotApplicable("the antipodal-cap witness is implemented for S^2, S^3")
     mps = [as_mass_pair(p) for p in mass_pairs]
     targets = np.array([[mp.k1, mp.k2] for mp in mps]).reshape(-1, 2)
-    radii = [profile_quantile(catalog(space)[0], space, targets) for space in spaces]
+    radii = [_needle_quantile(_record(space).needle, targets) for space in spaces]
     dims = [space.dim for space in spaces]
     ests = _mc_cap_masses(dims, radii, mc_samples, RngSpec(seed), 0, threads)
     return [
@@ -313,8 +314,8 @@ def check_realization(space, candidate, masses):
         raise NotApplicable("use check_main_inequality for spheres")
     mp = as_mass_pair(masses)
     polar = polar_of(candidate, space)
-    q1 = float(profile_quantile(candidate, space, mp.k1))
-    q2 = float(profile_quantile(polar, space, mp.k2))
+    q1 = float(_needle_quantile(_row(candidate, space), mp.k1))
+    q2 = float(_needle_quantile(_row(polar, space), mp.k2))
     distance = space.diameter - q1 - q2
     bound = _cross_bounds(space, [mp])[0].bound
     realizes = bool(distance >= 0 and abs(distance - bound) < 1e-8)

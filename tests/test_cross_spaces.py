@@ -267,6 +267,16 @@ class TestCatalogPass:
             assert _record(cp2).rows[cand] is row
             assert [float(f) for f in row] == [float(f[i, 0]) for f in rec.needle]
 
+    def test_catalog_is_a_fresh_list_of_the_record_candidates(self):
+        cp2 = space_by_name("cp2")
+        cands = catalog(cp2)
+        assert len(cands) == len(_record(cp2).candidates) == 2
+        assert all(c is r for c, r in zip(cands, _record(cp2).candidates))
+        cands.reverse()
+        cands.append(cands[0])
+        assert catalog(cp2) == list(_record(cp2).candidates)
+        assert [c.label for c in catalog(cp2)] == ["ball", "tube around CP^1"]
+
     def test_candidate_outside_the_catalog_gets_a_fresh_density(self):
         rp3 = space_by_name("rp3")
         odd = Candidate("custom", 3.0, 1.0, "custom")
@@ -520,6 +530,44 @@ class TestNotASpace:
         kinds = _recorded_checks(monkeypatch, cross_spaces)
         assert polar_of(_BALL, _CP2) is tube
         assert kinds == {"cross_spaces": ["candidate"]}
+
+    def test_a_warm_catalog_checks_nothing(self, monkeypatch):
+        # the candidates and their exponent checks are made with the record
+        catalog(_CP2)
+        kinds = _recorded_checks(monkeypatch, cross_spaces)
+        assert catalog(_CP2) == list(_record(_CP2).candidates)
+        assert kinds == {"cross_spaces": []}
+
+    def test_a_warm_antipodal_cap_check_checks_only_its_space(self, monkeypatch):
+        # the cap radii are one quantile call on the sphere's record
+        s2 = space_by_name("s2")
+        check_main_inequality(s2, (0.3, 0.5), mc_samples=1000)
+        kinds = _recorded_checks(monkeypatch, cross_spaces, solver)
+        check_main_inequality(s2, (0.3, 0.5), mc_samples=1000)
+        assert kinds == {"cross_spaces": [], "solver": ["space"]}
+
+    def test_a_warm_realization_checks_its_candidate_once(self, monkeypatch):
+        # polar_of checks the candidate, and both quantiles read record rows
+        check_realization(_CP2, _BALL, (0.3, 0.6))
+        kinds = _recorded_checks(monkeypatch, cross_spaces)
+        check_realization(_CP2, _BALL, (0.3, 0.6))
+        assert kinds == {"cross_spaces": ["candidate"]}
+
+    @pytest.mark.parametrize(
+        "read, want",
+        [
+            (lambda: profile_cdf(_BALL, _CP2, 0.3), ["candidate", "radii"]),
+            (lambda: profile_quantile(_BALL, _CP2, 0.3), ["candidate", "fractions"]),
+            (lambda: enlarged_volume(_BALL, _CP2, 0.3, 0.1), ["epsilon", "candidate", "fractions"]),
+        ],
+        ids=["profile_cdf", "profile_quantile", "enlarged_volume"],
+    )
+    def test_a_warm_record_reader_checks_each_input_once(self, monkeypatch, read, want):
+        # each checks its own candidate, since _row reads the record unchecked
+        read()
+        kinds = _recorded_checks(monkeypatch, cross_spaces)
+        read()
+        assert kinds == {"cross_spaces": want}
 
 
 def _recorded_checks(monkeypatch, *modules):

@@ -3,9 +3,9 @@ module-level name is read by some library module and no private
 module-level constant is bound in two of them, the needle record's
 format stays inside ``densities``, the cross grid's inside ``needle_bound``
 and the catalog record's inside ``cross_spaces``, only ``densities`` tests
-for NaN, ``solver`` reaches the needle bounds only through their cores, the
-package exports exactly its public names, and the README lists each under
-its module.
+for NaN, ``solver`` reaches the needle bounds only through their cores and
+the catalog only through its record and ``polar_of``, the package exports
+exactly its public names, and the README lists each under its module.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name an import binds must be read somewhere in the module, unless its
@@ -214,3 +214,13 @@ _PUBLIC_BOUNDS = {"sphere_needle_bound", "cross_needle_bound", "cross_needle_bou
 def test_solver_calls_only_the_bound_cores():
     (path,) = [p for p in _MODULES if p.stem == "solver"]
     assert _PUBLIC_BOUNDS.isdisjoint(_names_in(ast.parse(path.read_text())))
+
+
+# Likewise on the catalog path: solver reads the cached catalog record and
+# its rows, and of the public catalog readers names only polar_of.
+_PUBLIC_CATALOG_READERS = {"catalog", "profile_cdf", "profile_quantile", "enlarged_volume"}
+
+
+def test_solver_reads_the_catalog_record_not_its_public_readers():
+    (path,) = [p for p in _MODULES if p.stem == "solver"]
+    assert _PUBLIC_CATALOG_READERS.isdisjoint(_names_in(ast.parse(path.read_text())))

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -32,6 +33,7 @@ from needle_iso import (
     run_property_suite,
     sep_1d,
     sep_1d_bruteforce,
+    solve_isoperimetric,
 )
 from needle_iso.concavity import _product_margin
 from needle_iso.densities import _checked_fold, _trig_pdf
@@ -39,6 +41,7 @@ from needle_iso.oracles import _CHECKS, _Ctx, _suite_spaces, _trig_draw, suite_c
 from needle_iso.needle_bound import _sphere_needle
 from needle_iso.sampling import _affine_draws, _mc_cap_masses, as_rng_spec
 from needle_iso.separation import _extreme_gap, _needle_gaps
+from needle_iso.solver import _check_main_inequalities
 
 SEED = 42
 
@@ -801,8 +804,12 @@ class TestChecksCanFail:
     ``oracles`` is made to give a wrong answer, and passes unpatched."""
 
     @staticmethod
-    def _passed(name):
-        return _CHECKS[name](_Ctx(RngSpec(SEED), threads=1, mc_samples=1))["passed"]
+    def _run(name):
+        return _CHECKS[name](_Ctx(RngSpec(SEED), threads=1, mc_samples=1))
+
+    @classmethod
+    def _passed(cls, name):
+        return cls._run(name)["passed"]
 
     def test_exponent_admissibility_fails_below_the_dimension(self, monkeypatch):
         import needle_iso.oracles as oracles
@@ -839,3 +846,80 @@ class TestChecksCanFail:
         assert self._passed("separation.bruteforce_agreement")
         monkeypatch.setattr(oracles, "_extreme_gap", lambda *args: _extreme_gap(*args) + 1.0)
         assert not self._passed("separation.bruteforce_agreement")
+
+    def test_complement_reduction_duality_fails_off_the_direct_side(self, monkeypatch):
+        import needle_iso.oracles as oracles
+
+        assert self._passed("solver.complement_reduction_duality")
+        monkeypatch.setattr(oracles, "_polar_enlarged", lambda cand, space, v, eps: 1.0)
+        out = self._run("solver.complement_reduction_duality")
+        assert not out["passed"] and out["details"]["max_direct_gap"] > 1e-10
+
+    def test_complement_reduction_duality_fails_on_unmatched_polar_labels(self, monkeypatch):
+        # each polar keeps its exponents, so the direct side keeps its values
+        # to 1e-10, but no polar label is a co-winner of the dual solve
+        import needle_iso.oracles as oracles
+
+        assert self._passed("solver.complement_reduction_duality")
+        monkeypatch.setattr(
+            oracles, "polar_of", lambda cand, space: dataclasses.replace(polar_of(cand, space), label="unlabelled")
+        )
+        out = self._run("solver.complement_reduction_duality")
+        assert not out["passed"] and out["details"]["max_direct_gap"] <= 1e-10
+
+    def test_needle_bound_consistency_fails_off_the_sphere_bound(self, monkeypatch):
+        # every solve reports an epsilon 0.1 past its own, so each sphere's
+        # needle check is 0.1 off
+        import needle_iso.oracles as oracles
+
+        assert self._passed("solver.needle_bound_consistency")
+        monkeypatch.setattr(
+            oracles, "solve_isoperimetric",
+            lambda req: dataclasses.replace(solve_isoperimetric(req), epsilon=req.epsilon + 0.1),
+        )
+        out = self._run("solver.needle_bound_consistency")
+        assert not out["passed"] and out["details"]["max_sphere_residual"] >= 1e-6
+
+    def test_needle_bound_consistency_fails_on_an_unrealized_bound(self, monkeypatch):
+        # cp2's winners do not realize the bound (residuals near 1e-2) but
+        # are reported as if they did; the sphere side is untouched
+        import needle_iso.oracles as oracles
+
+        assert self._passed("solver.needle_bound_consistency")
+        monkeypatch.setattr(oracles, "check_realization", lambda space, cand, masses: {"realizes": True})
+        out = self._run("solver.needle_bound_consistency")
+        assert not out["passed"] and out["details"]["max_sphere_residual"] < 1e-6
+        assert out["details"]["cross_not_realized"] == 0
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rep: {**rep, "mc_within_3_sigma": False},
+            lambda rep: {**rep, "sep_estimate": rep["sep_estimate"] - 0.1},
+        ],
+        ids=["outside_3_sigma", "gap_off_the_bound"],
+    )
+    def test_main_inequality_mc_fails_on_an_edited_report(self, monkeypatch, edit):
+        # one edit per failure line: the Monte Carlo flag alone, then the gap
+        # alone (its report still reads ok)
+        import needle_iso.oracles as oracles
+
+        assert self._passed("solver.main_inequality_mc")
+        monkeypatch.setattr(
+            oracles, "_check_main_inequalities",
+            lambda *args: [[edit(r) for r in reps] for reps in _check_main_inequalities(*args)],
+        )
+        assert not self._passed("solver.main_inequality_mc")
+
+    def test_request_determinism_fails_on_a_changing_solve(self, monkeypatch):
+        # each solve reports a new epsilon, so a request's two JSONs differ;
+        # the Monte Carlo side is untouched
+        import needle_iso.oracles as oracles
+
+        assert self._passed("solver.request_determinism")
+        shift = itertools.count()
+        monkeypatch.setattr(
+            oracles, "solve_isoperimetric",
+            lambda req: dataclasses.replace(solve_isoperimetric(req), epsilon=req.epsilon + 1e-3 * next(shift)),
+        )
+        assert not self._passed("solver.request_determinism")
